@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race verify-race bench-smoke bench-record bench-check bench-parallel bench-profile chaos-short chaos chaos-nightly
+.PHONY: verify fmt-check vet build test race verify-race fuzz-short bench-module bench-smoke bench-record bench-check bench-parallel bench-profile chaos-short chaos chaos-nightly
 
 # Benchmarks tracked for regressions across PRs (see cmd/benchguard).
 # Each is run BENCH_COUNT times and benchguard keeps the fastest
@@ -38,11 +38,19 @@ BENCH_PERSIST_TIME = 2000x
 BENCH_RECOVER      = E15_BootstrapRecovery
 BENCH_RECOVER_TIME = 1x
 
+# The bulk tier (internal/transport/bench_test.go): one 512 KiB streamed
+# call over TCP loopback. Its B/op is the copy census of the streamed path
+# (DESIGN.md §14): one assembly per call, and a reintroduced copy shows as
+# another 512 KiB.
+BENCH_STREAM      = StreamedCall
+BENCH_STREAM_TIME = 2000x
+
 # verify is the tier-1 gate: formatting, static checks, build, tests
 # (including the race detector), a one-iteration benchmark smoke run, a
 # warn-only comparison of the tracked benchmarks against BENCH_PR.json,
-# and the bounded chaos sweep (chaos-short) behind the SLO gate.
-verify: fmt-check vet build test verify-race bench-smoke bench-check chaos-short
+# a bounded fuzz of the frame reader, the benchmark module's own vet and
+# tests, and the bounded chaos sweep (chaos-short) behind the SLO gate.
+verify: fmt-check vet build test verify-race fuzz-short bench-module bench-smoke bench-check chaos-short
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -66,6 +74,18 @@ verify-race:
 
 race: verify-race
 
+# fuzz-short runs the wire frame reader against its whole-body reference
+# parser for a bounded time, seeded from the golden frame vectors.
+fuzz-short:
+	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/wire
+
+# bench-module vets and tests bench/, the repository benchmark: a module of
+# its own (BENCHMARK.json runs it) that `go build ./... && go test ./...`
+# never sees, though it calls wire, transport and hadas functions whose
+# signatures a change here can break.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 bench-smoke:
 	$(GO) test -short -run='^$$' -bench=. -benchtime=1x ./...
 
@@ -76,6 +96,7 @@ bench-smoke:
 bench-record:
 	@{ $(GO) test -run='^$$' -bench='$(BENCH_TRACKED)' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -benchmem . ; \
 	   $(GO) test -run='^$$' -bench='$(BENCH_WALL)' -benchtime=$(BENCH_WALL_TIME) -count=$(BENCH_COUNT) -benchmem . ; \
+	   $(GO) test -run='^$$' -bench='$(BENCH_STREAM)' -benchtime=$(BENCH_STREAM_TIME) -count=$(BENCH_COUNT) -benchmem ./internal/transport ; \
 	   $(GO) test -short -run='^$$' -bench='$(PBENCH)' -benchtime=$(PBENCH_TIME) -count=$(BENCH_COUNT) -benchmem . ; \
 	   $(GO) test -run='^$$' -bench='$(BENCH_PERSIST)' -benchtime=$(BENCH_PERSIST_TIME) -count=$(BENCH_COUNT) -benchmem . ; \
 	   $(GO) test -run='^$$' -bench='$(BENCH_RECOVER)' -benchtime=$(BENCH_RECOVER_TIME) -count=$(BENCH_COUNT) -benchmem . ; } \
@@ -87,6 +108,7 @@ bench-record:
 bench-check:
 	@{ $(GO) test -run='^$$' -bench='$(BENCH_TRACKED)' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -benchmem . ; \
 	   $(GO) test -run='^$$' -bench='$(BENCH_WALL)' -benchtime=$(BENCH_WALL_TIME) -count=$(BENCH_COUNT) -benchmem . ; \
+	   $(GO) test -run='^$$' -bench='$(BENCH_STREAM)' -benchtime=$(BENCH_STREAM_TIME) -count=$(BENCH_COUNT) -benchmem ./internal/transport ; \
 	   $(GO) test -short -run='^$$' -bench='$(PBENCH)' -benchtime=$(PBENCH_TIME) -count=$(BENCH_COUNT) -benchmem . ; \
 	   $(GO) test -run='^$$' -bench='$(BENCH_PERSIST)' -benchtime=$(BENCH_PERSIST_TIME) -count=$(BENCH_COUNT) -benchmem . ; \
 	   $(GO) test -short -run='^$$' -bench='$(BENCH_RECOVER)' -benchtime=$(BENCH_RECOVER_TIME) -count=$(BENCH_COUNT) -benchmem . ; } \
@@ -102,6 +124,7 @@ bench-check:
 bench-parallel:
 	@{ $(GO) test -run='^$$' -bench='$(BENCH_TRACKED)' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -benchmem . ; \
 	   $(GO) test -run='^$$' -bench='$(BENCH_WALL)' -benchtime=$(BENCH_WALL_TIME) -count=$(BENCH_COUNT) -benchmem . ; \
+	   $(GO) test -run='^$$' -bench='$(BENCH_STREAM)' -benchtime=$(BENCH_STREAM_TIME) -count=$(BENCH_COUNT) -benchmem ./internal/transport ; \
 	   $(GO) test -run='^$$' -bench='$(PBENCH)' -benchtime=$(PBENCH_TIME) -count=$(BENCH_COUNT) -benchmem -timeout=60m . ; } \
 		| $(GO) run ./cmd/benchguard -mode record
 

@@ -407,6 +407,21 @@ func (o *Object) fastDecision(caller security.Principal, action security.Action,
 	return ent.err, true
 }
 
+// publishedSnap returns the snapshot of method m already published under
+// name in the table of generation gen, or nil when there is none or m has
+// been edited (or replaced) since it was taken. Callers hold o.mu, so a
+// fresh answer cannot go stale before they release it.
+func (c *dispatchCache) publishedSnap(gen uint64, name string, m *Method) *methodSnap {
+	t := c.tables.Load()
+	if t == nil || t.gen != gen {
+		return nil
+	}
+	if s := t.method(name); s != nil && s.src == m.gen && s.fresh() {
+		return s
+	}
+	return nil
+}
+
 // store fills cache entries computed against the given structGen. A nil
 // snap stores only the match entry (data access); a nil ent stores only the
 // snapshot (self calls bypass Match). Fills tagged with a generation older

@@ -310,8 +310,16 @@ func (o *Object) dispatchBase(inv *Invocation, name string, args []value.Value) 
 		o.mu.Unlock()
 		return value.Null, fmt.Errorf("%w: method %q", ErrNotFound, name)
 	}
-	snap := snapshotMethod(m)
 	gen := o.structGen.Load()
+	// A caller new to this method misses only the Match cache: the
+	// snapshot another caller published is reused, not replaced, so a warm
+	// neighbor keeps the very entry it is running on.
+	snap := o.cache.publishedSnap(gen, name, m)
+	var fill *methodSnap // the snapshot to publish; nil when one already is
+	if snap == nil {
+		snap = snapshotMethod(m)
+		fill = snap
+	}
 	pol, aud := o.policy, o.auditor
 	o.mu.Unlock()
 
@@ -329,7 +337,7 @@ func (o *Object) dispatchBase(inv *Invocation, name string, args []value.Value) 
 		ent = &matchEntry{err: decision, allowed: decision == nil, polDep: polDep, polGen: polGen,
 			src: snap.src, srcGen: snap.srcGen}
 	}
-	o.cache.store(gen, pol, aud, name, snap, key, ent)
+	o.cache.store(gen, pol, aud, name, fill, key, ent)
 	if decision != nil {
 		return value.Null, decision
 	}

@@ -21,8 +21,13 @@ const (
 
 func encodeReq(v value.Value) []byte { return wire.EncodeValue(v) }
 
+// decodeReq decodes a protocol payload in place: b is a frame payload or
+// stream assembly the transport handed over (or a slot a store returned)
+// and nothing writes it again, so a byte string that makes up at least
+// half of it — a streamed blob or object image — aliases b instead of
+// being copied out.
 func decodeReq(b []byte) (value.Value, error) {
-	v, err := wire.DecodeValue(b)
+	v, err := wire.DecodeValueInPlace(b)
 	if err != nil {
 		return value.Null, fmt.Errorf("protocol payload: %w", err)
 	}

@@ -275,6 +275,42 @@ func TestConformanceMultiMixedSizes(t *testing.T) {
 	}
 }
 
+// TestConformanceHandlerOwnsPayload pins buffer ownership: the payload a
+// handler is handed — a frame's or a stream's assembly — is its own, so a
+// handler that keeps it (a site decodes byte strings in place) must find
+// it intact however many calls of whatever size follow on the connection.
+func TestConformanceHandlerOwnsPayload(t *testing.T) {
+	kept := make(map[string][][]byte)
+	var mu sync.Mutex
+	h := func(ctx context.Context, verb string, payload []byte) ([]byte, error) {
+		mu.Lock()
+		kept[verb] = append(kept[verb], payload)
+		mu.Unlock()
+		return payload[:1], nil
+	}
+	sizes := []int{1, 300, StreamChunk, StreamThreshold + 1, StreamThreshold*2 + 999}
+	for name, conn := range backends(t, h) {
+		t.Run(name, func(t *testing.T) {
+			const calls = 100 + 5 // every size sees 100 further calls
+			for i := 0; i < calls; i++ {
+				if _, err := conn.Call(context.Background(), name, streamPayload(byte(i), sizes[i%len(sizes)])); err != nil {
+					t.Fatalf("call %d: %v", i, err)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(kept[name]) != calls {
+				t.Fatalf("handler kept %d payloads, want %d", len(kept[name]), calls)
+			}
+			for i, got := range kept[name] {
+				if !bytes.Equal(got, streamPayload(byte(i), sizes[i%len(sizes)])) {
+					t.Errorf("payload of call %d (%d bytes) was overwritten by a later call", i, len(got))
+				}
+			}
+		})
+	}
+}
+
 // ---- TCP-specific regression tests ----
 
 // brokenConn is a scripted net.Conn whose Read hands serveConn one request

@@ -86,13 +86,69 @@ func (s *tcpServer) acceptLoop() {
 	}
 }
 
-// assembly accumulates one inbound request stream. A stream that overruns
-// MaxStreamPayload is poisoned: its buffer is dropped, later chunks are
-// refused, and the eventual FrameStreamEnd answers with an error instead
-// of dispatching a truncated payload.
+// assembly accumulates one inbound stream in place: the read loop asks it
+// for room (tail) and the frame reader fills that room straight from the
+// socket, so a chunk is never held in a buffer of its own. A stream that
+// overruns MaxStreamPayload — by announcement or by chunks — is poisoned:
+// its buffer is dropped and every later chunk is refused.
 type assembly struct {
-	buf      []byte
-	poisoned bool
+	buf       []byte
+	announced int // the sender's FrameStreamBegin total; 0 when none came
+	poisoned  bool
+}
+
+func (a *assembly) poison() {
+	a.buf, a.poisoned = nil, true
+}
+
+// begin records the total a FrameStreamBegin announced. The announcement
+// alone allocates nothing — tail sizes the buffer once bytes arrive — and it
+// is advisory: absent, late, short or long, tail still assembles whatever
+// really comes. Only a total over MaxStreamPayload has an effect of its
+// own: the stream is poisoned before any chunk is accepted.
+func (a *assembly) begin(total uint64) {
+	switch {
+	case a.poisoned || a.buf != nil:
+	case total > MaxStreamPayload:
+		a.poison()
+	default:
+		a.announced = int(total)
+	}
+}
+
+// tail extends the assembly by n bytes and returns them for the next chunk
+// to be read into; nil when the stream is (now) poisoned. Out of room, the
+// buffer doubles — or goes straight to the announced total as far as that
+// is trusted: the buffer is never more than 16 times the bytes received,
+// nor more than 4×StreamWindow ahead of them. A sender's first chunk is
+// StreamChunk bytes, so an honest stream of up to 1 MiB is allocated once,
+// while a peer that announces and sends nothing, or next to nothing, pins
+// nothing to speak of.
+func (a *assembly) tail(n int) []byte {
+	off, need := len(a.buf), len(a.buf)+n
+	if a.poisoned || need > MaxStreamPayload {
+		a.poison()
+		return nil
+	}
+	if need > cap(a.buf) {
+		trusted := min(a.announced, 16*need, need+4*StreamWindow)
+		grown := make([]byte, off, min(max(2*cap(a.buf), need, trusted), MaxStreamPayload))
+		copy(grown, a.buf)
+		a.buf = grown
+	}
+	a.buf = a.buf[:need]
+	return a.buf[off:]
+}
+
+// payload returns the assembled bytes. Whoever decodes them may keep
+// aliases into the buffer, so an assembly whose announcement overstated
+// the stream is cut to size first: no payload pins more than twice its
+// length.
+func (a *assembly) payload() []byte {
+	if cap(a.buf) > 2*len(a.buf) {
+		return append([]byte(nil), a.buf...)
+	}
+	return a.buf
 }
 
 // serverConnState is the per-connection demux state of a server: partial
@@ -101,6 +157,7 @@ type assembly struct {
 // credit window of every outbound response stream.
 type serverConnState struct {
 	mu      sync.Mutex
+	begins  bool // the peer has sent a FrameStreamBegin, so it understands one
 	asm     map[uint64]*assembly
 	cancels map[uint64]context.CancelFunc
 	streams map[uint64]*streamWindow
@@ -114,23 +171,57 @@ func newServerConnState() *serverConnState {
 	}
 }
 
-// appendChunk folds one chunk into the request's assembly; false means the
-// assembly is poisoned (over limit) and the sender should be cancelled.
-func (st *serverConnState) appendChunk(id uint64, p []byte) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// assembly returns the (possibly new) assembly of request id; st.mu held.
+func (st *serverConnState) assembly(id uint64) *assembly {
 	a := st.asm[id]
 	if a == nil {
 		a = &assembly{}
 		st.asm[id] = a
 	}
-	if a.poisoned || len(a.buf)+len(p) > MaxStreamPayload {
-		a.poisoned = true
-		a.buf = nil
-		return false
+	return a
+}
+
+// beginStream handles a FrameStreamBegin; false means the announced stream
+// is refused and the sender should be cancelled. Whatever it announces — a
+// client's opening Begin announces nothing — it shows that the peer knows
+// the frame type, so response streams to it may be announced too.
+func (st *serverConnState) beginStream(id uint64, announce []byte) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.begins = true
+	total, ok := beginTotal(announce)
+	if !ok {
+		return true
 	}
-	a.buf = append(a.buf, p...)
-	return true
+	a := st.assembly(id)
+	a.begin(total)
+	return !a.poisoned
+}
+
+// announces reports whether response streams on this connection may open
+// with a FrameStreamBegin: a client from before that frame type would take
+// it for the reply.
+func (st *serverConnState) announces() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.begins
+}
+
+// chunkRoom returns the tail of the request's assembly for an n-byte chunk
+// to be read into, nil when the assembly is poisoned (over limit).
+func (st *serverConnState) chunkRoom(id uint64, n int) []byte {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.assembly(id).tail(n)
+}
+
+// refused reports whether the request's stream is poisoned, so that its
+// sender should be cancelled rather than granted credit.
+func (st *serverConnState) refused(id uint64) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	a := st.asm[id]
+	return a != nil && a.poisoned
 }
 
 // finish removes and returns the assembled payload; ok is false when the
@@ -144,10 +235,7 @@ func (st *serverConnState) finish(id uint64) ([]byte, bool) {
 	if a == nil {
 		return nil, true
 	}
-	if a.poisoned {
-		return nil, false
-	}
-	return a.buf, true
+	return a.payload(), !a.poisoned
 }
 
 func (st *serverConnState) addCancel(id uint64, cancel context.CancelFunc) {
@@ -244,13 +332,22 @@ func (s *tcpServer) serveConn(c net.Conn) {
 			win := newStreamWindow()
 			st.addStream(f.RequestID, win)
 			defer st.dropStream(f.RequestID)
-			_ = sendChunks(rctx, out, f.RequestID, win, f.Verb, "", result)
+			_ = sendChunks(rctx, out, f.RequestID, win, st.announces(), f.Verb, "", result)
 		}()
+	}
+
+	// A chunk's payload is read straight into its stream's assembly (a
+	// refused chunk's into a buffer of its own that nothing keeps).
+	place := func(hdr wire.Frame, n int) []byte {
+		if hdr.Type != wire.FrameChunk {
+			return nil
+		}
+		return st.chunkRoom(hdr.RequestID, n)
 	}
 
 	br := bufio.NewReader(c)
 	for {
-		f, err := wire.ReadFrame(br)
+		f, err := wire.ReadFrameInto(br, place)
 		if err != nil {
 			return // disconnect (clean EOF or protocol error)
 		}
@@ -259,11 +356,15 @@ func (s *tcpServer) serveConn(c net.Conn) {
 			_ = out.send(wire.Frame{Type: wire.FramePong, RequestID: f.RequestID})
 		case wire.FrameRequest:
 			dispatch(f)
-		case wire.FrameChunk:
-			if st.appendChunk(f.RequestID, f.Payload) {
-				_ = out.send(creditFrame(f.RequestID, len(f.Payload)))
-			} else {
+		case wire.FrameStreamBegin:
+			if !st.beginStream(f.RequestID, f.Payload) {
 				_ = out.send(wire.Frame{Type: wire.FrameCancel, RequestID: f.RequestID})
+			}
+		case wire.FrameChunk:
+			if st.refused(f.RequestID) {
+				_ = out.send(wire.Frame{Type: wire.FrameCancel, RequestID: f.RequestID})
+			} else {
+				_ = out.send(creditFrame(f.RequestID, len(f.Payload)))
 			}
 		case wire.FrameStreamEnd:
 			payload, ok := st.finish(f.RequestID)
@@ -298,6 +399,10 @@ func DialTCP(addr string) (Conn, error) {
 		pending: make(map[uint64]*clientCall),
 	}
 	c.out = newFrameQueue(nc, func(error) { c.teardown() })
+	// An empty Begin for request id 0, which is never a call's, tells the
+	// server that this client understands the frame type (an older server
+	// ignores it): response streams on this connection may be announced.
+	_ = c.out.send(wire.Frame{Type: wire.FrameStreamBegin})
 	go c.readLoop()
 	return c, nil
 }
@@ -307,7 +412,7 @@ func DialTCP(addr string) (Conn, error) {
 // itself streams — the sender-side credit window.
 type clientCall struct {
 	ch  chan wire.Frame // buffered 1; closed by failAll
-	buf []byte          // streamed-response assembly (grows under c.mu)
+	asm assembly        // streamed-response assembly (readLoop's, under c.mu)
 	win *streamWindow   // non-nil only while the request streams out
 }
 
@@ -326,33 +431,52 @@ type tcpConn struct {
 }
 
 func (c *tcpConn) readLoop() {
+	// A chunk's payload is read straight into its call's assembly (a chunk
+	// nobody waits for into a buffer of its own that nothing keeps).
+	place := func(hdr wire.Frame, n int) []byte {
+		if hdr.Type != wire.FrameChunk {
+			return nil
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if pc, ok := c.pending[hdr.RequestID]; ok {
+			return pc.asm.tail(n)
+		}
+		return nil
+	}
+
 	br := bufio.NewReader(c.nc)
 	for {
-		f, err := wire.ReadFrame(br)
+		f, err := wire.ReadFrameInto(br, place)
 		if err != nil {
 			c.failAll()
 			return
 		}
 		switch f.Type {
+		case wire.FrameStreamBegin:
+			c.mu.Lock()
+			pc, known := c.pending[f.RequestID]
+			if total, ok := beginTotal(f.Payload); known && ok {
+				pc.asm.begin(total)
+			}
+			overrun := known && pc.asm.poisoned
+			c.mu.Unlock()
+			if overrun {
+				c.teardown() // as for chunks past the limit, below
+				return
+			}
 		case wire.FrameChunk:
 			c.mu.Lock()
-			pc, ok := c.pending[f.RequestID]
-			overflow := false
-			if ok {
-				if len(pc.buf)+len(f.Payload) > MaxStreamPayload {
-					overflow = true
-				} else {
-					pc.buf = append(pc.buf, f.Payload...)
-				}
-			}
+			pc, known := c.pending[f.RequestID]
+			overrun := known && pc.asm.poisoned
 			c.mu.Unlock()
-			if overflow {
+			if overrun {
 				// A peer pushing past the payload limit is a protocol
 				// violation; tear the connection down like any other.
 				c.teardown()
 				return
 			}
-			if !ok {
+			if !known {
 				// Stream for a caller that already gave up: nothing is
 				// retained, and the sender is told to stop.
 				_ = c.out.send(wire.Frame{Type: wire.FrameCancel, RequestID: f.RequestID})
@@ -369,7 +493,7 @@ func (c *tcpConn) readLoop() {
 			c.mu.Unlock()
 			if ok {
 				pc.ch <- wire.Frame{Type: wire.FrameResponse, RequestID: f.RequestID,
-					Verb: f.Verb, Payload: pc.buf} // buffered; never blocks
+					Verb: f.Verb, Payload: pc.asm.payload()} // buffered; never blocks
 			}
 		case wire.FrameCredit:
 			c.mu.Lock()
@@ -388,7 +512,7 @@ func (c *tcpConn) readLoop() {
 			if ok && pc.win != nil {
 				pc.win.cancel()
 			}
-		default:
+		case wire.FrameResponse, wire.FrameError, wire.FramePong:
 			c.mu.Lock()
 			pc, ok := c.pending[f.RequestID]
 			if ok {
@@ -398,6 +522,8 @@ func (c *tcpConn) readLoop() {
 			if ok {
 				pc.ch <- f // buffered; never blocks
 			}
+		default:
+			// Unknown frame types are ignored for forward compatibility.
 		}
 	}
 }
@@ -474,7 +600,8 @@ func (c *tcpConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, erro
 
 	var err error
 	if streaming {
-		err = sendChunks(ctx, c.out, id, pc.win, f.Verb, f.Chain, f.Payload)
+		// Always announced: a server from before FrameStreamBegin ignores it.
+		err = sendChunks(ctx, c.out, id, pc.win, true, f.Verb, f.Chain, f.Payload)
 	} else {
 		err = c.out.send(f)
 	}

@@ -88,6 +88,10 @@ func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 type Reader struct {
 	buf []byte
 	off int
+	// shareFrom, when positive, is the length from which BytesField aliases
+	// buf instead of copying; zero (every Reader but DecodeValueInPlace's)
+	// copies always.
+	shareFrom int
 }
 
 // NewReader wraps a byte slice for decoding. The slice is not copied.
@@ -159,8 +163,9 @@ func (r *Reader) Bool() (bool, error) {
 	}
 }
 
-// BytesField reads a length-prefixed byte string (copied).
-func (r *Reader) BytesField() ([]byte, error) {
+// span consumes a length-prefixed field and returns its bytes, still
+// aliasing the input.
+func (r *Reader) span() ([]byte, error) {
 	n, err := r.Uvarint()
 	if err != nil {
 		return nil, err
@@ -171,19 +176,32 @@ func (r *Reader) BytesField() ([]byte, error) {
 	if uint64(r.Remaining()) < n {
 		return nil, r.fail("bytes payload")
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
-	r.off += int(n)
+	end := r.off + int(n)
+	b := r.buf[r.off:end:end]
+	r.off = end
+	return b, nil
+}
+
+// BytesField reads a length-prefixed byte string. It is a copy, except
+// under an in-place Reader (see DecodeValueInPlace), where a byte string of
+// at least shareFrom bytes aliases the input instead.
+func (r *Reader) BytesField() ([]byte, error) {
+	b, err := r.span()
+	if err != nil {
+		return nil, err
+	}
+	if r.shareFrom > 0 && len(b) >= r.shareFrom {
+		return b, nil
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
 	return out, nil
 }
 
 // String reads a length-prefixed string.
 func (r *Reader) String() (string, error) {
-	b, err := r.BytesField()
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	b, err := r.span()
+	return string(b), err
 }
 
 // Count reads an element count, bounded by MaxElems.

@@ -93,6 +93,15 @@ var frameGolden = []struct {
 		},
 		hex: "00000005" + "09" + "09" + "00" + "00" + "00",
 	},
+	{
+		name: "stream begin announcing 512 KiB",
+		frame: Frame{
+			Type:      FrameStreamBegin,
+			RequestID: 9,
+			Payload:   []byte{0x80, 0x80, 0x20}, // uvarint(524288)
+		},
+		hex: "00000008" + "0a" + "09" + "00" + "00" + "03" + "808020",
+	},
 }
 
 func TestFrameGoldenVectors(t *testing.T) {

@@ -258,6 +258,12 @@ func TestValueRoundTripProperty(t *testing.T) {
 		if got, want := EncodeValue(dec), enc; string(got) != string(want) {
 			t.Fatalf("#%d: re-encode not byte-stable", i)
 		}
+		if cap(enc) != len(enc) {
+			t.Fatalf("#%d %v: encoder sized its buffer at %d for %d bytes", i, v, cap(enc), len(enc))
+		}
+		if inPlace, err := DecodeValueInPlace(enc); err != nil || !inPlace.Equal(v) {
+			t.Fatalf("#%d: in-place decode = %v, %v; want %v", i, inPlace, err, v)
+		}
 		if jsonNative(v) {
 			j, err := value.ToJSON(v)
 			if err != nil {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -180,16 +181,79 @@ func getValueDepth(r *Reader, depth int) (value.Value, error) {
 	}
 }
 
-// EncodeValue is a convenience wrapper returning a fresh encoding of v.
+// EncodeValue returns a fresh encoding of v, in a buffer sized by one
+// pre-pass over the value so it is allocated once and never regrown.
 func EncodeValue(v value.Value) []byte {
-	var w Writer
+	w := Writer{buf: make([]byte, 0, valueSize(v))}
 	PutValue(&w, v)
 	return w.Bytes()
 }
 
+// valueSize is the exact number of bytes PutValue appends for v.
+func valueSize(v value.Value) int {
+	switch v.Kind() {
+	case value.KindInt:
+		i, _ := v.Int()
+		return 1 + varintSize(i)
+	case value.KindFloat:
+		return 1 + 8
+	case value.KindString:
+		s, _ := v.Str()
+		return 1 + blobSize(len(s))
+	case value.KindBytes:
+		b, _ := v.Bytes()
+		return 1 + blobSize(len(b))
+	case value.KindList:
+		l, _ := v.List()
+		n := 1 + uvarintSize(uint64(len(l)))
+		for _, e := range l {
+			n += valueSize(e)
+		}
+		return n
+	case value.KindMap:
+		m, _ := v.Map()
+		n := 1 + uvarintSize(uint64(len(m)))
+		for k, e := range m {
+			n += blobSize(len(k)) + valueSize(e)
+		}
+		return n
+	case value.KindRef:
+		r, _ := v.Ref()
+		return 1 + blobSize(len(r))
+	case value.KindTime:
+		t, _ := v.Time()
+		return 1 + varintSize(t.UnixNano())
+	default: // null, bool, and the null PutValue writes for an unknown kind
+		return 1
+	}
+}
+
+func uvarintSize(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintSize sizes the zig-zag encoding binary.AppendVarint writes.
+func varintSize(x int64) int { return uvarintSize(uint64(x)<<1 ^ uint64(x>>63)) }
+
+// blobSize is the encoded size of a length-prefixed field of n bytes.
+func blobSize(n int) int { return uvarintSize(uint64(n)) + n }
+
 // DecodeValue decodes a value and requires full consumption of the input.
+// The result shares no memory with b.
 func DecodeValue(b []byte) (value.Value, error) {
+	return decodeValue(NewReader(b))
+}
+
+// DecodeValueInPlace is DecodeValue for a buffer the caller owns and will
+// never write again (a received frame payload or stream assembly): a byte
+// string that makes up at least half of b aliases it instead of being
+// copied. The half bounds what keeping such a value alive can pin to twice
+// its own size; every smaller byte string, and every string, is a copy.
+func DecodeValueInPlace(b []byte) (value.Value, error) {
 	r := NewReader(b)
+	r.shareFrom = (len(b) + 1) / 2
+	return decodeValue(r)
+}
+
+func decodeValue(r *Reader) (value.Value, error) {
 	v, err := GetValue(r)
 	if err != nil {
 		return value.Null, err
