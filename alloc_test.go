@@ -37,6 +37,11 @@ func TestWarmInvocationPathsAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	assertAllocFree(t, "warm get", func() {
+		if _, err := obj.Get(caller, "f0001"); err != nil {
+			t.Fatal(err)
+		}
+	})
 	assertAllocFree(t, "self invocation", func() {
 		if _, err := obj.InvokeSelf("work", arg); err != nil {
 			t.Fatal(err)

@@ -642,14 +642,24 @@ func BenchmarkAblation_RelayVsMigrated(b *testing.B) {
 
 // ---- E11: itinerant agent journey ----
 
-func BenchmarkE11_AgentHop(b *testing.B) {
-	// A single hop there-and-back between two sites, which is the unit the
-	// E11 table scales: ship the agent out, let onArrival bounce it home.
-	host, _, cleanup, err := experiments.TwoSites()
+// benchAgentHop measures a single hop there-and-back between two sites that
+// each hold residents other APOs — the unit the E11 table scales: ship the
+// agent out, let onArrival bounce it home.
+func benchAgentHop(b *testing.B, residents int) {
+	host, origin, cleanup, err := experiments.TwoSites()
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer cleanup()
+	for _, s := range []*hadas.Site{host, origin} {
+		apos := make(map[string]*core.Object, residents)
+		for i := 0; i < residents; i++ {
+			apos[fmt.Sprintf("resident-%04d", i)] = s.NewAPOBuilder("Resident").MustBuild()
+		}
+		if err := s.AddAPOs(apos); err != nil {
+			b.Fatal(err)
+		}
+	}
 	builder := host.NewAPOBuilder("Bouncer")
 	builder.FixedScriptMethod("onArrival", `fn(hop) {
 		if hop["hostSite"] == "bench-host" { return "home"; }
@@ -673,6 +683,12 @@ func BenchmarkE11_AgentHop(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkE11_AgentHop(b *testing.B) { benchAgentHop(b, 0) }
+
+// The same journey past 2 048 resident APOs per site: a hop must not pay
+// for the size of Home.
+func BenchmarkE11_AgentHopHome2048(b *testing.B) { benchAgentHop(b, 2048) }
 
 // ---- E14: single-RTT fan-out over pipelined TCP ----
 

@@ -5,11 +5,14 @@
 //	record — append a snapshot of the parsed ns/op numbers to the history
 //	         file (BENCH_PR.json), labeled with -label (default: the
 //	         current git revision if available, else "local").
-//	check  — compare the parsed numbers against the most recent snapshot
-//	         and print a warning for every benchmark slower by more than
-//	         -threshold (default 20%). Warn-only: the exit status is 0
-//	         either way, so noisy CI machines don't block merges; the
-//	         warnings are for the human reading the verify log.
+//	check  — compare the parsed numbers against the most recent snapshot.
+//	         A benchmark slower by more than -threshold (default 20%) is
+//	         a warning only: ns/op is noisy on shared machines and must
+//	         not block merges. A benchmark allocating more per op than
+//	         recorded fails the check (exit status 1) — record a new
+//	         snapshot if the increase is intended — unless the increase
+//	         is within the resolution of a non-zero count (see
+//	         allocRegressions), which is a warning too.
 //
 // Usage:
 //
@@ -20,6 +23,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -130,23 +134,35 @@ func regressions(base, cur map[string]float64, threshold float64) []string {
 	return warns
 }
 
-// allocRegressions flags any benchmark allocating more per op than the
-// baseline. Allocation counts are deterministic (no scheduler noise), so
-// any increase is a real change — most of the warm paths assert 0.
-func allocRegressions(base, cur map[string]float64) []string {
-	var warns []string
+// errAllocRegression is check mode's failure: some benchmark allocates
+// more per op than the recorded snapshot.
+var errAllocRegression = errors.New("benchguard: allocs/op increased over the recorded snapshot")
+
+// allocRegressions sorts the benchmarks allocating more per op than the
+// baseline into failures and warnings. On the single-goroutine paths the
+// count repeats exactly — most warm paths assert 0, and any increase from
+// 0 fails. A non-zero count on a path with background goroutines and
+// pools does not: go test prints the truncated mean, pool refills follow
+// the GC, and between whole runs of one binary E14 at 8 sites reads 608 or
+// 609 and E15 at 1e4 slots 10 119 to 10 121. An increase of one count, or
+// of under 0.5 %, is therefore below what the number resolves: it is
+// printed as a warning, and only a larger one fails.
+func allocRegressions(base, cur map[string]float64) (fails, warns []string) {
 	for name, now := range cur {
 		was, ok := base[name]
-		if !ok {
+		if !ok || now <= was {
 			continue
 		}
-		if now > was {
-			warns = append(warns, fmt.Sprintf(
-				"%s: %g allocs/op vs %g recorded", name, now, was))
+		msg := fmt.Sprintf("%s: %g allocs/op vs %g recorded", name, now, was)
+		if was > 0 && now-was <= max(1, was/200) {
+			warns = append(warns, msg)
+		} else {
+			fails = append(fails, msg)
 		}
 	}
+	sort.Strings(fails)
 	sort.Strings(warns)
-	return warns
+	return fails, warns
 }
 
 func loadHistory(path string) (history, error) {
@@ -215,15 +231,22 @@ func run(mode, file, label string, threshold float64, in io.Reader, out io.Write
 			return nil
 		}
 		base := h.Records[len(h.Records)-1]
-		warns := regressions(base.NsOp, cur.ns, threshold)
-		warns = append(warns, allocRegressions(base.AllocsOp, cur.allocs)...)
-		if len(warns) == 0 {
+		fails, allocWarns := allocRegressions(base.AllocsOp, cur.allocs)
+		warns := append(regressions(base.NsOp, cur.ns, threshold), allocWarns...)
+		if len(warns)+len(fails) == 0 {
 			fmt.Fprintf(out, "benchguard: no regression >%.0f%% vs %q\n", threshold*100, base.Label)
 			return nil
 		}
 		fmt.Fprintf(out, "benchguard: WARNING — regressions vs %q (%s):\n", base.Label, base.When)
 		for _, w := range warns {
 			fmt.Fprintf(out, "  %s\n", w)
+		}
+		if len(fails) > 0 {
+			fmt.Fprintln(out, "benchguard: FAIL — more allocations per op than recorded:")
+			for _, f := range fails {
+				fmt.Fprintf(out, "  %s\n", f)
+			}
+			return errAllocRegression
 		}
 	default:
 		return fmt.Errorf("benchguard: unknown -mode %q (want record or check)", mode)
@@ -233,7 +256,7 @@ func run(mode, file, label string, threshold float64, in io.Reader, out io.Write
 
 func main() {
 	var (
-		mode      = flag.String("mode", "check", "record (append snapshot) or check (warn on regressions)")
+		mode      = flag.String("mode", "check", "record (append snapshot) or check (warn on slowdowns, fail on allocation increases)")
 		file      = flag.String("file", "BENCH_PR.json", "benchmark history file")
 		label     = flag.String("label", "", "snapshot label for record mode (default: git revision)")
 		threshold = flag.Float64("threshold", 0.20, "relative slowdown that triggers a warning")

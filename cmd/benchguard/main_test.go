@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,11 +64,15 @@ BenchmarkE5_ACLScan-8  1000  210.0 ns/op  24 B/op  1 allocs/op
 }
 
 func TestAllocRegressions(t *testing.T) {
-	base := map[string]float64{"A": 0, "B": 2, "Gone": 0}
-	cur := map[string]float64{"A": 1, "B": 2, "New": 7}
-	warns := allocRegressions(base, cur)
-	if len(warns) != 1 || !strings.HasPrefix(warns[0], "A:") {
-		t.Fatalf("warns = %v, want exactly one for A", warns)
+	base := map[string]float64{"A": 0, "B": 2, "Gone": 0, "Wavers": 608, "Grew": 608, "Big": 10119, "BigGrew": 10119}
+	cur := map[string]float64{"A": 1, "B": 2, "New": 7, "Wavers": 609, "Grew": 612, "Big": 10121, "BigGrew": 10171}
+	fails, warns := allocRegressions(base, cur)
+	if len(fails) != 3 || !strings.HasPrefix(fails[0], "A:") ||
+		!strings.HasPrefix(fails[1], "BigGrew:") || !strings.HasPrefix(fails[2], "Grew:") {
+		t.Errorf("fails = %v, want A (any increase from 0), BigGrew and Grew", fails)
+	}
+	if len(warns) != 2 || !strings.HasPrefix(warns[0], "Big:") || !strings.HasPrefix(warns[1], "Wavers:") {
+		t.Errorf("warns = %v, want Big and Wavers (within the count's resolution)", warns)
 	}
 }
 
@@ -77,7 +82,7 @@ func TestCheckFlagsAllocIncrease(t *testing.T) {
 	if err := run("record", file, "seed", 0.20, strings.NewReader(sampleBench), &out); err != nil {
 		t.Fatal(err)
 	}
-	// Same speed, one extra allocation: still a warning.
+	// Same speed, one extra allocation on a non-zero count: a warning.
 	leaky := strings.Replace(sampleBench, "2 allocs/op", "3 allocs/op", 1)
 	out.Reset()
 	if err := run("check", file, "", 0.20, strings.NewReader(leaky), &out); err != nil {
@@ -85,6 +90,15 @@ func TestCheckFlagsAllocIncrease(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "WARNING") || !strings.Contains(out.String(), "allocs/op") {
 		t.Errorf("alloc-regressed check output = %q", out.String())
+	}
+	// Two more: the check fails.
+	leaky = strings.Replace(sampleBench, "2 allocs/op", "4 allocs/op", 1)
+	out.Reset()
+	if err := run("check", file, "", 0.20, strings.NewReader(leaky), &out); !errors.Is(err, errAllocRegression) {
+		t.Fatalf("check with an allocation increase = %v, want errAllocRegression", err)
+	}
+	if !strings.Contains(out.String(), "FAIL") || !strings.Contains(out.String(), "4 allocs/op vs 2 recorded") {
+		t.Errorf("failed check output = %q", out.String())
 	}
 }
 

@@ -115,18 +115,42 @@ func methodImage(m *Method) (MethodImage, error) {
 // method has an unregistered (anonymous) native body, since such a body
 // could not be rebuilt elsewhere.
 func (o *Object) Snapshot() (Image, error) {
+	img, computed, err := o.snapshotLocked()
+	if err != nil {
+		return Image{}, err
+	}
+	// Computed items flatten to the value they produce now, evaluated
+	// outside the object lock like any other read of them.
+	for _, c := range computed {
+		img.FixedData[c.index].Value = c.fn().Clone()
+	}
+	return img, nil
+}
+
+// computedSlot is a computed item met by snapshotLocked: its position in
+// Image.FixedData and the function whose value belongs there.
+type computedSlot struct {
+	index int
+	fn    func() value.Value
+}
+
+// snapshotLocked captures everything Snapshot can read under the object
+// lock; the values of computed items are left for the caller to fill in.
+func (o *Object) snapshotLocked() (img Image, computed []computedSlot, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 
-	img := Image{
+	img = Image{
 		ID:         o.id,
 		Class:      o.class,
 		Domain:     o.domain,
 		MetaHidden: o.metaHidden,
 		MetaACL:    ACLImage(o.metaACL),
 	}
-	var err error
 	o.fixedData.each(func(_ string, d *DataItem) {
+		if d.compute != nil {
+			computed = append(computed, computedSlot{len(img.FixedData), d.compute})
+		}
 		img.FixedData = append(img.FixedData, dataImage(d))
 	})
 	o.extData.each(func(_ string, d *DataItem) {
@@ -150,14 +174,11 @@ func (o *Object) Snapshot() (Image, error) {
 	for _, lvl := range o.invokeLevels {
 		mi, e := methodImage(lvl)
 		if e != nil {
-			return Image{}, e
+			return Image{}, nil, e
 		}
 		img.InvokeLevels = append(img.InvokeLevels, mi)
 	}
-	if err != nil {
-		return Image{}, err
-	}
-	return img, nil
+	return img, computed, err
 }
 
 // MaterializeOption configures FromImage.

@@ -21,8 +21,11 @@ func newItemGen() *atomic.Uint64 { return new(atomic.Uint64) }
 // ensuring legitimacy of getting and setting", so every item carries an ACL
 // and a visibility flag (encapsulation).
 type DataItem struct {
-	name    string
-	val     value.Value
+	name string
+	val  value.Value
+	// compute, when non-nil, makes this a computed item (Builder.ComputedData):
+	// every read calls it, val is unused and nothing can store into the item.
+	compute func() value.Value
 	dynKind value.Kind // KindNull means unconstrained (weak typing default)
 	acl     security.ACL
 	visible bool
@@ -33,8 +36,13 @@ type DataItem struct {
 // Name returns the item name.
 func (d *DataItem) Name() string { return d.name }
 
-// Value returns the current value.
-func (d *DataItem) Value() value.Value { return d.val }
+// Value returns the current value; a computed item evaluates its function.
+func (d *DataItem) Value() value.Value {
+	if d.compute != nil {
+		return d.compute()
+	}
+	return d.val
+}
 
 // Visible reports whether the item is listed to other objects.
 func (d *DataItem) Visible() bool { return d.visible }
@@ -48,8 +56,12 @@ func (d *DataItem) ACL() security.ACL { return d.acl }
 // DynKind returns the dynamic type constraint (KindNull = unconstrained).
 func (d *DataItem) DynKind() value.Kind { return d.dynKind }
 
-// setValue stores v, applying the dynamic-type coercion if constrained.
+// setValue stores v, applying the dynamic-type coercion if constrained. A
+// computed item has no storage and refuses with ErrFixed.
 func (d *DataItem) setValue(v value.Value) error {
+	if d.compute != nil {
+		return fmt.Errorf("%w: data item %q is computed", ErrFixed, d.name)
+	}
 	if d.dynKind != value.KindNull {
 		c, err := value.Coerce(v, d.dynKind)
 		if err != nil {

@@ -222,15 +222,20 @@ func metaGetDataItem(inv *Invocation, args []value.Value) (value.Value, error) {
 	}
 	o := inv.self
 	o.mu.Lock()
-	defer o.mu.Unlock()
 	d, ok := o.lookupData(name)
-	if !ok {
+	if !ok || (!d.visible && inv.caller.Object != o.id) {
+		o.mu.Unlock()
 		return value.Null, fmt.Errorf("%w: data item %q", ErrNotFound, name)
 	}
-	if !d.visible && inv.caller.Object != o.id {
-		return value.Null, fmt.Errorf("%w: data item %q", ErrNotFound, name)
+	desc, fn := d.describe(o.newHandle(d)), d.compute
+	o.mu.Unlock()
+	if fn != nil {
+		// A computed item's kind is that of the value it produces now; the
+		// function runs outside the object lock, as on the get path.
+		m, _ := desc.Map()
+		m["kind"] = value.NewString(fn().Kind().String())
 	}
-	return d.describe(o.newHandle(d)), nil
+	return desc, nil
 }
 
 func metaSetDataItem(inv *Invocation, args []value.Value) (value.Value, error) {

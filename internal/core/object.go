@@ -170,12 +170,7 @@ func (o *Object) getData(caller security.Principal, name string) (value.Value, e
 		if decision != nil {
 			return value.Null, decision
 		}
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		if d, ok := o.lookupData(name); ok {
-			return d.val, nil
-		}
-		return value.Null, fmt.Errorf("%w: data item %q", ErrNotFound, name)
+		return o.readData(name)
 	}
 
 	o.mu.Lock()
@@ -193,14 +188,27 @@ func (o *Object) getData(caller security.Principal, name string) (value.Value, e
 	if err := o.matchAndMemo(caller, acl, visible, gen, src, srcGen, pol, aud, security.ActionGet, name); err != nil {
 		return value.Null, err
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	// Re-read under lock; the item may have changed (not vanished: deletion
 	// would surface as ErrNotFound on the next access, which is fine).
-	if d2, ok := o.lookupData(name); ok {
-		return d2.val, nil
+	return o.readData(name)
+}
+
+// readData is the value read of an already-matched `get`. A computed
+// item's function runs after the object lock is released, so it may take
+// other locks — or this object's, through the public API.
+func (o *Object) readData(name string) (value.Value, error) {
+	o.mu.Lock()
+	d, ok := o.lookupData(name)
+	if !ok {
+		o.mu.Unlock()
+		return value.Null, fmt.Errorf("%w: data item %q", ErrNotFound, name)
 	}
-	return value.Null, fmt.Errorf("%w: data item %q", ErrNotFound, name)
+	v, fn := d.val, d.compute
+	o.mu.Unlock()
+	if fn != nil {
+		return fn(), nil
+	}
+	return v, nil
 }
 
 // setData implements the ordinary `set` operation with its Match check.
@@ -468,16 +476,21 @@ func (b *Builder) fail(err error) {
 	b.errs = append(b.errs, err)
 }
 
-func (b *Builder) addData(c *container[*DataItem], fixed bool, name string, v value.Value, opts ...ItemOption) {
+func (b *Builder) addData(c *container[*DataItem], fixed bool, name string, v value.Value, compute func() value.Value, opts ...ItemOption) {
 	cfg := newItemConfig()
 	for _, opt := range opts {
 		opt(&cfg)
+	}
+	if compute != nil && cfg.dynKind != value.KindNull {
+		b.fail(fmt.Errorf("%w: computed data item %q cannot take a dynamic kind", ErrArity, name))
+		return
 	}
 	d := &DataItem{name: name, acl: cfg.acl, visible: cfg.visible, dynKind: cfg.dynKind, fixed: fixed, gen: newItemGen()}
 	if err := d.setValue(v); err != nil {
 		b.fail(err)
 		return
 	}
+	d.compute = compute
 	if isReservedName(name) {
 		b.fail(fmt.Errorf("%w: %q is reserved", ErrExists, name))
 		return
@@ -491,15 +504,31 @@ func (b *Builder) addData(c *container[*DataItem], fixed bool, name string, v va
 	}
 }
 
+// ComputedData declares a fixed-section data item whose value is produced
+// by fn on every read instead of being stored. It cannot be written: set
+// and setDataItem refuse with ErrFixed. ACL, visibility and the Match
+// phase are those of an ordinary item, and fn is not called for a refused
+// caller. fn runs outside the object's lock, so it may take locks of its
+// own; Snapshot flattens the item to a plain one holding the value at
+// snapshot time, so an image never carries a function.
+func (b *Builder) ComputedData(name string, fn func() value.Value, opts ...ItemOption) *Builder {
+	if fn == nil {
+		b.fail(fmt.Errorf("%w: computed data item %q has no function", ErrArity, name))
+		return b
+	}
+	b.addData(b.obj.fixedData, true, name, value.Null, fn, opts...)
+	return b
+}
+
 // FixedData declares a fixed-section data item.
 func (b *Builder) FixedData(name string, v value.Value, opts ...ItemOption) *Builder {
-	b.addData(b.obj.fixedData, true, name, v, opts...)
+	b.addData(b.obj.fixedData, true, name, v, nil, opts...)
 	return b
 }
 
 // ExtData declares an extensible-section data item.
 func (b *Builder) ExtData(name string, v value.Value, opts ...ItemOption) *Builder {
-	b.addData(b.obj.extData, false, name, v, opts...)
+	b.addData(b.obj.extData, false, name, v, nil, opts...)
 	return b
 }
 

@@ -176,7 +176,6 @@ func (s *Site) retireAgent(name string, id naming.ID) (wasAPO bool) {
 	s.mu.Unlock()
 	s.objects.Deregister(id)
 	s.objects.Unbind(name)
-	s.refreshView(viewHome)
 	return wasAPO
 }
 
@@ -191,7 +190,6 @@ func (s *Site) reinstateAgent(name string, obj *core.Object, wasAPO bool) {
 	}
 	s.objects.Register(obj.ID(), obj)
 	_ = s.objects.Rebind(name, obj.ID())
-	s.refreshView(viewHome)
 }
 
 // handleDispatch receives a migrating agent: materialize under this host's
@@ -252,10 +250,8 @@ func (s *Site) handleDispatch(ctx context.Context, m map[string]value.Value) (va
 		// Home or the registry when the dispatch reports failure.
 		s.home.remove(name, agent)
 		s.objects.Deregister(agent.ID())
-		s.refreshView(viewHome)
 		return value.Null, s.failArrival(arr, err)
 	}
-	s.refreshView(viewHome)
 	s.log("agent %s arrived from %s", name, fromSite)
 
 	// ACK point: the installation is recorded durably before onArrival

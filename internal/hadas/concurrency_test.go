@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/persist"
@@ -73,48 +72,84 @@ func TestServeCloseRace(t *testing.T) {
 	}
 }
 
-// TestViewRefreshStaleSnapshotSkipped holds one view refresh between its
-// container read and its publish while a second mutation completes a full
-// refresh, then releases it. The held refresh carries a stale snapshot and
-// must not publish it. Before generation stamping this was the classic
-// lost update: the IOO's "home" view would drop the later APO.
-func TestViewRefreshStaleSnapshotSkipped(t *testing.T) {
+// TestIOOViewsMatchContainers is the differential test for the IOO's
+// computed container items: installs, departures, arrivals, links and
+// program edits run concurrently with view readers, and at every quiescent
+// point `home`, `vicinity` and `interop` equal what APONames, PeerNames and
+// ProgramNames report.
+func TestIOOViewsMatchContainers(t *testing.T) {
 	net := transport.NewInProcNet()
-	s := newTestSite(t, net, "views")
-	addAPO := func(name string) {
+	a := newMigSite(t, net, "a", persist.NewMemStore())
+	b := newMigSite(t, net, "b", persist.NewMemStore())
+	c := newMigSite(t, net, "c", persist.NewMemStore())
+	link(t, a, "b")
+	inertAgent(t, a, "walker")
+
+	check := func(s *Site) {
 		t.Helper()
-		if err := s.AddAPO(name, s.NewAPOBuilder("X").MustBuild()); err != nil {
-			t.Fatal(err)
+		for item, names := range map[string][]string{
+			"home":     s.APONames(),
+			"vicinity": s.PeerNames(),
+			"interop":  s.ProgramNames(),
+		} {
+			got, err := s.IOO().Get(s.IOO().Principal(), item)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(stringList(names)) {
+				t.Fatalf("site %s: %s = %v, container holds %v", s.Name(), item, got, names)
+			}
 		}
 	}
-	addAPO("early")
-
-	var armed atomic.Bool
-	hold := make(chan struct{})
-	held := make(chan struct{})
-	testHookViewPublish = func(v iooView) {
-		if v == viewHome && armed.CompareAndSwap(true, false) {
-			close(held) // parked with a snapshot of ["early"]
-			<-hold
+	read := func(s *Site) {
+		for _, item := range []string{"home", "vicinity", "interop"} {
+			if _, err := s.IOO().Get(s.IOO().Principal(), item); err != nil {
+				t.Errorf("read %s mid-mutation: %v", item, err)
+			}
 		}
 	}
-	defer func() { testHookViewPublish = nil }()
 
-	armed.Store(true)
-	done := make(chan struct{})
-	go func() { defer close(done); s.refreshView(viewHome) }()
-	<-held
-
-	addAPO("late") // publishes ["early","late"] under a newer generation
-	close(hold)    // release the stale refresh; its publish must be skipped
-	<-done
-
-	home, err := s.IOO().Get(s.IOO().Principal(), "home")
-	if err != nil {
-		t.Fatal(err)
+	at, other := a, b
+	for round := 0; round < 12; round++ {
+		var wg sync.WaitGroup
+		mutate := func(f func() error) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := f(); err != nil {
+					t.Errorf("round %d: %v", round, err)
+				}
+			}()
+		}
+		from, to := at, other
+		mutate(func() error { // a departure at one site, an arrival at the other
+			_, err := from.DispatchAgent("walker", to.Name())
+			return err
+		})
+		for i := 0; i < 4; i++ {
+			name := fmt.Sprintf("apo-%d-%d", round, i)
+			mutate(func() error { return a.AddAPO(name, a.NewAPOBuilder("X").MustBuild()) })
+		}
+		mutate(func() error { return b.AddProgram(fmt.Sprintf("prog%d", round), `fn() { return 1; }`) })
+		if round > 0 {
+			mutate(func() error { return b.RemoveProgram(fmt.Sprintf("prog%d", round-1)) })
+		}
+		mutate(func() error { // Vicinity churn, away from the walker's route
+			if round%2 == 0 {
+				_, err := a.Link("c")
+				return err
+			}
+			return a.Unlink("c")
+		})
+		mutate(func() error { read(a); read(b); read(c); return nil })
+		wg.Wait()
+		at, other = other, at
+		check(a)
+		check(b)
+		check(c)
 	}
-	if home.String() != `["early", "late"]` {
-		t.Fatalf("home view = %v, stale refresh overwrote the newer one", home)
+	if n := len(a.APONames()); n < 48 {
+		t.Errorf("home lost members: %d", n)
 	}
 }
 
@@ -207,7 +242,7 @@ func TestHomeContainerContention(t *testing.T) {
 }
 
 // TestSiteContention exercises the public surface the sharding
-// restructured — lookups, installs, view refreshes, peer health and agent
+// restructured — lookups, installs, view reads, peer health and agent
 // churn — concurrently across two linked sites, under -race. There are no
 // assertions beyond error-freedom: the test exists so the race detector
 // patrols every lock boundary the refactor moved.

@@ -35,9 +35,12 @@ func buildIOO(s *Site) (*core.Object, error) {
 	b := core.NewBuilder(s.gen, "IOO", opts...)
 	b.FixedData("kind", value.NewString("ioo"))
 	b.FixedData("site", value.NewString(s.cfg.Name))
-	b.ExtData("home", value.NewList(nil))
-	b.ExtData("vicinity", value.NewList(nil))
-	b.ExtData("interop", value.NewList(nil))
+	// The containers are the IOO's state: each item is computed from its
+	// container on every read, so self-representation cannot go stale and
+	// costs nothing while nobody asks.
+	b.ComputedData("home", func() value.Value { return stringList(s.APONames()) })
+	b.ComputedData("vicinity", func() value.Value { return stringList(s.PeerNames()) })
+	b.ComputedData("interop", func() value.Value { return stringList(s.ProgramNames()) })
 
 	lookup := func(name string) core.Body {
 		body, err := s.behaviors.Lookup(name)
@@ -65,64 +68,6 @@ func buildIOO(s *Site) (*core.Object, error) {
 		return nil, fmt.Errorf("build IOO: %w", err)
 	}
 	return ioo, nil
-}
-
-// iooView names one of the IOO's mirrored container views.
-type iooView int
-
-const (
-	viewHome iooView = iota
-	viewVicinity
-	viewInterop
-	viewCount
-)
-
-// viewItem is the IOO data item each view publishes into.
-var viewItem = [viewCount]string{"home", "vicinity", "interop"}
-
-// testHookViewPublish, when non-nil, runs between a refresh's container
-// read and its publish attempt. Tests use it to hold a refresh in that
-// window and prove a stale snapshot cannot overwrite a newer view.
-var testHookViewPublish func(v iooView)
-
-// refreshView mirrors one site container into its IOO data item, so
-// self-representation ("describe", "home", "vicinity") reflects reality.
-// Views are maintained incrementally — a mutation refreshes only the
-// container it changed — and publication is generation-stamped: the
-// generation is claimed *before* the container is read, and the publish is
-// skipped when a newer generation already applied. Two concurrent arrivals
-// can therefore never publish views out of order and strand the container
-// with a member missing (every mutation claims a generation after it
-// completes, so the highest claim always read the final state).
-func (s *Site) refreshView(v iooView) {
-	gen := s.viewGen[v].Add(1)
-	var names []string
-	switch v {
-	case viewHome:
-		names = s.APONames()
-	case viewVicinity:
-		names = s.PeerNames()
-	case viewInterop:
-		names = s.ProgramNames()
-	}
-	if hook := testHookViewPublish; hook != nil {
-		hook(v)
-	}
-	s.viewMu.Lock()
-	defer s.viewMu.Unlock()
-	if gen <= s.viewApplied[v] {
-		return // a refresh that read later already published
-	}
-	s.viewApplied[v] = gen
-	_ = s.ioo.Set(s.ioo.Principal(), viewItem[v], stringList(names))
-}
-
-// refreshIOOViews republishes every container view (site construction and
-// tests; steady-state mutations use the per-view refreshView).
-func (s *Site) refreshIOOViews() {
-	s.refreshView(viewHome)
-	s.refreshView(viewVicinity)
-	s.refreshView(viewInterop)
 }
 
 // iooAmbassadorImage instantiates an Ambassador of this site's IOO for a
@@ -160,7 +105,6 @@ func (s *Site) AddProgram(name, src string) error {
 	s.mu.Lock()
 	s.programs = append(s.programs, name)
 	s.mu.Unlock()
-	s.refreshView(viewInterop)
 	return nil
 }
 
@@ -177,7 +121,6 @@ func (s *Site) RemoveProgram(name string) error {
 		}
 	}
 	s.mu.Unlock()
-	s.refreshView(viewInterop)
 	return nil
 }
 

@@ -1,0 +1,194 @@
+package hadas
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/persist"
+	"repro/internal/transport"
+)
+
+// storedManifest decodes the Home manifest slot straight from the store,
+// past the site's in-memory membership.
+func storedManifest(t *testing.T, store persist.Store) []string {
+	t.Helper()
+	raw, err := store.Get(homeManifestSlot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := decodeReq(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := man.Map()
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestConcurrentDeparturesScrubManifest: every agent of a checkpointed
+// site leaves at once. The scrub was an unlocked read-modify-write of the
+// manifest slot, so concurrent departures wrote back each other's names;
+// the images were deleted all the same and the next BootstrapHome failed
+// with "no such slot". With checkpoints racing the departures, PersistAll
+// holds the manifest lock from enumerating Home to the end of its write,
+// so whichever way each race falls no departed agent stays in the manifest.
+func TestConcurrentDeparturesScrubManifest(t *testing.T) {
+	// Ten attempts: on two cores a single one lost the race only three
+	// times in four before the fix.
+	for attempt := 0; attempt < 10; attempt++ {
+		racingCheckpoints := attempt%2 == 1
+		t.Run(fmt.Sprintf("checkpoints=%v", racingCheckpoints), func(t *testing.T) {
+			const agents = 16
+			net := transport.NewInProcNet()
+			store := persist.NewMemStore()
+			a := newMigSite(t, net, "a", store)
+			b := newMigSite(t, net, "b", persist.NewMemStore())
+			link(t, a, "b")
+			inertAgent(t, a, "resident")
+			for i := 0; i < agents; i++ {
+				inertAgent(t, a, fmt.Sprintf("agent-%02d", i))
+			}
+			if err := a.PersistAll(); err != nil {
+				t.Fatal(err)
+			}
+
+			var wg sync.WaitGroup
+			for i := 0; i < agents; i++ {
+				wg.Add(1)
+				go func(name string) {
+					defer wg.Done()
+					if _, err := a.DispatchAgent(name, "b"); err != nil {
+						t.Errorf("dispatch %s: %v", name, err)
+					}
+				}(fmt.Sprintf("agent-%02d", i))
+			}
+			if racingCheckpoints {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 4; i++ {
+						if err := a.PersistAll(); err != nil {
+							t.Errorf("checkpoint: %v", err)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+
+			if got := storedManifest(t, store); len(got) != 1 || got[0] != "resident" {
+				t.Fatalf("manifest after %d departures = %v, want [resident]", agents, got)
+			}
+			a2 := restartSite(t, net, a, "b")
+			restored, err := a2.BootstrapHome()
+			if err != nil {
+				t.Fatalf("bootstrap after the departures: %v", err)
+			}
+			if len(restored) != 1 || restored[0] != "resident" {
+				t.Fatalf("restored = %v, want [resident]", restored)
+			}
+			for i := 0; i < agents; i++ {
+				if got := copies(fmt.Sprintf("agent-%02d", i), a2, b); got != 1 {
+					t.Fatalf("agent-%02d copies = %d", i, got)
+				}
+			}
+		})
+	}
+}
+
+// TestScrubLoadsManifestOnFirstUse: a restarted site that installs one
+// persisted APO without BootstrapHome has no membership in memory; the
+// first departure still finds the slot and removes the name.
+func TestScrubLoadsManifestOnFirstUse(t *testing.T) {
+	net := transport.NewInProcNet()
+	store := persist.NewMemStore()
+	a := newMigSite(t, net, "a", store)
+	b := newMigSite(t, net, "b", persist.NewMemStore())
+	link(t, a, "b")
+	inertAgent(t, a, "resident")
+	id := inertAgent(t, a, "walker").ID()
+	if err := a.PersistAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	a2 := restartSite(t, net, a, "b")
+	if err := a2.BootstrapAPO("walker", id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a2.DispatchAgent("walker", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if got := storedManifest(t, store); len(got) != 1 || got[0] != "resident" {
+		t.Fatalf("manifest = %v, want [resident]", got)
+	}
+	if restored := bootstrap(t, a2); len(restored) != 1 || restored[0] != "resident" {
+		t.Fatalf("restored = %v, want [resident]", restored)
+	}
+	if got := copies("walker", a2, b); got != 1 {
+		t.Fatalf("walker copies = %d", got)
+	}
+}
+
+// TestDepartedRecordCarriesNoImage: once an agent has moved on, the
+// arrival record it leaves behind — in the dedup table and in the journal
+// — holds no image, and a restart replays it without resurrecting anything.
+func TestDepartedRecordCarriesNoImage(t *testing.T) {
+	net := transport.NewInProcNet()
+	a := newMigSite(t, net, "a", persist.NewMemStore())
+	b := newMigSite(t, net, "b", persist.NewMemStore())
+	link(t, a, "b")
+	link(t, b, "a")
+	inertAgent(t, a, "walker")
+
+	if _, err := a.DispatchAgent("walker", "b"); err != nil {
+		t.Fatal(err)
+	}
+	mids := b.ArrivalRecords()
+	if len(mids) != 1 {
+		t.Fatalf("arrival records at b = %v", mids)
+	}
+	journaled := func() *arrival {
+		raw, err := b.journal.Get(arrivalSlot(mids[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := decodeArrival(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	if rec := journaled(); rec.state != arrivalDone || len(rec.image) == 0 {
+		t.Fatalf("resident record: state %q, %d image bytes; replay needs the image", rec.state, len(rec.image))
+	}
+
+	if _, err := b.DispatchAgent("walker", "a"); err != nil {
+		t.Fatal(err)
+	}
+	b.arrMu.Lock()
+	live := b.arrivals[mids[0]]
+	state, held := live.state, len(live.image)
+	b.arrMu.Unlock()
+	if state != arrivalDeparted || held != 0 {
+		t.Fatalf("dedup table: state %q, %d image bytes held", state, held)
+	}
+	if rec := journaled(); rec.state != arrivalDeparted || rec.next != "a" || len(rec.image) != 0 {
+		t.Fatalf("journal: state %q next %q, %d image bytes", rec.state, rec.next, len(rec.image))
+	}
+
+	b2 := restartSite(t, net, b, "a")
+	if restored := bootstrap(t, b2); len(restored) != 0 {
+		t.Fatalf("restart resurrected %v", restored)
+	}
+	if got := copies("walker", a, b2); got != 1 {
+		t.Fatalf("walker copies = %d", got)
+	}
+	if st := b2.AgentArrivalStatus("walker"); st.State != arrivalDeparted || st.Next != "a" {
+		t.Errorf("itinerary trace after restart = %+v", st)
+	}
+}

@@ -506,6 +506,9 @@ func (s *Site) markAgentDeparted(rec *migrationRecord, id naming.ID, watermark i
 		if a.seq <= watermark {
 			a.state = arrivalDeparted
 			a.next = next
+			// Only installed/done records are ever replayed; a departed one
+			// keeps its place in the dedup table, not a copy of the agent.
+			a.image = nil
 			updated = append(updated, [2]any{arrivalSlot(a.mid), s.encodeArrival(a)})
 		} else {
 			kept = append(kept, a)
@@ -996,31 +999,30 @@ func (s *Site) ResolveMigrations() ([]string, error) {
 
 // scrubPersisted removes a departed agent's image from the site store and
 // its entry from the Home manifest, so a stale PersistAll snapshot cannot
-// resurrect a copy that now lives at another site.
+// resurrect a copy that now lives at another site. Both steps run under
+// manMu: concurrent departures rewrite the manifest one after another, and
+// a PersistAll that enumerated the agent before it retired finishes first
+// and is then undone here. The manifest slot is only touched when its
+// membership — kept in memory — names this very incarnation.
 func (s *Site) scrubPersisted(name string, id naming.ID) {
 	if s.cfg.Store == nil {
 		return
 	}
+	s.manMu.Lock()
+	defer s.manMu.Unlock()
 	if err := persist.DeleteObject(s.cfg.Store, id); err != nil {
 		s.log("scrub %s: %v", name, err)
 	}
-	raw, err := s.cfg.Store.Get(homeManifestSlot)
+	ids, err := s.persistedManifest()
 	if err != nil {
-		return // no manifest, nothing to scrub
+		return // no (readable) manifest, nothing to scrub
 	}
-	man, err := decodeReq(raw)
-	if err != nil {
-		return
-	}
-	m, ok := man.Map()
-	if !ok {
-		return
-	}
-	if cur, present := m[name]; !present || cur.String() != id.String() {
+	if cur, present := ids[name]; !present || cur != id {
 		return // the manifest names a different incarnation; leave it
 	}
-	delete(m, name)
-	if err := s.cfg.Store.Put(homeManifestSlot, encodeReq(value.NewMap(m))); err != nil {
+	delete(ids, name)
+	if err := s.cfg.Store.Put(homeManifestSlot, encodeManifest(ids)); err != nil {
+		s.manifest = nil
 		s.log("scrub %s: manifest rewrite: %v", name, err)
 	}
 }

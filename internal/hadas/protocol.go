@@ -217,7 +217,6 @@ func (s *Site) installPeer(name, domain, addr string, conn transport.Conn, ambBy
 			s.objects.Deregister(old.ID())
 		}
 	}
-	s.refreshView(viewVicinity)
 	return nil
 }
 
@@ -321,7 +320,6 @@ func (s *Site) Unlink(peerName string) error {
 		s.objects.Deregister(amb.ID())
 		s.objects.Unbind("ioo@" + peerName)
 	}
-	s.refreshView(viewVicinity)
 	s.log("unlinked from %s", peerName)
 	return nil
 }

@@ -1,0 +1,118 @@
+package hadas
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/persist"
+	"repro/internal/transport"
+	"repro/internal/value"
+)
+
+// This file pins that what an agent hop and a Home restore allocate does
+// not depend on how many APOs the site holds. A step that enumerates Home
+// (a mirrored view, a manifest decode) shows up here as a failing test, not
+// as a benchmark drifting three PRs later.
+
+// populate fills a site's Home with n small resident APOs and checkpoints
+// it, so the persisted manifest has n entries too.
+func populate(t *testing.T, s *Site, n int) {
+	t.Helper()
+	apos := make(map[string]*core.Object, n)
+	for i := 0; i < n; i++ {
+		b := s.NewAPOBuilder("Resident")
+		b.ExtData("n", value.NewInt(int64(i)))
+		apos[fmt.Sprintf("resident-%05d", i)] = b.MustBuild()
+	}
+	if err := s.AddAPOs(apos); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PersistAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mallocs reports the heap allocations made while f runs, and their bytes.
+func mallocs(f func()) (count, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// within reports whether a and b differ by less than frac of the smaller.
+func within(a, b, frac float64) bool {
+	lo, hi := min(a, b), max(a, b)
+	return hi-lo < frac*lo
+}
+
+// hopMallocs measures allocations per courier round trip between two
+// sites that each hold residents APOs.
+func hopMallocs(t *testing.T, residents int) float64 {
+	t.Helper()
+	net := transport.NewInProcNet()
+	a := newMigSite(t, net, "a", persist.NewMemStore())
+	b := newMigSite(t, net, "b", persist.NewMemStore())
+	link(t, a, "b")
+	link(t, b, "a")
+	populate(t, a, residents)
+	populate(t, b, residents)
+	inertAgent(t, a, "courier")
+
+	roundTrips := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := a.DispatchAgent("courier", "b"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.DispatchAgent("courier", "a"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	roundTrips(4) // warm connections, caches and the first-use manifest load
+	const measured = 32
+	count, _ := mallocs(func() { roundTrips(measured) })
+	return count / measured
+}
+
+func TestHopDoesNotScaleWithHome(t *testing.T) {
+	small, large := hopMallocs(t, 64), hopMallocs(t, 4096)
+	t.Logf("allocations per round trip: %.0f with 64 resident APOs, %.0f with 4096", small, large)
+	if !within(small, large, 0.10) {
+		t.Errorf("a round trip allocates %.0f times with 64 resident APOs and %.0f with 4096: a hop pays for the size of Home", small, large)
+	}
+}
+
+// bootstrapMallocs measures what BootstrapHome allocates per restored APO
+// on a restarted site whose checkpoint holds n APOs.
+func bootstrapMallocs(t *testing.T, n int) (count, bytes float64) {
+	t.Helper()
+	net := transport.NewInProcNet()
+	s := newMigSite(t, net, "s", persist.NewMemStore())
+	populate(t, s, n)
+	s2 := restartSite(t, net, s)
+	var restored []string
+	count, bytes = mallocs(func() { restored = bootstrap(t, s2) })
+	if len(restored) != n {
+		t.Fatalf("restored %d of %d APOs", len(restored), n)
+	}
+	return count / float64(n), bytes / float64(n)
+}
+
+// An enumeration per install costs a constant number of allocations whose
+// size grows with Home, so the restore is held to both: the count within
+// 10 %, and the bytes within 1.5× — they are not flat, because a Home shard
+// republishes its read snapshot (Home/64 entries) on every install, but an
+// enumeration per install was 5× between these two sizes.
+func TestBootstrapHomeIsLinear(t *testing.T) {
+	smallN, smallB := bootstrapMallocs(t, 512)
+	largeN, largeB := bootstrapMallocs(t, 4096)
+	t.Logf("per restored APO: %.1f allocations, %.0f B at 512 APOs; %.1f, %.0f B at 4096", smallN, smallB, largeN, largeB)
+	if !within(smallN, largeN, 0.10) || largeB > 1.5*smallB {
+		t.Errorf("BootstrapHome per APO: %.1f allocations, %.0f B at 512 APOs; %.1f, %.0f B at 4096: restoring Home is not linear",
+			smallN, smallB, largeN, largeB)
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -180,14 +179,12 @@ type Site struct {
 	stopProbe       chan struct{} // closes to stop the background prober
 	closed          bool
 
-	// IOO container views are generation-stamped: refreshView claims a
-	// generation before reading a container, and viewMu/viewApplied let a
-	// publish proceed only when no newer generation has been applied — a
-	// refresh holding a stale snapshot can never overwrite a newer view
-	// (the lost-update race the old rebuild-under-contention had).
-	viewGen     [viewCount]atomic.Uint64
-	viewMu      sync.Mutex
-	viewApplied [viewCount]uint64
+	// manMu serializes every read-modify-write of the persisted Home
+	// manifest (PersistAll, scrubPersisted) and guards manifest, the
+	// membership of the manifest as last written to the store: nil until
+	// first use, and again after a failed write so the next use reloads it.
+	manMu    sync.Mutex
+	manifest map[string]naming.ID
 
 	arrMu    sync.Mutex
 	arrivals map[string]*arrival // dedup table, by migration ID
@@ -448,29 +445,17 @@ func (s *Site) AddAPO(name string, obj *core.Object) error {
 	if err := s.objects.Bind(name, obj.ID()); err != nil {
 		return err
 	}
-	s.refreshView(viewHome)
 	return nil
 }
 
-// AddAPOs installs a batch of application objects, refreshing the IOO's
-// Home view once at the end instead of per member. AddAPO's per-install
-// refresh enumerates and sorts the whole container, so populating a large
-// site one call at a time is quadratic; bootstrap-scale loads (the 1e6
-// benchmark tier, restores) go through here. Installation stops at the
-// first duplicate name; members installed before it remain.
+// AddAPOs installs a batch of application objects. Installation stops at
+// the first duplicate name; members installed before it remain.
 func (s *Site) AddAPOs(apos map[string]*core.Object) error {
 	for name, obj := range apos {
-		if !s.home.add(name, obj) {
-			s.refreshView(viewHome)
-			return fmt.Errorf("%w: APO %q", core.ErrExists, name)
-		}
-		s.host(obj)
-		if err := s.objects.Bind(name, obj.ID()); err != nil {
-			s.refreshView(viewHome)
+		if err := s.AddAPO(name, obj); err != nil {
 			return err
 		}
 	}
-	s.refreshView(viewHome)
 	return nil
 }
 
@@ -606,27 +591,77 @@ func (s *Site) callConnChain(conn transport.Conn, verb, chain string, req value.
 // restarted site can bootstrap itself without external knowledge.
 const homeManifestSlot = "_home-manifest"
 
+// encodeManifest renders a Home manifest membership as its slot payload.
+func encodeManifest(ids map[string]naming.ID) []byte {
+	m := make(map[string]value.Value, len(ids))
+	for name, id := range ids {
+		m[name] = value.NewString(id.String())
+	}
+	return encodeReq(value.NewMap(m))
+}
+
+// persistedManifest returns the membership of the Home manifest in the
+// store, reading the slot on first use. A missing slot is reported as the
+// store's persist.ErrNoSlot and not remembered. Callers hold manMu.
+func (s *Site) persistedManifest() (map[string]naming.ID, error) {
+	if s.manifest != nil {
+		return s.manifest, nil
+	}
+	raw, err := s.cfg.Store.Get(homeManifestSlot)
+	if err != nil {
+		return nil, err
+	}
+	man, err := decodeReq(raw)
+	if err != nil {
+		return nil, err
+	}
+	m, ok := man.Map()
+	if !ok {
+		return nil, fmt.Errorf("manifest is not a map")
+	}
+	ids := make(map[string]naming.ID, len(m))
+	for name, idV := range m {
+		id, err := naming.ParseID(idV.String())
+		if err != nil {
+			return nil, fmt.Errorf("APO %q: %w", name, err)
+		}
+		ids[name] = id
+	}
+	s.manifest = ids
+	return ids, nil
+}
+
 // PersistAll writes the IOO's Home members into the site store, along
-// with a manifest mapping APO names to object IDs.
+// with a manifest mapping APO names to object IDs. It holds manMu from
+// enumerating Home to the end of the write, so a departure cannot slip
+// between the two: an agent retired before the enumeration is not written,
+// and the scrub of one retired after it waits and then removes it.
 func (s *Site) PersistAll() error {
 	if s.cfg.Store == nil {
 		return fmt.Errorf("%w: site has no store", core.ErrNotFound)
 	}
+	s.manMu.Lock()
+	defer s.manMu.Unlock()
 	entries := s.home.entries()
 	batch := make(map[string][]byte, len(entries)+1)
-	manifest := make(map[string]value.Value, len(entries))
+	ids := make(map[string]naming.ID, len(entries))
 	for _, e := range entries {
 		slot, data, err := persist.EncodeObject(e.obj)
 		if err != nil {
 			return err
 		}
 		batch[slot] = data
-		manifest[e.name] = value.NewString(e.obj.ID().String())
+		ids[e.name] = e.obj.ID()
 	}
-	batch[homeManifestSlot] = encodeReq(value.NewMap(manifest))
+	batch[homeManifestSlot] = encodeManifest(ids)
 	// One PutAll: the whole checkpoint — every image plus the manifest —
 	// rides a single durability barrier.
-	return s.cfg.Store.PutAll(batch)
+	if err := s.cfg.Store.PutAll(batch); err != nil {
+		s.manifest = nil
+		return err
+	}
+	s.manifest = ids
+	return nil
 }
 
 // BootstrapHome restores the site after a restart. It replays the
@@ -650,7 +685,11 @@ func (s *Site) BootstrapHome() ([]string, error) {
 		return arrived, fmt.Errorf("bootstrap home: %w", err)
 	}
 	restored := append(arrived, reinstated...)
-	raw, err := s.cfg.Store.Get(homeManifestSlot)
+	// manMu stays held across the restore: a departure's scrub edits the
+	// membership this loop walks.
+	s.manMu.Lock()
+	defer s.manMu.Unlock()
+	ids, err := s.persistedManifest()
 	if err != nil {
 		if len(restored) > 0 && errors.Is(err, persist.ErrNoSlot) {
 			// The journal recovered agents but the site never persisted a
@@ -661,21 +700,9 @@ func (s *Site) BootstrapHome() ([]string, error) {
 		}
 		return restored, fmt.Errorf("bootstrap home: %w", err)
 	}
-	man, err := decodeReq(raw)
-	if err != nil {
-		return restored, fmt.Errorf("bootstrap home: %w", err)
-	}
-	m, ok := man.Map()
-	if !ok {
-		return restored, fmt.Errorf("bootstrap home: manifest is not a map")
-	}
-	for name, idV := range m {
+	for name, id := range ids {
 		if _, err := s.APO(name); err == nil {
 			continue // already installed
-		}
-		id, err := naming.ParseID(idV.String())
-		if err != nil {
-			return restored, fmt.Errorf("bootstrap home: APO %q: %w", name, err)
 		}
 		if err := s.BootstrapAPO(name, id); err != nil {
 			return restored, err
