@@ -28,13 +28,12 @@ PBENCH      = P_
 PBENCH_TIME = 20000x
 
 # The persistence tier (bench_persist_test.go): sustained Put throughput
-# of the group-commit WAL against the file-per-slot store under 8
-# concurrent writers — the ≥10× claim of DESIGN.md §15 — and E15,
-# bootstrap recovery time by slot count. Both are fsync-bound, so they
-# get their own short benchtimes: each persist op costs 30µs–700µs, and
-# one E15 iteration replays a whole log (the 1e6-slot tier builds a
-# ~150 MB one, skipped under -short in the routine runs).
-BENCH_PERSIST      = WALPut|FileStorePut
+# of the group-commit WAL under 8 concurrent writers (DESIGN.md §15) and
+# E15, bootstrap recovery time by slot count. Both are fsync-bound, so
+# they get their own short benchtimes: a Put costs 20µs–40µs, and one E15
+# iteration replays a whole log (the 1e6-slot tier builds a ~150 MB one,
+# skipped under -short in the routine runs).
+BENCH_PERSIST      = WALPut
 BENCH_PERSIST_TIME = 2000x
 BENCH_RECOVER      = E15_BootstrapRecovery
 BENCH_RECOVER_TIME = 1x
@@ -134,19 +133,20 @@ bench-parallel:
 # 5-site mesh under concurrent partition/crash/migration/rewrite churn,
 # each run checked against the global invariants and the SLO thresholds
 # in CHAOS_SLO.json (cmd/chaosgate exits non-zero and names the failing
-# seed — the printed line reproduces the exact fault schedule).
+# seed — the printed line reproduces the exact fault schedule). It runs
+# twice: over MemStore, and over the WAL, so tier-1 crashes and restarts
+# sites over the one durable store under churn.
 chaos-short:
 	$(GO) run ./cmd/chaosgate -seeds 5 -seed-base 1 -slo CHAOS_SLO.json
+	@dir="$$(mktemp -d)"; \
+	$(GO) run ./cmd/chaosgate -seeds 5 -seed-base 1 -slo CHAOS_SLO.json -store wal -storedir "$$dir"; \
+	status=$$?; rm -rf "$$dir"; exit $$status
 
-# chaos is the full sweep: more seeds, a bigger mesh, heavier churn, and
-# disk-backed persist stores so crash/restart recovery exercises the real
-# store paths — once over the file-per-slot store and once over the WAL
+# chaos is the full sweep: more seeds, a bigger mesh, heavier churn, over
+# WAL-backed sites so crash/restart recovery exercises the real store
 # (group commit + compaction under churn). Not part of verify — run it
 # before releases or after touching the migration/recovery machinery.
 chaos:
-	$(GO) run ./cmd/chaosgate -seeds 25 -seed-base 1 -sites 7 -epochs 4 \
-		-clients 4 -ops 15 -agents 6 -hops 3 \
-		-slo CHAOS_SLO.json -store file -storedir /tmp/repro-chaos -out /tmp/repro-chaos-sweep.json
 	$(GO) run ./cmd/chaosgate -seeds 25 -seed-base 1 -sites 7 -epochs 4 \
 		-clients 4 -ops 15 -agents 6 -hops 3 \
 		-slo CHAOS_SLO.json -store wal -storedir /tmp/repro-chaos-wal -out /tmp/repro-chaos-wal-sweep.json

@@ -1,9 +1,9 @@
 package repro
 
-// PR 10 persistence benchmarks: sustained Put throughput of the
-// log-structured WAL store against the slot-per-file store under
-// concurrent writers (group commit amortizes the fsync), and E15 —
-// bootstrap recovery time by slot count (replay + index rebuild).
+// Persistence benchmarks: sustained Put throughput of the log-structured
+// WAL store under concurrent writers (group commit amortizes the fsync),
+// and E15 — bootstrap recovery time by slot count (replay + index
+// rebuild).
 
 import (
 	"fmt"
@@ -13,12 +13,11 @@ import (
 	"repro/internal/persist"
 )
 
-// benchPutBackend drives 8 concurrent writers of distinct 256-byte slots
-// into one backend. On the WAL the writers coalesce into group commits —
-// one buffered write and one fsync per batch — where the file store pays
-// two fsyncs per record under a global lock.
-func benchPutBackend(b *testing.B, open func(dir string) (persist.Backend, error)) {
-	s, err := open(b.TempDir())
+// BenchmarkWALPut drives 8 concurrent writers of distinct 256-byte slots
+// into one WAL: the writers coalesce into group commits — one buffered
+// write and one fsync per batch.
+func BenchmarkWALPut(b *testing.B) {
+	s, err := persist.NewWALStore(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -39,27 +38,19 @@ func benchPutBackend(b *testing.B, open func(dir string) (persist.Backend, error
 	})
 }
 
-func BenchmarkWALPut(b *testing.B) {
-	benchPutBackend(b, func(dir string) (persist.Backend, error) {
-		return persist.NewWALStore(dir)
-	})
-}
-
-func BenchmarkFileStorePut(b *testing.B) {
-	benchPutBackend(b, func(dir string) (persist.Backend, error) {
-		return persist.NewFileStore(dir)
-	})
-}
-
 // BenchmarkE15_BootstrapRecovery times a cold OpenWALStore — the full
 // log replay and index rebuild — by slot count. Population (batched
-// PutAll, outside the timer) includes no overwrites, so the measured
-// replay is exactly one record per slot; the experiments-table E15 adds
-// a garbage round. The 1e6 tier writes a ~150 MB log and is skipped
+// PutAll, outside the timer) writes one record per slot; the "rewritten"
+// case adds one full overwrite round, so its replay also pays for a log
+// that is half garbage. The 1e6 tier writes a ~150 MB log and is skipped
 // under -short.
 func BenchmarkE15_BootstrapRecovery(b *testing.B) {
-	for _, n := range []int{100, 10_000, 1_000_000} {
-		b.Run(fmt.Sprintf("slots=%d", n), func(b *testing.B) {
+	for _, c := range []struct{ n, rounds int }{{100, 1}, {10_000, 1}, {10_000, 2}, {1_000_000, 1}} {
+		n, name := c.n, fmt.Sprintf("slots=%d", c.n)
+		if c.rounds > 1 {
+			name += ",rewritten"
+		}
+		b.Run(name, func(b *testing.B) {
 			if n >= 1_000_000 && testing.Short() {
 				b.Skip("1e6-slot tier skipped with -short")
 			}
@@ -69,18 +60,20 @@ func BenchmarkE15_BootstrapRecovery(b *testing.B) {
 				b.Fatal(err)
 			}
 			val := make([]byte, 128)
-			batch := make(map[string][]byte, 10_000)
-			for i := 0; i < n; i++ {
-				batch[fmt.Sprintf("slot-%09d", i)] = val
-				if len(batch) == 10_000 {
-					if err := w.PutAll(batch); err != nil {
-						b.Fatal(err)
+			for round := 0; round < c.rounds; round++ {
+				batch := make(map[string][]byte, 10_000)
+				for i := 0; i < n; i++ {
+					batch[fmt.Sprintf("slot-%09d", i)] = val
+					if len(batch) == 10_000 {
+						if err := w.PutAll(batch); err != nil {
+							b.Fatal(err)
+						}
+						batch = make(map[string][]byte, 10_000)
 					}
-					batch = make(map[string][]byte, 10_000)
 				}
-			}
-			if err := w.PutAll(batch); err != nil {
-				b.Fatal(err)
+				if err := w.PutAll(batch); err != nil {
+					b.Fatal(err)
+				}
 			}
 			if err := w.Close(); err != nil {
 				b.Fatal(err)

@@ -1,8 +1,8 @@
 package repro
 
 // One benchmark group per experiment/figure of the reproduction (see
-// DESIGN.md §2). `go test -bench=. -benchmem` regenerates every series;
-// cmd/mrombench prints the same data as formatted tables.
+// DESIGN.md §2). `go test -bench 'Fig|E[0-9]' -benchmem .` regenerates
+// every series EXPERIMENTS.md quotes.
 
 import (
 	"fmt"

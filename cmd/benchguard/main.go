@@ -14,6 +14,11 @@
 //	         is within the resolution of a non-zero count (see
 //	         allocRegressions), which is a warning too.
 //
+// In both modes a benchmark run that failed — a FAIL, --- FAIL, panic: or
+// [build failed] line on stdin — is an error, and record writes nothing:
+// the pipe hides go test's exit status, and a partial run must neither
+// pass the gate nor become the next baseline.
+//
 // Usage:
 //
 //	go test -run='^$' -bench='E3|E5' . | benchguard -mode record
@@ -67,6 +72,9 @@ type benchRun struct {
 // The -N GOMAXPROCS suffix is stripped so records compare across machines.
 // A benchmark appearing more than once (`-count=N`) keeps the minimum of
 // each metric — the repetition least disturbed by scheduler noise.
+//
+// A line go test prints only for a failed run (a build failure, a b.Fatal,
+// a panic, a timeout) makes the whole input errBenchFailed.
 func parseBench(r io.Reader) (benchRun, error) {
 	run := benchRun{
 		ns:     make(map[string]float64),
@@ -80,7 +88,12 @@ func parseBench(r io.Reader) (benchRun, error) {
 	}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+		line := strings.TrimSpace(sc.Text())
+		if line == "FAIL" || strings.HasPrefix(line, "FAIL\t") || strings.HasPrefix(line, "--- FAIL") ||
+			strings.HasPrefix(line, "panic:") || strings.Contains(line, "[build failed]") {
+			return run, fmt.Errorf("%w: %q", errBenchFailed, line)
+		}
+		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
@@ -133,6 +146,9 @@ func regressions(base, cur map[string]float64, threshold float64) []string {
 	sort.Strings(warns)
 	return warns
 }
+
+// errBenchFailed reports that the benchmark run on stdin did not complete.
+var errBenchFailed = errors.New("benchguard: the benchmark run failed")
 
 // errAllocRegression is check mode's failure: some benchmark allocates
 // more per op than the recorded snapshot.

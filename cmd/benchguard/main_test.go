@@ -170,3 +170,41 @@ func TestCheckWithoutBaseline(t *testing.T) {
 		t.Error("check mode created the history file")
 	}
 }
+
+// TestFailedRunIsAnError: the Makefile pipes go test into benchguard, so go
+// test's exit status is lost; a run that failed part-way must fail the
+// check and must not be recorded as the next baseline.
+func TestFailedRunIsAnError(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "BENCH_PR.json")
+	var out strings.Builder
+	if err := run("record", file, "seed", 0.20, strings.NewReader(sampleBench), &out); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passing := strings.TrimSuffix(sampleBench, "PASS\nok  \trepro\t3.511s\n")
+	for name, tail := range map[string]string{
+		"b.Fatal":      "--- FAIL: BenchmarkE8_QueryDuringUpdates\n    bench_test.go:417: hard failures must never happen\nFAIL\nexit status 1\nFAIL\trepro\t1.2s\n",
+		"sub-bench":    "    --- FAIL: BenchmarkE15_BootstrapRecovery/slots=100\n",
+		"panic":        "panic: runtime error: index out of range [recovered]\n",
+		"build failed": "FAIL\trepro [build failed]\n",
+		"bare FAIL":    "FAIL\n",
+	} {
+		for _, mode := range []string{"check", "record"} {
+			err := run(mode, file, "partial", 0.20, strings.NewReader(passing+tail), &out)
+			if !errors.Is(err, errBenchFailed) {
+				t.Errorf("%s, -mode %s: err = %v, want errBenchFailed", name, mode, err)
+			}
+		}
+	}
+	if after, err := os.ReadFile(file); err != nil || string(after) != string(before) {
+		t.Errorf("a failed run changed the history file (err %v):\n%s", err, after)
+	}
+	// A benchmark whose name merely contains the word is not a failure.
+	ok := "BenchmarkAblation_FAILover-8  1000  150.0 ns/op\nPASS\n"
+	if err := run("check", file, "", 0.20, strings.NewReader(ok), &out); err != nil {
+		t.Errorf("passing run rejected: %v", err)
+	}
+}

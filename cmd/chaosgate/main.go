@@ -113,19 +113,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		hops      = fs.Int("hops", 2, "max intermediate hops per journey")
 		sloPath   = fs.String("slo", "CHAOS_SLO.json", "SLO thresholds file")
 		outPath   = fs.String("out", "", "write the sweep report JSON here")
-		storeKind = fs.String("store", "mem", "persistence backend per site: mem, file or wal")
-		storeDir  = fs.String("storedir", "", "directory for file/wal backends (required for them)")
-		fileStore = fs.String("filestore", "", "deprecated alias for -store file -storedir DIR")
+		storeKind = fs.String("store", "mem", "persistence backend per site: mem or wal")
+		storeDir  = fs.String("storedir", "", "directory for the wal backend (required for it)")
 		verbose   = fs.Bool("v", false, "stream schedule and verdict lines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *fileStore != "" {
-		*storeKind, *storeDir = "file", *fileStore
-	}
-	if (*storeKind == "file" || *storeKind == "wal") && *storeDir == "" {
-		fmt.Fprintf(stderr, "chaosgate: -store %s requires -storedir\n", *storeKind)
+	// storeFlags is what the reproduce line must carry: a failure that only
+	// a restart over a real log shows does not reproduce on MemStore.
+	storeFlags := ""
+	switch *storeKind {
+	case "mem":
+		// chaos.Run defaults to a MemStore per site.
+	case "wal":
+		if *storeDir == "" {
+			fmt.Fprintf(stderr, "chaosgate: -store wal requires -storedir\n")
+			return 2
+		}
+		storeFlags = fmt.Sprintf(" -store wal -storedir %s", *storeDir)
+	default:
+		fmt.Fprintf(stderr, "chaosgate: unknown -store %q (want mem or wal)\n", *storeKind)
 		return 2
 	}
 	slo, err := loadSLO(*sloPath)
@@ -158,25 +166,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *verbose {
 			cfg.Transcript = stdout
 		}
-		switch *storeKind {
-		case "mem":
-			// chaos.Run defaults to a MemStore per site.
-		case "file", "wal":
+		if *storeKind == "wal" {
 			base := filepath.Join(*storeDir, fmt.Sprintf("seed%d", sd))
 			if err := os.RemoveAll(base); err != nil {
 				fmt.Fprintf(stderr, "chaosgate: clear %s: %v\n", base, err)
 				return 2
 			}
-			kind := *storeKind
 			cfg.Store = func(site string) (persist.Backend, error) {
-				if kind == "wal" {
-					return persist.NewWALStore(filepath.Join(base, site))
-				}
-				return persist.NewFileStore(filepath.Join(base, site))
+				return persist.NewWALStore(filepath.Join(base, site))
 			}
-		default:
-			fmt.Fprintf(stderr, "chaosgate: unknown -store %q\n", *storeKind)
-			return 2
 		}
 		rep, err := chaos.Run(cfg)
 		if err != nil {
@@ -223,8 +221,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !agg.Passed {
 		if len(failed) > 0 {
 			fmt.Fprintf(stdout, "chaosgate: FAILED seeds %v\n", failed)
-			fmt.Fprintf(stdout, "reproduce: go run ./cmd/chaosgate -seed %d -sites %d -epochs %d -clients %d -ops %d -agents %d -hops %d -v\n",
-				failed[0], *sites, *epochs, *clients, *ops, *agents, *hops)
+			fmt.Fprintf(stdout, "reproduce: go run ./cmd/chaosgate -seed %d -sites %d -epochs %d -clients %d -ops %d -agents %d -hops %d%s -v\n",
+				failed[0], *sites, *epochs, *clients, *ops, *agents, *hops, storeFlags)
 		}
 		return 1
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -112,7 +113,9 @@ func TestGateEndToEnd(t *testing.T) {
 }
 
 // TestGateNamesOffendingSeed: with an impossible SLO the gate must exit
-// non-zero, name the failing seed, and print a reproduction line.
+// non-zero, name the failing seed, and print a reproduction line that
+// carries the store flags in force — fed back to the gate, the line runs
+// the same seed over the same kind of store, not over MemStore.
 func TestGateNamesOffendingSeed(t *testing.T) {
 	dir := t.TempDir()
 	sloPath := filepath.Join(dir, "slo.json")
@@ -120,10 +123,12 @@ func TestGateNamesOffendingSeed(t *testing.T) {
 	if err := os.WriteFile(sloPath, []byte(`{"min_availability":1.01,"max_p99_ms":5000,"max_violations":0,"min_ok_ops":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	storeDir := filepath.Join(dir, "wal")
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
 		"-seed", "4", "-sites", "5", "-epochs", "2", "-clients", "2",
 		"-ops", "5", "-agents", "3", "-hops", "2", "-slo", sloPath,
+		"-store", "wal", "-storedir", storeDir,
 	}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("gate exit %d, want 1\nstdout:\n%s", code, stdout.String())
@@ -132,7 +137,26 @@ func TestGateNamesOffendingSeed(t *testing.T) {
 	if !strings.Contains(out, "seed 4 FAIL") || !strings.Contains(out, "FAILED seeds [4]") {
 		t.Fatalf("gate did not name the offending seed:\n%s", out)
 	}
-	if !strings.Contains(out, "reproduce: go run ./cmd/chaosgate -seed 4") {
+	const prefix = "reproduce: go run ./cmd/chaosgate "
+	at := strings.Index(out, prefix+"-seed 4 ")
+	if at < 0 {
 		t.Fatalf("gate did not print a reproduction line:\n%s", out)
+	}
+	line, _, _ := strings.Cut(out[at+len(prefix):], "\n")
+	if !strings.Contains(line, " -store wal -storedir "+storeDir+" ") {
+		t.Fatalf("reproduction line dropped the store flags: %q", line)
+	}
+
+	// Round trip: the printed flags (plus the SLO file, which the line
+	// leaves at its default) replay the seed over a fresh WAL.
+	if err := os.RemoveAll(storeDir); err != nil {
+		t.Fatal(err)
+	}
+	args := append(strings.Fields(line), "-slo", sloPath)
+	if code := run(args, io.Discard, &stderr); code != 1 {
+		t.Fatalf("replayed gate exit %d, want 1\nstderr:\n%s", code, stderr.String())
+	}
+	if _, err := os.Stat(filepath.Join(storeDir, "seed4")); err != nil {
+		t.Errorf("replay did not run over the WAL directory: %v", err)
 	}
 }

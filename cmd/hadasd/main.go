@@ -7,10 +7,8 @@
 //	hadasd -name tokyo -listen 127.0.0.1:7001 \
 //	       -manifest site.json -link 127.0.0.1:7002 -store /var/lib/hadas
 //
-// With -load the daemon instead runs the built-in load generator (see
-// load.go): a three-site in-process topology driven by -load-clients
-// concurrent clients for -load-duration, reporting throughput and
-// p50/p95/p99 latency.
+// -store DIR keeps the site's Home and migration journal in a write-ahead
+// log in DIR (persist.WALStore); without it the site is volatile.
 //
 // Manifest format (all sections optional):
 //
@@ -71,50 +69,50 @@ func main() {
 		domain       = flag.String("domain", "", "trust domain (defaults to the site name)")
 		listen       = flag.String("listen", "127.0.0.1:0", "protocol listen address")
 		manifestPath = flag.String("manifest", "", "JSON manifest of APOs and programs")
-		storeDir     = flag.String("store", "", "directory for persistent object slots")
-		storeKind    = flag.String("store-backend", "file", "persistence backend: file, wal or mem")
+		storeDir     = flag.String("store", "", "directory of the site's write-ahead log (empty: volatile site)")
 		callTimeout  = flag.Duration("call-timeout", hadas.DefaultCallTimeout, "per-call deadline for peer round trips")
 		probeEvery   = flag.Duration("probe-interval", 0, "background peer liveness probe period (0 disables probing)")
 		links        linkList
-
-		load         = flag.Bool("load", false, "run the built-in load generator instead of serving")
-		loadClients  = flag.Int("load-clients", 8, "concurrent clients in -load mode")
-		loadObjects  = flag.Int("load-objects", 10000, "resident APOs per target site in -load mode")
-		loadDuration = flag.Duration("load-duration", 10*time.Second, "how long -load mode drives traffic")
-		loadChurn    = flag.Int("load-churn", 0, "in -load mode, hop a client agent every N ops (0 disables churn)")
 	)
 	flag.Var(&links, "link", "peer address to link to (repeatable)")
 	flag.Parse()
 
-	if *load {
-		if err := runLoad(*loadClients, *loadObjects, *loadDuration, *loadChurn, os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if err := run(*name, *domain, *listen, *manifestPath, *storeDir, *storeKind, *callTimeout, *probeEvery, links); err != nil {
+	if err := run(*name, *domain, *listen, *manifestPath, *storeDir, *callTimeout, *probeEvery, links); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// openStore builds the configured persistence backend. WAL is the
-// log-structured store (group commit, snapshot compaction); file is one
-// slot per file; mem is volatile (useful for ephemeral sites that still
-// want PersistAll semantics).
-func openStore(kind, dir string) (persist.Backend, error) {
-	switch kind {
-	case "file":
-		return persist.NewFileStore(dir)
-	case "wal":
-		return persist.NewWALStore(dir)
-	case "mem":
-		return persist.NewMemStore(), nil
-	default:
-		return nil, fmt.Errorf("hadasd: unknown -store-backend %q (want file, wal or mem)", kind)
+// refuseLegacyStore rejects a directory written by the file-per-slot
+// store earlier versions of hadasd defaulted to: one <hex>.slot file per
+// slot and no WAL manifest. A WAL opened there would ignore those files,
+// start empty, and the first PersistAll would silently supersede the old
+// Home. "wal-manifest" is the file persist.WALStore publishes its segment
+// list in; a directory that has one was already opened as a WAL.
+func refuseLegacyStore(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil // NewWALStore creates it
 	}
+	if err != nil {
+		return fmt.Errorf("hadasd: -store %s: %w", dir, err)
+	}
+	slots := 0
+	for _, e := range entries {
+		if e.Name() == "wal-manifest" {
+			return nil
+		}
+		if strings.HasSuffix(e.Name(), ".slot") {
+			slots++
+		}
+	}
+	if slots > 0 {
+		return fmt.Errorf("hadasd: -store %s holds %d *.slot files of the removed file-per-slot format and no write-ahead log; "+
+			"this version cannot read them — start from an empty directory", dir, slots)
+	}
+	return nil
 }
 
-func run(name, domain, listen, manifestPath, storeDir, storeKind string,
+func run(name, domain, listen, manifestPath, storeDir string,
 	callTimeout, probeEvery time.Duration, links []string) error {
 	if name == "" {
 		return fmt.Errorf("hadasd: -name is required")
@@ -127,7 +125,10 @@ func run(name, domain, listen, manifestPath, storeDir, storeKind string,
 		ProbeInterval: probeEvery,
 	}
 	if storeDir != "" {
-		store, err := openStore(storeKind, storeDir)
+		if err := refuseLegacyStore(storeDir); err != nil {
+			return err
+		}
+		store, err := persist.NewWALStore(storeDir)
 		if err != nil {
 			return err
 		}

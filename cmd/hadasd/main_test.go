@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/hadas"
+	"repro/internal/persist"
 	"repro/internal/value"
 )
 
@@ -70,34 +70,38 @@ func TestLoadManifest(t *testing.T) {
 	}
 }
 
-func TestRunLoad(t *testing.T) {
-	var out bytes.Buffer
-	if err := runLoad(2, 50, 200*time.Millisecond, 0, &out); err != nil {
+// TestRefuseLegacyStore: a -store directory left by the removed
+// file-per-slot format is refused by name, before any WAL is opened over
+// it; a fresh directory and one already holding a WAL are accepted.
+func TestRefuseLegacyStore(t *testing.T) {
+	legacy := t.TempDir()
+	if err := os.WriteFile(filepath.Join(legacy, "686f6d65.slot"), []byte("old Home"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	report := out.String()
-	for _, want := range []string{"2 clients", "50 resident objects", "ops:", "p50=", "p99="} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
-		}
+	// The listen address cannot be bound, so a run that got past the store
+	// check fails there instead of serving until a signal.
+	err := run("legacy", "", "not an address", "", legacy, time.Second, 0, nil)
+	if err == nil || !strings.Contains(err.Error(), legacy) || !strings.Contains(err.Error(), "file-per-slot") {
+		t.Fatalf("run over a legacy store directory: %v, want a refusal naming %s and the old format", err, legacy)
 	}
-}
+	if _, err := os.Stat(filepath.Join(legacy, "wal-manifest")); !os.IsNotExist(err) {
+		t.Errorf("a WAL was opened over the refused directory: %v", err)
+	}
 
-func TestRunLoadChurn(t *testing.T) {
-	var out bytes.Buffer
-	if err := runLoad(2, 50, 200*time.Millisecond, 10, &out); err != nil {
+	if err := refuseLegacyStore(filepath.Join(t.TempDir(), "fresh")); err != nil {
+		t.Errorf("fresh directory refused: %v", err)
+	}
+	// A directory a WAL already owns stays usable even with stray slot
+	// files beside it: the log, not the strays, is the site's state.
+	w, err := persist.NewWALStore(legacy)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "churn every 10 ops") {
-		t.Errorf("report missing churn line:\n%s", out.String())
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestRunLoadRejectsBadParams(t *testing.T) {
-	for _, tc := range [][3]int{{0, 50, 1}, {2, 0, 1}, {2, 50, 0}} {
-		if err := runLoad(tc[0], tc[1], time.Duration(tc[2])*time.Millisecond, 0, &bytes.Buffer{}); err == nil {
-			t.Errorf("runLoad(%d, %d, %dms) accepted", tc[0], tc[1], tc[2])
-		}
+	if err := refuseLegacyStore(legacy); err != nil {
+		t.Errorf("WAL directory refused: %v", err)
 	}
 }
 

@@ -18,8 +18,7 @@
 //	internal/transport   framed TCP and in-process transports
 //	internal/persist     stores and self-contained persistence
 //	internal/hadas       HADAS: sites, IOOs, APOs, Ambassadors, programs
-//	internal/experiments the E1–E10 experiment suite
-//	cmd/mrombench        experiment harness
+//	internal/experiments scenario fixtures shared by the benchmarks
 //	cmd/hadasd           site daemon
 //	cmd/mromsh           interactive shell
 //	examples/...         runnable walkthroughs

@@ -446,7 +446,7 @@ func (h *harness) close() {
 	}
 	// Release the backends last: sites write checkpoints while closing.
 	// MemStore.Close is a no-op, so simulated restarts mid-run are
-	// unaffected; file-backed stores free their handles here.
+	// unaffected; WAL stores free their handles here.
 	for _, st := range h.stores {
 		if st != nil {
 			st.Close()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mscript"
 	"repro/internal/naming"
 	"repro/internal/value"
 	"repro/internal/wire"
@@ -227,7 +228,7 @@ func (s *Site) handleDispatch(ctx context.Context, m map[string]value.Value) (va
 	}
 	agent, err := core.FromImage(img, s.behaviors,
 		core.HostPolicy(s.policy), core.HostAuditor(s.auditor),
-		core.HostResolver(s), core.HostBudget(s.cfg.Budget))
+		core.HostResolver(s), core.HostBudget(mscript.DefaultBudget))
 	if err != nil {
 		return value.Null, s.failArrival(arr, fmt.Errorf("arriving agent: %w", err))
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/mscript"
 	"repro/internal/security"
 	"repro/internal/value"
 	"repro/internal/wire"
@@ -27,7 +28,7 @@ func buildIOO(s *Site) (*core.Object, error) {
 		core.WithAuditor(s.auditor),
 		core.WithRegistry(s.behaviors),
 		core.WithResolver(s),
-		core.WithBudget(s.cfg.Budget),
+		core.WithBudget(mscript.DefaultBudget),
 	}
 	if s.cfg.Output != nil {
 		opts = append(opts, core.WithOutput(s.cfg.Output))

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mscript"
 	"repro/internal/naming"
 	"repro/internal/persist"
 	"repro/internal/transport"
@@ -889,7 +890,7 @@ func (s *Site) installArrivedImage(name string, image []byte) error {
 	}
 	agent, err := core.FromImage(img, s.behaviors,
 		core.HostPolicy(s.policy), core.HostAuditor(s.auditor),
-		core.HostResolver(s), core.HostBudget(s.cfg.Budget))
+		core.HostResolver(s), core.HostBudget(mscript.DefaultBudget))
 	if err != nil {
 		return err
 	}
@@ -979,7 +980,7 @@ func (s *Site) ResolveMigrations() ([]string, error) {
 		if _, err := s.ResolveObject(rec.Name); err != nil {
 			agent, err := core.FromImage(img, s.behaviors,
 				core.HostPolicy(s.policy), core.HostAuditor(s.auditor),
-				core.HostResolver(s), core.HostBudget(s.cfg.Budget))
+				core.HostResolver(s), core.HostBudget(mscript.DefaultBudget))
 			if err != nil {
 				s.log("resolve migration %s: reinstate: %v", rec.MID, err)
 				continue

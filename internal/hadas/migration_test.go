@@ -39,6 +39,19 @@ func newMigSiteCfg(t *testing.T, net *transport.InProcNet, cfg Config) *Site {
 	return s
 }
 
+// walStore opens the durable backend the crash tests restart over: a
+// write-ahead log in a fresh directory, closed when the test ends (after
+// the sites built over it, which register their cleanups later).
+func walStore(t *testing.T) *persist.WALStore {
+	t.Helper()
+	w, err := persist.NewWALStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
 func newMigSite(t *testing.T, net *transport.InProcNet, name string, store persist.Backend) *Site {
 	t.Helper()
 	return newMigSiteCfg(t, net, Config{Name: name, Store: store, Resilience: migPolicy()})
@@ -361,10 +374,7 @@ func TestCrashMatrix(t *testing.T) {
 		// Crash between the PREPARE write and the dispatch call: the record
 		// is journaled, the agent retired, nothing was sent.
 		net := transport.NewInProcNet()
-		store, err := persist.NewFileStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
+		store := walStore(t)
 		a := newMigSite(t, net, "a", store)
 		b := newMigSite(t, net, "b", persist.NewMemStore())
 		link(t, a, "b")
@@ -408,10 +418,7 @@ func TestCrashMatrix(t *testing.T) {
 		// its journal record (simulated by re-journaling the prepared
 		// record after the fact). Recovery must commit, not resurrect.
 		net := transport.NewInProcNet()
-		store, err := persist.NewFileStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
+		store := walStore(t)
 		a := newMigSite(t, net, "a", store)
 		b := newMigSite(t, net, "b", persist.NewMemStore())
 		link(t, a, "b")
@@ -464,10 +471,7 @@ func TestCrashMatrix(t *testing.T) {
 		// the origin crashed. Restart must resolve against the destination
 		// and commit — exactly one copy, no re-run of onArrival.
 		net := transport.NewInProcNet()
-		store, err := persist.NewFileStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
+		store := walStore(t)
 		a := newMigSite(t, net, "a", store)
 		b := newMigSite(t, net, "b", persist.NewMemStore())
 		link(t, a, "b")
@@ -502,10 +506,7 @@ func TestCrashMatrix(t *testing.T) {
 		// while in doubt. Restart queries the destination ("unknown") and
 		// reinstates the journaled image.
 		net := transport.NewInProcNet()
-		store, err := persist.NewFileStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
+		store := walStore(t)
 		a := newMigSite(t, net, "a", store)
 		b := newMigSite(t, net, "b", persist.NewMemStore())
 		link(t, a, "b")
@@ -540,10 +541,7 @@ func TestCrashMatrix(t *testing.T) {
 		// is final, so recovery prunes it locally without querying anyone —
 		// and without resurrecting the agent.
 		net := transport.NewInProcNet()
-		store, err := persist.NewFileStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
+		store := walStore(t)
 		a := newMigSite(t, net, "a", store)
 		b := newMigSite(t, net, "b", persist.NewMemStore())
 		link(t, a, "b")
@@ -586,10 +584,7 @@ func TestCrashMatrix(t *testing.T) {
 		// restart must reinstall the agent from the arrival journal without
 		// re-running onArrival.
 		net := transport.NewInProcNet()
-		store, err := persist.NewFileStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
+		store := walStore(t)
 		a := newMigSite(t, net, "a", persist.NewMemStore())
 		b := newMigSite(t, net, "b", store)
 		link(t, a, "b")
@@ -705,10 +700,7 @@ func TestDispatchBindRollback(t *testing.T) {
 // agent.
 func TestAgentLoopHomeJourney(t *testing.T) {
 	net := transport.NewInProcNet()
-	store, err := persist.NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := walStore(t)
 	a := newMigSite(t, net, "a", store)
 	b := newMigSite(t, net, "b", persist.NewMemStore())
 	link(t, a, "b")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/mscript"
 	"repro/internal/naming"
 	"repro/internal/security"
 	"repro/internal/transport"
@@ -166,7 +167,7 @@ func (s *Site) installPeer(name, domain, addr string, conn transport.Conn, ambBy
 		}
 		amb, err = core.FromImage(img, s.behaviors,
 			core.HostPolicy(s.policy), core.HostAuditor(s.auditor),
-			core.HostResolver(s), core.HostBudget(s.cfg.Budget))
+			core.HostResolver(s), core.HostBudget(mscript.DefaultBudget))
 		if err != nil {
 			return fmt.Errorf("peer IOO ambassador: %w", err)
 		}
@@ -203,8 +204,9 @@ func (s *Site) installPeer(name, domain, addr string, conn transport.Conn, ambBy
 		}
 	}
 
-	// The cooperation agreement grades the peer's domain.
-	s.policy.GradeDomain(domain, s.cfg.PeerTrust)
+	// The cooperation agreement grades the peer's domain: linking implies
+	// trust.
+	s.policy.GradeDomain(domain, security.Trusted)
 
 	if amb != nil {
 		s.objects.Register(amb.ID(), amb)
@@ -379,7 +381,7 @@ func (s *Site) Import(peerName, apoName string) (string, error) {
 	// maintained by its origin) but runs under host-imposed limits.
 	amb, err := core.FromImage(img, s.behaviors,
 		core.HostPolicy(s.policy), core.HostAuditor(s.auditor),
-		core.HostResolver(s), core.HostBudget(s.cfg.Budget))
+		core.HostResolver(s), core.HostBudget(mscript.DefaultBudget))
 	if err != nil {
 		return "", fmt.Errorf("import %q: %w", apoName, err)
 	}

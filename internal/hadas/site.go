@@ -74,12 +74,6 @@ type Config struct {
 	Domain string
 	// Dial connects to peers. Defaults to TCP.
 	Dial DialFunc
-	// PeerTrust is the trust level granted to a linked peer's domain.
-	// Defaults to security.Trusted (a cooperation agreement implies trust;
-	// grade down for partially-trusted federations).
-	PeerTrust security.TrustLevel
-	// Budget bounds arriving mobile code. Zero value uses the default.
-	Budget mscript.Budget
 	// Output receives script prints and site logs (nil discards).
 	Output func(string)
 	// Store, when set, enables PersistAll/BootstrapAll. It is a full
@@ -206,12 +200,6 @@ func NewSite(cfg Config) (*Site, error) {
 	}
 	if cfg.Dial == nil {
 		cfg.Dial = func(addr string) (transport.Conn, error) { return transport.DialTCP(addr) }
-	}
-	if cfg.PeerTrust == 0 {
-		cfg.PeerTrust = security.Trusted
-	}
-	if cfg.Budget == (mscript.Budget{}) {
-		cfg.Budget = mscript.DefaultBudget
 	}
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = DefaultCallTimeout
@@ -426,7 +414,7 @@ func (s *Site) NewAPOBuilder(class string, extra ...core.BuildOption) *core.Buil
 		core.WithAuditor(s.auditor),
 		core.WithRegistry(s.behaviors),
 		core.WithResolver(s),
-		core.WithBudget(s.cfg.Budget),
+		core.WithBudget(mscript.DefaultBudget),
 	}
 	if s.cfg.Output != nil {
 		opts = append(opts, core.WithOutput(s.cfg.Output))
@@ -720,7 +708,7 @@ func (s *Site) BootstrapAPO(name string, id naming.ID) error {
 	}
 	obj, err := persist.LoadObject(s.cfg.Store, id.String(), s.behaviors,
 		core.HostPolicy(s.policy), core.HostAuditor(s.auditor),
-		core.HostResolver(s), core.HostBudget(s.cfg.Budget))
+		core.HostResolver(s), core.HostBudget(mscript.DefaultBudget))
 	if err != nil {
 		return err
 	}

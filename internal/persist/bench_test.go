@@ -24,11 +24,20 @@ func BenchmarkMemStorePutGet(b *testing.B) {
 	}
 }
 
-func BenchmarkFileStorePut(b *testing.B) {
-	s, err := NewFileStore(filepath.Join(b.TempDir(), "store"))
+// benchWAL opens a WAL for the one-writer figures DESIGN.md §15 quotes
+// (the 8-writer group-commit figure is BenchmarkWALPut in the root package).
+func benchWAL(b *testing.B) *WALStore {
+	b.Helper()
+	s, err := NewWALStore(filepath.Join(b.TempDir(), "wal"))
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { s.Close() })
+	return s
+}
+
+func BenchmarkWALStorePut(b *testing.B) {
+	s := benchWAL(b)
 	data := benchPayload()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
@@ -39,11 +48,8 @@ func BenchmarkFileStorePut(b *testing.B) {
 	}
 }
 
-func BenchmarkFileStoreGet(b *testing.B) {
-	s, err := NewFileStore(filepath.Join(b.TempDir(), "store"))
-	if err != nil {
-		b.Fatal(err)
-	}
+func BenchmarkWALStoreGet(b *testing.B) {
+	s := benchWAL(b)
 	data := benchPayload()
 	if err := s.Put("slot", data); err != nil {
 		b.Fatal(err)

@@ -11,8 +11,8 @@ import (
 )
 
 // The Backend conformance suite: one behavioral contract, run verbatim
-// against every implementation (the multi-provider pattern — Mem, File
-// and WAL stay interchangeable because the same suite pins them all).
+// against every implementation (the multi-provider pattern — Mem and WAL
+// stay interchangeable because the same suite pins them both).
 // Implementation-specific behavior (group commit internals, torn-tail
 // recovery, compaction) lives in the per-implementation test files.
 
@@ -29,13 +29,6 @@ func backendFactories() []backendFactory {
 	return []backendFactory{
 		{name: "mem", durable: false, open: func(t *testing.T, dir string) Backend {
 			return NewMemStore()
-		}},
-		{name: "file", durable: true, open: func(t *testing.T, dir string) Backend {
-			s, err := NewFileStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
 		}},
 		{name: "wal", durable: true, open: func(t *testing.T, dir string) Backend {
 			// Small segments so the suite also crosses roll boundaries.

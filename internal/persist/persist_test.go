@@ -2,7 +2,6 @@ package persist
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -36,16 +35,12 @@ func persistentObject(t *testing.T) *core.Object {
 
 func testStores(t *testing.T) map[string]Store {
 	t.Helper()
-	fs, err := NewFileStore(filepath.Join(t.TempDir(), "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ws, err := NewWALStore(filepath.Join(t.TempDir(), "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ws.Close() })
-	return map[string]Store{"mem": NewMemStore(), "file": fs, "wal": ws}
+	return map[string]Store{"mem": NewMemStore(), "wal": ws}
 }
 
 func TestStoreBasics(t *testing.T) {
@@ -96,57 +91,6 @@ func TestStoreBasics(t *testing.T) {
 				t.Errorf("store aliased caller buffer: %q", got)
 			}
 		})
-	}
-}
-
-func TestFileStoreDetectsCorruption(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
-	fs, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Put("obj", []byte("precious state")); err != nil {
-		t.Fatal(err)
-	}
-	// Flip a content byte behind the store's back.
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != 1 {
-		t.Fatal(err, entries)
-	}
-	path := filepath.Join(dir, entries[0].Name())
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Get("obj"); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("corrupted slot: %v", err)
-	}
-	// Truncated header.
-	if err := os.WriteFile(path, raw[:4], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Get("obj"); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("short slot: %v", err)
-	}
-	// Foreign files in the directory are ignored by List.
-	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "zz.slot"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	slots, err := fs.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range slots {
-		if s != "obj" {
-			t.Errorf("foreign slot listed: %q", s)
-		}
 	}
 }
 

@@ -13,15 +13,9 @@
 package persist
 
 import (
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -52,16 +46,16 @@ type Store interface {
 
 // Backend is the full host-side storage contract: Store plus the batch
 // and lifecycle operations a site needs to checkpoint many objects
-// cheaply. All implementations are exercised by one conformance suite
+// cheaply. Both implementations are exercised by one conformance suite
 // (conformance_test.go) so they stay behaviorally interchangeable — the
-// substrate can evolve (file-per-slot → log-structured) without the
-// object-side persistence scheme noticing.
+// substrate can evolve without the object-side persistence scheme
+// noticing.
 type Backend interface {
 	Store
 	// PutAll writes a batch of slots through one durability barrier:
 	// when it returns nil every slot in the batch is durable. Cheaper
 	// than len(batch) Puts wherever the implementation can amortize its
-	// sync cost (the WAL's group commit, FileStore's single dir-fsync).
+	// sync cost (the WAL's group commit).
 	// Batch visibility is per-slot, not transactional: a crash mid-batch
 	// may persist a prefix of the batch.
 	PutAll(batch map[string][]byte) error
@@ -142,213 +136,6 @@ func (s *MemStore) List() ([]string, error) {
 	out := make([]string, 0, len(s.m))
 	for k := range s.m {
 		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// FileStore persists slots as files in a directory, one file per slot,
-// written atomically (temp file + rename) with a CRC32 integrity header.
-type FileStore struct {
-	dir string
-	mu  sync.Mutex
-}
-
-var _ Backend = (*FileStore)(nil)
-
-const slotSuffix = ".slot"
-
-// NewFileStore creates (if needed) and opens a directory-backed store.
-// Orphaned put-* temp files — left by a crash between CreateTemp and
-// rename, or by a Put whose error path could not unlink — are swept here:
-// they are invisible to Get/List but would otherwise accumulate forever.
-func NewFileStore(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("open store: %w", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("open store: %w", err)
-	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasPrefix(e.Name(), "put-") {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
-	return &FileStore{dir: dir}, nil
-}
-
-// Dir returns the backing directory.
-func (s *FileStore) Dir() string { return s.dir }
-
-// slotFile encodes a slot name to a safe file name (hex of the name).
-func (s *FileStore) slotFile(slot string) string {
-	return filepath.Join(s.dir, hex.EncodeToString([]byte(slot))+slotSuffix)
-}
-
-// Put implements Store with an atomic write: content is framed as
-// [crc32:4][len:8][data], written to a temp file, fsynced, renamed.
-func (s *FileStore) Put(slot string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.putLocked(slot, data); err != nil {
-		return err
-	}
-	// The rename is atomic against a process crash, but the directory
-	// entry itself is not durable until the directory is fsynced — without
-	// this a power loss can forget the replace entirely.
-	if err := s.syncDir(); err != nil {
-		return fmt.Errorf("put %q: %w", slot, err)
-	}
-	return nil
-}
-
-// putLocked writes one slot up to (not including) the directory fsync.
-// Every failure path unlinks the temp file, so a failed Put never strands
-// a put-* orphan (a crash still can; NewFileStore sweeps those).
-func (s *FileStore) putLocked(slot string, data []byte) error {
-	framed := make([]byte, 12+len(data))
-	binary.BigEndian.PutUint32(framed[0:4], crc32.ChecksumIEEE(data))
-	binary.BigEndian.PutUint64(framed[4:12], uint64(len(data)))
-	copy(framed[12:], data)
-
-	tmp, err := os.CreateTemp(s.dir, "put-*")
-	if err != nil {
-		return fmt.Errorf("put %q: %w", slot, err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(framed); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("put %q: %w", slot, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("put %q: %w", slot, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("put %q: %w", slot, err)
-	}
-	if err := os.Rename(tmpName, s.slotFile(slot)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("put %q: %w", slot, err)
-	}
-	return nil
-}
-
-// PutAll implements Backend: each slot is written atomically as in Put,
-// but the whole batch shares one directory fsync — at bootstrap-checkpoint
-// scale that halves the sync count per slot.
-func (s *FileStore) PutAll(batch map[string][]byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for slot, data := range batch {
-		if err := s.putLocked(slot, data); err != nil {
-			return err
-		}
-	}
-	if len(batch) == 0 {
-		return nil
-	}
-	if err := s.syncDir(); err != nil {
-		return fmt.Errorf("put batch: %w", err)
-	}
-	return nil
-}
-
-// Sync implements Backend. Every Put/Delete is already durable when it
-// returns, so only the directory entry state needs (re)flushing.
-func (s *FileStore) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.syncDir()
-}
-
-// Close implements Backend. The store holds no open handles between
-// operations, so there is nothing to release; the store stays usable.
-func (s *FileStore) Close() error { return nil }
-
-// syncDir fsyncs the store directory, making renames and removals durable
-// against power loss (not just process crashes).
-func (s *FileStore) syncDir() error {
-	d, err := os.Open(s.dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// Get implements Store, verifying the integrity header. It takes the
-// store mutex: POSIX rename is atomic, but the store does not assume the
-// backing filesystem is (overlay and network filesystems have weaker
-// guarantees), so reads never observe a Put's rename mid-flight, and a
-// slot returned by List cannot vanish under a Get that follows it while
-// no Delete intervenes.
-func (s *FileStore) Get(slot string) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	framed, err := os.ReadFile(s.slotFile(slot))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %q", ErrNoSlot, slot)
-		}
-		return nil, fmt.Errorf("get %q: %w", slot, err)
-	}
-	if len(framed) < 12 {
-		return nil, fmt.Errorf("%w: %q: short header", ErrCorrupt, slot)
-	}
-	wantSum := binary.BigEndian.Uint32(framed[0:4])
-	wantLen := binary.BigEndian.Uint64(framed[4:12])
-	data := framed[12:]
-	if uint64(len(data)) != wantLen {
-		return nil, fmt.Errorf("%w: %q: length %d, header says %d", ErrCorrupt, slot, len(data), wantLen)
-	}
-	if crc32.ChecksumIEEE(data) != wantSum {
-		return nil, fmt.Errorf("%w: %q: checksum mismatch", ErrCorrupt, slot)
-	}
-	return data, nil
-}
-
-// Delete implements Store. The removal is fsynced into the directory so a
-// deleted slot cannot reappear after power loss.
-func (s *FileStore) Delete(slot string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := os.Remove(s.slotFile(slot))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("delete %q: %w", slot, err)
-	}
-	if err := s.syncDir(); err != nil {
-		return fmt.Errorf("delete %q: %w", slot, err)
-	}
-	return nil
-}
-
-// List implements Store, under the same mutex as Put/Delete (see Get).
-func (s *FileStore) List() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("list store: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, slotSuffix) {
-			continue
-		}
-		raw, err := hex.DecodeString(strings.TrimSuffix(name, slotSuffix))
-		if err != nil {
-			continue // foreign file; not ours
-		}
-		out = append(out, string(raw))
 	}
 	sort.Strings(out)
 	return out, nil

@@ -20,9 +20,7 @@ import (
 // Durability is amortized by group commit: concurrent writers stage
 // records into a shared batch while one of them — the leader — appends
 // the previous batch with a single write and a single fsync. Under K
-// concurrent writers the log pays ~1/K of an fsync per record, where the
-// file-per-slot FileStore pays a file fsync plus a directory fsync per
-// record under a global mutex.
+// concurrent writers the log pays ~1/K of an fsync per record.
 type WALStore struct {
 	dir string
 	opt WALOptions

@@ -446,32 +446,47 @@ func TestWALClosedOps(t *testing.T) {
 	}
 }
 
-// TestFileStoreSweepsOrphanTemps: put-* temp files left by a crash are
-// swept by NewFileStore and never listed as slots.
-func TestFileStoreSweepsOrphanTemps(t *testing.T) {
+// TestWALGetDetectsCorruption: a payload byte flipped in the active
+// segment behind an open store's back surfaces as ErrCorrupt on Get — the
+// CRC is re-verified on every read, not only at replay — and the damage is
+// confined to that slot.
+func TestWALGetDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := NewFileStore(dir)
+	w, err := NewWALStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Put("a", []byte("x")); err != nil {
-		t.Fatal(err)
+	defer w.Close()
+	for _, k := range []string{"before", "victim", "after"} {
+		if err := w.Put(k, []byte("payload of "+k)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	orphan := filepath.Join(dir, "put-1234567")
-	if err := os.WriteFile(orphan, []byte("crashed mid-put"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	re, err := NewFileStore(dir)
+	seg := lastSegment(t, dir)
+	raw, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Errorf("orphan temp survived NewFileStore: %v", err)
+	at := bytes.Index(raw, []byte("payload of victim"))
+	if at < 0 {
+		t.Fatal("victim payload not found in the active segment")
 	}
-	if got, err := re.Get("a"); err != nil || string(got) != "x" {
-		t.Errorf("Get(a) = %q, %v", got, err)
+	f, err := os.OpenFile(seg, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if slots, err := re.List(); err != nil || len(slots) != 1 {
-		t.Errorf("List = %v, %v", slots, err)
+	if _, err := f.WriteAt([]byte{raw[at] ^ 0xFF}, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Get("victim"); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Get of flipped slot: %v, want ErrCorrupt", err)
+	}
+	for _, k := range []string{"before", "after"} {
+		if got, err := w.Get(k); err != nil || string(got) != "payload of "+k {
+			t.Errorf("Get(%s) = %q, %v", k, got, err)
+		}
 	}
 }
