@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race verify-race fuzz-short bench-module bench-smoke bench-record bench-check bench-parallel bench-profile chaos-short chaos chaos-nightly
+.PHONY: verify fmt-check vet build test race verify-race race-core-cpu fuzz-short bench-module bench-smoke bench-record bench-check bench-parallel bench-profile chaos-short chaos chaos-nightly
 
 # Benchmarks tracked for regressions across PRs (see cmd/benchguard).
 # Each is run BENCH_COUNT times and benchguard keeps the fastest
@@ -46,11 +46,12 @@ BENCH_STREAM      = StreamedCall
 BENCH_STREAM_TIME = 2000x
 
 # verify is the tier-1 gate: formatting, static checks, build, tests
-# (including the race detector), a one-iteration benchmark smoke run, a
-# comparison of the tracked benchmarks against BENCH_PR.json (bench-check),
+# (including the race detector, and internal/core again across a -cpu
+# sweep), a one-iteration benchmark smoke run, a comparison of the
+# tracked benchmarks against BENCH_PR.json (bench-check),
 # a bounded fuzz of the frame reader, the benchmark module's own vet and
 # tests, and the bounded chaos sweep (chaos-short) behind the SLO gate.
-verify: fmt-check vet build test verify-race fuzz-short bench-module bench-smoke bench-check chaos-short
+verify: fmt-check vet build test verify-race race-core-cpu fuzz-short bench-module bench-smoke bench-check chaos-short
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -73,6 +74,13 @@ verify-race:
 	$(GO) test -race ./...
 
 race: verify-race
+
+# race-core-cpu repeats the core suite at one, two and four Ps. The
+# dispatch cache is lock-free on its read side, and a publish race there
+# was red at GOMAXPROCS >= 2 and green at 1 — so whichever the machine's
+# default is, the other side of that line runs too.
+race-core-cpu:
+	$(GO) test -race -cpu 1,2,4 ./internal/core
 
 # fuzz-short runs the wire frame reader against its whole-body reference
 # parser for a bounded time, seeded from the golden frame vectors.

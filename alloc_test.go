@@ -48,6 +48,20 @@ func TestWarmInvocationPathsAllocFree(t *testing.T) {
 		}
 	})
 
+	// Two callers alternating on one object never hit the one-entry L1:
+	// every call is a table hit that republishes the entry's reference.
+	pair, turn := [2]security.Principal{caller, experiments.Stranger()}, 0
+	alternate := func() {
+		turn++
+		if _, err := obj.Invoke(pair[turn%2], "work", arg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		alternate() // each caller's fill, then the hit that builds its reference
+	}
+	assertAllocFree(t, "alternating callers", alternate)
+
 	aclCaller := experiments.Stranger()
 	aclObj := experiments.ACLObject(1024, security.AllowObject(aclCaller.Object))
 	assertAllocFree(t, "warm ACL allow", func() {

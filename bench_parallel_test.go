@@ -134,10 +134,10 @@ func BenchmarkP_RemoteInvoke(b *testing.B) {
 
 // BenchmarkP_ContendedDispatch: P distinct callers hammering ONE object,
 // alternating between two methods so every call misses the monomorphic L1
-// and is served from the shared L2 — the composed caller × method entries.
-// Before the L2 moved behind an atomic table pointer this path serialized
-// every reader on the object's cache RWMutex; this tier pins the
-// contention profile of the lock-free read path.
+// and is served from the object's shared decision table. Before the table
+// moved behind an atomic pointer this path serialized every reader on the
+// object's cache RWMutex; this tier pins the contention profile of the
+// lock-free read path.
 func BenchmarkP_ContendedDispatch(b *testing.B) {
 	obj := experiments.BenchObject(4, 4)
 	arg := value.NewInt(1)

@@ -8,13 +8,14 @@ import (
 	"repro/internal/security"
 )
 
-// This file implements the level-0 invocation fast path: a per-object memo
-// of Lookup results (immutable method snapshots) and Match decisions,
-// validated against generation counters so any reflective mutation
-// invalidates the affected entries before it can be observed. The paper
-// concedes that "structural mutability bears some price on performance"
-// (§3); the caches below confine that price to the first call after a
-// mutation — repeat invocations by the same principal skip both the
+// This file implements the invocation fast path: per object, one published
+// table per structural generation holding the meta-invoke chain, the
+// policy and auditor in force, Lookup results (immutable method snapshots)
+// and Match decisions, validated against generation counters so any
+// reflective mutation invalidates the affected entries before it can be
+// observed. The paper concedes that "structural mutability bears some price
+// on performance" (§3); the table confines that price to the first call
+// after a mutation — repeat invocations by the same principal skip both the
 // container search and the ACL scan.
 //
 // Invalidation is per entry, not per object (documented for users in
@@ -22,10 +23,10 @@ import (
 // generation counter, and every cached entry records the counter pointer
 // plus the value it was filled against. An entry is valid while
 //
-//   - the object's structGen equals the value captured at fill time
-//     (structGen now advances only on dispatch-shape changes: meta-invoke
-//     level push/pop, atomic rollback, policy/auditor attachment, and
-//     manual cache flushes);
+//   - it sits in the table of the object's current structGen (structGen
+//     advances only on dispatch-shape changes: meta-invoke level push, pop
+//     or edit, atomic rollback, policy/auditor attachment, and manual
+//     cache flushes);
 //   - the source item's generation is unchanged (item generations advance
 //     on body/pre/post replacement, rename, visibility and ACL edits, and
 //     deletion — all the per-item mutations);
@@ -34,14 +35,16 @@ import (
 //
 // Adding a new item needs no invalidation at all: misses are never
 // memoized, and the duplicate check prevents an add from shadowing an
-// existing name. Bumps happen inside the object lock and fills read their
-// generations under that same lock, so a fill can never tag a stale
-// snapshot with a current generation: either the fill observed the
-// mutation, or its entry is dead on arrival. The guarantee that matters:
-// once a revoke (ACL edit, policy change, method deletion) returns, the
-// very next invocation re-evaluates Match from scratch — a cached allow is
-// never served after a revoke. What fine granularity adds: a mutation of
-// one item no longer evicts warm entries for its neighbors.
+// existing name. Bumps happen inside the object lock; a table is built, and
+// a fill reads its item's state and generation, under that same lock. So a
+// table always describes the shape its generation names, and a fill can
+// never tag a stale snapshot with a current generation: either the fill
+// observed the mutation, or its entry is dead on arrival. The guarantee
+// that matters: once a revoke (ACL edit, policy change, method deletion,
+// level pop) returns, the very next invocation re-evaluates Match from
+// scratch — a cached allow is never served after a revoke. What fine
+// granularity adds: a mutation of one item no longer evicts warm entries
+// for its neighbors.
 
 // methodSnap is an immutable snapshot of a method, taken under the object
 // lock. The Apply phase works from snapshots so a concurrent setMethod is
@@ -68,79 +71,6 @@ func snapshotMethod(m *Method) *methodSnap {
 		acl: m.acl, visible: m.visible, src: m.gen, srcGen: m.gen.Load()}
 }
 
-// levelsSnap is an immutable snapshot of the whole meta-invoke chain plus
-// the policy/auditor captured with it, published through Object.levelCache
-// so runLevel needs the object lock only on the first call after an edit.
-// Validity mirrors the other cache entries: the snapshot holds while
-// structGen still equals gen (level push/pop and policy changes bump it)
-// and the used level's methodSnap is fresh (editing a level method through
-// its getMethod handle bumps that method's own counter).
-type levelsSnap struct {
-	gen   uint64
-	snaps []*methodSnap // index k-1 holds level k
-	pol   *security.Policy
-	aud   *security.Auditor
-}
-
-// snapshotLevels fills and publishes the level cache. The store happens
-// under the object lock, where structGen is bumped, so a stale snapshot can
-// never overwrite a fresher one.
-func (o *Object) snapshotLevels() *levelsSnap {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	ls := &levelsSnap{
-		gen:   o.structGen.Load(),
-		snaps: make([]*methodSnap, len(o.invokeLevels)),
-		pol:   o.policy,
-		aud:   o.auditor,
-	}
-	for i, m := range o.invokeLevels {
-		ls.snaps[i] = snapshotMethod(m)
-	}
-	o.levelCache.Store(ls)
-	return ls
-}
-
-// currentLevels returns the published level-chain snapshot, refilling it
-// when the dispatch shape has changed since it was taken.
-func (o *Object) currentLevels() *levelsSnap {
-	if ls := o.levelCache.Load(); ls != nil && ls.gen == o.structGen.Load() {
-		return ls
-	}
-	return o.snapshotLevels()
-}
-
-// levelDecision returns the Match decision for caller invoking the level-k
-// meta-invoke, memoized in the match map under the level number (the whole
-// chain shares one method name, so the name alone cannot key it). Callers
-// have already short-circuited self access.
-func (o *Object) levelDecision(caller security.Principal, ls *levelsSnap, k int, meta *methodSnap) error {
-	key := matchKey{object: caller.Object, domain: caller.Domain,
-		action: security.ActionInvoke, item: meta.name, level: k}
-	c := &o.cache
-	var ent *matchEntry
-	if t := c.tables.Load(); t != nil && t.gen == ls.gen {
-		ent = t.decision(key)
-	}
-	if ent != nil && ent.fresh() &&
-		!(ent.polDep && ls.pol != nil && ls.pol.Generation() != ent.polGen) {
-		if ls.aud != nil {
-			ls.aud.Record(caller, security.ActionInvoke, meta.name, ent.allowed)
-		}
-		return ent.err
-	}
-	var polGen uint64
-	if ls.pol != nil {
-		polGen = ls.pol.Generation()
-	}
-	decision, polDep := o.matchDecide(caller, meta.acl, meta.visible, ls.pol, ls.aud,
-		security.ActionInvoke, meta.name)
-	c.store(ls.gen, ls.pol, ls.aud, "", nil, key,
-		&matchEntry{err: decision, allowed: decision == nil, polDep: polDep,
-			polGen: polGen, src: meta.src, srcGen: meta.srcGen})
-	return decision
-}
-
 // matchKey identifies one memoized Match decision: who asked to do what to
 // which item. level is 0 for ordinary items; a level-k meta-invoke decision
 // is keyed by its level so it can never collide with a stored method that
@@ -153,89 +83,88 @@ type matchKey struct {
 	level  int
 }
 
-// matchEntry is one memoized Match decision. err is the exact (immutable)
-// error a cold Match would produce, nil on allow. src/srcGen pin the
-// decision to the generation of the item it was computed against.
+// caller returns the principal the key was built for.
+func (k matchKey) caller() security.Principal {
+	return security.Principal{Object: k.object, Domain: k.domain}
+}
+
+// matchEntry is one memoized Match decision — the only entry type of the
+// cache. err is the exact (immutable) error a cold Match would produce, nil
+// on allow. src/srcGen pin the decision to the generation of the item it
+// was computed against. A level-0 invoke decision also carries the Lookup
+// result it was computed on, so a hit needs no second map. The struct stays
+// inside the 64-byte size class: every cold call allocates one.
 type matchEntry struct {
-	err     error
-	allowed bool
-	polDep  bool           // decision fell through to the policy default
-	polGen  uint64         // Policy.Generation the decision was computed against
-	src     *atomic.Uint64 // the item's generation counter
-	srcGen  uint64         // its value when the decision was computed
+	err    error
+	snap   *methodSnap    // level-0 invoke decisions only
+	src    *atomic.Uint64 // the item's generation counter
+	srcGen uint64         // its value when the decision was computed
+	polGen uint64         // Policy.Generation the decision was computed against
+	polDep bool           // decision fell through to the policy default
+	// ref is the entry's L1 reference, built on its first warm hit (never
+	// on the fill path, whose bytes local-mutate prices) and reused by
+	// every later one, so callers alternating on an object republish it
+	// without allocating.
+	ref atomic.Pointer[hotRef]
 }
 
 // fresh reports whether the decided-against item is unedited.
 func (e *matchEntry) fresh() bool { return e.src.Load() == e.srcGen }
 
-// Cache maps are reset wholesale when they outgrow these bounds, so caller
-// churn cannot grow an object's memory without bound.
+// valid reports whether the decision still holds under pol, the policy of
+// the table the entry sits in.
+func (e *matchEntry) valid(pol *security.Policy) bool {
+	return e.fresh() && (!e.polDep || pol == nil || pol.Generation() == e.polGen)
+}
+
+// hotRef is what the monomorphic L1 points at: the level-0 invoke decision
+// last served, with the caller it belongs to (the method name is the
+// snapshot's) and the table it sits in (generation, policy, auditor). The
+// repeat-caller hot path is an atomic load and a handful of comparisons —
+// no lock and no map hash.
+type hotRef struct {
+	t      *cacheTables
+	ent    *matchEntry
+	obj    naming.ID
+	domain string
+}
+
+// Cache maps stop admitting new keys at these bounds, so caller churn
+// cannot grow an object's memory without bound.
 const (
 	maxMethodEntries = 512
 	maxMatchEntries  = 4096
 )
 
-// hotEntry is the monomorphic L1 of the dispatch cache: the full outcome of
-// the last level-0 dispatch (snapshot + decision), published as one
-// immutable value so the repeat-caller hot path needs no lock and no map
-// hash — just an atomic load and a handful of comparisons. The snapshot's
-// own src/srcGen validate the entry against per-item edits.
-type hotEntry struct {
-	gen     uint64
-	name    string
-	obj     naming.ID
-	domain  string
-	snap    *methodSnap
-	err     error
-	allowed bool
-	polDep  bool
-	polGen  uint64
-	pol     *security.Policy
-	aud     *security.Auditor
-}
-
-// hotKey identifies one composed dispatch outcome: caller × method.
-type hotKey struct {
-	name   string
-	obj    naming.ID
-	domain string
-}
-
-// dispatchCache memoizes Lookup and Match for level-0 dispatch. One lives
-// inline in every Object; the zero value is an empty cache. hot is the
-// single-entry lock-free L1; the shared L2 is a cacheTables published
-// through an atomic pointer, so concurrent readers on different Ps never
+// dispatchCache memoizes Lookup and Match. One lives inline in every
+// Object; the zero value is an empty cache. hot is the single-entry
+// lock-free L1; tables is the current generation's table, published
+// through an atomic pointer so concurrent readers on different Ps never
 // serialize on a mutex word — under contention an RWMutex's reader count
-// is a single cache line every RLock bounces between cores, and the L2
-// sits on the path of every caller-alternating workload. fillMu guards
-// only table rotation (once per structural generation), never reads.
+// is a single cache line every RLock bounces between cores, and the table
+// sits on the path of every caller-alternating workload.
 type dispatchCache struct {
-	hot    atomic.Pointer[hotEntry]
+	hot    atomic.Pointer[hotRef]
 	tables atomic.Pointer[cacheTables]
-	fillMu sync.Mutex
 }
 
-// cacheTables is one structural generation's worth of memoized dispatch
-// state. The maps are sync.Maps — after the first fill for a key, reads
-// are lock-free and contention-free (sync.Map's read path is an atomic
-// load of an immutable read-only map). A generation bump abandons the
-// whole table: the next fill rotates in a fresh one and the old becomes
-// garbage, which is the wholesale invalidation the old design expressed
-// by resetting maps in place.
-//
-// hots holds composed hotEntry values per caller × method, so workloads
-// that alternate between methods republish the same immutable entry into
-// the L1 instead of allocating a fresh one on every switch.
+// cacheTables is one structural generation's worth of dispatch state: the
+// shape (meta-invoke chain, policy, auditor — changing any of them bumps
+// structGen) and what has been memoized against it. The maps are sync.Maps
+// — after the first fill for a key, reads are lock-free and contention-free
+// (sync.Map's read path is an atomic load of an immutable read-only map).
+// A generation bump abandons the whole table: the next reader builds a
+// fresh one and the old becomes garbage, which is the wholesale
+// invalidation.
 type cacheTables struct {
 	gen      uint64
-	pol      *security.Policy  // captured policy (changing it bumps structGen)
-	aud      *security.Auditor // captured auditor (changing it bumps structGen)
-	methods  sync.Map          // method name -> *methodSnap
-	match    sync.Map          // matchKey -> *matchEntry
-	hots     sync.Map          // hotKey -> *hotEntry
-	nmethods atomic.Int64      // approximate key counts backing the size bounds
+	levels   []*methodSnap // the meta-invoke chain: index k-1 holds level k
+	pol      *security.Policy
+	aud      *security.Auditor
+	methods  sync.Map     // method name -> *methodSnap
+	match    sync.Map     // matchKey -> *matchEntry
+	nmethods atomic.Int64 // approximate key counts backing the size bounds
 	nmatch   atomic.Int64
-	nhots    atomic.Int64
 }
 
 // method returns the cached Lookup snapshot for name, or nil.
@@ -254,6 +183,20 @@ func (t *cacheTables) decision(key matchKey) *matchEntry {
 	return nil
 }
 
+// served returns the memoized decision under key while it is still valid.
+// Audited objects record every decision served from the cache. Callers
+// have already short-circuited self access.
+func (t *cacheTables) served(key matchKey) (decision error, ok bool) {
+	ent := t.decision(key)
+	if ent == nil || !ent.valid(t.pol) {
+		return nil, false
+	}
+	if t.aud != nil {
+		t.aud.Record(key.caller(), key.action, key.item, ent.err == nil)
+	}
+	return ent.err, true
+}
+
 // boundedStore stores val under key, admitting a NEW key only while the
 // map holds fewer than limit keys (replacing a present key is always
 // allowed — that is how stale entries heal in place). The count is
@@ -270,38 +213,9 @@ func boundedStore(m *sync.Map, n *atomic.Int64, limit int64, key, val any) {
 	}
 }
 
-// tablesFor returns the table for the given structural generation,
-// rotating a fresh one in if the published table is older. A fill tagged
-// with a generation older than the published table is dropped (nil): its
-// entries would fail the use-time gen comparison anyway, and refusing
-// them means a racing stale fill can never evict fresh state.
-func (c *dispatchCache) tablesFor(gen uint64, pol *security.Policy, aud *security.Auditor) *cacheTables {
-	if t := c.tables.Load(); t != nil {
-		if t.gen == gen {
-			return t
-		}
-		if t.gen > gen {
-			return nil
-		}
-	}
-	c.fillMu.Lock()
-	defer c.fillMu.Unlock()
-	if t := c.tables.Load(); t != nil {
-		if t.gen == gen {
-			return t
-		}
-		if t.gen > gen {
-			return nil
-		}
-	}
-	t := &cacheTables{gen: gen, pol: pol, aud: aud}
-	c.tables.Store(t)
-	return t
-}
-
 // bumpStruct invalidates every dispatch-cache entry of the object. Called
 // (under o.mu) by mutations that change the dispatch shape wholesale:
-// level push/pop, atomic rollback, policy/auditor attachment. Per-item
+// level push/pop/edit, atomic rollback, policy/auditor attachment. Per-item
 // edits bump the item's own counter instead (see item.go).
 func (o *Object) bumpStruct() { o.structGen.Add(1) }
 
@@ -312,73 +226,106 @@ func (o *Object) FlushDispatchCache() {
 	o.structGen.Add(1)
 }
 
+// tableLocked returns the table of the current structural generation,
+// building and publishing it if the shape has moved. Callers hold o.mu,
+// where structGen is bumped: the table therefore describes exactly the
+// shape its generation names, and an older table can never be published
+// over a newer one.
+func (o *Object) tableLocked() *cacheTables {
+	gen := o.structGen.Load()
+	if t := o.cache.tables.Load(); t != nil && t.gen == gen {
+		return t
+	}
+	t := &cacheTables{gen: gen, pol: o.policy, aud: o.auditor,
+		levels: make([]*methodSnap, len(o.invokeLevels))}
+	for i, m := range o.invokeLevels {
+		t.levels[i] = snapshotMethod(m)
+	}
+	o.cache.tables.Store(t)
+	return t
+}
+
+// currentTable is tableLocked for callers outside the lock; it takes o.mu
+// only on the first call after a shape change.
+func (o *Object) currentTable() *cacheTables {
+	if t := o.cache.tables.Load(); t != nil && t.gen == o.structGen.Load() {
+		return t
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.tableLocked()
+}
+
+// snapLocked returns the published snapshot of method m, taking and
+// publishing one if there is none or m has been edited (or replaced under
+// its name) since. A caller new to the method thus reuses the snapshot a
+// warm neighbor is running on instead of replacing it. Callers hold o.mu,
+// so a fresh answer cannot go stale before they release it.
+func (t *cacheTables) snapLocked(m *Method) *methodSnap {
+	if s := t.method(m.name); s != nil && s.src == m.gen && s.fresh() {
+		return s
+	}
+	s := snapshotMethod(m)
+	boundedStore(&t.methods, &t.nmethods, maxMethodEntries, m.name, s)
+	return s
+}
+
+// decide runs Match for key against item state (acl, visible, src/srcGen)
+// that was read under o.mu together with t, and memoizes the outcome in t —
+// the one place a decision entry is built and stored. snap is the Lookup
+// result of a level-0 invoke decision, nil otherwise. A mutation racing the
+// fill leaves the entry dead on arrival: an item edit has moved src past
+// srcGen, a shape change has abandoned t, a policy flip has moved past the
+// generation read here before Match.
+func (o *Object) decide(t *cacheTables, key matchKey, acl security.ACL, visible bool,
+	src *atomic.Uint64, srcGen uint64, snap *methodSnap) error {
+	var polGen uint64
+	if t.pol != nil {
+		polGen = t.pol.Generation()
+	}
+	decision, polDep := o.matchDecide(key.caller(), acl, visible, t.pol, t.aud, key.action, key.item)
+	boundedStore(&t.match, &t.nmatch, maxMatchEntries, key,
+		&matchEntry{err: decision, snap: snap, src: src, srcGen: srcGen, polGen: polGen, polDep: polDep})
+	return decision
+}
+
 // fastLookup returns the cached method snapshot and Match decision for
 // caller invoking name at level 0. ok is false on any miss or staleness;
 // the caller then takes the slow path, which refills the cache. Audited
-// objects still record every decision served from the cache.
+// objects still record every decision served from the cache — except the
+// object's own, which Match never records either.
 func (o *Object) fastLookup(caller security.Principal, name string) (snap *methodSnap, decision error, ok bool) {
 	c := &o.cache
 	sg := o.structGen.Load()
-
 	// L1: the last dispatch, revalidated with plain comparisons.
-	if hot := c.hot.Load(); hot != nil &&
-		hot.gen == sg && hot.snap.fresh() &&
-		hot.name == name && hot.obj == caller.Object && hot.domain == caller.Domain &&
-		(!hot.polDep || hot.pol == nil || hot.pol.Generation() == hot.polGen) {
-		if hot.aud != nil {
-			hot.aud.Record(caller, security.ActionInvoke, name, hot.allowed)
+	r := c.hot.Load()
+	if r == nil || r.t.gen != sg || r.obj != caller.Object || r.ent.snap.name != name ||
+		r.domain != caller.Domain || !r.ent.valid(r.t.pol) {
+		t := c.tables.Load()
+		if t == nil || t.gen != sg {
+			return nil, nil, false
 		}
-		return hot.snap, hot.err, true
-	}
-
-	t := c.tables.Load()
-	if t == nil || t.gen != sg {
-		return nil, nil, false
-	}
-	self := caller.Object == o.id
-	hk := hotKey{name: name, obj: caller.Object, domain: caller.Domain}
-	// Composed entry for this caller × method: republish it to the L1
-	// unchanged — no allocation when a workload alternates methods.
-	if v, found := t.hots.Load(hk); found {
-		he := v.(*hotEntry)
-		if he.snap.fresh() &&
-			(!he.polDep || he.pol == nil || he.pol.Generation() == he.polGen) {
-			if he.aud != nil {
-				he.aud.Record(caller, security.ActionInvoke, name, he.allowed)
-			}
-			c.hot.Store(he)
-			return he.snap, he.err, true
-		}
-	}
-	snap = t.method(name)
-	if snap == nil || !snap.fresh() {
-		return nil, nil, false
-	}
-	pol, aud := t.pol, t.aud
-	var he *hotEntry
-	if self {
-		// Self-containment: an object always controls itself.
-		he = &hotEntry{gen: sg, name: name, obj: caller.Object, domain: caller.Domain,
-			snap: snap, allowed: true, pol: pol, aud: aud}
-	} else {
-		ent := t.decision(matchKey{object: caller.Object, domain: caller.Domain,
+		// The map is read directly: decision is past the inlining budget,
+		// and a second copy of the key costs this path 2-3 ns.
+		v, found := t.match.Load(matchKey{object: caller.Object, domain: caller.Domain,
 			action: security.ActionInvoke, item: name})
-		if ent == nil || !ent.fresh() {
+		if !found {
 			return nil, nil, false
 		}
-		if ent.polDep && pol != nil && pol.Generation() != ent.polGen {
+		ent := v.(*matchEntry)
+		if !ent.valid(t.pol) {
 			return nil, nil, false
 		}
-		he = &hotEntry{gen: sg, name: name, obj: caller.Object, domain: caller.Domain,
-			snap: snap, err: ent.err, allowed: ent.allowed, polDep: ent.polDep,
-			polGen: ent.polGen, pol: pol, aud: aud}
+		if r = ent.ref.Load(); r == nil {
+			r = &hotRef{t: t, ent: ent, obj: caller.Object, domain: caller.Domain}
+			ent.ref.Store(r)
+		}
+		c.hot.Store(r)
 	}
-	if aud != nil {
-		aud.Record(caller, security.ActionInvoke, name, he.allowed)
+	if aud := r.t.aud; aud != nil && caller.Object != o.id {
+		aud.Record(caller, security.ActionInvoke, name, r.ent.err == nil)
 	}
-	c.hot.Store(he)
-	boundedStore(&t.hots, &t.nhots, maxMatchEntries, hk, he)
-	return he.snap, he.err, true
+	return r.ent.snap, r.ent.err, true
 }
 
 // fastDecision returns the memoized Match decision for (caller, action,
@@ -388,57 +335,9 @@ func (o *Object) fastDecision(caller security.Principal, action security.Action,
 	if caller.Object == o.id {
 		return nil, true
 	}
-	c := &o.cache
-	sg := o.structGen.Load()
-	t := c.tables.Load()
-	if t == nil || t.gen != sg {
+	t := o.cache.tables.Load()
+	if t == nil || t.gen != o.structGen.Load() {
 		return nil, false
 	}
-	ent := t.decision(matchKey{object: caller.Object, domain: caller.Domain, action: action, item: item})
-	if ent == nil || !ent.fresh() {
-		return nil, false
-	}
-	if ent.polDep && t.pol != nil && t.pol.Generation() != ent.polGen {
-		return nil, false
-	}
-	if t.aud != nil {
-		t.aud.Record(caller, action, item, ent.allowed)
-	}
-	return ent.err, true
-}
-
-// publishedSnap returns the snapshot of method m already published under
-// name in the table of generation gen, or nil when there is none or m has
-// been edited (or replaced) since it was taken. Callers hold o.mu, so a
-// fresh answer cannot go stale before they release it.
-func (c *dispatchCache) publishedSnap(gen uint64, name string, m *Method) *methodSnap {
-	t := c.tables.Load()
-	if t == nil || t.gen != gen {
-		return nil
-	}
-	if s := t.method(name); s != nil && s.src == m.gen && s.fresh() {
-		return s
-	}
-	return nil
-}
-
-// store fills cache entries computed against the given structGen. A nil
-// snap stores only the match entry (data access); a nil ent stores only the
-// snapshot (self calls bypass Match). Fills tagged with a generation older
-// than the published table are dropped — their entries would fail the
-// use-time comparison anyway, and refusing them means a racing stale fill
-// cannot evict fresh state. A fill from a newer generation rotates in a
-// fresh table.
-func (c *dispatchCache) store(gen uint64, pol *security.Policy, aud *security.Auditor,
-	name string, snap *methodSnap, key matchKey, ent *matchEntry) {
-	t := c.tablesFor(gen, pol, aud)
-	if t == nil {
-		return
-	}
-	if snap != nil {
-		boundedStore(&t.methods, &t.nmethods, maxMethodEntries, name, snap)
-	}
-	if ent != nil {
-		boundedStore(&t.match, &t.nmatch, maxMatchEntries, key, ent)
-	}
+	return t.served(matchKey{object: caller.Object, domain: caller.Domain, action: action, item: item})
 }

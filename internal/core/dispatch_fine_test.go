@@ -28,7 +28,7 @@ func neighborObject(t *testing.T) *Object {
 	return b.MustBuild()
 }
 
-// cachedMethodSnap reads the L2 snapshot cached for name, if any.
+// cachedMethodSnap reads the snapshot the table holds for name, if any.
 func cachedMethodSnap(o *Object, name string) *methodSnap {
 	t := o.cache.tables.Load()
 	if t == nil || t.gen != o.structGen.Load() {
@@ -37,7 +37,7 @@ func cachedMethodSnap(o *Object, name string) *methodSnap {
 	return t.method(name)
 }
 
-// cachedMatchEntry reads the L2 Match decision cached under key, if any.
+// cachedMatchEntry reads the Match decision the table holds under key, if any.
 func cachedMatchEntry(o *Object, key matchKey) *matchEntry {
 	t := o.cache.tables.Load()
 	if t == nil || t.gen != o.structGen.Load() {
@@ -204,7 +204,7 @@ func TestDispatchCacheConcurrentNeighborEdit(t *testing.T) {
 }
 
 // TestDispatchCacheContendedRotation races many distinct callers over the
-// lock-free L2 read path while a mutator keeps rotating the table (cache
+// lock-free table read path while a mutator keeps rotating the table (cache
 // flush bumps structGen) and editing a method. Readers must always see
 // correct outcomes — never a stale body, a denied allow, or a torn table —
 // and the cache must still converge to a warm state after the storm.

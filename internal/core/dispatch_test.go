@@ -299,3 +299,32 @@ func TestDispatchCacheConcurrentPolicyMutation(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestSelfInvocationAuditIsTemperatureIndependent: self access is not
+// audited anywhere — not by Match, and not by a cache hit either, so the
+// trail of an object calling itself is the same cold and warm.
+func TestSelfInvocationAuditIsTemperatureIndependent(t *testing.T) {
+	aud := security.NewAuditor(64)
+	b := NewBuilder(gen, "SelfAudited", WithPolicy(allowAllPolicy()), WithAuditor(aud))
+	b.ExtData("n", value.NewInt(0))
+	b.ExtScriptMethod("work", `fn() { self.n = self.n + 1; return self.n; }`)
+	obj := b.MustBuild()
+	for call := 1; call <= 4; call++ {
+		if _, err := obj.InvokeSelf("work"); err != nil {
+			t.Fatal(err)
+		}
+		if got := aud.Events(); len(got) != 0 {
+			t.Fatalf("after %d self calls the auditor holds %d events, want 0: %v", call, len(got), got)
+		}
+	}
+	// A stranger's calls are recorded once each, cold and warm alike.
+	caller := callerFor("elsewhere")
+	for call := 1; call <= 4; call++ {
+		if _, err := obj.Invoke(caller, "work"); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(aud.Events()); got != call {
+			t.Fatalf("after %d stranger calls the auditor holds %d events, want %d", call, got, call)
+		}
+	}
+}

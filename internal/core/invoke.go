@@ -238,36 +238,31 @@ func (o *Object) runLevel(inv *Invocation, k int, name string, args []value.Valu
 	if k == 0 {
 		return o.dispatchBase(inv, name, args)
 	}
-	// The chain snapshot is served from the level cache while the chain,
-	// policy and the used level method are all unedited.
-	ls := o.currentLevels()
-	if k > len(ls.snaps) {
-		k = len(ls.snaps)
+	// The chain comes from the current generation's table, like the policy
+	// and auditor the decision below is made and recorded with; the chain
+	// may have shrunk since the caller read its depth.
+	t := o.currentTable()
+	if k > len(t.levels) {
+		k = len(t.levels)
 		if k == 0 {
 			return o.dispatchBase(inv, name, args)
 		}
 	}
-	meta := ls.snaps[k-1]
-	if !meta.fresh() {
-		// The level method was edited since the snapshot (through its
-		// getMethod handle); refill and re-bound k — the chain itself may
-		// have shrunk concurrently.
-		ls = o.snapshotLevels()
-		if k > len(ls.snaps) {
-			k = len(ls.snaps)
-			if k == 0 {
-				return o.dispatchBase(inv, name, args)
-			}
-		}
-		meta = ls.snaps[k-1]
-	}
+	meta := t.levels[k-1]
 
 	// The meta-invoke is itself a method: Match applies to it, with the
-	// original requester as the checked principal. Self-containment makes
-	// the object's own descent free.
+	// original requester as the checked principal, memoized under the level
+	// number (the whole chain shares one method name, so the name alone
+	// cannot key it). Self-containment makes the object's own descent free.
 	if inv.caller.Object != o.id {
-		if err := o.levelDecision(inv.caller, ls, k, meta); err != nil {
-			return value.Null, err
+		key := matchKey{object: inv.caller.Object, domain: inv.caller.Domain,
+			action: security.ActionInvoke, item: meta.name, level: k}
+		decision, ok := t.served(key)
+		if !ok {
+			decision = o.decide(t, key, meta.acl, meta.visible, meta.src, meta.srcGen, nil)
+		}
+		if decision != nil {
+			return value.Null, decision
 		}
 	}
 
@@ -303,43 +298,24 @@ func (o *Object) dispatchBase(inv *Invocation, name string, args []value.Value) 
 		return applyMethod(inv, snap, args)
 	}
 
-	// Phase 1: Lookup.
+	// Phase 1: Lookup. A caller new to this method misses only the decision:
+	// the snapshot another caller published is reused, not replaced, so a
+	// warm neighbor keeps the very entry it is running on.
 	o.mu.Lock()
 	m, ok := o.lookupMethod(name)
 	if !ok {
 		o.mu.Unlock()
 		return value.Null, fmt.Errorf("%w: method %q", ErrNotFound, name)
 	}
-	gen := o.structGen.Load()
-	// A caller new to this method misses only the Match cache: the
-	// snapshot another caller published is reused, not replaced, so a warm
-	// neighbor keeps the very entry it is running on.
-	snap := o.cache.publishedSnap(gen, name, m)
-	var fill *methodSnap // the snapshot to publish; nil when one already is
-	if snap == nil {
-		snap = snapshotMethod(m)
-		fill = snap
-	}
-	pol, aud := o.policy, o.auditor
+	t := o.tableLocked()
+	snap := t.snapLocked(m)
 	o.mu.Unlock()
 
-	// Phase 2: Match, memoizing the decision and snapshot under the
-	// generations the method state was read at.
-	var polGen uint64
-	if pol != nil {
-		polGen = pol.Generation()
-	}
-	decision, polDep := o.matchDecide(inv.caller, snap.acl, snap.visible, pol, aud, security.ActionInvoke, name)
-	var ent *matchEntry
+	// Phase 2: Match, memoized with the snapshot it was decided on.
 	key := matchKey{object: inv.caller.Object, domain: inv.caller.Domain,
 		action: security.ActionInvoke, item: name}
-	if inv.caller.Object != o.id {
-		ent = &matchEntry{err: decision, allowed: decision == nil, polDep: polDep, polGen: polGen,
-			src: snap.src, srcGen: snap.srcGen}
-	}
-	o.cache.store(gen, pol, aud, name, fill, key, ent)
-	if decision != nil {
-		return value.Null, decision
+	if err := o.decide(t, key, snap.acl, snap.visible, snap.src, snap.srcGen, snap); err != nil {
+		return value.Null, err
 	}
 
 	// Phase 3: Apply (reusing inv as the body invocation, as above).

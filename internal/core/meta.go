@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/naming"
 	"repro/internal/security"
@@ -470,6 +471,11 @@ func metaSetMethod(inv *Invocation, args []value.Value) (value.Value, error) {
 	}
 	if m.fixed {
 		return value.Null, fmt.Errorf("%w: method %q", ErrFixed, m.name)
+	}
+	if slices.Contains(o.invokeLevels, m) {
+		// Reached through its handle, a level method is part of the chain
+		// the decision table snapshots: editing it is a shape change.
+		o.bumpStruct()
 	}
 	return value.Null, o.applyMethodProps(m, props)
 }

@@ -62,19 +62,15 @@ type Object struct {
 	handles   map[string]any // handle token → *DataItem or *Method
 	handleSeq int
 
-	// structGen versions the object's dispatch shape for the dispatch
-	// cache (see dispatch.go); per-item edits bump the item's own counter
+	// structGen versions the object's dispatch shape — the meta-invoke
+	// chain, policy and auditor — and cache holds the table built for it
+	// (see dispatch.go); per-item edits bump the item's own counter
 	// instead. Both are bumped under mu. levelCount mirrors
 	// len(invokeLevels) so the invocation entry point reads the chain
 	// depth without taking mu.
 	structGen  atomic.Uint64
 	levelCount atomic.Int32
 	cache      dispatchCache
-
-	// levelCache is the published snapshot of the meta-invoke chain, so
-	// runLevel skips the lock and the per-call method snapshots while the
-	// chain is unedited (see dispatch.go).
-	levelCache atomic.Pointer[levelsSnap]
 }
 
 // ID returns the object's decentralized identity.
@@ -163,33 +159,33 @@ func (o *Object) lookupData(name string) (*DataItem, bool) {
 	return nil, false
 }
 
-// getData implements the ordinary `get` operation with its Match check.
-func (o *Object) getData(caller security.Principal, name string) (value.Value, error) {
-	// Fast path: a memoized Match decision leaves only the value read.
-	if decision, ok := o.fastDecision(caller, security.ActionGet, name); ok {
-		if decision != nil {
-			return value.Null, decision
-		}
-		return o.readData(name)
+// matchData is the Lookup and Match of `get` and `set`: the memoized
+// decision when there is one, else a cold Match against the item's state,
+// memoized for the next call.
+func (o *Object) matchData(caller security.Principal, action security.Action, name string) error {
+	if decision, ok := o.fastDecision(caller, action, name); ok {
+		return decision
 	}
-
 	o.mu.Lock()
 	d, ok := o.lookupData(name)
 	if !ok {
 		o.mu.Unlock()
-		return value.Null, fmt.Errorf("%w: data item %q", ErrNotFound, name)
+		return fmt.Errorf("%w: data item %q", ErrNotFound, name)
 	}
-	gen := o.structGen.Load()
-	src, srcGen := d.gen, d.gen.Load()
-	pol, aud := o.policy, o.auditor
-	visible, acl := d.visible, d.acl
+	t := o.tableLocked()
+	acl, visible, src, srcGen := d.acl, d.visible, d.gen, d.gen.Load()
 	o.mu.Unlock()
+	return o.decide(t, matchKey{object: caller.Object, domain: caller.Domain, action: action, item: name},
+		acl, visible, src, srcGen, nil)
+}
 
-	if err := o.matchAndMemo(caller, acl, visible, gen, src, srcGen, pol, aud, security.ActionGet, name); err != nil {
+// getData implements the ordinary `get` operation with its Match check.
+func (o *Object) getData(caller security.Principal, name string) (value.Value, error) {
+	if err := o.matchData(caller, security.ActionGet, name); err != nil {
 		return value.Null, err
 	}
-	// Re-read under lock; the item may have changed (not vanished: deletion
-	// would surface as ErrNotFound on the next access, which is fine).
+	// Re-read under lock; the item may have changed since it was matched
+	// (or vanished, which surfaces as ErrNotFound).
 	return o.readData(name)
 }
 
@@ -213,42 +209,16 @@ func (o *Object) readData(name string) (value.Value, error) {
 
 // setData implements the ordinary `set` operation with its Match check.
 func (o *Object) setData(caller security.Principal, name string, v value.Value) error {
-	// Fast path: a memoized Match decision leaves only the value write.
-	if decision, ok := o.fastDecision(caller, security.ActionSet, name); ok {
-		if decision != nil {
-			return decision
-		}
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		d, ok := o.lookupData(name)
-		if !ok {
-			return fmt.Errorf("%w: data item %q", ErrNotFound, name)
-		}
-		return d.setValue(v)
-	}
-
-	o.mu.Lock()
-	d, ok := o.lookupData(name)
-	if !ok {
-		o.mu.Unlock()
-		return fmt.Errorf("%w: data item %q", ErrNotFound, name)
-	}
-	gen := o.structGen.Load()
-	src, srcGen := d.gen, d.gen.Load()
-	pol, aud := o.policy, o.auditor
-	visible, acl := d.visible, d.acl
-	o.mu.Unlock()
-
-	if err := o.matchAndMemo(caller, acl, visible, gen, src, srcGen, pol, aud, security.ActionSet, name); err != nil {
+	if err := o.matchData(caller, security.ActionSet, name); err != nil {
 		return err
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	d2, ok := o.lookupData(name)
+	d, ok := o.lookupData(name)
 	if !ok {
 		return fmt.Errorf("%w: data item %q", ErrNotFound, name)
 	}
-	return d2.setValue(v)
+	return d.setValue(v)
 }
 
 // matchDecide is the Match phase shared by invocation and data access:
@@ -283,27 +253,6 @@ func (o *Object) matchDecide(caller security.Principal, acl security.ACL, visibl
 		aud.Record(caller, action, item, err == nil)
 	}
 	return err, viaPolicy
-}
-
-// matchAndMemo runs matchDecide and memoizes the outcome in the dispatch
-// cache under the generations the item state was read at (gen is the
-// structGen, src/srcGen the item's own counter). Self access is never
-// memoized (it is already a single comparison).
-func (o *Object) matchAndMemo(caller security.Principal, acl security.ACL, visible bool,
-	gen uint64, src *atomic.Uint64, srcGen uint64, pol *security.Policy, aud *security.Auditor,
-	action security.Action, item string) error {
-	var polGen uint64
-	if pol != nil {
-		polGen = pol.Generation()
-	}
-	decision, polDep := o.matchDecide(caller, acl, visible, pol, aud, action, item)
-	if caller.Object != o.id {
-		o.cache.store(gen, pol, aud, "", nil,
-			matchKey{object: caller.Object, domain: caller.Domain, action: action, item: item},
-			&matchEntry{err: decision, allowed: decision == nil, polDep: polDep, polGen: polGen,
-				src: src, srcGen: srcGen})
-	}
-	return decision
 }
 
 func actionNoun(a security.Action) string {

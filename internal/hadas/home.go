@@ -18,9 +18,9 @@ import (
 //     installs on different names proceed in parallel;
 //   - lookups are lock-free when the shard publishes a read snapshot
 //     (shards at or below homeSnapLimit entries republish on every write,
-//     in the spirit of the dispatch fast path's levelsSnap), and fall back
-//     to the shard's read lock above that, where the O(n) republish cost
-//     would dominate mutation;
+//     in the spirit of the dispatch fast path's published table), and fall
+//     back to the shard's read lock above that, where the O(n) republish
+//     cost would dominate mutation;
 //   - enumeration (APONames, PersistAll) walks the shards independently —
 //     it observes a per-shard-consistent view, which is all the old
 //     whole-map lock gave concurrent callers anyway.

@@ -154,16 +154,15 @@ func (r *Registry) Register(id ID, obj any) {
 	r.byID[id] = obj
 }
 
-// Deregister removes id and any human names bound to it.
+// Deregister removes id. It does not search the name bindings for ones
+// pointing at it — that walk made every departure cost the size of the
+// site: whoever bound a name owns it and Unbinds (or Rebinds) it. A name
+// left pointing at a deregistered id resolves to nothing: Lookup reports it
+// as ErrUnbound (stale binding).
 func (r *Registry) Deregister(id ID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.byID, id)
-	for name, bound := range r.byName {
-		if bound == id {
-			delete(r.byName, name)
-		}
-	}
 }
 
 // Bind gives id a human-readable name. Names are unique per site.

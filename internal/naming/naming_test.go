@@ -190,8 +190,17 @@ func TestRegistryBasics(t *testing.T) {
 	if _, err := r.LookupID(id); !errors.Is(err, ErrUnbound) {
 		t.Error("Deregister left object")
 	}
+	// The binding is its owner's to remove; until then it is stale, and a
+	// stale binding resolves to nothing.
 	if _, err := r.Lookup("p2"); !errors.Is(err, ErrUnbound) {
-		t.Error("Deregister left binding")
+		t.Errorf("Lookup through a stale binding: %v", err)
+	}
+	if got, err := r.Resolve("p2"); err != nil || got != id {
+		t.Errorf("Deregister removed a binding it does not own: %v, %v", got, err)
+	}
+	r.Unbind("p2")
+	if len(r.Names()) != 0 {
+		t.Errorf("Names after Unbind = %v", r.Names())
 	}
 }
 

@@ -340,7 +340,9 @@ type Event struct {
 }
 
 // Auditor records recent decisions in a bounded ring. The zero value is
-// unusable; construct with NewAuditor.
+// unusable; construct with NewAuditor. What an object does to itself is not
+// a decision (self-containment: there is nothing to match) and is never
+// recorded, whether the call is dispatched cold or served from a cache.
 type Auditor struct {
 	mu     sync.Mutex
 	ring   []Event
