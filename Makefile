@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race verify-race race-core-cpu fuzz-short bench-module bench-smoke bench-record bench-check bench-parallel bench-profile chaos-short chaos chaos-nightly
+.PHONY: verify fmt-check vet build test race verify-race race-core-cpu race-hadas-cpu fuzz-short bench-module bench-smoke bench-record bench-check bench-parallel bench-profile chaos-short chaos chaos-nightly
 
 # Benchmarks tracked for regressions across PRs (see cmd/benchguard).
 # Each is run BENCH_COUNT times and benchguard keeps the fastest
@@ -19,7 +19,7 @@ BENCH_WALL      = E14
 BENCH_WALL_TIME = 100x
 
 # The parallel tier (bench_parallel_test.go): P-swept RunParallel
-# throughput over the sharded Home container (DESIGN.md §11). Tracked in
+# throughput over the concurrent Home container (DESIGN.md §11). Tracked in
 # the same BENCH_PR.json snapshots as the scalar set, but at a shorter
 # benchtime (each op is µs-scale and runs P-wide) and under -short for the
 # routine record/check runs (skipping the 1e6-object tier); `make
@@ -46,12 +46,12 @@ BENCH_STREAM      = StreamedCall
 BENCH_STREAM_TIME = 2000x
 
 # verify is the tier-1 gate: formatting, static checks, build, tests
-# (including the race detector, and internal/core again across a -cpu
-# sweep), a one-iteration benchmark smoke run, a comparison of the
-# tracked benchmarks against BENCH_PR.json (bench-check),
+# (including the race detector, and internal/core and Home's concurrency
+# tests again across a -cpu sweep), a one-iteration benchmark smoke run, a
+# comparison of the tracked benchmarks against BENCH_PR.json (bench-check),
 # a bounded fuzz of the frame reader, the benchmark module's own vet and
 # tests, and the bounded chaos sweep (chaos-short) behind the SLO gate.
-verify: fmt-check vet build test verify-race race-core-cpu fuzz-short bench-module bench-smoke bench-check chaos-short
+verify: fmt-check vet build test verify-race race-core-cpu race-hadas-cpu fuzz-short bench-module bench-smoke bench-check chaos-short
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -81,6 +81,11 @@ race: verify-race
 # default is, the other side of that line runs too.
 race-core-cpu:
 	$(GO) test -race -cpu 1,2,4 ./internal/core
+
+# race-hadas-cpu does the same where Home's compare-and-swap loops live:
+# the container, admission and arrival tests of internal/hadas.
+race-hadas-cpu:
+	$(GO) test -race -cpu 1,2,4 -run 'Home|Contention|Concurrent|Arrival' ./internal/hadas
 
 # fuzz-short runs the wire frame reader against its whole-body reference
 # parser for a bounded time, seeded from the golden frame vectors.

@@ -3,8 +3,8 @@ package repro
 // The parallel benchmark tier (DESIGN.md §11): invocation throughput under
 // concurrency, swept over P goroutines and container population. Where
 // bench_test.go measures single-caller latency, these measure what the
-// Home sharding bought — many clients resolving and invoking at once must
-// not serialize behind one container lock.
+// lock-free Home container buys — many clients resolving and invoking at
+// once must not serialize behind one container lock.
 //
 // P is swept by setting GOMAXPROCS before b.RunParallel (RunParallel
 // spawns GOMAXPROCS workers). On a single-core machine the sweep measures
@@ -40,8 +40,8 @@ func pSweep() []int {
 }
 
 // populations is the resident-object sweep: 1e2, 1e4, and (full runs only)
-// 1e6. The 1e6 tier exercises the sharded container past its lock-free
-// snapshot limit, where reads take the shard RLock.
+// 1e6. Resolving a name costs more as the container deepens (DESIGN.md
+// §16 g); the sweep is where that shows.
 func populations(b *testing.B) []int {
 	if testing.Short() {
 		return []int{100, 10_000}
@@ -77,7 +77,7 @@ func BenchmarkP_LocalDispatch(b *testing.B) {
 				b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 					runAtP(b, p, func(pb *testing.PB) {
 						// Each worker walks the name space from its own
-						// offset so concurrent workers hit different shards.
+						// offset so concurrent workers hit different names.
 						i := int(next.Add(9973))
 						for pb.Next() {
 							obj, err := origin.ResolveObject(names[i%len(names)])
@@ -202,7 +202,7 @@ const churnPeriod = 128
 // BenchmarkP_MixedChurn: invocation traffic with migration churn riding on
 // it — every worker owns one agent it bounces between the sites every
 // churnPeriod invocations, so arrivals and departures mutate the Home
-// shards while the invoke path reads them.
+// container while the invoke path reads it.
 func BenchmarkP_MixedChurn(b *testing.B) {
 	for _, objs := range populations(b) {
 		b.Run(fmt.Sprintf("objs=%d", objs), func(b *testing.B) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mscript"
 	"repro/internal/naming"
 	"repro/internal/value"
 	"repro/internal/wire"
@@ -26,13 +25,6 @@ import (
 // "exactly one place" holds across crashes, retries and partitions.
 
 const verbDispatch = "hadas.dispatch"
-
-// testHookPreBind, when non-nil, runs between the registry Register and
-// Rebind of an arriving agent. Tests use the hook to observe resolution in
-// that window (the name must stay continuously resolvable — Rebind closed
-// the Unbind/Bind gap) and to force Rebind failures that exercise the
-// installation unwind.
-var testHookPreBind func(s *Site, name string)
 
 // onArrival is the method a dispatched agent is invoked with on arrival
 // (if it has one): onArrival(hopContext).
@@ -226,31 +218,13 @@ func (s *Site) handleDispatch(ctx context.Context, m map[string]value.Value) (va
 	if err != nil {
 		return value.Null, s.failArrival(arr, fmt.Errorf("arriving agent: %w", err))
 	}
-	agent, err := core.FromImage(img, s.behaviors,
-		core.HostPolicy(s.policy), core.HostAuditor(s.auditor),
-		core.HostResolver(s), core.HostBudget(mscript.DefaultBudget))
+	agent, err := s.materialize(img)
 	if err != nil {
 		return value.Null, s.failArrival(arr, fmt.Errorf("arriving agent: %w", err))
 	}
-	if s.cfg.Output != nil {
-		agent.SetOutput(s.cfg.Output)
-	}
-
-	if conflict := s.home.claim(name, agent); conflict {
-		return value.Null, s.failArrival(arr, fmt.Errorf("%w: agent name %q", core.ErrExists, name))
-	}
-	s.objects.Register(agent.ID(), agent)
-	if testHookPreBind != nil {
-		testHookPreBind(s, name)
-	}
-	// Rebind atomically replaces a stale binding from a previous visit —
-	// the name never passes through an unbound window where a concurrent
-	// resolve would miss it.
-	if err := s.objects.Rebind(name, agent.ID()); err != nil {
-		// Unwind the partial installation: the agent must not linger in
-		// Home or the registry when the dispatch reports failure.
-		s.home.remove(name, agent)
-		s.objects.Deregister(agent.ID())
+	// A refused admission is answered as an error: the origin sees a
+	// definite failure and reinstates its copy.
+	if err := s.admit(name, agent, true); err != nil {
 		return value.Null, s.failArrival(arr, err)
 	}
 	s.log("agent %s arrived from %s", name, fromSite)

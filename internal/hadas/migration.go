@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mscript"
 	"repro/internal/naming"
 	"repro/internal/persist"
 	"repro/internal/transport"
@@ -192,26 +191,42 @@ func (s *Site) InDoubtMigrations() []string {
 	return out
 }
 
-// pendingMigrations decodes every unresolved (prepared or in-doubt)
-// origin-journal record.
-func (s *Site) pendingMigrations() []*migrationRecord {
+// scanJournal decodes every journal record under a slot prefix. A slot
+// that cannot be read or decoded is handed to skipped and left out: one
+// damaged record must not keep the rest from being recovered.
+func scanJournal[T any](s *Site, prefix string, decode func([]byte) (T, error),
+	skipped func(slot string, err error)) ([]T, error) {
 	slots, err := s.journal.List()
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	var out []*migrationRecord
+	var out []T
 	for _, slot := range slots {
-		if !strings.HasPrefix(slot, migrationSlotPrefix) {
+		if !strings.HasPrefix(slot, prefix) {
 			continue
 		}
 		raw, err := s.journal.Get(slot)
 		if err != nil {
+			skipped(slot, err)
 			continue
 		}
-		rec, err := decodeMigrationRecord(raw)
+		rec, err := decode(raw)
 		if err != nil {
+			skipped(slot, err)
 			continue
 		}
+		out = append(out, rec)
+	}
+	return out, nil
+}
+
+// pendingMigrations decodes every unresolved (prepared or in-doubt)
+// origin-journal record. Damaged records are left to ResolveMigrations to
+// report; an unreadable journal lists nothing.
+func (s *Site) pendingMigrations() []*migrationRecord {
+	recs, _ := scanJournal(s, migrationSlotPrefix, decodeMigrationRecord, func(string, error) {})
+	out := recs[:0]
+	for _, rec := range recs {
 		if rec.State == migrationPrepared || rec.State == migrationInDoubt {
 			out = append(out, rec)
 		}
@@ -824,26 +839,11 @@ func (s *Site) handleMigrationStatus(ctx context.Context, m map[string]value.Val
 // re-run: it already ran (or was cut short by the crash) in the acked
 // incarnation. Returns the names reinstalled.
 func (s *Site) replayArrivals() ([]string, error) {
-	slots, err := s.journal.List()
+	recs, err := scanJournal(s, arrivalSlotPrefix, decodeArrival, func(slot string, err error) {
+		s.log("replay arrival %s: %v", slot, err)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("replay arrivals: %w", err)
-	}
-	var recs []*arrival
-	for _, slot := range slots {
-		if !strings.HasPrefix(slot, arrivalSlotPrefix) {
-			continue
-		}
-		raw, err := s.journal.Get(slot)
-		if err != nil {
-			s.log("replay arrival %s: %v", slot, err)
-			continue
-		}
-		a, err := decodeArrival(raw)
-		if err != nil {
-			s.log("replay arrival %s: %v", slot, err)
-			continue
-		}
-		recs = append(recs, a)
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
 
@@ -872,7 +872,7 @@ func (s *Site) replayArrivals() ([]string, error) {
 		if _, err := s.ResolveObject(a.name); err == nil {
 			continue // a live (or newer) incarnation is already installed
 		}
-		if err := s.installArrivedImage(a.name, a.image); err != nil {
+		if err := s.installImage(a.name, a.image); err != nil {
 			s.log("replay arrival %s (%s): %v", a.mid, a.name, err)
 			continue
 		}
@@ -882,22 +882,18 @@ func (s *Site) replayArrivals() ([]string, error) {
 	return restored, nil
 }
 
-// installArrivedImage materializes a journaled agent image into Home.
-func (s *Site) installArrivedImage(name string, image []byte) error {
+// installImage materializes a stored image — a journaled agent or a
+// checkpointed APO — into Home.
+func (s *Site) installImage(name string, image []byte) error {
 	img, err := wire.DecodeImage(image)
 	if err != nil {
 		return err
 	}
-	agent, err := core.FromImage(img, s.behaviors,
-		core.HostPolicy(s.policy), core.HostAuditor(s.auditor),
-		core.HostResolver(s), core.HostBudget(mscript.DefaultBudget))
+	obj, err := s.materialize(img)
 	if err != nil {
 		return err
 	}
-	if s.cfg.Output != nil {
-		agent.SetOutput(s.cfg.Output)
-	}
-	return s.AddAPO(name, agent)
+	return s.AddAPO(name, obj)
 }
 
 // ResolveMigrations drives every pending journal record to an outcome —
@@ -909,29 +905,18 @@ func (s *Site) installArrivedImage(name string, image []byte) error {
 // image. Destinations that cannot be reached leave their records in doubt.
 // Returns the names reinstated locally.
 func (s *Site) ResolveMigrations() ([]string, error) {
-	slots, err := s.journal.List()
+	recs, err := scanJournal(s, migrationSlotPrefix, decodeMigrationRecord, func(slot string, err error) {
+		s.log("resolve migration %s: %v", slot, err)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("resolve migrations: %w", err)
 	}
 	var reinstated []string
-	for _, slot := range slots {
-		if !strings.HasPrefix(slot, migrationSlotPrefix) {
-			continue
-		}
-		raw, err := s.journal.Get(slot)
-		if err != nil {
-			s.log("resolve migration %s: %v", slot, err)
-			continue
-		}
-		rec, err := decodeMigrationRecord(raw)
-		if err != nil {
-			s.log("resolve migration %s: %v", slot, err)
-			continue
-		}
+	for _, rec := range recs {
 		switch rec.State {
 		case migrationCommitted, migrationAborted:
 			// Crash landed between the outcome write and the prune.
-			if err := s.journal.Delete(slot); err != nil {
+			if err := s.journal.Delete(migrationSlot(rec.MID)); err != nil {
 				s.log("prune migration %s: %v", rec.MID, err)
 			}
 			continue
@@ -978,15 +963,10 @@ func (s *Site) ResolveMigrations() ([]string, error) {
 		// Never landed: reinstate from the journaled image, unless a live
 		// incarnation is already installed.
 		if _, err := s.ResolveObject(rec.Name); err != nil {
-			agent, err := core.FromImage(img, s.behaviors,
-				core.HostPolicy(s.policy), core.HostAuditor(s.auditor),
-				core.HostResolver(s), core.HostBudget(mscript.DefaultBudget))
+			agent, err := s.materialize(img)
 			if err != nil {
 				s.log("resolve migration %s: reinstate: %v", rec.MID, err)
 				continue
-			}
-			if s.cfg.Output != nil {
-				agent.SetOutput(s.cfg.Output)
 			}
 			s.reinstateAgent(rec.Name, agent, rec.WasAPO)
 			reinstated = append(reinstated, rec.Name)

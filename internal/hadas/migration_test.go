@@ -35,8 +35,25 @@ func newMigSiteCfg(t *testing.T, net *transport.InProcNet, cfg Config) *Site {
 	if err := s.ServeInProc(net); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
+	t.Cleanup(func() {
+		homeAgreesWithRegistry(t, s)
+		s.Close()
+	})
 	return s
+}
+
+// homeAgreesWithRegistry asserts the admission rule's invariant: every
+// Home member resolves to the same object through the container and
+// through the registry. Every site built by newMigSiteCfg is held to it
+// when its test ends (crashed-and-restarted incarnations included).
+func homeAgreesWithRegistry(t *testing.T, s *Site) {
+	t.Helper()
+	for _, name := range s.home.names() {
+		viaHome, _ := s.home.get(name)
+		if viaRegistry, err := s.objects.Lookup(name); err != nil || viaRegistry != any(viaHome) {
+			t.Errorf("site %s: Home gives %q to %v, the registry to %v (%v)", s.Name(), name, viaHome, viaRegistry, err)
+		}
+	}
 }
 
 // walStore opens the durable backend the crash tests restart over: a
@@ -642,55 +659,66 @@ func TestDispatchArrivalError(t *testing.T) {
 	}
 }
 
-// TestDispatchBindRollback forces a rebind failure during installation and
-// verifies the partial install is fully unwound: the agent must not linger
-// in Home or the object registry, the squatter's binding must survive
-// untouched, and the origin reinstates the agent. (A concurrent *binding*
-// no longer fails installation — Rebind replaces it atomically — so the
-// failure is injected one step later: the agent's registration vanishes
-// between Register and Rebind, as a racing eviction would make it.)
+// TestDispatchBindRollback verifies that an arrival that cannot be admitted
+// changes nothing at the destination: the agent must not linger in Home or
+// the object registry, whatever held the name keeps it, and the origin
+// reinstates the agent. Two ways to fail: a squatter holds the name in the
+// destination's registry, so the admission rule itself refuses (a bound
+// name is never taken from a live object of another identity); and the
+// agent's registration vanishes between Register and Rebind, as a racing
+// eviction would make it, so the half-made installation is unwound.
 func TestDispatchBindRollback(t *testing.T) {
-	net := transport.NewInProcNet()
-	a := newMigSite(t, net, "a", persist.NewMemStore())
-	b := newMigSite(t, net, "b", persist.NewMemStore())
-	link(t, a, "b")
+	for _, mode := range []string{"squatter", "registration-vanishes"} {
+		t.Run(mode, func(t *testing.T) {
+			squatted := mode == "squatter"
+			net := transport.NewInProcNet()
+			a := newMigSite(t, net, "a", persist.NewMemStore())
+			b := newMigSite(t, net, "b", persist.NewMemStore())
+			link(t, a, "b")
 
-	agent := inertAgent(t, a, "box")
-	squatter := b.NewAPOBuilder("Squatter").MustBuild()
-	b.objects.Register(squatter.ID(), squatter)
-	if err := b.objects.Bind("box", squatter.ID()); err != nil {
-		t.Fatal(err)
-	}
+			agent := inertAgent(t, a, "box")
+			squatter := b.NewAPOBuilder("Squatter").MustBuild()
+			if squatted {
+				b.objects.Register(squatter.ID(), squatter)
+				if err := b.objects.Bind("box", squatter.ID()); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				testHookPreBind = func(s *Site, name string) {
+					if s == b && name == "box" {
+						s.objects.Deregister(agent.ID())
+					}
+				}
+				defer func() { testHookPreBind = nil }()
+			}
 
-	testHookPreBind = func(s *Site, name string) {
-		if s == b && name == "box" {
-			s.objects.Deregister(agent.ID())
-		}
-	}
-	defer func() { testHookPreBind = nil }()
-
-	_, err := a.DispatchAgent("box", "b")
-	if err == nil {
-		t.Fatal("dispatch succeeded despite bind failure")
-	}
-	// Definite failure (the peer answered): the origin reinstates.
-	if _, err := a.ResolveObject("box"); err != nil {
-		t.Errorf("agent not reinstated at origin: %v", err)
-	}
-	// The destination unwound completely: not in Home, not in the registry;
-	// the name still resolves to the squatter.
-	if _, err := b.APO("box"); err == nil {
-		t.Error("partial install left the agent in Home")
-	}
-	if _, err := b.objects.LookupID(agent.ID()); err == nil {
-		t.Error("partial install left the agent in the object registry")
-	}
-	if obj, err := b.ResolveObject("box"); err != nil || obj.ID() != squatter.ID() {
-		t.Errorf("name binding = %v, %v; want squatter", obj, err)
-	}
-	if got := copies("box", a, b); got != 2 {
-		// a's reinstated agent + b's squatter under the same name.
-		t.Errorf("bindings under name = %d", got)
+			_, err := a.DispatchAgent("box", "b")
+			if err == nil {
+				t.Fatal("dispatch succeeded despite bind failure")
+			}
+			// Definite failure (the peer answered): the origin reinstates.
+			if _, err := a.ResolveObject("box"); err != nil {
+				t.Errorf("agent not reinstated at origin: %v", err)
+			}
+			// The destination is unchanged: not in Home, not in the registry;
+			// the name still resolves to the squatter, if there was one.
+			if _, err := b.APO("box"); err == nil {
+				t.Error("partial install left the agent in Home")
+			}
+			if _, err := b.objects.LookupID(agent.ID()); err == nil {
+				t.Error("partial install left the agent in the object registry")
+			}
+			want := 1 // a's reinstated agent
+			if squatted {
+				want = 2 // + b's squatter under the same name
+				if obj, err := b.ResolveObject("box"); err != nil || obj.ID() != squatter.ID() {
+					t.Errorf("name binding = %v, %v; want squatter", obj, err)
+				}
+			}
+			if got := copies("box", a, b); got != want {
+				t.Errorf("bindings under name = %d, want %d", got, want)
+			}
+		})
 	}
 }
 

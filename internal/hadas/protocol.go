@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/mscript"
 	"repro/internal/naming"
 	"repro/internal/security"
 	"repro/internal/transport"
@@ -165,9 +164,7 @@ func (s *Site) installPeer(name, domain, addr string, conn transport.Conn, ambBy
 		if err != nil {
 			return fmt.Errorf("peer IOO ambassador: %w", err)
 		}
-		amb, err = core.FromImage(img, s.behaviors,
-			core.HostPolicy(s.policy), core.HostAuditor(s.auditor),
-			core.HostResolver(s), core.HostBudget(mscript.DefaultBudget))
+		amb, err = s.materialize(img)
 		if err != nil {
 			return fmt.Errorf("peer IOO ambassador: %w", err)
 		}
@@ -175,6 +172,19 @@ func (s *Site) installPeer(name, domain, addr string, conn transport.Conn, ambBy
 
 	s.peerMu.Lock()
 	p, existed := s.peers[name]
+	if amb != nil {
+		// The mirror of admit: the Vicinity name is taken only from this
+		// peer's own previous IOO Ambassador, never from a Home member or
+		// any other live holder.
+		var own *core.Object
+		if existed {
+			own = p.ambassador
+		}
+		if cur := s.holder("ioo@" + name); cur != nil && cur != own {
+			s.peerMu.Unlock()
+			return fmt.Errorf("%w: name %q", core.ErrExists, "ioo@"+name)
+		}
+	}
 	if !existed {
 		p = &peer{name: name}
 		s.peers[name] = p
@@ -379,19 +389,21 @@ func (s *Site) Import(peerName, apoName string) (string, error) {
 	// Unpack: materialize under this host's policy and budget. The
 	// ambassador keeps its origin identity and domain (it is owned and
 	// maintained by its origin) but runs under host-imposed limits.
-	amb, err := core.FromImage(img, s.behaviors,
-		core.HostPolicy(s.policy), core.HostAuditor(s.auditor),
-		core.HostResolver(s), core.HostBudget(mscript.DefaultBudget))
+	amb, err := s.materialize(img)
 	if err != nil {
 		return "", fmt.Errorf("import %q: %w", apoName, err)
 	}
-	if s.cfg.Output != nil {
-		amb.SetOutput(s.cfg.Output)
-	}
 
+	// The mirror of admit: the local name is taken only from this
+	// importer's own previous Ambassador, never from a Home member or any
+	// other live holder.
 	localName := apoName + "@" + peerName
 	s.mu.Lock()
 	old := s.ambassadors[localName]
+	if cur := s.holder(localName); cur != nil && cur != old {
+		s.mu.Unlock()
+		return "", fmt.Errorf("import %q from %q: %w: name %q", apoName, peerName, core.ErrExists, localName)
+	}
 	s.ambassadors[localName] = amb
 	s.mu.Unlock()
 	s.objects.Register(amb.ID(), amb)

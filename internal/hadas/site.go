@@ -149,9 +149,10 @@ type Site struct {
 	// durability follows the store.
 	journal persist.Store
 
-	// home is the APO container, sharded so concurrent invocations,
-	// arrivals and departures on different names never serialize behind
-	// one lock (DESIGN.md §11).
+	// home is the APO container: one lock-free concurrent map, so
+	// invocations, arrivals and departures never serialize behind a lock
+	// (DESIGN.md §11). Names enter it through admit; reinstateAgent only
+	// puts back what a failed dispatch took out.
 	home homeContainer
 
 	// peerMu guards peers. Read-mostly: every remote invocation resolves
@@ -361,9 +362,9 @@ func (s *Site) SiteName() string { return s.cfg.Name }
 
 // ResolveObject implements core.Resolver: it resolves "ioo", APO names,
 // hosted ambassador names ("payroll@tokyo", "ioo@tokyo"), and raw IDs.
-// Home members resolve through the sharded container first — lock-free on
-// snapshot shards — so the remote-invoke path shares no lock with site
-// mutation.
+// Home members resolve through the container first — one lock-free load —
+// so the remote-invoke path shares no lock with site mutation; admit keeps
+// that answer the registry's own.
 func (s *Site) ResolveObject(name string) (*core.Object, error) {
 	if obj, ok := s.home.get(name); ok {
 		return obj, nil
@@ -392,8 +393,8 @@ func asObject(v any) (*core.Object, error) {
 
 // ---- Home management ----
 
-// host wires an object into this site (policy, auditor, resolver, output,
-// budget) and registers it.
+// host wires a caller-built object into this site (policy, auditor,
+// resolver, output).
 func (s *Site) host(obj *core.Object) {
 	obj.SetPolicy(s.policy)
 	obj.SetAuditor(s.auditor)
@@ -401,7 +402,74 @@ func (s *Site) host(obj *core.Object) {
 	if s.cfg.Output != nil {
 		obj.SetOutput(s.cfg.Output)
 	}
+}
+
+// materialize turns an image that arrived as data — over the wire or out
+// of the store — into an object hosted here: this site's policy, auditor,
+// resolver and output sink, and the host's budget on its script bodies.
+func (s *Site) materialize(img core.Image) (*core.Object, error) {
+	return core.FromImage(img, s.behaviors,
+		core.HostPolicy(s.policy), core.HostAuditor(s.auditor), core.HostResolver(s),
+		core.HostOutput(s.cfg.Output), core.HostBudget(mscript.DefaultBudget))
+}
+
+// holder returns the live object the registry gives name to; nil when the
+// name is unbound or its binding is stale (the id was deregistered).
+func (s *Site) holder(name string) *core.Object {
+	held, err := s.objects.Lookup(name)
+	if err != nil {
+		return nil
+	}
+	obj, _ := held.(*core.Object)
+	return obj
+}
+
+// testHookPreBind, when non-nil, runs between admit's registry Register and
+// Rebind. Tests use the hook to observe resolution in that window (the name
+// must stay continuously resolvable — Rebind closed the Unbind/Bind gap)
+// and to force Rebind failures that exercise the installation unwind.
+var testHookPreBind func(s *Site, name string)
+
+// admit is the way into Home, and the rule that keeps Home from
+// shadowing the registry (DESIGN.md §11): a name enters only when the
+// registry agrees it denotes this object. The registry is asked first — a
+// name it gives to a live object of another identity (the IOO, an
+// Ambassador, another APO, any bound squatter) is core.ErrExists — then the
+// container arbitrates between concurrent installers, then the registry is
+// pointed at the member. A refused admission changes neither table, and
+// one that fails half-way is unwound. arriving marks a materialized agent,
+// which may replace a previous incarnation of itself; anything else is a
+// caller-built object, wired to this host before it becomes reachable, and
+// any live holder refuses it.
+func (s *Site) admit(name string, obj *core.Object, arriving bool) error {
+	if cur := s.holder(name); cur != nil && !(arriving && cur.ID() == obj.ID()) {
+		return fmt.Errorf("%w: name %q", core.ErrExists, name)
+	}
+	if arriving {
+		if s.home.claim(name, obj) {
+			return fmt.Errorf("%w: agent name %q", core.ErrExists, name)
+		}
+	} else {
+		s.host(obj)
+		if !s.home.add(name, obj) {
+			return fmt.Errorf("%w: APO %q", core.ErrExists, name)
+		}
+	}
 	s.objects.Register(obj.ID(), obj)
+	if testHookPreBind != nil {
+		testHookPreBind(s, name)
+	}
+	// Rebind replaces a previous incarnation's (or a stale) binding
+	// atomically — the name never passes through an unbound window where a
+	// concurrent resolve would miss it.
+	if err := s.objects.Rebind(name, obj.ID()); err != nil {
+		// Unwind: the object must not linger in Home or the registry when
+		// the installation reports failure.
+		s.home.remove(name, obj)
+		s.objects.Deregister(obj.ID())
+		return err
+	}
+	return nil
 }
 
 // NewAPOBuilder starts construction of an APO homed at this site: the
@@ -426,14 +494,7 @@ func (s *Site) NewAPOBuilder(class string, extra ...core.BuildOption) *core.Buil
 // AddAPO installs an application object into Home under a name. The APO
 // becomes reachable to interop programs and, when exported, to peers.
 func (s *Site) AddAPO(name string, obj *core.Object) error {
-	if !s.home.add(name, obj) {
-		return fmt.Errorf("%w: APO %q", core.ErrExists, name)
-	}
-	s.host(obj)
-	if err := s.objects.Bind(name, obj.ID()); err != nil {
-		return err
-	}
-	return nil
+	return s.admit(name, obj, false)
 }
 
 // AddAPOs installs a batch of application objects. Installation stops at
@@ -706,11 +767,12 @@ func (s *Site) BootstrapAPO(name string, id naming.ID) error {
 	if s.cfg.Store == nil {
 		return fmt.Errorf("%w: site has no store", core.ErrNotFound)
 	}
-	obj, err := persist.LoadObject(s.cfg.Store, id.String(), s.behaviors,
-		core.HostPolicy(s.policy), core.HostAuditor(s.auditor),
-		core.HostResolver(s), core.HostBudget(mscript.DefaultBudget))
-	if err != nil {
-		return err
+	data, err := s.cfg.Store.Get(id.String())
+	if err == nil {
+		err = s.installImage(name, data)
 	}
-	return s.AddAPO(name, obj)
+	if err != nil {
+		return fmt.Errorf("bootstrap %q: %w", name, err)
+	}
+	return nil
 }
