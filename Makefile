@@ -49,8 +49,9 @@ BENCH_STREAM_TIME = 2000x
 # (including the race detector, and internal/core and Home's concurrency
 # tests again across a -cpu sweep), a one-iteration benchmark smoke run, a
 # comparison of the tracked benchmarks against BENCH_PR.json (bench-check),
-# a bounded fuzz of the frame reader, the benchmark module's own vet and
-# tests, and the bounded chaos sweep (chaos-short) behind the SLO gate.
+# a bounded fuzz of the frame reader and of MScript evaluation, the
+# benchmark module's own vet and tests, and the bounded chaos sweep
+# (chaos-short) behind the SLO gate.
 verify: fmt-check vet build test verify-race race-core-cpu race-hadas-cpu fuzz-short bench-module bench-smoke bench-check chaos-short
 
 fmt-check:
@@ -88,9 +89,13 @@ race-hadas-cpu:
 	$(GO) test -race -cpu 1,2,4 -run 'Home|Contention|Concurrent|Arrival' ./internal/hadas
 
 # fuzz-short runs the wire frame reader against its whole-body reference
-# parser for a bounded time, seeded from the golden frame vectors.
+# parser for a bounded time, seeded from the golden frame vectors, and then
+# MScript source through lex, parse, resolve and both evaluators (slot
+# frames against the map-per-scope reference), seeded from the package's
+# test programs.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzEval$$' -fuzztime=10s ./internal/mscript
 
 # bench-module vets and tests bench/, the repository benchmark: a module of
 # its own (BENCHMARK.json runs it) that `go build ./... && go test ./...`

@@ -9,6 +9,7 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/security"
 	"repro/internal/value"
@@ -77,4 +78,51 @@ func TestWarmInvocationPathsAllocFree(t *testing.T) {
 			t.Fatal("denied call succeeded")
 		}
 	})
+}
+
+// An interpreted body runs on slot frames and an operand stack the pooled
+// interpreter owns: scopes, loop turns, calls and builtin calls allocate
+// nothing, and a host binding is built only for a body that mentions it.
+func TestScriptBodyAllocations(t *testing.T) {
+	caller := experiments.Stranger()
+	warm := func(obj *core.Object, method string, arg value.Value) float64 {
+		t.Helper()
+		call := func() {
+			if _, err := obj.Invoke(caller, method, arg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The least of many single runs: under the race detector
+		// sync.Pool drops a quarter of what it is handed, and a run that
+		// has to rebuild the pooled interpreter is not the warm path.
+		least := testing.AllocsPerRun(1, call)
+		for i := 0; i < 50; i++ {
+			if n := testing.AllocsPerRun(1, call); n < least {
+				least = n
+			}
+		}
+		return least
+	}
+	script := func(src string) *core.Object {
+		b := core.NewBuilder(experiments.Gen, "ScriptAllocs", core.WithPolicy(experiments.OpenPolicy()))
+		b.FixedScriptMethod("work", src)
+		return b.MustBuild()
+	}
+	one := value.NewInt(1)
+
+	if n := warm(script(`fn(x) { return x; }`), "work", one); n > 5 {
+		t.Errorf("identity body: %v allocs/op, want <= 5", n)
+	}
+
+	few, fewKeys := experiments.CatalogObject(64, 4)
+	many, manyKeys := experiments.CatalogObject(64, 16)
+	if a, b := warm(few, "quote", fewKeys), warm(many, "quote", manyKeys); a != b || a > 15 {
+		t.Errorf("quote: %v allocs/op over 4 keys, %v over 16; want the same count, <= 15", a, b)
+	}
+
+	plain := warm(script(`fn(x) { let a = 0; let c = 0; return x; }`), "work", one)
+	bound := warm(script(`fn(x) { let a = args; let c = ctx; return x; }`), "work", one)
+	if plain >= bound {
+		t.Errorf("a body without args and ctx allocates %v, one with both %v; want fewer", plain, bound)
+	}
 }

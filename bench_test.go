@@ -173,6 +173,19 @@ func BenchmarkE3_MROMScriptMethod(b *testing.B) {
 	}
 }
 
+// The relay-script workload's body — an interpreted method with a loop —
+// invoked on a built object: 64 records, 16 keys per call.
+func BenchmarkE3_MROMScriptQuote(b *testing.B) {
+	obj, keys := experiments.CatalogObject(64, 16)
+	caller := experiments.Stranger()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := obj.Invoke(caller, "quote", keys); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ---- E4: fixed offset vs lookup ----
 
 func BenchmarkE4_GoStructField(b *testing.B) {

@@ -86,9 +86,10 @@ var _ Body = (*scriptBody)(nil)
 // scriptCache memoizes parsed, mobility-checked function literals by
 // source text. An agent image re-materializes its script methods at every
 // hop, and an itinerary replays the same few bodies over and over — the
-// cache turns re-landing into a lookup instead of a lex+parse. Sharing
-// the parsed literal is safe because a scriptBody already serves every
-// concurrent invocation from one *FnLit: the interpreter never mutates a
+// cache turns re-landing into a lookup instead of a lex+parse+resolve.
+// Sharing the parsed literal is safe because a scriptBody already serves
+// every concurrent invocation from one *FnLit: ParseFunction finishes
+// resolving it before returning and the interpreter never writes to a
 // parsed function. The cache is capacity-bounded and simply stops
 // admitting new entries at the cap (no eviction churn; a site's steady
 // working set of mobile bodies is small).
@@ -116,8 +117,7 @@ func NewScriptBody(src string) (Body, error) {
 	if err := mscript.CheckMobile(fn); err != nil {
 		return nil, fmt.Errorf("script body: %w", err)
 	}
-	c := &mscript.Closure{Fn: fn, Env: mscript.NewEnv()}
-	canon := c.Source()
+	canon := (&mscript.Closure{Fn: fn}).Source()
 	if scriptCacheSize.Load() < scriptCacheCap {
 		if _, loaded := scriptCache.LoadOrStore(src, &scriptCacheEntry{fn: fn, canon: canon}); !loaded {
 			scriptCacheSize.Add(1)
@@ -127,33 +127,40 @@ func NewScriptBody(src string) (Body, error) {
 }
 
 // BodyFromClosure converts an interpreter closure (e.g. a fn literal a
-// script passed to addMethod) into a script body, enforcing mobility.
+// script passed to addMethod) into a script body, enforcing mobility. The
+// literal was resolved inside the program that made it, so the body is
+// built from its source, exactly as it will be wherever it travels.
 func BodyFromClosure(c *mscript.Closure) (Body, error) {
-	if err := mscript.CheckMobile(c.Fn); err != nil {
-		return nil, err
-	}
-	return &scriptBody{fn: c.Fn, src: c.Source()}, nil
+	return NewScriptBody(c.Source())
 }
 
-func (b *scriptBody) Invoke(inv *Invocation, args []value.Value) (value.Value, error) {
-	interp := mscript.NewInterp(
-		mscript.WithBudget(inv.budget()),
-		mscript.WithOutput(inv.output()),
-	)
-	env := mscript.NewEnv()
-	// Host bindings: the standard scope re-created at every site.
-	env.Define("self", mscript.FromObject(inv.selfHandle()))
-	argVals := make([]value.Value, len(args))
-	copy(argVals, args)
-	env.Define("args", mscript.FromValue(value.NewList(argVals)))
-	env.Define("ctx", mscript.FromObject(inv.ctxHandle()))
+// interpPool recycles interpreters, and with them the stack a script's
+// frames and argument vectors live on.
+var interpPool = sync.Pool{New: func() any { return mscript.NewInterp() }}
 
-	callArgs := make([]mscript.Val, len(args))
-	for i, a := range args {
-		callArgs[i] = mscript.FromValue(a)
+func (b *scriptBody) Invoke(inv *Invocation, args []value.Value) (value.Value, error) {
+	interp := interpPool.Get().(*mscript.Interp)
+	interp.Reset(inv.budget(), inv.output())
+	// Host bindings: the standard scope re-created at every site, each
+	// built only for a body that mentions it.
+	env := mscript.NewEnv()
+	if b.fn.Mentions("self") {
+		env.Define("self", mscript.FromObject(inv.selfHandle()))
 	}
-	closure := &mscript.Closure{Fn: b.fn, Env: env}
-	out, err := interp.CallClosure(closure, callArgs)
+	if b.fn.Mentions("args") {
+		env.Define("args", mscript.FromValue(value.NewList(append([]value.Value(nil), args...))))
+	}
+	if b.fn.Mentions("ctx") {
+		env.Define("ctx", mscript.FromObject(inv.ctxHandle()))
+	}
+	var buf [4]mscript.Val
+	callArgs := buf[:0]
+	for _, a := range args {
+		callArgs = append(callArgs, mscript.FromValue(a))
+	}
+	out, err := interp.CallClosure(&mscript.Closure{Fn: b.fn, Env: env}, callArgs)
+	interp.Reset(mscript.Budget{}, nil) // drop the sink before pooling
+	interpPool.Put(interp)
 	if err != nil {
 		return value.Null, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/security"
@@ -527,4 +528,75 @@ func TestBehaviorRegistry(t *testing.T) {
 	if _, err := RebuildBody(BodyDescriptor{}, reg); !errors.Is(err, ErrUnknownBehavior) {
 		t.Errorf("rebuild zero descriptor: %v", err)
 	}
+}
+
+// A function literal is resolved inside the program that contains it; one
+// handed to addMethod is lifted out of that program. It must be rebuilt
+// from its source — here from two blocks deep inside a helper closure,
+// where its original frame depths mean nothing — and then behave like any
+// installed script method: for another caller, after an image round trip,
+// and from several goroutines sharing the one cached literal.
+func TestLiftedClosureBecomesMethod(t *testing.T) {
+	b := NewBuilder(gen, "Lifter", WithPolicy(allowAllPolicy()))
+	b.ExtData("n", value.NewInt(40))
+	b.FixedScriptMethod("install", `fn(name) {
+		let bias = 1000;
+		let helper = fn(flag) {
+			let local = bias;
+			if flag {
+				for i in 1 {
+					self.addMethod(name, fn(a) { return self.n + a; });
+				}
+			}
+			return local;
+		};
+		return helper(true);
+	}`)
+	obj := b.MustBuild()
+	if v, err := obj.InvokeSelf("install", value.NewString("m")); err != nil || v.String() != "1000" {
+		t.Fatalf("install = %v, %v", v, err)
+	}
+	check := func(o *Object, arg, want int64) {
+		t.Helper()
+		v, err := o.Invoke(stranger(), "m", value.NewInt(arg))
+		if got, _ := v.Int(); err != nil || got != want {
+			t.Errorf("m(%d) = %v, %v; want %d", arg, v, err, want)
+		}
+	}
+	check(obj, 2, 42)
+
+	img, err := obj.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := FromImage(img, nil, HostPolicy(allowAllPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(re, 5, 45)
+
+	// A literal that captures a variable of the program around it is not
+	// mobile, however deep it sits.
+	b.FixedScriptMethod("leak", `fn() { let k = 1; { self.addMethod("bad", fn() { return k; }); } }`)
+	if _, err := b.MustBuild().InvokeSelf("leak"); err == nil {
+		t.Error("a capturing literal was installed as a method")
+	}
+
+	// Both objects run m from the same cached *FnLit; so do these four.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(o *Object) {
+			defer wg.Done()
+			caller := stranger()
+			for i := int64(0); i < 200; i++ {
+				v, err := o.Invoke(caller, "m", value.NewInt(i))
+				if got, _ := v.Int(); err != nil || got != 40+i {
+					t.Errorf("concurrent m(%d) = %v, %v", i, v, err)
+					return
+				}
+			}
+		}([]*Object{obj, re}[g%2])
+	}
+	wg.Wait()
 }

@@ -91,10 +91,11 @@ func convertScriptArgs(args []mscript.Val) ([]value.Value, error) {
 
 func lowerScriptVal(a mscript.Val) (value.Value, error) {
 	if c, ok := a.Closure(); ok {
-		if err := mscript.CheckMobile(c.Fn); err != nil {
+		body, err := BodyFromClosure(c)
+		if err != nil {
 			return value.Null, err
 		}
-		return DescriptorToValue(BodyDescriptor{Kind: BodyScript, Source: c.Source()}), nil
+		return DescriptorToValue(body.Descriptor()), nil
 	}
 	if o, ok := a.Object(); ok {
 		return value.NewRef(o.HostName()), nil

@@ -71,6 +71,43 @@ func BenchObject(nFixed, nExt int) *core.Object {
 	return b.MustBuild()
 }
 
+// QuoteSrc is the relay-script workload's interpreted body (bench/): a
+// loop over the keys it is given, a builtin call and two index reads per
+// key, a map result.
+const QuoteSrc = `fn(keys) {
+	let recs = self.records;
+	let total = 0;
+	let n = 0;
+	for k in keys {
+		if has(recs, k) {
+			total = total + recs[k]["price"];
+			n = n + 1;
+		}
+	}
+	return {"total": total, "count": n};
+}`
+
+// CatalogObject builds that workload's APO — recs price records under
+// "sku-NN" and the quote method — and the list of its first nkeys keys.
+func CatalogObject(recs, nkeys int) (*core.Object, value.Value) {
+	records := make(map[string]value.Value, recs)
+	keys := make([]value.Value, 0, nkeys)
+	for k := 0; k < recs; k++ {
+		key := fmt.Sprintf("sku-%02d", k)
+		records[key] = value.NewMap(map[string]value.Value{
+			"price": value.NewInt(int64(k*7%997 + 1)),
+			"stock": value.NewInt(int64(k)),
+		})
+		if k < nkeys {
+			keys = append(keys, value.NewString(key))
+		}
+	}
+	b := core.NewBuilder(Gen, "Catalog", core.WithPolicy(OpenPolicy()))
+	b.FixedData("records", value.NewMap(records))
+	b.FixedScriptMethod("quote", QuoteSrc)
+	return b.MustBuild(), value.NewList(keys)
+}
+
 // AddInvokeLevels installs n pass-through meta-invoke levels.
 func AddInvokeLevels(obj *core.Object, n int) error {
 	for i := 0; i < n; i++ {

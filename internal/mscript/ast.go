@@ -12,10 +12,11 @@ type Node interface {
 	render(sb *strings.Builder, indent int)
 }
 
-// Expr is an expression node.
+// Expr is an expression node; pos is where a budget failure inside it is
+// reported.
 type Expr interface {
 	Node
-	exprNode()
+	pos() Pos
 }
 
 // Stmt is a statement node.
@@ -24,9 +25,11 @@ type Stmt interface {
 	stmtNode()
 }
 
-// Program is a parsed compilation unit: a sequence of statements.
+// Program is a parsed compilation unit: a sequence of statements, resolved
+// like the body of a parameterless outermost function.
 type Program struct {
 	Stmts []Stmt
+	fnInfo
 }
 
 // Source renders the program's canonical source text.
@@ -81,10 +84,12 @@ type BoolLit struct {
 // NullLit is the null literal.
 type NullLit struct{ Pos Pos }
 
-// Ident references a variable.
+// Ident references a variable. refs is where its binding may live,
+// innermost first (resolve.go); the first slot that is set wins.
 type Ident struct {
 	Name string
 	Pos  Pos
+	refs []slotRef
 }
 
 // ListLit is a list literal.
@@ -110,6 +115,7 @@ type FnLit struct {
 	Params []string
 	Body   *Block
 	Pos    Pos
+	fnInfo
 }
 
 // Unary applies "-" or "!" to an operand.
@@ -126,11 +132,13 @@ type Binary struct {
 	Pos  Pos
 }
 
-// Call invokes a callable expression.
+// Call invokes a callable expression. builtin is set when Fn is a bare
+// builtin name: it is what runs while no variable of that name is set.
 type Call struct {
-	Fn   Expr
-	Args []Expr
-	Pos  Pos
+	Fn      Expr
+	Args    []Expr
+	Pos     Pos
+	builtin BuiltinFunc
 }
 
 // Index reads x[i].
@@ -155,21 +163,21 @@ type MethodCall struct {
 	Pos  Pos
 }
 
-func (*IntLit) exprNode()     {}
-func (*FloatLit) exprNode()   {}
-func (*StringLit) exprNode()  {}
-func (*BoolLit) exprNode()    {}
-func (*NullLit) exprNode()    {}
-func (*Ident) exprNode()      {}
-func (*ListLit) exprNode()    {}
-func (*MapLit) exprNode()     {}
-func (*FnLit) exprNode()      {}
-func (*Unary) exprNode()      {}
-func (*Binary) exprNode()     {}
-func (*Call) exprNode()       {}
-func (*Index) exprNode()      {}
-func (*Field) exprNode()      {}
-func (*MethodCall) exprNode() {}
+func (e *IntLit) pos() Pos     { return e.Pos }
+func (e *FloatLit) pos() Pos   { return e.Pos }
+func (e *StringLit) pos() Pos  { return e.Pos }
+func (e *BoolLit) pos() Pos    { return e.Pos }
+func (e *NullLit) pos() Pos    { return e.Pos }
+func (e *Ident) pos() Pos      { return e.Pos }
+func (e *ListLit) pos() Pos    { return e.Pos }
+func (e *MapLit) pos() Pos     { return e.Pos }
+func (e *FnLit) pos() Pos      { return e.Pos }
+func (e *Unary) pos() Pos      { return e.Pos }
+func (e *Binary) pos() Pos     { return e.Pos }
+func (e *Call) pos() Pos       { return e.Pos }
+func (e *Index) pos() Pos      { return e.Pos }
+func (e *Field) pos() Pos      { return e.Pos }
+func (e *MethodCall) pos() Pos { return e.Pos }
 
 func (e *IntLit) render(sb *strings.Builder, _ int) {
 	sb.WriteString(strconv.FormatInt(e.Value, 10))
@@ -299,17 +307,23 @@ func (e *MethodCall) render(sb *strings.Builder, indent int) {
 
 // ---- Statements ----
 
-// Block is a braced statement list.
+// Block is a braced statement list. Its variables are slots of the
+// enclosing frame unless an inner function captures one (heap): then every
+// entry allocates a frame of nslots.
 type Block struct {
-	Stmts []Stmt
-	Pos   Pos
+	Stmts  []Stmt
+	Pos    Pos
+	heap   bool
+	nslots int
 }
 
-// Let declares and initializes a new variable in the current scope.
+// Let declares and initializes a new variable in the current scope: slot
+// of the current frame.
 type Let struct {
 	Name string
 	Expr Expr
 	Pos  Pos
+	slot int
 }
 
 // Assign writes to an existing variable, index, or field target.
@@ -352,6 +366,7 @@ type ForIn struct {
 	Iter Expr
 	Body *Block
 	Pos  Pos
+	slot int // of Var, which shares the body's scope
 }
 
 // Break exits the innermost loop.

@@ -65,6 +65,7 @@ func BenchmarkCallClosure(b *testing.B) {
 	args := []Val{FromValue(value.NewInt(1)), FromValue(value.NewInt(2))}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		in.Reset(DefaultBudget, nil) // one budget per call, as a host gives it
 		if _, err := in.CallClosure(c, args); err != nil {
 			b.Fatal(err)
 		}

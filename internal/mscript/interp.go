@@ -20,12 +20,19 @@ type Budget struct {
 var DefaultBudget = Budget{MaxSteps: 5_000_000, MaxDepth: 256}
 
 // Interp evaluates MScript programs and closures. An Interp is intended
-// for single-goroutine use; create one per method invocation.
+// for single-goroutine use, one method invocation at a time; Reset readies
+// it for the next.
 type Interp struct {
 	budget Budget
 	steps  int
 	depth  int
 	out    func(string) // print sink; nil discards
+	// stack holds the frames no closure captures and the argument vector
+	// of every call in flight; everything past its length is zero. A slice
+	// of it stays valid if the stack is regrown under it: the old array
+	// keeps the values and whoever holds the slice is the only user.
+	stack  []Val
+	frames []*frame // frames[d]: the stack frame of the activation at depth d
 }
 
 // Option configures an Interp.
@@ -50,6 +57,18 @@ func NewInterp(opts ...Option) *Interp {
 	return i
 }
 
+// maxIdleStack is the stack (in values) an interpreter keeps across Reset.
+const maxIdleStack = 4096
+
+// Reset readies a used interpreter for another run under budget b with
+// print sink out (nil discards), so that a host can pool interpreters.
+func (in *Interp) Reset(b Budget, out func(string)) {
+	in.budget, in.out, in.steps, in.depth = b, out, 0, 0
+	if cap(in.stack) > maxIdleStack {
+		in.stack, in.frames = nil, nil
+	}
+}
+
 // Steps reports how many evaluation steps the interpreter has consumed.
 func (in *Interp) Steps() int { return in.steps }
 
@@ -66,15 +85,65 @@ const (
 func (in *Interp) step(pos Pos) error {
 	in.steps++
 	if in.budget.MaxSteps > 0 && in.steps > in.budget.MaxSteps {
-		return fmt.Errorf("%w (steps > %d at %s)", ErrBudget, in.budget.MaxSteps, pos)
+		return in.exhausted(pos)
 	}
 	return nil
 }
 
-// Run evaluates a program in env. The value of a trailing `return` (or
-// Null) is returned.
+func (in *Interp) exhausted(pos Pos) error {
+	return fmt.Errorf("%w (steps > %d at %s)", ErrBudget, in.budget.MaxSteps, pos)
+}
+
+// push extends the stack by n zero values and returns them.
+func (in *Interp) push(n int) []Val {
+	base := len(in.stack)
+	if base+n > cap(in.stack) {
+		grown := make([]Val, base, 2*cap(in.stack)+n+16)
+		copy(grown, in.stack)
+		in.stack = grown
+	}
+	in.stack = in.stack[:base+n]
+	return in.stack[base : base+n : base+n]
+}
+
+// pop drops the stack back to base, zeroing what it gives up.
+func (in *Interp) pop(base int) {
+	clear(in.stack[base:])
+	in.stack = in.stack[:base]
+}
+
+// activate builds the frame of one activation of a function: parameters
+// from args (missing ones Null, extra ones ignored), then the names an
+// outermost function leaves free, from env.
+func (in *Interp) activate(fn *fnInfo, nparams int, args []Val, env *Env, up *frame) *frame {
+	var fr *frame
+	if fn.heap {
+		fr = newFrame(fn.nslots, up)
+	} else {
+		for len(in.frames) <= in.depth {
+			in.frames = append(in.frames, new(frame))
+		}
+		fr = in.frames[in.depth]
+		fr.slots, fr.up = in.push(fn.nslots), up
+	}
+	n := copy(fr.slots[:nparams], args)
+	clear(fr.slots[n:nparams])
+	for i, name := range fn.free {
+		v, ok := env.Lookup(name)
+		if !ok {
+			v = unset
+		}
+		fr.slots[fn.nslots-len(fn.free)+i] = v
+	}
+	return fr
+}
+
+// Run evaluates a program; names it leaves free are read from env. The
+// value of a trailing `return` (or Null) is returned.
 func (in *Interp) Run(p *Program, env *Env) (Val, error) {
-	v, c, err := in.execStmts(p.Stmts, env)
+	base := len(in.stack)
+	v, c, err := in.execStmts(p.Stmts, in.activate(&p.fnInfo, 0, nil, env, nil))
+	in.pop(base)
 	if err != nil {
 		return NullVal, err
 	}
@@ -85,26 +154,30 @@ func (in *Interp) Run(p *Program, env *Env) (Val, error) {
 }
 
 // CallClosure applies a closure to arguments. Missing arguments are Null;
-// extra arguments are bound to the trailing variadic-style name "args" if
-// declared, otherwise ignored.
+// extra arguments are ignored.
 func (in *Interp) CallClosure(c *Closure, args []Val) (Val, error) {
-	in.depth++
-	defer func() { in.depth-- }()
-	if in.budget.MaxDepth > 0 && in.depth > in.budget.MaxDepth {
+	base := len(in.stack)
+	v, err := in.call(c, args)
+	in.pop(base)
+	return v, err
+}
+
+func (in *Interp) call(c *Closure, args []Val) (Val, error) {
+	if c.up == nil && !c.Fn.root {
+		return NullVal, fmt.Errorf("%w: a function lifted out of its program must be re-parsed from its Source()", ErrRuntime)
+	}
+	if in.budget.MaxDepth > 0 && in.depth >= in.budget.MaxDepth {
 		return NullVal, fmt.Errorf("%w (depth > %d)", ErrBudget, in.budget.MaxDepth)
 	}
-	env := c.Env.Child()
-	for i, p := range c.Fn.Params {
-		if i < len(args) {
-			env.Define(p, args[i])
-		} else {
-			env.Define(p, NullVal)
-		}
-	}
-	v, ctl, err := in.execStmts(c.Fn.Body.Stmts, env)
+	in.depth++
+	base := len(in.stack)
+	fr := in.activate(&c.Fn.fnInfo, len(c.Fn.Params), args, c.Env, c.up)
+	v, ctl, err := in.execStmts(c.Fn.Body.Stmts, fr)
+	in.depth--
 	if err != nil {
-		return NullVal, err
+		return NullVal, err // whoever entered the interpreter pops what this leaves
 	}
+	in.pop(base)
 	if ctl == ctrlBreak || ctl == ctrlContinue {
 		return NullVal, fmt.Errorf("%w: break/continue outside loop", ErrRuntime)
 	}
@@ -114,9 +187,9 @@ func (in *Interp) CallClosure(c *Closure, args []Val) (Val, error) {
 	return NullVal, nil
 }
 
-func (in *Interp) execStmts(stmts []Stmt, env *Env) (Val, ctrl, error) {
+func (in *Interp) execStmts(stmts []Stmt, fr *frame) (Val, ctrl, error) {
 	for _, s := range stmts {
-		v, c, err := in.execStmt(s, env)
+		v, c, err := in.execStmt(s, fr)
 		if err != nil {
 			return NullVal, ctrlNone, err
 		}
@@ -127,34 +200,43 @@ func (in *Interp) execStmts(stmts []Stmt, env *Env) (Val, ctrl, error) {
 	return NullVal, ctrlNone, nil
 }
 
-func (in *Interp) execStmt(s Stmt, env *Env) (Val, ctrl, error) {
+// execBlock runs a block in its own scope: a fresh frame if a closure
+// captures its variables, otherwise slots of fr that nothing else uses.
+func (in *Interp) execBlock(b *Block, fr *frame) (Val, ctrl, error) {
+	if b.heap {
+		fr = newFrame(b.nslots, fr)
+	}
+	return in.execStmts(b.Stmts, fr)
+}
+
+func (in *Interp) execStmt(s Stmt, fr *frame) (Val, ctrl, error) {
 	switch st := s.(type) {
 	case *Let:
 		if err := in.step(st.Pos); err != nil {
 			return NullVal, ctrlNone, err
 		}
-		v, err := in.eval(st.Expr, env)
+		v, err := in.eval(st.Expr, fr)
 		if err != nil {
 			return NullVal, ctrlNone, err
 		}
-		env.Define(st.Name, v)
+		fr.slots[st.slot] = v
 		return NullVal, ctrlNone, nil
 
 	case *Assign:
 		if err := in.step(st.Pos); err != nil {
 			return NullVal, ctrlNone, err
 		}
-		v, err := in.eval(st.Expr, env)
+		v, err := in.eval(st.Expr, fr)
 		if err != nil {
 			return NullVal, ctrlNone, err
 		}
-		return NullVal, ctrlNone, in.assign(st.Target, v, env)
+		return NullVal, ctrlNone, in.assign(st.Target, v, fr)
 
 	case *ExprStmt:
 		if err := in.step(st.Pos); err != nil {
 			return NullVal, ctrlNone, err
 		}
-		_, err := in.eval(st.Expr, env)
+		_, err := in.eval(st.Expr, fr)
 		return NullVal, ctrlNone, err
 
 	case *Return:
@@ -164,7 +246,7 @@ func (in *Interp) execStmt(s Stmt, env *Env) (Val, ctrl, error) {
 		if st.Expr == nil {
 			return NullVal, ctrlReturn, nil
 		}
-		v, err := in.eval(st.Expr, env)
+		v, err := in.eval(st.Expr, fr)
 		if err != nil {
 			return NullVal, ctrlNone, err
 		}
@@ -174,20 +256,15 @@ func (in *Interp) execStmt(s Stmt, env *Env) (Val, ctrl, error) {
 		if err := in.step(st.Pos); err != nil {
 			return NullVal, ctrlNone, err
 		}
-		cond, err := in.eval(st.Cond, env)
+		cond, err := in.eval(st.Cond, fr)
 		if err != nil {
 			return NullVal, ctrlNone, err
 		}
 		if cond.Truthy() {
-			return in.execStmts(st.Then.Stmts, env.Child())
+			return in.execBlock(st.Then, fr)
 		}
 		if st.Else != nil {
-			switch e := st.Else.(type) {
-			case *Block:
-				return in.execStmts(e.Stmts, env.Child())
-			default:
-				return in.execStmt(st.Else, env)
-			}
+			return in.execStmt(st.Else, fr) // a block, or an else-if in this scope
 		}
 		return NullVal, ctrlNone, nil
 
@@ -196,14 +273,14 @@ func (in *Interp) execStmt(s Stmt, env *Env) (Val, ctrl, error) {
 			if err := in.step(st.Pos); err != nil {
 				return NullVal, ctrlNone, err
 			}
-			cond, err := in.eval(st.Cond, env)
+			cond, err := in.eval(st.Cond, fr)
 			if err != nil {
 				return NullVal, ctrlNone, err
 			}
 			if !cond.Truthy() {
 				return NullVal, ctrlNone, nil
 			}
-			v, c, err := in.execStmts(st.Body.Stmts, env.Child())
+			v, c, err := in.execBlock(st.Body, fr)
 			if err != nil {
 				return NullVal, ctrlNone, err
 			}
@@ -219,20 +296,23 @@ func (in *Interp) execStmt(s Stmt, env *Env) (Val, ctrl, error) {
 		if err := in.step(st.Pos); err != nil {
 			return NullVal, ctrlNone, err
 		}
-		iter, err := in.eval(st.Iter, env)
+		iter, err := in.eval(st.Iter, fr)
 		if err != nil {
 			return NullVal, ctrlNone, err
 		}
-		elems, err := iterate(iter)
+		it, err := iterate(iter)
 		if err != nil {
 			return NullVal, ctrlNone, fmt.Errorf("%s: %w", st.Pos, err)
 		}
-		for _, el := range elems {
+		for i := 0; i < it.n; i++ {
 			if err := in.step(st.Pos); err != nil {
 				return NullVal, ctrlNone, err
 			}
-			scope := env.Child()
-			scope.Define(st.Var, el)
+			scope := fr
+			if st.Body.heap {
+				scope = newFrame(st.Body.nslots, fr)
+			}
+			scope.slots[st.slot] = it.at(i)
 			v, c, err := in.execStmts(st.Body.Stmts, scope)
 			if err != nil {
 				return NullVal, ctrlNone, err
@@ -251,28 +331,46 @@ func (in *Interp) execStmt(s Stmt, env *Env) (Val, ctrl, error) {
 	case *Continue:
 		return NullVal, ctrlContinue, in.step(st.Pos)
 	case *Block:
-		return in.execStmts(st.Stmts, env.Child())
+		return in.execBlock(st, fr)
 	default:
 		return NullVal, ctrlNone, fmt.Errorf("%w: unknown statement %T", ErrRuntime, s)
 	}
 }
 
-// iterate expands an iterable into elements: list elements, map keys
-// (sorted for determinism), string bytes as 1-char strings, or 0..n-1
-// for an Int n.
-func iterate(v Val) ([]Val, error) {
+// iteration is what a for-in walks: list elements (copied when the loop
+// starts — the body may store into the list), map keys (sorted for
+// determinism), string bytes as 1-char strings, or 0..n-1 for an Int n.
+// Ranges and strings are counted, never built, so a loop costs the host
+// nothing the step budget has not seen.
+type iteration struct {
+	n     int
+	elems []value.Value // list
+	keys  []string      // map
+	str   string
+}
+
+func (it *iteration) at(i int) Val {
+	switch {
+	case it.elems != nil:
+		return FromValue(it.elems[i])
+	case it.keys != nil:
+		return FromValue(value.NewString(it.keys[i]))
+	case it.str != "":
+		return FromValue(value.NewString(it.str[i : i+1]))
+	default:
+		return FromValue(value.NewInt(int64(i)))
+	}
+}
+
+func iterate(v Val) (iteration, error) {
 	if !v.IsData() {
-		return nil, fmt.Errorf("%w: cannot iterate %s", ErrRuntime, v)
+		return iteration{}, fmt.Errorf("%w: cannot iterate %s", ErrRuntime, v)
 	}
 	d := v.data
 	switch d.Kind() {
 	case value.KindList:
 		l, _ := d.List()
-		out := make([]Val, len(l))
-		for i, e := range l {
-			out[i] = FromValue(e)
-		}
-		return out, nil
+		return iteration{n: len(l), elems: append(make([]value.Value, 0, len(l)), l...)}, nil
 	case value.KindMap:
 		m, _ := d.Map()
 		keys := make([]string, 0, len(m))
@@ -280,62 +378,52 @@ func iterate(v Val) ([]Val, error) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		out := make([]Val, len(keys))
-		for i, k := range keys {
-			out[i] = FromValue(value.NewString(k))
-		}
-		return out, nil
+		return iteration{n: len(keys), keys: keys}, nil
 	case value.KindString:
 		s, _ := d.Str()
-		out := make([]Val, len(s))
-		for i := 0; i < len(s); i++ {
-			out[i] = FromValue(value.NewString(string(s[i])))
-		}
-		return out, nil
+		return iteration{n: len(s), str: s}, nil
 	case value.KindInt:
 		n, _ := d.Int()
 		if n < 0 {
-			return nil, fmt.Errorf("%w: cannot iterate negative range %d", ErrRuntime, n)
+			return iteration{}, fmt.Errorf("%w: cannot iterate negative range %d", ErrRuntime, n)
 		}
 		const maxRange = 10_000_000
 		if n > maxRange {
-			return nil, fmt.Errorf("%w: range %d too large", ErrRuntime, n)
+			return iteration{}, fmt.Errorf("%w: range %d too large", ErrRuntime, n)
 		}
-		out := make([]Val, n)
-		for i := int64(0); i < n; i++ {
-			out[i] = FromValue(value.NewInt(i))
-		}
-		return out, nil
+		return iteration{n: int(n)}, nil
 	default:
-		return nil, fmt.Errorf("%w: cannot iterate %s", ErrRuntime, d.Kind())
+		return iteration{}, fmt.Errorf("%w: cannot iterate %s", ErrRuntime, d.Kind())
 	}
 }
 
-func (in *Interp) assign(target Expr, v Val, env *Env) error {
+func (in *Interp) assign(target Expr, v Val, fr *frame) error {
 	switch t := target.(type) {
 	case *Ident:
-		if !env.Set(t.Name, v) {
+		slot := fr.lookup(t.refs)
+		if slot == nil {
 			return fmt.Errorf("%w: %s: assignment to undeclared variable %q (use let)", ErrRuntime, t.Pos, t.Name)
 		}
+		*slot = v
 		return nil
 	case *Index:
-		container, err := in.eval(t.X, env)
+		container, err := in.eval(t.X, fr)
 		if err != nil {
 			return err
 		}
-		idx, err := in.eval(t.Idx, env)
+		idx, err := in.eval(t.Idx, fr)
 		if err != nil {
 			return err
 		}
 		return storeIndex(container, idx, v, t.Pos)
 	case *Field:
-		container, err := in.eval(t.X, env)
+		container, err := in.eval(t.X, fr)
 		if err != nil {
 			return err
 		}
 		if obj, ok := container.Object(); ok {
 			// Field write on a host object is sugar for set(name, value).
-			_, err := obj.Call("set", []Val{FromValue(value.NewString(t.Name)), v})
+			_, err := in.callHost(obj, "set", FromValue(value.NewString(t.Name)), v)
 			return err
 		}
 		return storeIndex(container, FromValue(value.NewString(t.Name)), v, t.Pos)
@@ -387,9 +475,10 @@ func storeIndex(container, idx, v Val, pos Pos) error {
 	}
 }
 
-func (in *Interp) eval(e Expr, env *Env) (Val, error) {
-	if err := in.step(exprPos(e)); err != nil {
-		return NullVal, err
+func (in *Interp) eval(e Expr, fr *frame) (Val, error) {
+	in.steps++ // step, inlined: e.pos() is a dynamic call only a failure needs
+	if in.budget.MaxSteps > 0 && in.steps > in.budget.MaxSteps {
+		return NullVal, in.exhausted(e.pos())
 	}
 	switch ex := e.(type) {
 	case *IntLit:
@@ -404,16 +493,15 @@ func (in *Interp) eval(e Expr, env *Env) (Val, error) {
 		return NullVal, nil
 
 	case *Ident:
-		v, ok := env.Lookup(ex.Name)
-		if !ok {
-			return NullVal, fmt.Errorf("%w: %s: undefined variable %q", ErrRuntime, ex.Pos, ex.Name)
+		if v := fr.lookup(ex.refs); v != nil {
+			return *v, nil
 		}
-		return v, nil
+		return NullVal, fmt.Errorf("%w: %s: undefined variable %q", ErrRuntime, ex.Pos, ex.Name)
 
 	case *ListLit:
 		elems := make([]value.Value, len(ex.Elems))
 		for i, el := range ex.Elems {
-			v, err := in.eval(el, env)
+			v, err := in.eval(el, fr)
 			if err != nil {
 				return NullVal, err
 			}
@@ -428,7 +516,7 @@ func (in *Interp) eval(e Expr, env *Env) (Val, error) {
 	case *MapLit:
 		m := make(map[string]value.Value, len(ex.Pairs))
 		for _, p := range ex.Pairs {
-			v, err := in.eval(p.Value, env)
+			v, err := in.eval(p.Value, fr)
 			if err != nil {
 				return NullVal, err
 			}
@@ -441,10 +529,10 @@ func (in *Interp) eval(e Expr, env *Env) (Val, error) {
 		return FromValue(value.NewMap(m)), nil
 
 	case *FnLit:
-		return FromClosure(&Closure{Fn: ex, Env: env}), nil
+		return FromClosure(&Closure{Fn: ex, up: fr}), nil
 
 	case *Unary:
-		x, err := in.eval(ex.X, env)
+		x, err := in.eval(ex.X, fr)
 		if err != nil {
 			return NullVal, err
 		}
@@ -466,94 +554,109 @@ func (in *Interp) eval(e Expr, env *Env) (Val, error) {
 		}
 
 	case *Binary:
-		return in.evalBinary(ex, env)
+		return in.evalBinary(ex, fr)
 
 	case *Call:
 		// Builtins are bare identifiers resolved only when no variable
 		// shadows them, so scripts can redefine `len` locally if they wish.
-		if id, ok := ex.Fn.(*Ident); ok {
-			if _, shadowed := env.Lookup(id.Name); !shadowed {
-				if fn, ok := builtins[id.Name]; ok {
-					args, err := in.evalArgs(ex.Args, env)
-					if err != nil {
-						return NullVal, err
-					}
-					return fn(in, args)
-				}
+		base := len(in.stack)
+		if ex.builtin != nil && fr.lookup(ex.Fn.(*Ident).refs) == nil {
+			args, err := in.evalArgs(ex.Args, fr)
+			if err != nil {
+				return NullVal, err
 			}
+			v, err := ex.builtin(in, args)
+			in.pop(base)
+			return v, err
 		}
-		fnv, err := in.eval(ex.Fn, env)
+		fnv, err := in.eval(ex.Fn, fr)
 		if err != nil {
 			return NullVal, err
 		}
-		args, err := in.evalArgs(ex.Args, env)
+		args, err := in.evalArgs(ex.Args, fr)
 		if err != nil {
 			return NullVal, err
 		}
-		return in.apply(fnv, args, ex.Pos)
+		v, err := in.apply(fnv, args, ex.Pos)
+		in.pop(base)
+		return v, err
 
 	case *Index:
-		x, err := in.eval(ex.X, env)
+		x, err := in.eval(ex.X, fr)
 		if err != nil {
 			return NullVal, err
 		}
-		idx, err := in.eval(ex.Idx, env)
+		idx, err := in.eval(ex.Idx, fr)
 		if err != nil {
 			return NullVal, err
 		}
 		return loadIndex(x, idx, ex.Pos)
 
 	case *Field:
-		x, err := in.eval(ex.X, env)
+		x, err := in.eval(ex.X, fr)
 		if err != nil {
 			return NullVal, err
 		}
 		if obj, ok := x.Object(); ok {
 			// Field read on a host object is sugar for get(name).
-			return obj.Call("get", []Val{FromValue(value.NewString(ex.Name))})
+			return in.callHost(obj, "get", FromValue(value.NewString(ex.Name)))
 		}
 		return loadIndex(x, FromValue(value.NewString(ex.Name)), ex.Pos)
 
 	case *MethodCall:
-		x, err := in.eval(ex.X, env)
+		x, err := in.eval(ex.X, fr)
 		if err != nil {
 			return NullVal, err
 		}
-		args, err := in.evalArgs(ex.Args, env)
+		base := len(in.stack)
+		args, err := in.evalArgs(ex.Args, fr)
 		if err != nil {
 			return NullVal, err
 		}
+		var v Val
 		if obj, ok := x.Object(); ok {
-			return obj.Call(ex.Name, args)
+			v, err = obj.Call(ex.Name, args)
+		} else if v, err = loadIndex(x, FromValue(value.NewString(ex.Name)), ex.Pos); err == nil {
+			v, err = in.apply(v, args, ex.Pos) // a function stored in a map entry
 		}
-		// Calling a function stored in a map entry.
-		member, err := loadIndex(x, FromValue(value.NewString(ex.Name)), ex.Pos)
-		if err != nil {
-			return NullVal, err
-		}
-		return in.apply(member, args, ex.Pos)
+		in.pop(base)
+		return v, err
 
 	default:
 		return NullVal, fmt.Errorf("%w: unknown expression %T", ErrRuntime, e)
 	}
 }
 
-func (in *Interp) evalArgs(exprs []Expr, env *Env) ([]Val, error) {
-	args := make([]Val, len(exprs))
+// evalArgs evaluates a call's arguments onto the stack; the caller pops
+// them when the call returns. Builtins and host objects must not keep the
+// slice they are handed.
+func (in *Interp) evalArgs(exprs []Expr, fr *frame) ([]Val, error) {
+	base := len(in.stack)
+	in.push(len(exprs))
 	for i, a := range exprs {
-		v, err := in.eval(a, env)
+		v, err := in.eval(a, fr)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = v
+		in.stack[base+i] = v
 	}
-	return args, nil
+	return in.stack[base : base+len(exprs)], nil
+}
+
+// callHost calls a host object's method with args handed over on the
+// stack: through the interface call a slice of the caller's would escape.
+func (in *Interp) callHost(obj HostObject, name string, args ...Val) (Val, error) {
+	base := len(in.stack)
+	copy(in.push(len(args)), args)
+	v, err := obj.Call(name, in.stack[base:])
+	in.pop(base)
+	return v, err
 }
 
 // apply calls a closure value.
 func (in *Interp) apply(fnv Val, args []Val, pos Pos) (Val, error) {
 	if c, ok := fnv.Closure(); ok {
-		return in.CallClosure(c, args)
+		return in.call(c, args)
 	}
 	return NullVal, fmt.Errorf("%w: %s: %s is not callable", ErrRuntime, pos, fnv)
 }
@@ -591,10 +694,10 @@ func loadIndex(x, idx Val, pos Pos) (Val, error) {
 	}
 }
 
-func (in *Interp) evalBinary(ex *Binary, env *Env) (Val, error) {
+func (in *Interp) evalBinary(ex *Binary, fr *frame) (Val, error) {
 	// Short-circuit logical operators.
 	if ex.Op == TokAnd || ex.Op == TokOr {
-		x, err := in.eval(ex.X, env)
+		x, err := in.eval(ex.X, fr)
 		if err != nil {
 			return NullVal, err
 		}
@@ -604,22 +707,26 @@ func (in *Interp) evalBinary(ex *Binary, env *Env) (Val, error) {
 		if ex.Op == TokOr && x.Truthy() {
 			return FromValue(value.True), nil
 		}
-		y, err := in.eval(ex.Y, env)
+		y, err := in.eval(ex.Y, fr)
 		if err != nil {
 			return NullVal, err
 		}
 		return FromValue(value.NewBool(y.Truthy())), nil
 	}
 
-	xv, err := in.eval(ex.X, env)
+	xv, err := in.eval(ex.X, fr)
 	if err != nil {
 		return NullVal, err
 	}
-	yv, err := in.eval(ex.Y, env)
+	yv, err := in.eval(ex.Y, fr)
 	if err != nil {
 		return NullVal, err
 	}
+	return binaryOp(ex, xv, yv)
+}
 
+// binaryOp applies a non-short-circuit operator to evaluated operands.
+func binaryOp(ex *Binary, xv, yv Val) (Val, error) {
 	// Equality works across all runtime values.
 	if ex.Op == TokEq || ex.Op == TokNe {
 		eq := valEqual(xv, yv)
@@ -690,42 +797,5 @@ func valEqual(a, b Val) bool {
 		return ao == bo
 	default:
 		return false
-	}
-}
-
-func exprPos(e Expr) Pos {
-	switch ex := e.(type) {
-	case *IntLit:
-		return ex.Pos
-	case *FloatLit:
-		return ex.Pos
-	case *StringLit:
-		return ex.Pos
-	case *BoolLit:
-		return ex.Pos
-	case *NullLit:
-		return ex.Pos
-	case *Ident:
-		return ex.Pos
-	case *ListLit:
-		return ex.Pos
-	case *MapLit:
-		return ex.Pos
-	case *FnLit:
-		return ex.Pos
-	case *Unary:
-		return ex.Pos
-	case *Binary:
-		return ex.Pos
-	case *Call:
-		return ex.Pos
-	case *Index:
-		return ex.Pos
-	case *Field:
-		return ex.Pos
-	case *MethodCall:
-		return ex.Pos
-	default:
-		return Pos{}
 	}
 }

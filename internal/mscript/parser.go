@@ -5,7 +5,8 @@ import (
 	"strconv"
 )
 
-// Parse parses an MScript program (a statement sequence).
+// Parse parses an MScript program (a statement sequence) and resolves its
+// names (resolve.go).
 func Parse(src string) (*Program, error) {
 	toks, err := lexAll(src)
 	if err != nil {
@@ -20,11 +21,13 @@ func Parse(src string) (*Program, error) {
 		}
 		stmts = append(stmts, s)
 	}
-	return &Program{Stmts: stmts}, nil
+	prog := &Program{Stmts: stmts}
+	resolveRoot(&prog.fnInfo, nil, stmts, p.fns > 0)
+	return prog, nil
 }
 
-// ParseFunction parses a single function literal, the unit in which mobile
-// method bodies travel. Trailing tokens are an error.
+// ParseFunction parses and resolves a single function literal, the unit in
+// which mobile method bodies travel. Trailing tokens are an error.
 func ParseFunction(src string) (*FnLit, error) {
 	toks, err := lexAll(src)
 	if err != nil {
@@ -48,6 +51,7 @@ func ParseFunction(src string) (*FnLit, error) {
 	if !ok {
 		return nil, p.errorf("source is not a function literal")
 	}
+	resolveRoot(&fn.fnInfo, fn.Params, fn.Body.Stmts, p.fns > 1)
 	return fn, nil
 }
 
@@ -61,6 +65,7 @@ type parser struct {
 	toks  []Token
 	pos   int
 	depth int
+	fns   int // function literals parsed
 }
 
 // enter guards one level of grammar recursion; callers defer the returned
@@ -532,6 +537,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 
 func (p *parser) parseFnLit() (Expr, error) {
 	pos := p.advance().Pos // fn
+	p.fns++
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}

@@ -95,10 +95,14 @@ func (v Val) String() string {
 	}
 }
 
-// Closure is a function literal together with its captured environment.
+// Closure is a function literal together with what it closes over: the
+// frame it was made in (up) when the interpreter made it, or — for an
+// outermost function a host or test wraps by hand — the Env its free names
+// are bound from.
 type Closure struct {
 	Fn  *FnLit
 	Env *Env
+	up  *frame
 }
 
 // Source renders the closure's canonical source text. This is the mobile
@@ -111,38 +115,78 @@ func (c *Closure) Source() string {
 	return sb.String()
 }
 
-// Env is a lexically-chained variable environment.
-type Env struct {
-	parent *Env
-	vars   map[string]Val
+// frame holds the variables of one function activation, or of one entry
+// of a block whose variables a closure captures; up is the frame lexically
+// around it.
+type frame struct {
+	slots []Val
+	up    *frame
 }
 
-// NewEnv returns a root environment.
-func NewEnv() *Env { return &Env{vars: make(map[string]Val)} }
+// unset marks a slot whose let has not run (or a root name the Env does
+// not define): reads and assignments fall through to the next binding out.
+var unset = Val{fn: new(Closure)}
 
-// Child returns a nested scope.
-func (e *Env) Child() *Env { return &Env{parent: e, vars: make(map[string]Val)} }
+func newFrame(n int, up *frame) *frame {
+	f := &frame{slots: make([]Val, n), up: up}
+	for i := range f.slots {
+		f.slots[i] = unset
+	}
+	return f
+}
 
-// Define creates name in this scope, shadowing outer scopes.
-func (e *Env) Define(name string, v Val) { e.vars[name] = v }
-
-// Lookup finds name in this scope chain.
-func (e *Env) Lookup(name string) (Val, bool) {
-	for s := e; s != nil; s = s.parent {
-		if v, ok := s.vars[name]; ok {
-			return v, true
+// lookup returns the first set slot among refs, nil if none is.
+func (f *frame) lookup(refs []slotRef) *Val {
+	for _, r := range refs {
+		t := f
+		for d := r.depth; d > 0; d-- {
+			t = t.up
 		}
+		if v := &t.slots[r.slot]; v.fn != unset.fn {
+			return v
+		}
+	}
+	return nil
+}
+
+// Env is the root table a caller supplies to Run or wraps in a Closure:
+// the names an outermost function leaves free (self, args, ctx, whatever a
+// test defines) are copied from it into the frame when an activation
+// starts. The interpreter never writes to it.
+type Env struct{ vars []envVar }
+
+type envVar struct {
+	name string
+	val  Val
+}
+
+// NewEnv returns an empty root table.
+func NewEnv() *Env { return &Env{} }
+
+// Define binds name, replacing an earlier binding.
+func (e *Env) Define(name string, v Val) {
+	if p := e.find(name); p != nil {
+		*p = v
+		return
+	}
+	e.vars = append(e.vars, envVar{name, v})
+}
+
+// Lookup finds name; a nil Env defines nothing.
+func (e *Env) Lookup(name string) (Val, bool) {
+	if p := e.find(name); p != nil {
+		return *p, true
 	}
 	return NullVal, false
 }
 
-// Set assigns to an existing name in the nearest defining scope.
-func (e *Env) Set(name string, v Val) bool {
-	for s := e; s != nil; s = s.parent {
-		if _, ok := s.vars[name]; ok {
-			s.vars[name] = v
-			return true
+func (e *Env) find(name string) *Val {
+	if e != nil {
+		for i := range e.vars {
+			if e.vars[i].name == name {
+				return &e.vars[i].val
+			}
 		}
 	}
-	return false
+	return nil
 }
