@@ -92,10 +92,14 @@ race-hadas-cpu:
 # parser for a bounded time, seeded from the golden frame vectors, and then
 # MScript source through lex, parse, resolve and both evaluators (slot
 # frames against the map-per-scope reference), seeded from the package's
-# test programs.
+# test programs, and then arbitrary bytes as a WAL's active segment against
+# a whole-buffer reference replay, seeded from a log that ends in a group
+# (an exec there costs a few fsyncs, so minimizing a find is capped —
+# uncapped it takes the whole ten seconds).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzEval$$' -fuzztime=10s ./internal/mscript
+	$(GO) test -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=10s -fuzzminimizetime=10x ./internal/persist
 
 # bench-module vets and tests bench/, the repository benchmark: a module of
 # its own (BENCHMARK.json runs it) that `go build ./... && go test ./...`

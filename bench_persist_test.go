@@ -7,10 +7,13 @@ package repro
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/hadas"
 	"repro/internal/persist"
+	"repro/internal/transport"
 )
 
 // BenchmarkWALPut drives 8 concurrent writers of distinct 256-byte slots
@@ -93,4 +96,87 @@ func BenchmarkE15_BootstrapRecovery(b *testing.B) {
 			}
 		})
 	}
+}
+
+// barrierCounter counts the durability barriers a site asks of its store.
+type barrierCounter struct {
+	*persist.WALStore
+	n *atomic.Int64
+}
+
+func (c barrierCounter) Put(slot string, data []byte) error {
+	c.n.Add(1)
+	return c.WALStore.Put(slot, data)
+}
+func (c barrierCounter) PutAll(batch map[string][]byte) error {
+	c.n.Add(1)
+	return c.WALStore.PutAll(batch)
+}
+func (c barrierCounter) Delete(slot string) error {
+	c.n.Add(1)
+	return c.WALStore.Delete(slot)
+}
+func (c barrierCounter) Sync() error {
+	c.n.Add(1)
+	return c.WALStore.Sync()
+}
+
+// BenchmarkDurableAgentRoundTrip is E11's journey — out, and onArrival
+// bounces the agent home — between two WAL-backed sites: the journaled
+// hand-off with its fsyncs (DESIGN.md §9). Beside ns/op it reports the
+// barriers per round trip, which the protocol fixes at eight, and the log
+// bytes those barriers made durable. Not in BENCH_TRACKED: at a
+// millisecond per op the tracked benchtime would take minutes.
+func BenchmarkDurableAgentRoundTrip(b *testing.B) {
+	net := transport.NewInProcNet()
+	var barriers atomic.Int64
+	var wals []*persist.WALStore
+	mk := func(name string) *hadas.Site {
+		wal, err := persist.OpenWALStore(filepath.Join(b.TempDir(), name), persist.WALOptions{DisableAutoCompact: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		wals = append(wals, wal)
+		s, err := hadas.NewSite(hadas.Config{
+			Name:  name,
+			Dial:  func(addr string) (transport.Conn, error) { return net.Dial(addr) },
+			Store: barrierCounter{wal, &barriers},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.ServeInProc(net); err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { s.Close(); wal.Close() })
+		return s
+	}
+	host, _ := mk("bench-host"), mk("bench-origin")
+	if _, err := host.Link("bench-origin"); err != nil {
+		b.Fatal(err)
+	}
+	builder := host.NewAPOBuilder("Bouncer")
+	builder.FixedScriptMethod("onArrival", `fn(hop) {
+		if hop["hostSite"] == "bench-host" { return "home"; }
+		return ctx.lookup("ioo").dispatchAgent(hop["agent"], "bench-host");
+	}`)
+	if err := host.AddAPO("bouncer", builder.MustBuild()); err != nil {
+		b.Fatal(err)
+	}
+	logBytes := func() (n int64) {
+		for _, w := range wals {
+			n += w.Stats().TotalBytes
+		}
+		return n
+	}
+	b.ResetTimer()
+	barriers.Store(0)
+	bytesBefore := logBytes()
+	for i := 0; i < b.N; i++ {
+		if v, err := host.DispatchAgent("bouncer", "bench-origin"); err != nil || v.String() != "home" {
+			b.Fatalf("journey = %v, %v", v, err)
+		}
+	}
+	b.ReportMetric(float64(barriers.Load())/float64(b.N), "barriers/op")
+	b.ReportMetric(float64(logBytes()-bytesBefore)/float64(b.N), "fsync-bytes/op")
 }

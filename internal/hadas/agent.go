@@ -96,12 +96,12 @@ func (s *Site) DispatchAgent(name, peerName string) (value.Value, error) {
 		State:  migrationPrepared,
 		WasAPO: wasAPO,
 		Image:  wire.EncodeImage(img),
+		Seq:    s.arrivalSeq(),
 		Born:   time.Now().UnixNano(),
 	}
 	if err := s.putMigration(rec); err != nil {
 		return value.Null, fmt.Errorf("dispatch %q: journal: %w", name, err)
 	}
-	seqBefore := s.arrivalSeq() // watermark: arrivals after this are younger
 
 	// The agent leaves when it is shipped: retire it *before* the call.
 	// The journey is synchronous and may legally end back at this site
@@ -119,7 +119,7 @@ func (s *Site) DispatchAgent(name, peerName string) (value.Value, error) {
 		if definiteDispatchFailure(err) {
 			// The agent never left; restore it.
 			s.reinstateAgent(name, obj, wasAPO)
-			s.finishMigration(rec, migrationAborted)
+			s.abortMigration(rec)
 			return value.Null, fmt.Errorf("dispatch %q to %q: %w", name, peerName, err)
 		}
 		// Ambiguous: the peer may have installed the agent and only the
@@ -136,17 +136,17 @@ func (s *Site) DispatchAgent(name, peerName string) (value.Value, error) {
 		}
 		if !st.Landed {
 			s.reinstateAgent(name, obj, wasAPO)
-			s.finishMigration(rec, migrationAborted)
+			s.abortMigration(rec)
 			return value.Null, fmt.Errorf("dispatch %q to %q: %w", name, peerName, err)
 		}
-		s.commitMigration(rec, obj.ID(), seqBefore)
+		s.commitMigration(rec, obj.ID())
 		s.log("dispatched agent %s to %s (migration %s, resolved from in-doubt)", name, peerName, mid)
 		if st.ArrivalError != "" {
 			return value.Null, fmt.Errorf("dispatch %q to %q: %s", name, peerName, st.ArrivalError)
 		}
 		return st.Result, nil
 	}
-	s.commitMigration(rec, obj.ID(), seqBefore)
+	s.commitMigration(rec, obj.ID())
 	s.log("dispatched agent %s to %s (migration %s)", name, peerName, mid)
 	m, ok := resp.Map()
 	if !ok {

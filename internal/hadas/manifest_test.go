@@ -2,6 +2,9 @@ package hadas
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -190,5 +193,77 @@ func TestDepartedRecordCarriesNoImage(t *testing.T) {
 	}
 	if st := b2.AgentArrivalStatus("walker"); st.State != arrivalDeparted || st.Next != "a" {
 		t.Errorf("itinerary trace after restart = %+v", st)
+	}
+}
+
+// TestCheckpointCrashBootsOldOrNew: images and the manifest ride one
+// PutAll, in map order. While a crash inside the batch could persist a
+// prefix of it, a cut after the new manifest and before one of the new
+// images left a site that could not boot ("no such slot") although the
+// previous checkpoint was intact. Every byte cut inside the second
+// checkpoint now boots to exactly the old membership or exactly the new.
+func TestCheckpointCrashBootsOldOrNew(t *testing.T) {
+	net := transport.NewInProcNet()
+	wal := walStore(t)
+	s := newMigSite(t, net, "s", wal)
+	var old, all []string
+	for i := 0; i < 8; i++ {
+		old = append(old, fmt.Sprintf("apo-%d", i))
+		inertAgent(t, s, old[i])
+	}
+	if err := s.PersistAll(); err != nil {
+		t.Fatal(err)
+	}
+	from := wal.Stats().TotalBytes
+	all = append(all, old...)
+	for i := 8; i < 16; i++ {
+		all = append(all, fmt.Sprintf("apo-%d", i))
+		inertAgent(t, s, all[i])
+	}
+	sort.Strings(all)
+	if err := s.PersistAll(); err != nil {
+		t.Fatal(err)
+	}
+	to := wal.Stats().TotalBytes
+	s.Close()
+	wal.Close()
+	segs, err := filepath.Glob(filepath.Join(wal.Dir(), "seg-*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v", segs, err)
+	}
+	log, err := os.ReadFile(segs[0])
+	if err != nil || int64(len(log)) != to {
+		t.Fatalf("segment holds %d bytes (%v), the store counted %d", len(log), err, to)
+	}
+	manifest, err := os.ReadFile(filepath.Join(wal.Dir(), "wal-manifest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride := int64(1)
+	if testing.Short() {
+		stride = 13
+	}
+	for cut := from; cut <= to; cut += stride {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(segs[0])), log[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "wal-manifest"), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := persist.NewWALStore(dir)
+		if err != nil {
+			t.Fatalf("cut=%d: %v", cut, err)
+		}
+		s2, err := NewSite(Config{Name: "s", Store: re})
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := s2.BootstrapHome()
+		if want := map[bool][]string{false: old, true: all}[cut == to]; err != nil || !reflect.DeepEqual(restored, want) {
+			t.Fatalf("cut=%d of [%d, %d]: bootstrap = %v, %v; want %v", cut, from, to, restored, err, want)
+		}
+		s2.Close()
+		re.Close()
 	}
 }

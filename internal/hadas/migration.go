@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/naming"
-	"repro/internal/persist"
 	"repro/internal/transport"
 	"repro/internal/value"
 	"repro/internal/wire"
@@ -70,7 +70,8 @@ const (
 	arrivalSlotPrefix   = "_arrival/"
 )
 
-// Migration states recorded in the origin journal.
+// Migration states recorded in the origin journal. Deleting the record is
+// the outcome; the two final states are only read, from older journals.
 const (
 	migrationPrepared  = "prepared"
 	migrationInDoubt   = "indoubt"
@@ -95,6 +96,11 @@ type migrationRecord struct {
 	State  string
 	WasAPO bool
 	Image  []byte // the agent's wire image, for reinstatement after a crash
+	// Seq is the arrival-table watermark at PREPARE: records claimed later
+	// are the agent coming back — an itinerary that loops home re-arrives
+	// *during* the dispatch call — and survive this departure's marking,
+	// in the live commit and in recovery's alike.
+	Seq int64
 	// Born is the PREPARE wall-clock time (UnixNano) and Attempts counts
 	// failed resolution rounds; together they drive the orphan caps
 	// (Config.MaxMigrationAge / MaxMigrationAttempts).
@@ -106,16 +112,20 @@ func migrationSlot(mid string) string { return migrationSlotPrefix + mid }
 func arrivalSlot(mid string) string   { return arrivalSlotPrefix + mid }
 
 func encodeMigrationRecord(r *migrationRecord) []byte {
-	return encodeReq(value.NewMap(map[string]value.Value{
+	m := map[string]value.Value{
 		"mid":    value.NewString(r.MID),
 		"name":   value.NewString(r.Name),
 		"dest":   value.NewString(r.Dest),
 		"state":  value.NewString(r.State),
 		"wasAPO": value.NewBool(r.WasAPO),
 		"image":  value.NewBytes(r.Image),
+		"seq":    value.NewInt(r.Seq),
 		"born":   value.NewInt(r.Born),
-		"tries":  value.NewInt(int64(r.Attempts)),
-	}))
+	}
+	if r.Attempts > 0 { // absent reads as 0; PREPARE stays an eight-key map
+		m["tries"] = value.NewInt(int64(r.Attempts))
+	}
+	return encodeReq(value.NewMap(m))
 }
 
 func decodeMigrationRecord(raw []byte) (*migrationRecord, error) {
@@ -131,6 +141,10 @@ func decodeMigrationRecord(raw []byte) (*migrationRecord, error) {
 	wasAPO, _ := m["wasAPO"].Bool()
 	born, _ := m["born"].Int()
 	tries, _ := m["tries"].Int()
+	seq, ok := m["seq"].Int()
+	if !ok {
+		seq = math.MaxInt64 // a record from before the watermark was journaled
+	}
 	return &migrationRecord{
 		MID:      field(m, "mid"),
 		Name:     field(m, "name"),
@@ -138,6 +152,7 @@ func decodeMigrationRecord(raw []byte) (*migrationRecord, error) {
 		State:    field(m, "state"),
 		WasAPO:   wasAPO,
 		Image:    img,
+		Seq:      seq,
 		Born:     born,
 		Attempts: int(tries),
 	}, nil
@@ -148,32 +163,63 @@ func (s *Site) putMigration(r *migrationRecord) error {
 	return s.journal.Put(migrationSlot(r.MID), encodeMigrationRecord(r))
 }
 
-// finishMigration records the final outcome, then prunes the slot. The
-// write-then-delete order means a crash between the two leaves a record
-// whose state is final — recovery prunes it locally, no peer query needed.
-func (s *Site) finishMigration(r *migrationRecord, state string) {
-	r.State = state
-	if err := s.putMigration(r); err != nil {
-		s.log("migration %s: journal %s failed: %v", r.MID, state, err)
-		return // keep the prepared/in-doubt record; recovery re-resolves
+// writeJournal applies one protocol step's batch through one barrier. A
+// failure is logged, not fatal: memory still answers retries and status
+// queries, and a lost commit leaves its PREPARE record for recovery.
+func (s *Site) writeJournal(step, mid string, batch map[string][]byte) error {
+	err := s.journal.PutAll(batch)
+	if err != nil {
+		s.log("migration %s: journal %s: %v", mid, step, err)
 	}
-	if err := s.journal.Delete(migrationSlot(r.MID)); err != nil {
-		s.log("migration %s: journal prune failed: %v", r.MID, err)
-	}
+	return err
 }
 
-// commitMigration finalizes a successful hand-off: the journal records
-// COMMIT, any arrival record that carried the agent *into* this site is
-// marked departed (so a restart does not resurrect it), and the agent's
-// persisted image is scrubbed from the store and Home manifest (so a stale
-// PersistAll snapshot cannot either). seqBefore is the arrival-table
-// watermark captured when the dispatch began: an itinerary that loops home
-// re-arrives *during* the dispatch call, and that younger record must
-// survive the departure marking.
-func (s *Site) commitMigration(r *migrationRecord, id naming.ID, seqBefore int64) {
-	s.finishMigration(r, migrationCommitted)
-	s.markAgentDeparted(r, id, seqBefore)
-	s.scrubPersisted(r.Name, id)
+// abortMigration ends a migration whose agent was reinstated here: deleting
+// the record is the outcome. A crash before it leaves the PREPARE record,
+// which recovery resolves against the peer to the same answer.
+func (s *Site) abortMigration(r *migrationRecord) {
+	s.writeJournal("abort", r.MID, map[string][]byte{migrationSlot(r.MID): nil})
+}
+
+// commitMigration finalizes a successful hand-off in one atomic batch, the
+// origin's COMMIT step (DESIGN.md §9): the arrival records that carried
+// the agent *into* this site are marked departed (so a restart does not
+// resurrect it), a checkpoint that names this incarnation loses the name
+// and the image (so a stale PersistAll snapshot cannot either), and the
+// migration record is deleted — never the delete without the marks. It
+// reports whether the agent is back: an incarnation younger than r.Seq
+// lives here, and keeps its place in the checkpoint.
+func (s *Site) commitMigration(r *migrationRecord, id naming.ID) (back bool) {
+	batch := map[string][]byte{migrationSlot(r.MID): nil}
+	back = s.markAgentDeparted(r, id, batch)
+	if back || s.cfg.Store == nil || !s.scrubCheckpoint(r, id, batch) {
+		s.writeJournal("commit", r.MID, batch)
+	}
+	return back
+}
+
+// scrubCheckpoint is the checkpoint's share of a commit, and reports
+// whether it wrote the batch. The manifest is only touched when its
+// membership — kept in memory — names the departed agent, and only then is
+// manMu held across the write: concurrent departures rewrite the manifest
+// one after another, and a PersistAll that enumerated the agent before it
+// retired finishes first and is then undone here. An agent no checkpoint
+// names has an image slot nothing restores from (BootstrapHome goes by the
+// manifest), so nothing is written for it.
+func (s *Site) scrubCheckpoint(r *migrationRecord, id naming.ID, batch map[string][]byte) bool {
+	s.manMu.Lock()
+	defer s.manMu.Unlock()
+	ids, err := s.persistedManifest()
+	if err != nil || ids[r.Name] != id {
+		return false
+	}
+	delete(ids, r.Name)
+	batch[homeManifestSlot] = encodeManifest(ids)
+	batch[id.String()] = nil
+	if s.writeJournal("commit", r.MID, batch) != nil {
+		s.manifest = nil
+	}
+	return true
 }
 
 // InDoubtMigrations lists the IDs of journaled migrations not yet resolved
@@ -335,7 +381,10 @@ type arrival struct {
 	// trace a full itinerary: each site knows where the agent came from and
 	// where it went.
 	next string
-	done chan struct{}
+	// checkpointed is set while the persisted Home manifest names the agent
+	// of a live record: replay no longer needs it, so the cap may evict it.
+	checkpointed bool
+	done         chan struct{}
 }
 
 func (s *Site) encodeArrival(a *arrival) []byte {
@@ -408,21 +457,26 @@ func (s *Site) claimArrival(mid, name, from string) (*arrival, bool) {
 	return a, true
 }
 
+// arrivalBatch is the journal write of a's current state, with the
+// evictions the table's cap asks for riding the same barrier (arrMu held).
+func (s *Site) arrivalBatch(a *arrival) map[string][]byte {
+	batch := map[string][]byte{arrivalSlot(a.mid): s.encodeArrival(a)}
+	s.evictArrivals(batch)
+	return batch
+}
+
 // recordInstalled durably ACKs an installation *before* onArrival runs:
 // from this point the origin must commit, whatever the arrival handler
-// does. A journal write failure is logged, not fatal — the in-memory entry
-// still dedups retries; only crash durability is lost.
+// does.
 func (s *Site) recordInstalled(a *arrival, id naming.ID, image []byte) {
 	s.arrMu.Lock()
 	a.agentID = id
 	a.image = image
 	a.state = arrivalInstalled
 	s.arrByAgent[id] = append(s.arrByAgent[id], a)
-	raw := s.encodeArrival(a)
+	batch := s.arrivalBatch(a)
 	s.arrMu.Unlock()
-	if err := s.journal.Put(arrivalSlot(a.mid), raw); err != nil {
-		s.log("arrival %s: journal write failed: %v", a.mid, err)
-	}
+	s.writeJournal("installed", a.mid, batch)
 }
 
 // completeArrival records onArrival's outcome and releases waiters. The
@@ -441,13 +495,10 @@ func (s *Site) completeArrival(a *arrival, result value.Value, arrivalErr error)
 	if arrivalErr != nil {
 		a.errMsg = fmt.Sprintf("agent %q onArrival: %v", a.name, arrivalErr)
 	}
-	raw := s.encodeArrival(a)
+	batch := s.arrivalBatch(a)
 	close(a.done)
 	s.arrMu.Unlock()
-	if err := s.journal.Put(arrivalSlot(a.mid), raw); err != nil {
-		s.log("arrival %s: journal write failed: %v", a.mid, err)
-	}
-	s.pruneArrivals()
+	s.writeJournal("done", a.mid, batch)
 }
 
 // failArrival records an installation failure (nil a — a legacy dispatch
@@ -459,12 +510,16 @@ func (s *Site) failArrival(a *arrival, err error) error {
 	if a == nil {
 		return err
 	}
+	evicted := map[string][]byte{}
 	s.arrMu.Lock()
 	a.state = arrivalFailed
 	a.errMsg = err.Error()
 	close(a.done)
+	s.evictArrivals(evicted)
 	s.arrMu.Unlock()
-	s.pruneArrivals()
+	if len(evicted) > 0 {
+		s.writeJournal("failed", a.mid, evicted)
+	}
 	return err
 }
 
@@ -512,10 +567,10 @@ func (s *Site) arrivalSeq() int64 {
 // record is skipped whenever ANY record for the agent exists — marked or
 // not — because a younger, watermark-protected incarnation must stay the
 // youngest answer the status query sees.
-func (s *Site) markAgentDeparted(rec *migrationRecord, id naming.ID, watermark int64) {
-	next := rec.Dest
+func (s *Site) markAgentDeparted(rec *migrationRecord, id naming.ID, batch map[string][]byte) (back bool) {
+	next, watermark := rec.Dest, rec.Seq
 	s.arrMu.Lock()
-	var updated [][2]any
+	defer s.arrMu.Unlock()
 	recs := s.arrByAgent[id]
 	kept := recs[:0]
 	for _, a := range recs {
@@ -525,7 +580,7 @@ func (s *Site) markAgentDeparted(rec *migrationRecord, id naming.ID, watermark i
 			// Only installed/done records are ever replayed; a departed one
 			// keeps its place in the dedup table, not a copy of the agent.
 			a.image = nil
-			updated = append(updated, [2]any{arrivalSlot(a.mid), s.encodeArrival(a)})
+			batch[arrivalSlot(a.mid)] = s.encodeArrival(a)
 		} else {
 			kept = append(kept, a)
 		}
@@ -554,16 +609,11 @@ func (s *Site) markAgentDeparted(rec *migrationRecord, id naming.ID, watermark i
 			}
 			s.arrivals[syn.mid] = syn
 			s.arrOrder = append(s.arrOrder, syn)
-			updated = append(updated, [2]any{arrivalSlot(syn.mid), s.encodeArrival(syn)})
+			batch[arrivalSlot(syn.mid)] = s.encodeArrival(syn)
 		}
 	}
-	s.arrMu.Unlock()
-	for _, u := range updated {
-		if err := s.journal.Put(u[0].(string), u[1].([]byte)); err != nil {
-			s.log("arrival journal update failed: %v", err)
-		}
-	}
-	s.pruneArrivals()
+	s.evictArrivals(batch)
+	return len(kept) > 0
 }
 
 // dropAgentIndex removes an evicted record from the by-agent index
@@ -587,29 +637,30 @@ func (s *Site) dropAgentIndex(a *arrival) {
 	}
 }
 
-// pruneArrivals caps the dedup table at Config.MaxArrivalRecords, evicting
-// the oldest settled entries (memory and journal slot). In-flight entries
-// are never evicted. The cap bounds table growth; it must comfortably
-// exceed the window in which an origin might still retry or status-query a
-// migration, or a pruned record would read as "never landed".
-func (s *Site) pruneArrivals() {
-	var evicted []string
-	s.arrMu.Lock()
-	for len(s.arrOrder) > s.maxArrivals() {
-		oldest := s.arrOrder[0]
-		if oldest.state == arrivalPending {
-			break // still in flight; try again when it settles
+// evictArrivals caps the dedup table at Config.MaxArrivalRecords (arrMu
+// held): the oldest records nothing is replayed from — departed, failed,
+// or live but named by a checkpoint — leave the table, and the deletes of
+// their journal slots join batch, the write that made the table grow. An
+// in-flight record, or a live one that is its agent's only durable copy,
+// is stepped over and leaves when it departs. The cap must comfortably
+// exceed the window in which an origin might still retry or status-query
+// a migration, or an evicted record would read as "never landed".
+func (s *Site) evictArrivals(batch map[string][]byte) {
+	over, skipped := len(s.arrOrder)-s.maxArrivals(), 0
+	for over > 0 && skipped < len(s.arrOrder) {
+		a := s.arrOrder[skipped]
+		if a.state != arrivalDeparted && a.state != arrivalFailed && !a.checkpointed {
+			skipped++
+			continue
 		}
+		copy(s.arrOrder[1:skipped+1], s.arrOrder[:skipped])
 		s.arrOrder = s.arrOrder[1:]
-		delete(s.arrivals, oldest.mid)
-		s.dropAgentIndex(oldest)
-		evicted = append(evicted, oldest.mid)
-	}
-	s.arrMu.Unlock()
-	for _, mid := range evicted {
-		if err := s.journal.Delete(arrivalSlot(mid)); err != nil {
-			s.log("arrival %s: journal prune failed: %v", mid, err)
+		delete(s.arrivals, a.mid)
+		s.dropAgentIndex(a)
+		if a.state != arrivalFailed { // failures were never journaled
+			batch[arrivalSlot(a.mid)] = nil
 		}
+		over--
 	}
 }
 
@@ -915,7 +966,8 @@ func (s *Site) ResolveMigrations() ([]string, error) {
 	for _, rec := range recs {
 		switch rec.State {
 		case migrationCommitted, migrationAborted:
-			// Crash landed between the outcome write and the prune.
+			// A final-state record, as written before the delete itself
+			// became the outcome.
 			if err := s.journal.Delete(migrationSlot(rec.MID)); err != nil {
 				s.log("prune migration %s: %v", rec.MID, err)
 			}
@@ -952,11 +1004,13 @@ func (s *Site) ResolveMigrations() ([]string, error) {
 		if st.Landed {
 			// The agent lives (or lived) at the destination. A replayed
 			// arrival record may have reinstalled a stale local copy of the
-			// same incarnation — retire it.
-			if obj, err := s.ResolveObject(rec.Name); err == nil && obj.ID() == img.ID {
-				s.retireAgent(rec.Name, img.ID)
+			// same incarnation — retire it, unless the journey has since
+			// brought the agent back.
+			if back := s.commitMigration(rec, img.ID); !back {
+				if obj, err := s.ResolveObject(rec.Name); err == nil && obj.ID() == img.ID {
+					s.retireAgent(rec.Name, img.ID)
+				}
 			}
-			s.commitMigration(rec, img.ID, s.arrivalSeq())
 			s.log("migration %s: resolved committed (agent at %s)", rec.MID, rec.Dest)
 			continue
 		}
@@ -971,41 +1025,11 @@ func (s *Site) ResolveMigrations() ([]string, error) {
 			s.reinstateAgent(rec.Name, agent, rec.WasAPO)
 			reinstated = append(reinstated, rec.Name)
 		}
-		s.finishMigration(rec, migrationAborted)
+		s.abortMigration(rec)
 		s.log("migration %s: resolved aborted (reinstated %s)", rec.MID, rec.Name)
 	}
 	sort.Strings(reinstated)
 	return reinstated, nil
-}
-
-// scrubPersisted removes a departed agent's image from the site store and
-// its entry from the Home manifest, so a stale PersistAll snapshot cannot
-// resurrect a copy that now lives at another site. Both steps run under
-// manMu: concurrent departures rewrite the manifest one after another, and
-// a PersistAll that enumerated the agent before it retired finishes first
-// and is then undone here. The manifest slot is only touched when its
-// membership — kept in memory — names this very incarnation.
-func (s *Site) scrubPersisted(name string, id naming.ID) {
-	if s.cfg.Store == nil {
-		return
-	}
-	s.manMu.Lock()
-	defer s.manMu.Unlock()
-	if err := persist.DeleteObject(s.cfg.Store, id); err != nil {
-		s.log("scrub %s: %v", name, err)
-	}
-	ids, err := s.persistedManifest()
-	if err != nil {
-		return // no (readable) manifest, nothing to scrub
-	}
-	if cur, present := ids[name]; !present || cur != id {
-		return // the manifest names a different incarnation; leave it
-	}
-	delete(ids, name)
-	if err := s.cfg.Store.Put(homeManifestSlot, encodeManifest(ids)); err != nil {
-		s.manifest = nil
-		s.log("scrub %s: manifest rewrite: %v", name, err)
-	}
 }
 
 // definiteDispatchFailure classifies a dispatch error: true means the

@@ -2,6 +2,9 @@ package hadas
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -163,8 +166,8 @@ func copies(name string, sites ...*Site) int {
 	return n
 }
 
-// journalMigrations lists the origin-journal migration slots still present.
-func journalMigrations(t *testing.T, s *Site) []string {
+// journalSlots lists the journal's slots under a prefix, the prefix cut.
+func journalSlots(t *testing.T, s *Site, prefix string) []string {
 	t.Helper()
 	slots, err := s.journal.List()
 	if err != nil {
@@ -172,11 +175,21 @@ func journalMigrations(t *testing.T, s *Site) []string {
 	}
 	var out []string
 	for _, slot := range slots {
-		if strings.HasPrefix(slot, migrationSlotPrefix) {
-			out = append(out, slot)
+		if strings.HasPrefix(slot, prefix) {
+			out = append(out, strings.TrimPrefix(slot, prefix))
 		}
 	}
 	return out
+}
+
+// journalMigrations lists the migration IDs still in the origin journal.
+func journalMigrations(t *testing.T, s *Site) []string {
+	return journalSlots(t, s, migrationSlotPrefix)
+}
+
+// arrivalSlots lists the migration IDs of the journaled arrival records.
+func arrivalSlots(t *testing.T, s *Site) []string {
+	return journalSlots(t, s, arrivalSlotPrefix)
 }
 
 // injectFaults wraps the connection to peer in a FaultConn with the given
@@ -823,8 +836,9 @@ func TestConcurrentDispatchSameName(t *testing.T) {
 	}
 }
 
-// TestArrivalDedupPruning caps the destination dedup table and verifies
-// settled records (memory and journal slots) are evicted oldest-first.
+// TestArrivalDedupPruning caps the dedup table of a site agents pass
+// through: the records they leave behind are departed, nothing is replayed
+// from them, and the oldest are evicted (memory and journal slots alike).
 func TestArrivalDedupPruning(t *testing.T) {
 	net := transport.NewInProcNet()
 	a := newMigSite(t, net, "a", persist.NewMemStore())
@@ -835,11 +849,14 @@ func TestArrivalDedupPruning(t *testing.T) {
 		MaxArrivalRecords: 2,
 	})
 	link(t, a, "b")
+	link(t, b, "a")
 
-	names := []string{"box0", "box1", "box2", "box3"}
-	for _, n := range names {
+	for _, n := range []string{"box0", "box1", "box2", "box3"} {
 		inertAgent(t, a, n)
 		if _, err := a.DispatchAgent(n, "b"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.DispatchAgent(n, "a"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -848,28 +865,64 @@ func TestArrivalDedupPruning(t *testing.T) {
 		t.Fatalf("arrival records after pruning = %v", recs)
 	}
 	// The journal mirrors the table: evicted slots are deleted.
-	slots, err := b.journal.List()
-	if err != nil {
+	arrSlots := arrivalSlots(t, b)
+	sort.Strings(arrSlots)
+	if !reflect.DeepEqual(arrSlots, recs) {
+		t.Errorf("journal arrival slots = %v, live table %v", arrSlots, recs)
+	}
+}
+
+// TestDedupCapKeepsResidentAgents: an agent that arrived and stayed has one
+// durable copy, its arrival record, until a checkpoint names it. The cap
+// evicted the oldest *settled* record, live ones included: with a cap of
+// two, four arrivals and a restart, the first two agents were gone.
+func TestDedupCapKeepsResidentAgents(t *testing.T) {
+	net := transport.NewInProcNet()
+	a := newMigSite(t, net, "a", persist.NewMemStore())
+	b := newMigSiteCfg(t, net, Config{
+		Name:              "b",
+		Store:             persist.NewMemStore(),
+		Resilience:        migPolicy(),
+		MaxArrivalRecords: 2,
+	})
+	link(t, a, "b")
+	var names []string
+	settle := func() {
+		name := fmt.Sprintf("settler-%d", len(names))
+		names = append(names, name)
+		inertAgent(t, a, name)
+		if _, err := a.DispatchAgent(name, "b"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		settle()
+	}
+	if got := len(b.ArrivalRecords()); got != 4 {
+		t.Fatalf("%d arrival records for 4 resident agents", got)
+	}
+	b = restartSite(t, net, b)
+	bootstrap(t, b)
+	for _, n := range names {
+		if got := copies(n, a, b); got != 1 {
+			t.Fatalf("%s has %d live copies after the restart", n, got)
+		}
+	}
+
+	// A checkpoint names all four: their records may go, the agents stay.
+	if err := b.PersistAll(); err != nil {
 		t.Fatal(err)
 	}
-	var arrSlots []string
-	for _, slot := range slots {
-		if strings.HasPrefix(slot, arrivalSlotPrefix) {
-			arrSlots = append(arrSlots, strings.TrimPrefix(slot, arrivalSlotPrefix))
-		}
+	link(t, a, "b")
+	settle()
+	if got := len(b.ArrivalRecords()); got != 2 {
+		t.Fatalf("%d arrival records after a checkpoint, cap 2", got)
 	}
-	if len(arrSlots) != 2 {
-		t.Errorf("journal arrival slots = %v", arrSlots)
-	}
-	for _, mid := range arrSlots {
-		found := false
-		for _, r := range recs {
-			if r == mid {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("journal slot %s not in live table %v", mid, recs)
+	b = restartSite(t, net, b)
+	bootstrap(t, b)
+	for _, n := range names {
+		if got := copies(n, a, b); got != 1 {
+			t.Fatalf("%s has %d live copies after checkpoint and restart", n, got)
 		}
 	}
 }

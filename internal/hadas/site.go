@@ -49,7 +49,7 @@ const DefaultCallTimeout = 30 * time.Second
 // DefaultMaxArrivalRecords caps the destination-side migration dedup table
 // when Config.MaxArrivalRecords is zero. The cap must comfortably exceed
 // the window in which an origin might still retry or status-query a
-// migration (see Site.pruneArrivals).
+// migration (see Site.evictArrivals).
 const DefaultMaxArrivalRecords = 4096
 
 // Defaults for the migration-journal hygiene caps (Config
@@ -147,7 +147,7 @@ type Site struct {
 	// set — records then survive a crash — and an in-memory store
 	// otherwise, so the protocol behaves identically either way and only
 	// durability follows the store.
-	journal persist.Store
+	journal persist.Backend
 
 	// home is the APO container: one lock-free concurrent map, so
 	// invocations, arrivals and departures never serialize behind a lock
@@ -175,7 +175,7 @@ type Site struct {
 	closed          bool
 
 	// manMu serializes every read-modify-write of the persisted Home
-	// manifest (PersistAll, scrubPersisted) and guards manifest, the
+	// manifest (PersistAll, scrubCheckpoint) and guards manifest, the
 	// membership of the manifest as last written to the store: nil until
 	// first use, and again after a failed write so the next use reloads it.
 	manMu    sync.Mutex
@@ -684,7 +684,7 @@ func (s *Site) persistedManifest() (map[string]naming.ID, error) {
 // with a manifest mapping APO names to object IDs. It holds manMu from
 // enumerating Home to the end of the write, so a departure cannot slip
 // between the two: an agent retired before the enumeration is not written,
-// and the scrub of one retired after it waits and then removes it.
+// and the commit of one retired after it waits and then removes it.
 func (s *Site) PersistAll() error {
 	if s.cfg.Store == nil {
 		return fmt.Errorf("%w: site has no store", core.ErrNotFound)
@@ -710,6 +710,15 @@ func (s *Site) PersistAll() error {
 		return err
 	}
 	s.manifest = ids
+	// A live arrival record is its agent's only durable copy until a
+	// checkpoint names the agent; from then on the dedup cap may evict it.
+	s.arrMu.Lock()
+	for id, recs := range s.arrByAgent {
+		for _, a := range recs {
+			a.checkpointed = ids[a.name] == id
+		}
+	}
+	s.arrMu.Unlock()
 	return nil
 }
 

@@ -177,6 +177,26 @@ func conformPutAll(t *testing.T, f backendFactory) {
 	if got, _ := s.Get("slot-000"); string(got) != "rewritten" {
 		t.Errorf("PutAll overwrite = %q", got)
 	}
+	// A nil value deletes its slot (a missing one included); an empty
+	// value is still a value.
+	mixed := map[string][]byte{"slot-001": nil, "never-was": nil, "slot-002": {}, "fresh": []byte("new")}
+	if err := s.PutAll(mixed); err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{"slot-001", "never-was"} {
+		if _, err := s.Get(gone); !errors.Is(err, ErrNoSlot) {
+			t.Errorf("Get(%q) after a nil PutAll entry: %v", gone, err)
+		}
+	}
+	if got, err := s.Get("slot-002"); err != nil || len(got) != 0 {
+		t.Errorf("empty PutAll value = %q, %v", got, err)
+	}
+	if got, _ := s.Get("fresh"); string(got) != "new" {
+		t.Errorf("put beside deletes = %q", got)
+	}
+	if slots, _ := s.List(); len(slots) != 100 {
+		t.Errorf("%d slots after 100 + 1 put - 1 delete", len(slots))
+	}
 }
 
 func conformSyncClose(t *testing.T, f backendFactory) {
@@ -260,7 +280,10 @@ func conformReopen(t *testing.T, f backendFactory) {
 	if err := s.Delete("gone"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutAll(map[string][]byte{"b1": []byte("b1v"), "b2": []byte("b2v")}); err != nil {
+	if err := s.PutAll(map[string][]byte{"b1": []byte("b1v"), "b2": []byte("b2v"), "gone2": []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutAll(map[string][]byte{"b2": []byte("b2v2"), "gone2": nil}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -283,14 +306,16 @@ func conformReopen(t *testing.T, f backendFactory) {
 		}
 	}
 	for slot, val := range map[string]string{
-		"keep": "kept", "keep2": "v2", "b1": "b1v", "b2": "b2v",
+		"keep": "kept", "keep2": "v2", "b1": "b1v", "b2": "b2v2",
 	} {
 		if got, err := re.Get(slot); err != nil || string(got) != val {
 			t.Errorf("reopened Get(%q) = %q, %v; want %q", slot, got, err, val)
 		}
 	}
-	if _, err := re.Get("gone"); !errors.Is(err, ErrNoSlot) {
-		t.Errorf("deleted slot survived reopen: %v", err)
+	for _, gone := range []string{"gone", "gone2"} {
+		if _, err := re.Get(gone); !errors.Is(err, ErrNoSlot) {
+			t.Errorf("deleted slot %q survived reopen: %v", gone, err)
+		}
 	}
 	// Writes keep working after recovery.
 	if err := re.Put("post", []byte("recovery")); err != nil {

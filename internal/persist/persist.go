@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/naming"
 	"repro/internal/wire"
 )
 
@@ -50,11 +49,6 @@ func LoadObject(store Store, slot string, reg *core.BehaviorRegistry,
 		return nil, fmt.Errorf("bootstrap %q: %w", slot, err)
 	}
 	return obj, nil
-}
-
-// DeleteObject removes a persisted object's slot.
-func DeleteObject(store Store, id naming.ID) error {
-	return store.Delete(id.String())
 }
 
 // Bootstrap loads every object in the store — the host's start-up

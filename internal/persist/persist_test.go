@@ -123,7 +123,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Errorf("visits after restart = %v, want 4", v)
 			}
 			// Delete removes the slot.
-			if err := DeleteObject(store, obj.ID()); err != nil {
+			if err := store.Delete(obj.ID().String()); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := LoadObject(store, obj.ID().String(), nil); !errors.Is(err, ErrNoSlot) {

@@ -22,6 +22,17 @@ import (
 // bytes stop being trustworthy and the segment is truncated back to the
 // last whole record. kind is recPut or recDelete (a tombstone, vlen 0).
 //
+// A commit of several records (PutAll) is preceded by a group marker, a
+// bare header whose two length fields are reused:
+//
+//	[crc32:4][kind=recGroup:1][count:4][bytes:4]
+//
+// count records in exactly bytes bytes follow it. Replay applies a group
+// only when all of them are whole and valid; otherwise the log ends (or,
+// in a sealed segment, is corrupt) at the marker — a batch is never
+// recovered in part. No index entry points at a marker, so compaction
+// drops it.
+//
 // The manifest file names the live segments in replay order. It is
 // replaced atomically (temp + rename + dir fsync), which is what makes
 // compaction crash-safe: at any instant the directory contains one valid
@@ -30,6 +41,7 @@ import (
 const (
 	recPut    = 1
 	recDelete = 2
+	recGroup  = 3
 
 	recHeaderLen = 13
 
@@ -74,6 +86,14 @@ func encodeRecord(buf []byte, kind byte, key string, val []byte) []byte {
 	buf = append(buf, val...)
 	binary.BigEndian.PutUint32(buf[start:start+4], crc32.ChecksumIEEE(buf[start+4:]))
 	return buf
+}
+
+// sealGroup fills in the marker at the start of group — staged as an
+// empty recGroup record — once the count records behind it are encoded.
+func sealGroup(group []byte, count int) {
+	binary.BigEndian.PutUint32(group[5:9], uint32(count))
+	binary.BigEndian.PutUint32(group[9:13], uint32(len(group)-recHeaderLen))
+	binary.BigEndian.PutUint32(group[0:4], crc32.ChecksumIEEE(group[4:recHeaderLen]))
 }
 
 // recordLen returns the framed size of a record with the given key/value
@@ -166,15 +186,18 @@ func syncPath(dir string) error {
 	return d.Sync()
 }
 
-// replayResult is what scanning one segment contributes to recovery.
+// replayFn receives one recovered record. Group markers are reported too
+// (kind recGroup, empty key): bytes of the log that no slot references.
 type replayFn func(kind byte, key string, off, recLen int64)
 
-// replaySegment streams a segment, calling emit for every whole, valid
-// record. For the active (last) segment a torn tail — an incomplete or
-// checksum-failing record at the end — is truncated away and replay
-// succeeds with the surviving prefix; for a sealed segment the same
-// condition is corruption and fails the open, because sealed segments
-// were fully fsynced before the manifest ever named a successor.
+// replaySegment streams a segment, calling emit for every record of every
+// whole commit: a single record, or a group whose records all verify
+// (held back until the last one does). For the active (last) segment a
+// torn tail — an incomplete or checksum-failing commit at the end — is
+// truncated away and replay succeeds with the surviving prefix; for a
+// sealed segment the same condition is corruption and fails the open,
+// because sealed segments were fully fsynced before the manifest ever
+// named a successor.
 func replaySegment(seg *segment, active bool, emit replayFn) error {
 	info, err := seg.f.Stat()
 	if err != nil {
@@ -182,21 +205,31 @@ func replaySegment(seg *segment, active bool, emit replayFn) error {
 	}
 	size := info.Size()
 	r := bufio.NewReaderSize(io.NewSectionReader(seg.f, 0, size), 1<<20)
-	var off int64
+	type held struct {
+		kind byte
+		key  string
+		n    int64
+	}
+	var (
+		off, good int64  // read position; end of the last whole commit
+		group     []held // the open group's marker and records
+		left      int    // records the open group still lacks
+		groupEnd  int64
+	)
 	hdr := make([]byte, recHeaderLen)
 	body := make([]byte, 0, 4096)
 	truncate := func(cause error) error {
 		if !active {
 			return fmt.Errorf("%w: wal %s: invalid record at offset %d (%v)",
-				ErrCorrupt, seg.name, off, cause)
+				ErrCorrupt, seg.name, good, cause)
 		}
-		if err := seg.f.Truncate(off); err != nil {
+		if err := seg.f.Truncate(good); err != nil {
 			return fmt.Errorf("wal %s: truncate torn tail: %w", seg.name, err)
 		}
 		if err := seg.f.Sync(); err != nil {
 			return fmt.Errorf("wal %s: truncate torn tail: %w", seg.name, err)
 		}
-		seg.size = off
+		seg.size = good
 		return nil
 	}
 	for off < size {
@@ -205,6 +238,22 @@ func replaySegment(seg *segment, active bool, emit replayFn) error {
 		}
 		klen := binary.BigEndian.Uint32(hdr[5:9])
 		vlen := binary.BigEndian.Uint32(hdr[9:13])
+		if hdr[4] == recGroup {
+			if left > 0 || crc32.ChecksumIEEE(hdr[4:]) != binary.BigEndian.Uint32(hdr[0:4]) {
+				return truncate(ErrCorrupt)
+			}
+			left, groupEnd = int(klen), off+recHeaderLen+int64(vlen)
+			if left == 0 || groupEnd > size {
+				return truncate(io.ErrUnexpectedEOF)
+			}
+			// Sized by the marker's count, or by what its bytes can hold if it lies.
+			if n := min(left, int(vlen)/recHeaderLen) + 1; cap(group) < n {
+				group = make([]held, 0, n)
+			}
+			group = append(group[:0], held{kind: recGroup, n: recHeaderLen})
+			off += recHeaderLen
+			continue
+		}
 		n := recordLen(int(klen), int(vlen))
 		if off+n > size {
 			return truncate(io.ErrUnexpectedEOF)
@@ -221,8 +270,27 @@ func replaySegment(seg *segment, active bool, emit replayFn) error {
 		if err != nil {
 			return truncate(err)
 		}
-		emit(kind, key, off, n)
+		if left == 0 {
+			emit(kind, key, off, n)
+			off += n
+			good = off
+			continue
+		}
+		group = append(group, held{kind, key, n})
 		off += n
+		left--
+		if off > groupEnd || (left == 0) != (off == groupEnd) {
+			return truncate(ErrCorrupt) // the records do not fill the marker's byte count
+		}
+		if left == 0 {
+			for _, h := range group { // contiguous from the marker, at good
+				emit(h.kind, h.key, good, h.n)
+				good += h.n
+			}
+		}
+	}
+	if left > 0 {
+		return truncate(io.ErrUnexpectedEOF)
 	}
 	seg.size = off
 	return nil

@@ -52,12 +52,12 @@ type Store interface {
 // noticing.
 type Backend interface {
 	Store
-	// PutAll writes a batch of slots through one durability barrier:
-	// when it returns nil every slot in the batch is durable. Cheaper
-	// than len(batch) Puts wherever the implementation can amortize its
-	// sync cost (the WAL's group commit).
-	// Batch visibility is per-slot, not transactional: a crash mid-batch
-	// may persist a prefix of the batch.
+	// PutAll applies a batch through one durability barrier: a nil value
+	// deletes its slot, any other value replaces the slot's content. When
+	// it returns nil the whole batch is durable, and the batch is
+	// all-or-nothing across a crash: recovery finds every slot of it
+	// changed or none — a state transition that spans several slots (a
+	// checkpoint and its manifest, a migration's commit) is one PutAll.
 	PutAll(batch map[string][]byte) error
 	// Sync is a durability barrier: it returns once every previously
 	// acknowledged write is on stable storage.
@@ -83,6 +83,10 @@ func (s *MemStore) PutAll(batch map[string][]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for slot, data := range batch {
+		if data == nil {
+			delete(s.m, slot)
+			continue
+		}
 		cp := make([]byte, len(data))
 		copy(cp, data)
 		s.m[slot] = cp

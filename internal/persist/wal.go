@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,6 +31,7 @@ type WALStore struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // batch completion, leader handoff, compaction state
 	cur      *walBatch  // staging batch; nil when empty
+	spare    walBatch   // buf and ops of the last flushed batch, emptied for the next
 	flushing bool       // a leader is appending batches
 	closed   bool
 	poisoned error // an append failed and could not be rolled back
@@ -87,22 +89,30 @@ func (o WALOptions) withDefaults() WALOptions {
 	return o
 }
 
-// walOp is one staged mutation; seg/off are assigned by the flush that
-// makes it durable.
+// walOp is one staged record: n framed bytes of its batch's buf.
 type walOp struct {
 	kind byte
 	key  string
-	rec  []byte
-	seg  *segment
-	off  int64
+	n    int64
 }
 
 // walBatch is one group-commit unit: records staged by concurrent
-// callers, made durable by one leader append+fsync.
+// callers — encoded once, straight into buf — made durable by one leader
+// append+fsync, which also assigns seg and off, where buf landed.
 type walBatch struct {
+	buf  []byte
 	ops  []walOp
+	seg  *segment
+	off  int64
 	done bool
 	err  error
+}
+
+// stage appends one framed record to the batch.
+func (b *walBatch) stage(kind byte, key string, val []byte) {
+	start := len(b.buf)
+	b.buf = encodeRecord(b.buf, kind, key, val)
+	b.ops = append(b.ops, walOp{kind: kind, key: key, n: int64(len(b.buf) - start)})
 }
 
 // NewWALStore opens (creating if needed) a WAL store with default
@@ -160,18 +170,7 @@ func OpenWALStore(dir string, opt WALOptions) (*WALStore, error) {
 		seg := &segment{name: name, seq: seq, f: f}
 		active := i == len(names)-1
 		err = replaySegment(seg, active, func(kind byte, key string, off, recLen int64) {
-			old, had := w.index[key]
-			w.total += recLen
-			switch kind {
-			case recPut:
-				w.index[key] = slotRef{seg: seg, off: off, recLen: recLen}
-			case recDelete:
-				w.garbage += recLen
-				delete(w.index, key)
-			}
-			if had {
-				w.garbage += old.recLen
-			}
+			w.applyRecord(kind, key, slotRef{seg: seg, off: off, recLen: recLen})
 		})
 		if err != nil {
 			f.Close()
@@ -248,47 +247,66 @@ func (w *WALStore) active() *segment { return w.segs[len(w.segs)-1] }
 
 // Put implements Store: one record through the group commit.
 func (w *WALStore) Put(slot string, data []byte) error {
-	return w.commit([]walOp{{kind: recPut, key: slot, rec: encodeRecord(nil, recPut, slot, data)}})
+	return w.commit(func(b *walBatch) { b.stage(recPut, slot, data) })
 }
 
 // PutAll implements Backend: the whole batch rides one group-commit
 // entry, so it costs one fsync no matter how many slots it carries (and
-// shares even that with concurrent committers).
+// shares even that with concurrent committers). More than one record goes
+// behind a group marker, which makes the batch all-or-nothing at replay.
 func (w *WALStore) PutAll(batch map[string][]byte) error {
-	ops := make([]walOp, 0, len(batch))
+	size := recHeaderLen
 	for slot, data := range batch {
-		ops = append(ops, walOp{kind: recPut, key: slot, rec: encodeRecord(nil, recPut, slot, data)})
+		size += int(recordLen(len(slot), len(data)))
 	}
-	return w.commit(ops)
+	return w.commit(func(b *walBatch) {
+		mark := len(b.buf)
+		b.buf, b.ops = slices.Grow(b.buf, size), slices.Grow(b.ops, len(batch)+1)
+		if len(batch) > 1 {
+			b.stage(recGroup, "", nil)
+		}
+		for slot, data := range batch {
+			if data == nil {
+				b.stage(recDelete, slot, nil)
+			} else {
+				b.stage(recPut, slot, data)
+			}
+		}
+		if len(batch) > 1 {
+			sealGroup(b.buf[mark:], len(batch))
+		}
+	})
 }
 
 // Delete implements Store: a tombstone record through the group commit.
 // Deleting a missing slot still logs a tombstone (the pre-check would
 // race concurrent Puts); replay treats it as a no-op.
 func (w *WALStore) Delete(slot string) error {
-	return w.commit([]walOp{{kind: recDelete, key: slot, rec: encodeRecord(nil, recDelete, slot, nil)}})
+	return w.commit(func(b *walBatch) { b.stage(recDelete, slot, nil) })
 }
 
 // Sync implements Backend: an empty commit, which still rides the flush
 // queue and fsyncs the active segment — a true barrier behind every
 // previously acknowledged write.
-func (w *WALStore) Sync() error { return w.commit(nil) }
+func (w *WALStore) Sync() error { return w.commit(func(*walBatch) {}) }
 
-// commit stages ops into the current batch and sees them to durability:
-// if a leader is already flushing, wait for the batch's completion;
-// otherwise become the leader and flush staged batches until the staging
-// area drains.
-func (w *WALStore) commit(ops []walOp) error {
+// commit has stage encode the caller's records into the current batch
+// (under mu, so one commit's records are contiguous) and sees them to
+// durability: if a leader is already flushing, wait for the batch's
+// completion; otherwise become the leader and flush staged batches until
+// the staging area drains.
+func (w *WALStore) commit(stage func(*walBatch)) error {
 	w.mu.Lock()
 	if err := w.usableLocked(); err != nil {
 		w.mu.Unlock()
 		return err
 	}
 	if w.cur == nil {
-		w.cur = &walBatch{}
+		w.cur = &walBatch{buf: w.spare.buf, ops: w.spare.ops}
+		w.spare = walBatch{}
 	}
 	mine := w.cur
-	mine.ops = append(mine.ops, ops...)
+	stage(mine)
 	if w.flushing {
 		for !mine.done {
 			w.cond.Wait()
@@ -320,6 +338,10 @@ func (w *WALStore) commit(ops []walOp) error {
 		if err == nil {
 			w.applyBatch(b)
 		}
+		if cap(b.buf) <= 1<<20 { // reuse a journal write's buffers, release a checkpoint's
+			w.spare = walBatch{buf: b.buf[:0], ops: b.ops[:0]}
+		}
+		b.buf, b.ops = nil, nil
 		w.cond.Broadcast()
 	}
 	w.flushing = false
@@ -353,10 +375,7 @@ func (w *WALStore) usableLocked() error {
 func (w *WALStore) flushBatch(b *walBatch) error {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
-	var total int64
-	for i := range b.ops {
-		total += int64(len(b.ops[i].rec))
-	}
+	total := int64(len(b.buf))
 	act := w.active()
 	if act.size > 0 && act.size+total > w.opt.SegmentBytes {
 		if err := w.roll(); err != nil {
@@ -364,17 +383,9 @@ func (w *WALStore) flushBatch(b *walBatch) error {
 		}
 		act = w.active()
 	}
-	buf := make([]byte, 0, total)
-	off := act.size
-	for i := range b.ops {
-		op := &b.ops[i]
-		op.seg = act
-		op.off = off
-		off += int64(len(op.rec))
-		buf = append(buf, op.rec...)
-	}
-	if len(buf) > 0 {
-		if _, err := act.f.WriteAt(buf, act.size); err != nil {
+	b.seg, b.off = act, act.size
+	if total > 0 {
+		if _, err := act.f.WriteAt(b.buf, act.size); err != nil {
 			w.rollback(act)
 			return fmt.Errorf("wal append: %w", err)
 		}
@@ -383,7 +394,7 @@ func (w *WALStore) flushBatch(b *walBatch) error {
 		w.rollback(act)
 		return fmt.Errorf("wal sync: %w", err)
 	}
-	act.size = off
+	act.size += total
 	return nil
 }
 
@@ -425,21 +436,31 @@ func (w *WALStore) roll() error {
 // accounting. Caller holds mu; readers therefore only ever see fsynced
 // records.
 func (w *WALStore) applyBatch(b *walBatch) {
-	for i := range b.ops {
-		op := &b.ops[i]
-		recLen := int64(len(op.rec))
-		old, had := w.index[op.key]
-		w.total += recLen
-		switch op.kind {
-		case recPut:
-			w.index[op.key] = slotRef{seg: op.seg, off: op.off, recLen: recLen}
-		case recDelete:
-			w.garbage += recLen
-			delete(w.index, op.key)
-		}
-		if had {
-			w.garbage += old.recLen
-		}
+	off := b.off
+	for _, op := range b.ops {
+		w.applyRecord(op.kind, op.key, slotRef{seg: b.seg, off: off, recLen: op.n})
+		off += op.n
+	}
+}
+
+// applyRecord accounts one durable record — a flushed one, or one replay
+// recovered — and points the index at it when it is a put. A tombstone or
+// a group marker is garbage from birth, and so is whatever a put or a
+// tombstone buries. Caller holds mu (or is the opener).
+func (w *WALStore) applyRecord(kind byte, key string, ref slotRef) {
+	w.total += ref.recLen
+	if kind == recGroup {
+		w.garbage += ref.recLen
+		return
+	}
+	if old, had := w.index[key]; had {
+		w.garbage += old.recLen
+	}
+	if kind == recPut {
+		w.index[key] = ref
+	} else {
+		w.garbage += ref.recLen
+		delete(w.index, key)
 	}
 }
 

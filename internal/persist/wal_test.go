@@ -14,7 +14,7 @@ import (
 
 // copyDir clones a WAL directory so a truncation/corruption scenario can
 // be replayed without disturbing the original.
-func copyDir(t *testing.T, src string) string {
+func copyDir(t testing.TB, src string) string {
 	t.Helper()
 	dst := t.TempDir()
 	entries, err := os.ReadDir(src)
@@ -34,7 +34,7 @@ func copyDir(t *testing.T, src string) string {
 }
 
 // lastSegment returns the path of the manifest's last (active) segment.
-func lastSegment(t *testing.T, dir string) string {
+func lastSegment(t testing.TB, dir string) string {
 	t.Helper()
 	names, ok, err := readManifest(dir)
 	if err != nil || !ok || len(names) == 0 {
@@ -121,6 +121,133 @@ func TestWALTornTailEveryByte(t *testing.T) {
 			t.Fatalf("cut=%d: close: %v", cut, err)
 		}
 	}
+	t.Run("group", tornTailInsideGroup)
+}
+
+// writeCommits applies a scripted sequence of commits — each one PutAll,
+// so a single entry is a bare record and several are a group — to a fresh
+// WAL in dir, one batch each. It returns the segment's size and the
+// store's contents after every commit.
+func writeCommits(t testing.TB, dir string, commits []map[string][]byte) (ends []int64, states []map[string][]byte) {
+	t.Helper()
+	w, err := NewWALStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	state := map[string][]byte{}
+	for _, c := range commits {
+		if err := w.PutAll(c); err != nil {
+			t.Fatal(err)
+		}
+		if len(c) > 1 {
+			size += recHeaderLen
+		}
+		next := make(map[string][]byte, len(state))
+		for k, v := range state {
+			next[k] = v
+		}
+		for k, v := range c {
+			size += recordLen(len(k), len(v))
+			if v == nil {
+				delete(next, k)
+			} else {
+				next[k] = v
+			}
+		}
+		state = next
+		ends, states = append(ends, size), append(states, state)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := os.Stat(lastSegment(t, dir)); err != nil || info.Size() != size {
+		t.Fatalf("segment size = %v (%v), computed %d — offset math is off", info.Size(), err, size)
+	}
+	return ends, states
+}
+
+// wantContents asserts a store holds exactly the given slots.
+func wantContents(t testing.TB, label string, s Backend, want map[string][]byte) {
+	t.Helper()
+	slots, err := s.List()
+	if err != nil || len(slots) != len(want) {
+		t.Fatalf("%s: List = %v (%v), want %d slots", label, slots, err, len(want))
+	}
+	for k, v := range want {
+		if got, err := s.Get(k); err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("%s: Get(%q) = %q, %v; want %q", label, k, got, err, v)
+		}
+	}
+}
+
+// groupLog is a log whose tail is a five-record group — puts (one an
+// overwrite) and deletes (one of a missing slot) — followed by a single
+// record.
+func groupLog() []map[string][]byte {
+	var log []map[string][]byte
+	for i := 0; i < 4; i++ {
+		log = append(log, map[string][]byte{fmt.Sprintf("slot-%d", i): bytes.Repeat([]byte{byte(i)}, 9+5*i)})
+	}
+	return append(log,
+		map[string][]byte{
+			"slot-1": []byte("overwritten inside the group"), "slot-2": nil, "never-was": nil,
+			"manifest": []byte("names group-a and group-b"), "group-a": bytes.Repeat([]byte("a"), 40),
+		},
+		map[string][]byte{"after": []byte("the group")})
+}
+
+// tornTailInsideGroup is the truncation property over groups: a cut at any
+// byte of a five-record group, or of the record behind it, recovers the
+// contents as of the last *whole* commit — the group's records all
+// together or not at all — and leaves the store writable.
+func tornTailInsideGroup(t *testing.T) {
+	dir := t.TempDir()
+	commits := groupLog()
+	ends, states := writeCommits(t, dir, commits)
+	first := len(commits) - 2 // the group
+	for cut := ends[first-1]; cut <= ends[len(ends)-1]; cut++ {
+		whole := first - 1
+		for whole+1 < len(ends) && ends[whole+1] <= cut {
+			whole++
+		}
+		cutDir := copyDir(t, dir)
+		if err := os.Truncate(lastSegment(t, cutDir), cut); err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenWALStore(cutDir, WALOptions{})
+		if err != nil {
+			t.Fatalf("cut=%d: recovery failed: %v", cut, err)
+		}
+		wantContents(t, fmt.Sprintf("cut=%d", cut), re, states[whole])
+		if st := re.Stats(); st.TotalBytes != ends[whole] {
+			t.Fatalf("cut=%d: log holds %d bytes after recovery, want %d", cut, st.TotalBytes, ends[whole])
+		}
+		if err := re.PutAll(map[string][]byte{"post": []byte("ok"), "slot-0": nil}); err != nil {
+			t.Fatalf("cut=%d: post-recovery batch: %v", cut, err)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatalf("cut=%d: close: %v", cut, err)
+		}
+	}
+	// A whole-length group whose last record does not verify — sectors
+	// need not land in order — is dropped from its marker on: the records
+	// ahead of the damage are not applied.
+	seg := lastSegment(t, dir)
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[ends[first]-1] ^= 0x01
+	if err := os.WriteFile(seg, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewWALStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	wantContents(t, "damaged group", re, states[first-1])
 }
 
 // TestWALCorruptSealedSegmentFailsOpen: a checksum flip in a sealed
@@ -161,8 +288,120 @@ func TestWALCorruptSealedSegment(t *testing.T) {
 	}
 }
 
-// TestWALGroupCommitConcurrency: many writers on distinct keys, all
-// acknowledged writes durable across reopen, no lost or torn records.
+// TestWALCorruptSealedGroup: a byte flipped anywhere inside a group that
+// lies in a sealed segment — marker or member — fails the open.
+func TestWALCorruptSealedGroup(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWALStore(dir, WALOptions{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := map[string][]byte{"g1": bytes.Repeat([]byte{1}, 30), "g2": nil, "g3": bytes.Repeat([]byte{3}, 30)}
+	if err := w.PutAll(group); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ { // roll past the group's segment
+		if err := w.Put(fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 60)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, _, err := readManifest(dir)
+	if err != nil || len(names) < 2 {
+		t.Fatalf("manifest %v, %v: the group's segment was not sealed", names, err)
+	}
+	groupLen := recHeaderLen + recordLen(2, 30)*2 + recordLen(2, 0)
+	for at := int64(0); at < groupLen; at++ {
+		cutDir := copyDir(t, dir)
+		f, err := os.OpenFile(filepath.Join(cutDir, names[0]), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b [1]byte
+		if _, err := f.ReadAt(b[:], at); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x40
+		if _, err := f.WriteAt(b[:], at); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if re, err := OpenWALStore(cutDir, WALOptions{}); !errors.Is(err, ErrCorrupt) {
+			if err == nil {
+				re.Close()
+			}
+			t.Fatalf("byte %d of a sealed group flipped: open = %v, want ErrCorrupt", at, err)
+		}
+	}
+}
+
+// TestWALCompactionDropsGroupMarkers: compaction over a log of groups
+// keeps the contents and writes a segment of bare records — no marker
+// survives, and a reopen replays it to the same contents.
+func TestWALCompactionDropsGroupMarkers(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWALStore(dir, WALOptions{SegmentBytes: 1 << 10, DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	for round := 0; round < 12; round++ {
+		batch := map[string][]byte{}
+		for i := 0; i < 4; i++ {
+			k := fmt.Sprintf("k%d", (round+i)%6)
+			batch[k] = []byte(fmt.Sprintf("round %d value of %s", round, k))
+			want[k] = batch[k]
+		}
+		gone := fmt.Sprintf("k%d", (round+5)%6)
+		batch[gone] = nil
+		delete(want, gone)
+		if err := w.PutAll(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	wantContents(t, "compacted", w, want)
+	var live int64
+	for k, v := range want {
+		live += recordLen(len(k), len(v))
+	}
+	if st := w.Stats(); st.TotalBytes != live || st.GarbageBytes != 0 {
+		t.Errorf("after compaction: %+v, want %d live bytes and no garbage (markers and tombstones dropped)", st, live)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, _, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, names[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(raw) > 0 {
+		kind, _, _, n, err := parseRecord(raw) // refuses a marker
+		if err != nil || kind != recPut {
+			t.Fatalf("compacted segment holds a record of kind %d (%v)", kind, err)
+		}
+		raw = raw[n:]
+	}
+	re, err := NewWALStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	wantContents(t, "reopened", re, want)
+}
+
+// TestWALGroupCommitConcurrency: many writers on distinct keys — half of
+// them with Put, half with three-slot PutAll groups (two puts and the
+// delete of the previous group's twin) — all acknowledged writes durable
+// across reopen, no lost or torn records.
 func TestWALGroupCommitConcurrency(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWALStore(dir, WALOptions{SegmentBytes: 32 << 10})
@@ -175,12 +414,25 @@ func TestWALGroupCommitConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(wr int) {
 			defer wg.Done()
+			prevTwin := ""
 			for i := 0; i < ops; i++ {
 				key := fmt.Sprintf("w%d-op%02d", wr, i)
-				if err := w.Put(key, []byte(key)); err != nil {
-					t.Errorf("Put(%q): %v", key, err)
+				if wr%2 == 0 {
+					if err := w.Put(key, []byte(key)); err != nil {
+						t.Errorf("Put(%q): %v", key, err)
+						return
+					}
+					continue
+				}
+				batch := map[string][]byte{key: []byte(key), key + "-twin": []byte(key + "-twin")}
+				if prevTwin != "" {
+					batch[prevTwin] = nil
+				}
+				if err := w.PutAll(batch); err != nil {
+					t.Errorf("PutAll(%q): %v", key, err)
 					return
 				}
+				prevTwin = key + "-twin"
 			}
 		}(wr)
 	}
@@ -194,8 +446,9 @@ func TestWALGroupCommitConcurrency(t *testing.T) {
 	}
 	defer re.Close()
 	slots, err := re.List()
-	if err != nil || len(slots) != writers*ops {
-		t.Fatalf("recovered %d slots (%v), want %d", len(slots), err, writers*ops)
+	// Every op's key, and the last twin of each PutAll writer.
+	if want := writers*ops + writers/2; err != nil || len(slots) != want {
+		t.Fatalf("recovered %d slots (%v), want %d", len(slots), err, want)
 	}
 	for _, k := range slots {
 		if got, err := re.Get(k); err != nil || string(got) != k {
