@@ -857,8 +857,6 @@ func (h *harness) sabotage(e int) {
 
 // ---- invariants ----
 
-const stateDeparted = "departed"
-
 // checkEpoch asserts the global invariants at a quiescence point.
 func (h *harness) checkEpoch(e int) {
 	before := len(h.violations)
@@ -877,12 +875,18 @@ func (h *harness) checkEpoch(e int) {
 			h.violate(e, "%s has %d live copies (want exactly 1)", name, len(hosts))
 			continue
 		}
-		traced, err := h.traceAgent(a)
-		if err != nil {
+		// The operator's agent-location workflow, from a rotating observer:
+		// one fan-out round of hadas.migration.status, stitched from birth.
+		obs := h.sites[(a+e+1)%len(h.sites)]
+		path, st, err := obs.TraceAgent(h.names[a%h.cfg.Sites], name)
+		switch traced := path[len(path)-1]; {
+		case err != nil:
 			h.violate(e, "%s itinerary trace: %v", name, err)
-		} else if traced != hosts[0] {
+		case st.State != hadas.AgentStatusResident:
+			h.violate(e, "%s trace broke at %s: state %q", name, traced, st.State)
+		case traced != h.names[hosts[0]]:
 			h.violate(e, "%s trace ends at %s but the live copy is at %s",
-				name, h.names[traced], h.names[hosts[0]])
+				name, traced, h.names[hosts[0]])
 		}
 	}
 
@@ -947,44 +951,6 @@ func (h *harness) checkEpoch(e int) {
 		h.emit(fmt.Sprintf("epoch %d: invariants ok (agents=%d counters=%d ambassadors=%d)",
 			e, h.cfg.Agents, h.cfg.Sites, h.cfg.Sites*(h.cfg.Sites-1)))
 	}
-}
-
-// traceAgent follows departed-record next pointers from the agent's birth
-// site to its current host, over the wire, from a rotating observer — the
-// operator's agent-location workflow built on hadas.migration.status.
-func (h *harness) traceAgent(a int) (int, error) {
-	name := agentName(a)
-	cur := a % h.cfg.Sites
-	maxHops := h.cfg.Epochs*(h.cfg.MaxHops+2) + 4
-	for hop := 0; hop < maxHops; hop++ {
-		obs := h.sites[(cur+1)%len(h.sites)]
-		st, err := obs.AgentStatusAt(h.names[cur], name)
-		if err != nil {
-			return -1, fmt.Errorf("status of %s at %s: %w", name, h.names[cur], err)
-		}
-		switch {
-		case st.State == hadas.AgentStatusResident:
-			return cur, nil
-		case st.State == stateDeparted && st.Next != "":
-			next := h.siteIndex(st.Next)
-			if next < 0 {
-				return -1, fmt.Errorf("trace points at unknown site %q", st.Next)
-			}
-			cur = next
-		default:
-			return -1, fmt.Errorf("trace broke at %s: state %q", h.names[cur], st.State)
-		}
-	}
-	return -1, fmt.Errorf("trace did not terminate within %d hops", maxHops)
-}
-
-func (h *harness) siteIndex(name string) int {
-	for i, n := range h.names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // ---- recording ----

@@ -7,28 +7,30 @@ import (
 	"time"
 )
 
-// Distributed deadlock detection over Serialized admissions, in the
-// edge-chasing style of Chandy–Misra–Haas: the in-process waits-for graph
-// (serialize.go) sees every blocked edge inside one process, but a cycle
-// that closes through a remote site is invisible to both halves. To catch
-// those, every call chain gets a globally unique identity ("site:seq"),
-// the identity travels on every wire invoke frame, and a per-site Detector
-// tracks three registries the local graph cannot express:
+// Deadlock detection over Serialized admissions, in the edge-chasing style
+// of Chandy–Misra–Haas. Every call chain that blocks or calls a remote site
+// gets a globally unique identity ("site:seq") that travels on every wire
+// invoke frame, and each site's Detector owns, under its one mutex, the
+// waits-for edges of the objects it hosts plus the registries a chase
+// needs:
 //
+//   - holder:   each held object's admitted chain,
+//   - blocked:  each blocked chain's wait — the object, and an abort
+//               channel the probe machinery can fire,
 //   - chains:   every chain identity known at this site (minted locally,
 //               or adopted because a remote invocation carried it in),
 //   - outbound: chains currently inside a remote call to a peer — the
-//               *remote edge* of the waits-for graph,
-//   - blocked:  chains currently blocked on a local admission, each with
-//               an abort channel the probe machinery can fire.
+//               *remote edge* of the waits-for graph.
 //
-// When a chain blocks, the detector chases the wait→holder edges locally;
-// if the walk ends at a chain that is off inside a remote call, the probe
-// (initiator, target, path) is forwarded to that peer, which continues the
-// chase through its own graph. A probe arriving back at a chain whose
-// identity equals the initiator proves a cycle; the deterministic victim
-// (lowest chain identity on the cycle) is aborted with ErrDeadlock naming
-// the full cross-site cycle — long before any AdmissionTimeout backstop.
+// A blocking chain publishes its wait and walks wait→holder edges from
+// itself in one critical section. A walk that comes back to it closes a
+// local cycle — the zero-hop chase — and the verdict is delivered at once;
+// a walk that ends at a chain off inside a remote call forwards the probe
+// (initiator, target, path) to that peer, which continues the chase
+// through its own edges. Either way the victim is the lowest chain
+// identity on the cycle, aborted with ErrDeadlock naming the whole cycle —
+// long before any AdmissionTimeout backstop. Objects no detector-running
+// site hosts share localDetector, which has no peers.
 //
 // Hygiene: probes carry a TTL (site hops) and a path cap, duplicate
 // (initiator, target) forwards are suppressed within a short window, and a
@@ -86,7 +88,7 @@ type ProbeForwarder interface {
 }
 
 // DetectorHost is implemented by resolvers (sites) that run a Detector;
-// admit discovers the detector through the blocked object's resolver.
+// admit discovers the detector through the object's resolver.
 type DetectorHost interface {
 	DeadlockDetector() *Detector
 }
@@ -94,14 +96,18 @@ type DetectorHost interface {
 // Detector is one site's share of the distributed detection state.
 type Detector struct {
 	site string
-	fwd  ProbeForwarder
+	fwd  ProbeForwarder // nil: no peers
 
 	mu       sync.Mutex
+	holder   map[*Object]*callChain
+	blocked  map[*callChain]*blockedWait
 	chains   map[string]*chainEntry
 	outbound map[*callChain]*outboundEdge
-	blocked  map[*callChain]*blockedWait
 	seen     map[probeKey]time.Time
 }
+
+// localDetector holds the edges of objects whose resolver runs no Detector.
+var localDetector = NewDetector("local", nil)
 
 // chainEntry refcounts a chain identity's liveness at this site: one ref
 // for a locally minted chain until its top-level invocation completes,
@@ -119,7 +125,8 @@ type outboundEdge struct {
 	n    int
 }
 
-// blockedWait is one blocked admission the probe machinery may abort.
+// blockedWait is one blocked admission — the chain's waits-for edge — that
+// the probe machinery may abort.
 type blockedWait struct {
 	obj   *Object
 	abort chan string // cap 1: receives the cycle description
@@ -136,9 +143,10 @@ func NewDetector(site string, fwd ProbeForwarder) *Detector {
 	return &Detector{
 		site:     site,
 		fwd:      fwd,
+		holder:   make(map[*Object]*callChain),
+		blocked:  make(map[*callChain]*blockedWait),
 		chains:   make(map[string]*chainEntry),
 		outbound: make(map[*callChain]*outboundEdge),
-		blocked:  make(map[*callChain]*blockedWait),
 		seen:     make(map[probeKey]time.Time),
 	}
 }
@@ -162,26 +170,20 @@ func (d *Detector) ChainCount() int {
 func (c *callChain) ensureGID(site string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gid == "" {
-		c.origin = site
-		c.gid = site + ":" + strconv.FormatUint(c.id, 10)
+	if c.gid.Load() == nil {
+		gid := site + ":" + strconv.FormatUint(c.id, 10)
+		c.gid.Store(&gid)
 	}
-	return c.gid
+	return *c.gid.Load()
 }
 
-// GID returns the chain's global identity, or "" if never minted.
+// GID returns the chain's global identity, or "" if never minted. It takes
+// no lock, so a walk holds only its detector's mutex.
 func (c *callChain) GID() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gid
-}
-
-// gidOrLabel prefers the global identity for diagnostics that travel.
-func (c *callChain) gidOrLabel() string {
-	if gid := c.GID(); gid != "" {
-		return gid
+	if gid := c.gid.Load(); gid != nil {
+		return *gid
 	}
-	return c.label()
+	return ""
 }
 
 // addReg records that d holds a liveness ref on c (released by
@@ -204,25 +206,20 @@ func (c *callChain) completeLocal() {
 	}
 }
 
-// register ensures ch is tracked at this site, holding a liveness ref the
-// chain releases at completion. Idempotent per (detector, chain).
+// register ensures ch is tracked at this site (d.mu held), holding a
+// liveness ref the chain releases at completion. Idempotent per
+// (detector, chain).
 func (d *Detector) register(ch *callChain) string {
 	gid := ch.ensureGID(d.site)
-	d.mu.Lock()
-	e := d.chains[gid]
-	fresh := e == nil
-	if fresh {
-		e = &chainEntry{ch: ch, refs: 1}
-		d.chains[gid] = e
-	}
-	d.mu.Unlock()
-	if fresh {
+	if d.chains[gid] == nil {
+		d.chains[gid] = &chainEntry{ch: ch, refs: 1}
 		ch.addReg(d)
 	}
 	return gid
 }
 
-// unregister drops one liveness ref (see chainEntry).
+// unregister drops one liveness ref (see chainEntry): a local chain's at
+// completion, an adoption's at its release.
 func (d *Detector) unregister(ch *callChain) {
 	gid := ch.GID()
 	d.mu.Lock()
@@ -257,26 +254,15 @@ func (d *Detector) Adopt(gid string) (*AdoptedChain, func()) {
 	d.mu.Lock()
 	e := d.chains[gid]
 	if e == nil {
-		origin, seq := parseGID(gid)
-		e = &chainEntry{ch: &callChain{id: seq, origin: origin, gid: gid, entry: "remote"}}
+		_, seq := parseGID(gid)
+		e = &chainEntry{ch: &callChain{id: seq, entry: "remote"}}
+		e.ch.gid.Store(&gid)
 		d.chains[gid] = e
 	}
 	e.refs++
 	ch := e.ch
 	d.mu.Unlock()
-	return &AdoptedChain{ch: ch}, func() { d.release(gid, ch) }
-}
-
-func (d *Detector) release(gid string, ch *callChain) {
-	d.mu.Lock()
-	if e := d.chains[gid]; e != nil && e.ch == ch {
-		e.refs--
-		if e.refs <= 0 {
-			delete(d.chains, gid)
-			delete(d.outbound, ch)
-		}
-	}
-	d.mu.Unlock()
+	return &AdoptedChain{ch: ch}, func() { d.unregister(ch) }
 }
 
 // parseGID splits "origin:seq"; a malformed identity orders as
@@ -315,8 +301,8 @@ func (inv *Invocation) BeginRemoteCall(d *Detector, peer string) (string, func()
 		return "", func() {}
 	}
 	ch := inv.chain
-	gid := d.register(ch)
 	d.mu.Lock()
+	gid := d.register(ch)
 	oe := d.outbound[ch]
 	if oe == nil {
 		oe = &outboundEdge{}
@@ -337,32 +323,32 @@ func (inv *Invocation) BeginRemoteCall(d *Detector, peer string) (string, func()
 	}
 }
 
-// detector finds the deadlock detector of the object's site, if any.
+// detector finds the deadlock detector of the object's site, or
+// localDetector when no site runs one.
 func (o *Object) detector() *Detector {
-	o.mu.Lock()
-	r := o.resolver
-	o.mu.Unlock()
-	if h, ok := r.(DetectorHost); ok {
+	if h, ok := o.Resolver().(DetectorHost); ok {
 		return h.DeadlockDetector()
 	}
-	return nil
+	return localDetector
 }
 
-// blockBegin registers ch as blocked on o's admission and starts the
-// edge chase (immediately, then at reprobeInterval while still blocked).
-// It returns the abort channel admit selects on, and the end function that
-// withdraws the registration once the wait resolves either way.
+// blockBegin publishes ch's wait on o and runs the zero-hop walk in one
+// critical section — a local cycle's verdict is delivered before it
+// returns — then starts the chase loop. It returns the abort channel admit
+// selects on, and the end function that withdraws the wait once it
+// resolves either way.
 func (d *Detector) blockBegin(ch *callChain, o *Object) (<-chan string, func()) {
-	d.register(ch)
 	bw := &blockedWait{
 		obj:   o,
 		abort: make(chan string, 1),
 		done:  make(chan struct{}),
 	}
 	d.mu.Lock()
+	gid := d.register(ch)
 	d.blocked[ch] = bw
+	res := d.walk(gid, ch, nil)
 	d.mu.Unlock()
-	go d.reprobe(ch, bw)
+	go d.reprobe(gid, ch, bw, res)
 	var once sync.Once
 	return bw.abort, func() {
 		once.Do(func() {
@@ -376,33 +362,28 @@ func (d *Detector) blockBegin(ch *callChain, o *Object) (<-chan string, func()) 
 	}
 }
 
-// reprobe chases on block and keeps re-chasing while the wait lasts —
-// the retry that makes detection robust to lost probes and edge races.
-func (d *Detector) reprobe(ch *callChain, bw *blockedWait) {
+// reprobe forwards the block's first walk, then re-chases while the wait
+// lasts — the retry that makes detection robust to lost probes and edge
+// races.
+func (d *Detector) reprobe(gid string, ch *callChain, bw *blockedWait, res walkResult) {
 	for {
-		d.chase(ch)
+		d.act(gid, res, DefaultProbeTTL)
 		select {
 		case <-bw.done:
 			return
 		case <-time.After(reprobeInterval):
 		}
+		d.mu.Lock()
+		res = walkResult{}
+		if d.blocked[ch] == bw {
+			res = d.walk(gid, ch, nil)
+		}
+		d.mu.Unlock()
 	}
-}
-
-// chase runs one edge chase starting from a locally blocked chain.
-func (d *Detector) chase(ch *callChain) {
-	d.mu.Lock()
-	_, stillBlocked := d.blocked[ch]
-	d.mu.Unlock()
-	if !stillBlocked {
-		return
-	}
-	gid := ch.GID()
-	d.act(gid, d.walk(gid, ch, nil), DefaultProbeTTL)
 }
 
 // HandleProbe continues a chase arriving from a peer: locate the target
-// chain, walk the local graph from it, and either prove the cycle, forward
+// chain, walk this site's edges from it, and either prove the cycle, forward
 // to the next site, or dead-end. Stale probes — TTL or path exhausted,
 // duplicates within the dedup window, or targets this site no longer
 // knows — drop to a zero verdict.
@@ -425,38 +406,32 @@ func (d *Detector) HandleProbe(p Probe) Verdict {
 			}
 		}
 	}
-	e := d.chains[p.Target]
-	d.mu.Unlock()
-	if e == nil {
-		return Verdict{} // chain completed or never reached here: stale probe
+	var res walkResult // a chain completed or never seen here: stale probe
+	if e := d.chains[p.Target]; e != nil {
+		res = d.walk(p.Initiator, e.ch, p.Path)
 	}
-	return d.act(p.Initiator, d.walk(p.Initiator, e.ch, p.Path), p.TTL-1)
+	d.mu.Unlock()
+	return d.act(p.Initiator, res, p.TTL-1)
 }
 
-// walkResult is the outcome of one local graph walk: exactly one of cycle
-// (closed here) or fwdPeer (chase continues remotely) is set; neither
-// means the chase dead-ended on a running chain.
+// walkResult is the outcome of one local walk: at most one of verdict (a
+// cycle closed here, already delivered) or fwdPeer (chase continues
+// remotely) is set; neither means the chase dead-ended on a running chain.
 type walkResult struct {
-	cycle     []ProbeStep
+	verdict   Verdict
 	fwdPeer   string
 	fwdTarget string
 	path      []ProbeStep
 }
 
-// walk follows wait→holder edges from start under a consistent snapshot of
-// the local graph, extending path. Lock order: waitsFor.mu, then d.mu
-// (chain mutexes are only taken leaf-wise via GID()).
+// walk follows wait→holder edges from start, extending path, with d.mu
+// held — the only lock a walk takes. A walk that comes back to the
+// initiator delivers the cycle's verdict before the lock is released.
 func (d *Detector) walk(initiator string, start *callChain, path []ProbeStep) walkResult {
 	steps := append([]ProbeStep(nil), path...)
-	waitsFor.mu.Lock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer waitsFor.mu.Unlock()
-
-	cur := start
-	for len(steps) <= maxProbePath {
-		obj := waitsFor.waiting[cur]
-		if obj == nil {
+	for cur := start; len(steps) <= maxProbePath; {
+		bw := d.blocked[cur]
+		if bw == nil {
 			// Not blocked here: the chain is either running (dead end) or
 			// off inside a remote call — the edge the probe must chase.
 			if oe := d.outbound[cur]; oe != nil {
@@ -464,53 +439,43 @@ func (d *Detector) walk(initiator string, start *callChain, path []ProbeStep) wa
 			}
 			return walkResult{}
 		}
-		holder := waitsFor.holder[obj]
+		holder := d.holder[bw.obj]
 		if holder == nil {
 			return walkResult{} // slot in hand-off; a reprobe will re-check
 		}
-		steps = append(steps, ProbeStep{
-			Chain:  cur.gidOrLabel(),
-			Site:   d.site,
-			Object: objLabel(obj),
-			Holder: holder.gidOrLabel(),
-		})
-		if hgid := holder.GID(); hgid != "" && hgid == initiator {
-			return walkResult{cycle: steps}
+		hgid := holder.GID()
+		steps = append(steps, ProbeStep{Chain: cur.GID(), Site: d.site, Object: objLabel(bw.obj), Holder: hgid})
+		if hgid != "" && hgid == initiator {
+			v := Verdict{Cycle: d.describe(steps), Victim: chooseVictim(steps)}
+			for _, s := range steps {
+				if s.Chain == v.Victim {
+					v.VictimObj = s.Object
+					break
+				}
+			}
+			d.abort(v)
+			return walkResult{verdict: v}
 		}
 		cur = holder
 	}
 	return walkResult{} // path cap: drop, the backstop covers pathology
 }
 
-// act finishes one chase leg: deliver the verdict of a closed cycle
-// (aborting the victim if it blocks here), or forward the probe and relay
-// the peer's verdict (again attempting the abort — the reply path visits
-// every site of the cycle, so the abort lands wherever the victim waits).
+// act finishes one chase leg: a verdict the walk delivered is returned as
+// is; otherwise the probe is forwarded and the peer's verdict relayed
+// (again attempting the abort — the reply path visits every site of the
+// cycle, so the abort lands wherever the victim waits).
 func (d *Detector) act(initiator string, res walkResult, ttl int) Verdict {
-	if res.cycle != nil {
-		v := Verdict{
-			Cycle:  describeCycle(res.cycle),
-			Victim: chooseVictim(res.cycle),
-		}
-		for _, s := range res.cycle {
-			if s.Chain == v.Victim {
-				v.VictimObj = s.Object
-				break
-			}
-		}
-		d.abortIfBlocked(v)
-		return v
+	if res.fwdPeer == "" || ttl <= 0 || d.fwd == nil {
+		return res.verdict
 	}
-	if res.fwdPeer == "" || ttl <= 0 {
-		return Verdict{}
-	}
-	v, err := d.fwd.ForwardProbe(res.fwdPeer, Probe{
+	// A lost probe is re-sent by the reprobe loop.
+	v, _ := d.fwd.ForwardProbe(res.fwdPeer, Probe{
 		Initiator: initiator,
 		Target:    res.fwdTarget,
 		TTL:       ttl,
 		Path:      res.path,
 	})
-	_ = err // a lost probe is re-sent by the reprobe loop
 	if v.Victim != "" {
 		d.abortIfBlocked(v)
 	}
@@ -523,6 +488,11 @@ func (d *Detector) act(initiator string, res walkResult, ttl int) Verdict {
 func (d *Detector) abortIfBlocked(v Verdict) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.abort(v)
+}
+
+// abort is abortIfBlocked with d.mu held.
+func (d *Detector) abort(v Verdict) bool {
 	e := d.chains[v.Victim]
 	if e == nil {
 		return false
@@ -549,12 +519,23 @@ func chooseVictim(cycle []ProbeStep) string {
 	return victim
 }
 
-// describeCycle renders the full cross-site cycle for the victim's error.
-func describeCycle(cycle []ProbeStep) string {
+// describe renders a cycle for the victim's error (d.mu held): every
+// step's chain — by its label where this site knows it — site, object and
+// holder.
+func (d *Detector) describe(cycle []ProbeStep) string {
+	name := func(gid string) string {
+		if e := d.chains[gid]; e != nil {
+			return e.ch.label()
+		}
+		return "chain " + gid
+	}
+	kind := "cycle: "
 	parts := make([]string, len(cycle))
 	for i, s := range cycle {
-		parts[i] = "chain " + s.Chain + " at " + s.Site +
-			" waits for " + s.Object + " held by chain " + s.Holder
+		if s.Site != d.site {
+			kind = "cross-site cycle: "
+		}
+		parts[i] = name(s.Chain) + " at " + s.Site + " waits for " + s.Object + " held by " + name(s.Holder)
 	}
-	return "cross-site cycle: " + strings.Join(parts, "; ")
+	return kind + strings.Join(parts, "; ")
 }

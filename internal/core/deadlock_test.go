@@ -50,21 +50,6 @@ func (m *meshForwarder) ForwardProbe(peer string, p Probe) (Verdict, error) {
 	return d.HandleProbe(p), nil
 }
 
-// cleanWaits removes every waits-for edge the test fabricated; the graph
-// is process-global, so leaked edges would poison unrelated tests.
-func cleanWaits(t *testing.T, chains []*callChain, objs []*Object) {
-	t.Cleanup(func() {
-		waitsFor.mu.Lock()
-		defer waitsFor.mu.Unlock()
-		for _, c := range chains {
-			delete(waitsFor.waiting, c)
-		}
-		for _, o := range objs {
-			delete(waitsFor.holder, o)
-		}
-	})
-}
-
 func TestGIDOrderDeterministic(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -222,13 +207,12 @@ func TestTwoSiteEdgeChase(t *testing.T) {
 	incB, releaseB := da.Adopt(gidB) // chain B arrived at siteA
 	defer releaseB()
 
-	waitsFor.mu.Lock()
-	waitsFor.holder[lockA] = chainA
-	waitsFor.holder[lockB] = chainB
-	waitsFor.waiting[incA.ch] = lockB
-	waitsFor.waiting[incB.ch] = lockA
-	waitsFor.mu.Unlock()
-	cleanWaits(t, []*callChain{incA.ch, incB.ch}, []*Object{lockA, lockB})
+	da.mu.Lock()
+	da.holder[lockA] = chainA
+	da.mu.Unlock()
+	db.mu.Lock()
+	db.holder[lockB] = chainB
+	db.mu.Unlock()
 
 	abortA, endA := db.blockBegin(incA.ch, lockB)
 	defer endA()
@@ -265,8 +249,6 @@ func TestSevenSiteRingRespectsCaps(t *testing.T) {
 		dets[i] = mesh.add(fmt.Sprintf("ring%d", i))
 	}
 
-	var chains []*callChain
-	var objs []*Object
 	// At site i: chain r<i> waits for obj<i>, held by chain r<i+1>, which
 	// is off inside a remote call to site i+1 — a forwarding loop with no
 	// cycle for an outside initiator.
@@ -283,17 +265,12 @@ func TestSevenSiteRingRespectsCaps(t *testing.T) {
 			WithPolicy(allowAllPolicy()), Serialized()).MustBuild()
 		holder, releaseH := dets[i].Adopt(fmt.Sprintf("ringchain:%d", next))
 		defer releaseH()
-		waitsFor.mu.Lock()
-		waitsFor.waiting[incs[i]] = obj
-		waitsFor.holder[obj] = holder.ch
-		waitsFor.mu.Unlock()
 		dets[i].mu.Lock()
+		dets[i].blocked[incs[i]] = &blockedWait{obj: obj}
+		dets[i].holder[obj] = holder.ch
 		dets[i].outbound[holder.ch] = &outboundEdge{peer: fmt.Sprintf("ring%d", next), n: 1}
 		dets[i].mu.Unlock()
-		chains = append(chains, incs[i], holder.ch)
-		objs = append(objs, obj)
 	}
-	cleanWaits(t, chains, objs)
 
 	v := dets[0].HandleProbe(Probe{Initiator: "outsider:1", Target: "ringchain:0", TTL: DefaultProbeTTL})
 	if v != (Verdict{}) {

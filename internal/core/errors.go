@@ -42,7 +42,7 @@ var (
 	// the cycle. The failing chain's abort unblocks the others.
 	ErrDeadlock = errors.New("serialized admission deadlock")
 	// ErrAdmissionTimeout reports an admission wait on a Serialized object
-	// exceeding its timeout — the backstop for blockages the waits-for
-	// graph cannot attribute (e.g. cycles closed through a remote site).
+	// exceeding its timeout — the backstop for blockages the deadlock
+	// detectors cannot prove (e.g. a probe path cut by a partition).
 	ErrAdmissionTimeout = errors.New("serialized admission timed out")
 )

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,13 +27,12 @@ import (
 // Two chains that hold each other's objects and then cross (A→B while
 // B→A) used to block forever, exactly as two actors awaiting each other
 // would. That condition is now diagnosed instead of suffered: every
-// blocked admission publishes a waits-for edge in a process-wide graph,
-// and the arrival that closes a cycle fails immediately with ErrDeadlock
-// naming every chain and object on the cycle — the victim's abort releases
-// its admissions, so the surviving chains proceed. Cycles the graph cannot
-// see (e.g. closed through a remote site, where the chain identity does
-// not travel) are caught by a per-object admission timeout, returning
-// ErrAdmissionTimeout as the backstop.
+// blocked admission publishes its waits-for edge in the deadlock detector
+// of the object's site and chases the edges from there (deadlock.go); the
+// lowest chain identity on a cycle fails ErrDeadlock naming every chain
+// and object on it — the victim's abort releases its admissions, so the
+// surviving chains proceed. A per-object admission timeout, returning
+// ErrAdmissionTimeout, backstops any cycle the detectors cannot prove.
 //
 // Structural operations remain guarded by the object's internal lock
 // regardless, so Serialized() is about *method bodies*, not about memory
@@ -71,25 +70,29 @@ var chainSeq atomic.Uint64
 // bodies may hand work to helper goroutines that call back in — the small
 // mutex keeps that safe.
 type callChain struct {
-	id     uint64
-	entry  string // "<class>.<method>" of the chain's first serialized entry
-	mu     sync.Mutex
-	held   []*Object
-	origin string      // site that minted the global identity ("" until minted)
-	gid    string      // global identity "origin:id", minted lazily (deadlock.go)
-	regs   []*Detector // detectors holding a liveness ref on this chain
+	id    uint64
+	entry string                 // "<class>.<method>" of the chain's first serialized entry
+	gid   atomic.Pointer[string] // global identity "site:id", minted lazily (deadlock.go)
+	mu    sync.Mutex
+	held  []*Object
+	regs  []*Detector // detectors holding a liveness ref on this chain
 }
 
 func newCallChain(o *Object, method string) *callChain {
 	return &callChain{id: chainSeq.Add(1), entry: o.class + "." + method}
 }
 
-// label identifies the chain in deadlock diagnostics.
+// label identifies the chain in deadlock diagnostics: its number and
+// entry point, plus its global identity once minted.
 func (c *callChain) label() string {
-	if c.entry == "" {
-		return fmt.Sprintf("chain#%d", c.id)
+	s := "chain#" + strconv.FormatUint(c.id, 10)
+	if c.entry != "" {
+		s += "[" + c.entry + "]"
 	}
-	return fmt.Sprintf("chain#%d[%s]", c.id, c.entry)
+	if gid := c.GID(); gid != "" {
+		s += " (" + gid + ")"
+	}
+	return s
 }
 
 func (c *callChain) holds(o *Object) bool {
@@ -120,84 +123,40 @@ func (c *callChain) drop(o *Object) {
 	}
 }
 
-// waitsFor is the process-wide waits-for graph over serialized admissions:
-// holder maps each serialized object to the chain currently admitted,
-// waiting maps each blocked chain to the object it waits on. Edges exist
-// only while chains hold or await admissions, so the maps stay small; a
-// single mutex guards both because cycle detection needs a consistent
-// snapshot of the whole graph.
-var waitsFor = struct {
-	mu      sync.Mutex
-	holder  map[*Object]*callChain
-	waiting map[*callChain]*Object
-}{
-	holder:  make(map[*Object]*callChain),
-	waiting: make(map[*callChain]*Object),
-}
-
 // objLabel identifies an object in deadlock diagnostics.
 func objLabel(o *Object) string {
 	return fmt.Sprintf("%s<%s>", o.class, o.id)
 }
 
-// publishWait records chain→o in the waits-for graph, unless doing so
-// closes a cycle — then nothing is recorded and the cycle's description
-// (naming every chain and object on it) is returned.
-func publishWait(chain *callChain, o *Object) string {
-	w := &waitsFor
-	w.mu.Lock()
-	defer w.mu.Unlock()
-
-	var path []string
-	obj, cur := o, w.holder[o]
-	for i := 0; cur != nil && i < 64; i++ {
-		path = append(path, fmt.Sprintf("%s held by %s", objLabel(obj), cur.label()))
-		if cur == chain {
-			return fmt.Sprintf("%s waits for %s", chain.label(), strings.Join(path, "; that chain waits for "))
-		}
-		obj = w.waiting[cur]
-		if obj == nil {
-			break
-		}
-		cur = w.holder[obj]
+// acquired records c as o's holder; a wait on o that c had published
+// becomes the holder edge in the same critical section.
+func (d *Detector) acquired(c *callChain, o *Object) {
+	d.mu.Lock()
+	d.holder[o] = c
+	if bw := d.blocked[c]; bw != nil && bw.obj == o {
+		delete(d.blocked, c)
 	}
-	w.waiting[chain] = o
-	return ""
-}
-
-// unpublishWait withdraws a blocked chain's edge (timeout abort).
-func unpublishWait(chain *callChain) {
-	waitsFor.mu.Lock()
-	delete(waitsFor.waiting, chain)
-	waitsFor.mu.Unlock()
-}
-
-// acquired records the chain as o's holder and clears its waiting edge.
-func (c *callChain) acquired(o *Object) {
-	waitsFor.mu.Lock()
-	waitsFor.holder[o] = c
-	delete(waitsFor.waiting, c)
-	waitsFor.mu.Unlock()
+	d.mu.Unlock()
 	c.push(o)
 }
 
 // released clears the holder edge before freeing the slot, so no waiter
 // can observe a stale holder once the slot is grantable again.
-func (c *callChain) released(o *Object) {
+func (d *Detector) released(c *callChain, o *Object) {
 	c.drop(o)
-	waitsFor.mu.Lock()
-	if waitsFor.holder[o] == c {
-		delete(waitsFor.holder, o)
+	d.mu.Lock()
+	if d.holder[o] == c {
+		delete(d.holder, o)
 	}
-	waitsFor.mu.Unlock()
+	d.mu.Unlock()
 	<-o.admission
 }
 
 // admit acquires the admission slot unless this call chain already holds
 // it; it returns a release function (no-op for non-serialized objects and
-// re-entries). A blocked admission that would close a waits-for cycle
-// fails ErrDeadlock; one that outlasts the object's admission timeout
-// fails ErrAdmissionTimeout.
+// re-entries). A blocked admission whose chain is the victim of a
+// waits-for cycle fails ErrDeadlock; one that outlasts the object's
+// admission timeout fails ErrAdmissionTimeout.
 func (o *Object) admit(inv *Invocation, method string) (func(), error) {
 	if o.admission == nil {
 		return func() {}, nil
@@ -207,29 +166,20 @@ func (o *Object) admit(inv *Invocation, method string) (func(), error) {
 	} else if inv.chain.holds(o) {
 		return func() {}, nil
 	}
-	chain := inv.chain
+	chain, d := inv.chain, o.detector()
 
-	// Uncontended: take the slot without touching the graph's hot path.
+	// Uncontended: take the slot; only the holder edge is recorded.
 	select {
 	case o.admission <- struct{}{}:
-		chain.acquired(o)
-		return func() { chain.released(o) }, nil
+		d.acquired(chain, o)
+		return func() { d.released(chain, o) }, nil
 	default:
 	}
 
-	// Contended: publish the waits-for edge; the arrival closing a cycle
-	// is the one that fails.
-	if cycle := publishWait(chain, o); cycle != "" {
-		return nil, fmt.Errorf("%w: %s", ErrDeadlock, cycle)
-	}
-	// Cycles the local graph cannot close (through a remote site) are the
-	// detector's job: register the block so edge-chasing probes can find —
-	// and, if this chain is the chosen victim, abort — this wait.
-	var abortCh <-chan string
-	blockEnd := func() {}
-	if det := o.detector(); det != nil {
-		abortCh, blockEnd = det.blockBegin(chain, o)
-	}
+	// Contended: publish the wait and walk from it; if this chain is the
+	// victim of a cycle closed here, the abort is already waiting below.
+	abortCh, blockEnd := d.blockBegin(chain, o)
+	defer blockEnd()
 	timeout := o.admitTimeout
 	if timeout <= 0 {
 		timeout = DefaultAdmissionTimeout
@@ -238,32 +188,24 @@ func (o *Object) admit(inv *Invocation, method string) (func(), error) {
 	defer timer.Stop()
 	select {
 	case o.admission <- struct{}{}:
-		blockEnd()
-		chain.acquired(o)
-		return func() { chain.released(o) }, nil
+		d.acquired(chain, o)
+		return func() { d.released(chain, o) }, nil
 	case desc := <-abortCh:
-		blockEnd()
-		unpublishWait(chain)
 		return nil, fmt.Errorf("%w: %s", ErrDeadlock, desc)
 	case <-timer.C:
-		blockEnd()
-		unpublishWait(chain)
 		return nil, fmt.Errorf("%w: %s waited %v for %s (%s)", ErrAdmissionTimeout,
-			chain.label(), timeout, objLabel(o), holderDesc(o))
+			chain.label(), timeout, objLabel(o), d.holderDesc(o))
 	}
 }
 
 // holderDesc names the chain holding o's admission at backstop time, so a
 // timeout firing is debuggable: it identifies both sides of the blockage.
-func holderDesc(o *Object) string {
-	waitsFor.mu.Lock()
-	holder := waitsFor.holder[o]
-	waitsFor.mu.Unlock()
+func (d *Detector) holderDesc(o *Object) string {
+	d.mu.Lock()
+	holder := d.holder[o]
+	d.mu.Unlock()
 	if holder == nil {
 		return "currently unheld"
-	}
-	if gid := holder.GID(); gid != "" {
-		return "held by " + holder.label() + " (" + gid + ")"
 	}
 	return "held by " + holder.label()
 }

@@ -239,7 +239,7 @@ func TestSerializedReentryThroughPlainObject(t *testing.T) {
 
 // TestSerializedCrossingChainsReturnErrDeadlock: two chains that hold each
 // other's serialized objects and then cross (chain 1: A→B while chain 2:
-// B→A) used to block forever. The waits-for graph must fail exactly one of
+// B→A) used to block forever. The deadlock detector must fail exactly one of
 // them with ErrDeadlock — whose abort lets the other complete — well
 // before the admission timeout.
 func TestSerializedCrossingChainsReturnErrDeadlock(t *testing.T) {

@@ -27,8 +27,7 @@ var (
 )
 
 // DeadlockDetector implements core.DetectorHost: objects hosted at this
-// site (whose resolver is the site) reach the detector through it when an
-// admission blocks.
+// site (whose resolver is the site) keep their waits-for edges in it.
 func (s *Site) DeadlockDetector() *core.Detector { return s.det }
 
 // ForwardProbe implements core.ProbeForwarder: carry an edge-chasing

@@ -23,7 +23,9 @@ import (
 // every step the dead are restarted over their stores, every journal is
 // resolved, and the federation is held to what the chaos gate asserts per
 // epoch: one live copy of every agent, found by the status trace from its
-// birth site; no migration left in doubt; onArrival once per landing.
+// birth site; no migration left in doubt; onArrival once per landing; and
+// the live copy carries what its journey gathered — every landing bumps a
+// counter, and no copy may be older than an image some landing read.
 
 var errCrashed = errors.New("site crashed")
 
@@ -126,16 +128,17 @@ type journalModel struct {
 	sites  map[string]*Site
 	agents map[string]string // agent → birth site
 
-	mu   sync.Mutex
-	runs map[[2]string]int // {site, agent} → onArrival runs
-	cuts map[string]int    // site → deaths so far
+	mu       sync.Mutex
+	runs     map[[2]string]int // {site, agent} → onArrival runs
+	cuts     map[string]int    // site → deaths so far
+	gathered map[string]int64  // agent → highest landings count an onArrival read
 }
 
 func newJournalModel(t *testing.T, cfg Config, names ...string) *journalModel {
 	m := &journalModel{
 		t: t, net: transport.NewInProcNet(), names: names,
 		stores: map[string]*crashStore{}, sites: map[string]*Site{}, agents: map[string]string{},
-		runs: map[[2]string]int{}, cuts: map[string]int{},
+		runs: map[[2]string]int{}, cuts: map[string]int{}, gathered: map[string]int64{},
 	}
 	for _, n := range names {
 		m.stores[n] = &crashStore{MemStore: persist.NewMemStore()}
@@ -172,17 +175,27 @@ func (m *journalModel) start(name string, cfg Config) {
 	if err != nil {
 		m.t.Fatal(err)
 	}
-	// onArrival counts itself and, when the agent carries a next stop,
-	// chains the journey onward from inside the handler.
+	// onArrival counts itself, bumps the agent's landings and, when the
+	// agent carries a next stop, chains the journey onward from inside the
+	// handler.
 	s.Behaviors().Register(modelArrive, func(inv *core.Invocation, args []value.Value) (value.Value, error) {
 		if m.stores[name].isDead() {
 			return value.Null, errCrashed
 		}
 		hop, _ := args[0].Map()
 		agent, self := field(hop, "agent"), inv.Self()
+		lv, err := self.Get(self.Principal(), "landings")
+		if err != nil {
+			return value.Null, err
+		}
+		landings, _ := lv.Int()
 		m.mu.Lock()
 		m.runs[[2]string{name, agent}]++
+		m.gathered[agent] = max(m.gathered[agent], landings)
 		m.mu.Unlock()
+		if err := self.Set(self.Principal(), "landings", value.NewInt(landings+1)); err != nil {
+			return value.Null, err
+		}
 		next, err := self.Get(self.Principal(), "next")
 		if err != nil || next.String() == "" {
 			return value.NewString(name), err
@@ -215,6 +228,7 @@ func (m *journalModel) addAgent(name, birth string) {
 	}
 	b := s.NewAPOBuilder("ModelAgent")
 	b.ExtData("next", value.NewString(""))
+	b.ExtData("landings", value.NewInt(0))
 	b.FixedMethod(onArrivalMethod, body)
 	if err := s.AddAPO(name, b.MustBuild()); err != nil {
 		m.t.Fatal(err)
@@ -311,6 +325,15 @@ func (m *journalModel) check() error {
 		if len(hosts) != 1 {
 			return fmt.Errorf("%s has %d live copies %v", agent, len(hosts), hosts)
 		}
+		obj, _ := m.sites[hosts[0]].APO(agent)
+		lv, err := obj.Get(obj.Principal(), "landings")
+		if err != nil {
+			return err
+		}
+		if landings, _ := lv.Int(); landings < m.gathered[agent] {
+			return fmt.Errorf("%s at %s carries landings=%d, an older image than the %d a landing read",
+				agent, hosts[0], landings, m.gathered[agent])
+		}
 		at := birth
 		for hops := 0; ; hops++ {
 			st := m.sites[at].AgentArrivalStatus(agent)
@@ -359,14 +382,22 @@ func (m *journalModel) check() error {
 
 // TestCrashAtEveryBarrier kills either site after every barrier of a
 // one-way hop and of an A→B→A bounce — with and without a checkpoint
-// naming the agent — restarts both, and checks the invariants.
+// naming the agent — restarts both, and checks the invariants. The loop
+// leg bounces an agent that already landed at A once, so a death at A can
+// leave its first arrival record live beside the one the journey came
+// home with.
 func TestCrashAtEveryBarrier(t *testing.T) {
-	for _, journey := range []string{"hop", "bounce"} {
+	for _, journey := range []string{"hop", "bounce", "loop"} {
 		for _, checkpointed := range []bool{false, true} {
 			for _, victim := range []string{"a", "b"} {
 				for k := 1; ; k++ {
 					m := newJournalModel(t, Config{}, "a", "b")
-					m.addAgent("scout", "a")
+					if journey == "loop" {
+						m.addAgent("scout", "b")
+						m.dispatch("scout", "a", "")
+					} else {
+						m.addAgent("scout", "a")
+					}
 					if checkpointed {
 						if err := m.sites["a"].PersistAll(); err != nil {
 							t.Fatal(err)
@@ -380,7 +411,7 @@ func TestCrashAtEveryBarrier(t *testing.T) {
 					}
 					if !m.stores[victim].isDead() {
 						m.close()
-						if want := map[string]int{"hop": 2, "bounce": 4}[journey]; k != want+1 {
+						if want := map[string]int{"hop": 2, "bounce": 4, "loop": 4}[journey]; k != want+1 {
 							t.Fatalf("%s: site %s made %d barriers, want %d", journey, victim, k-1, want)
 						}
 						break // the journey has fewer than k barriers at this site

@@ -888,7 +888,11 @@ func (s *Site) handleMigrationStatus(ctx context.Context, m map[string]value.Val
 // reinstalls agents that had landed here (installed or done) but are not
 // in memory — the destination half of crash recovery. onArrival is NOT
 // re-run: it already ran (or was cut short by the crash) in the acked
-// incarnation. Returns the names reinstalled.
+// incarnation. The table is rebuilt oldest first; agents are installed
+// youngest first, so when a crash left two live records of one agent (a
+// loop-home arrival beside the record it left from) the image that came
+// back — carrying what the journey gathered — is the one that runs.
+// Returns the names reinstalled.
 func (s *Site) replayArrivals() ([]string, error) {
 	recs, err := scanJournal(s, arrivalSlotPrefix, decodeArrival, func(slot string, err error) {
 		s.log("replay arrival %s: %v", slot, err)
@@ -898,11 +902,10 @@ func (s *Site) replayArrivals() ([]string, error) {
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
 
-	var restored []string
+	var live []*arrival
+	s.arrMu.Lock()
 	for _, a := range recs {
-		s.arrMu.Lock()
 		if _, dup := s.arrivals[a.mid]; dup {
-			s.arrMu.Unlock()
 			continue // already live in memory
 		}
 		if a.seq > s.arrSeq {
@@ -914,14 +917,16 @@ func (s *Site) replayArrivals() ([]string, error) {
 			// Only live incarnations enter the by-agent index; departed
 			// and failed records never need departure-marking again.
 			s.arrByAgent[a.agentID] = append(s.arrByAgent[a.agentID], a)
+			live = append(live, a)
 		}
-		s.arrMu.Unlock()
+	}
+	s.arrMu.Unlock()
 
-		if a.state != arrivalInstalled && a.state != arrivalDone {
-			continue // departed or failed: nothing lives here
-		}
+	var restored []string
+	for i := len(live) - 1; i >= 0; i-- {
+		a := live[i]
 		if _, err := s.ResolveObject(a.name); err == nil {
-			continue // a live (or newer) incarnation is already installed
+			continue // a live (or younger) incarnation is already installed
 		}
 		if err := s.installImage(a.name, a.image); err != nil {
 			s.log("replay arrival %s (%s): %v", a.mid, a.name, err)

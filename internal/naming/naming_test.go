@@ -308,52 +308,3 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Errorf("registry not empty after churn: %d", r.Len())
 	}
 }
-
-func TestPathParseString(t *testing.T) {
-	tests := []struct {
-		in      string
-		want    Path
-		wantErr bool
-	}{
-		{"tokyo", Path{Site: "tokyo", Segments: []string{}}, false},
-		{"tokyo!home!payroll", Path{Site: "tokyo", Segments: []string{"home", "payroll"}}, false},
-		{"", Path{}, true},
-		{"a!!b", Path{}, true},
-		{"!a", Path{}, true},
-	}
-	for _, tt := range tests {
-		got, err := ParsePath(tt.in)
-		if tt.wantErr != (err != nil) {
-			t.Errorf("ParsePath(%q) err = %v, wantErr %v", tt.in, err, tt.wantErr)
-			continue
-		}
-		if err != nil {
-			continue
-		}
-		if got.String() != tt.in {
-			t.Errorf("ParsePath(%q).String() = %q", tt.in, got.String())
-		}
-		if got.Site != tt.want.Site || len(got.Segments) != len(tt.want.Segments) {
-			t.Errorf("ParsePath(%q) = %+v, want %+v", tt.in, got, tt.want)
-		}
-	}
-}
-
-func TestPathChildAndIsLocal(t *testing.T) {
-	p, err := ParsePath("osaka!home")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := p.Child("db")
-	if c.String() != "osaka!home!db" {
-		t.Errorf("Child = %q", c.String())
-	}
-	// Child must not alias the parent's segment storage.
-	c2 := p.Child("other")
-	if c.String() != "osaka!home!db" || c2.String() != "osaka!home!other" {
-		t.Errorf("Child aliasing: %q, %q", c.String(), c2.String())
-	}
-	if !p.IsLocal("osaka") || p.IsLocal("tokyo") {
-		t.Error("IsLocal wrong")
-	}
-}
