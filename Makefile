@@ -79,9 +79,10 @@ race: verify-race
 # race-core-cpu repeats the core suite at one, two and four Ps. The
 # dispatch cache is lock-free on its read side, and a publish race there
 # was red at GOMAXPROCS >= 2 and green at 1 — so whichever the machine's
-# default is, the other side of that line runs too.
+# default is, the other side of that line runs too. The security suite
+# rides along: every audited call records into the Auditor's sharded rings.
 race-core-cpu:
-	$(GO) test -race -cpu 1,2,4 ./internal/core
+	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/security
 
 # race-hadas-cpu does the same where Home's compare-and-swap loops live:
 # the container, admission and arrival tests of internal/hadas.

@@ -184,15 +184,16 @@ func (t *cacheTables) decision(key matchKey) *matchEntry {
 }
 
 // served returns the memoized decision under key while it is still valid.
-// Audited objects record every decision served from the cache. Callers
-// have already short-circuited self access.
-func (t *cacheTables) served(key matchKey) (decision error, ok bool) {
+// Audited objects record every decision served from the cache, with self,
+// the table's object, as the target. Callers have already short-circuited
+// self access.
+func (t *cacheTables) served(self naming.ID, key matchKey) (decision error, ok bool) {
 	ent := t.decision(key)
 	if ent == nil || !ent.valid(t.pol) {
 		return nil, false
 	}
 	if t.aud != nil {
-		t.aud.Record(key.caller(), key.action, key.item, ent.err == nil)
+		t.aud.Record(self, key.caller(), key.action, key.item, ent.err == nil)
 	}
 	return ent.err, true
 }
@@ -323,7 +324,7 @@ func (o *Object) fastLookup(caller security.Principal, name string) (snap *metho
 		c.hot.Store(r)
 	}
 	if aud := r.t.aud; aud != nil && caller.Object != o.id {
-		aud.Record(caller, security.ActionInvoke, name, r.ent.err == nil)
+		aud.Record(o.id, caller, security.ActionInvoke, name, r.ent.err == nil)
 	}
 	return r.ent.snap, r.ent.err, true
 }
@@ -339,5 +340,5 @@ func (o *Object) fastDecision(caller security.Principal, action security.Action,
 	if t == nil || t.gen != o.structGen.Load() {
 		return nil, false
 	}
-	return t.served(matchKey{object: caller.Object, domain: caller.Domain, action: action, item: item})
+	return t.served(o.id, matchKey{object: caller.Object, domain: caller.Domain, action: action, item: item})
 }

@@ -257,7 +257,7 @@ func (o *Object) runLevel(inv *Invocation, k int, name string, args []value.Valu
 	if inv.caller.Object != o.id {
 		key := matchKey{object: inv.caller.Object, domain: inv.caller.Domain,
 			action: security.ActionInvoke, item: meta.name, level: k}
-		decision, ok := t.served(key)
+		decision, ok := t.served(o.id, key)
 		if !ok {
 			decision = o.decide(t, key, meta.acl, meta.visible, meta.src, meta.srcGen, nil)
 		}

@@ -239,18 +239,18 @@ func (o *Object) matchDecide(caller security.Principal, acl security.ACL, visibl
 		// default never opens a hidden item.
 		if effect, matched := acl.Decide(caller, action); matched && effect == security.Allow {
 			if aud != nil {
-				aud.Record(caller, action, item, true)
+				aud.Record(o.id, caller, action, item, true)
 			}
 			return nil, false
 		}
 		if aud != nil {
-			aud.Record(caller, action, item, false)
+			aud.Record(o.id, caller, action, item, false)
 		}
 		return fmt.Errorf("%w: %s %q", ErrNotFound, actionNoun(action), item), false
 	}
 	err, viaPolicy := security.Decide(acl, pol, caller, action, item)
 	if aud != nil {
-		aud.Record(caller, action, item, err == nil)
+		aud.Record(o.id, caller, action, item, err == nil)
 	}
 	return err, viaPolicy
 }

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/naming"
 	"repro/internal/security"
 	"repro/internal/value"
 )
@@ -296,14 +297,16 @@ func (tw *twin) observe(v value.Value, err error, peer security.Principal) strin
 	return strings.ReplaceAll(sb.String(), tw.obj.ID().String(), "<self>")
 }
 
-// sameTrail compares two audit trails on everything but the clock. Self
-// access is never recorded, so no event names a twin's own identity.
-func sameTrail(a, b []security.Event) bool {
+// sameTrail compares two audit trails on everything but the clock. Every
+// event must name its own twin as the target; self access is never
+// recorded, so no event names a twin as the principal.
+func sameTrail(a, b []security.Event, aID, bID naming.ID) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].Principal != b[i].Principal || a[i].Action != b[i].Action ||
+		if a[i].Object != aID || b[i].Object != bID ||
+			a[i].Principal != b[i].Principal || a[i].Action != b[i].Action ||
 			a[i].Item != b[i].Item || a[i].Allowed != b[i].Allowed {
 			return false
 		}
@@ -311,10 +314,16 @@ func sameTrail(a, b []security.Event) bool {
 	return true
 }
 
-func trailString(events []security.Event) string {
+// trailString renders a trail with the twin's own id masked as <self>, so
+// an event recorded against any other target stands out.
+func trailString(events []security.Event, self naming.ID) string {
 	var sb strings.Builder
 	for _, e := range events {
-		fmt.Fprintf(&sb, "\n  %v %v %q %v", e.Principal, e.Action, e.Item, e.Allowed)
+		target := e.Object.String()
+		if e.Object == self {
+			target = "<self>"
+		}
+		fmt.Fprintf(&sb, "\n  %s: %v %v %q %v", target, e.Principal, e.Action, e.Item, e.Allowed)
 	}
 	return sb.String()
 }
@@ -346,9 +355,9 @@ func TestWarmEqualsCold(t *testing.T) {
 			cv, cerr := step.run(cold)
 			w, c := warm.observe(wv, werr, callers[2]), cold.observe(cv, cerr, callers[2])
 			wt, ct := warm.aud.Events(), cold.aud.Events()
-			if w != c || !sameTrail(wt, ct) {
+			if w != c || !sameTrail(wt, ct, warm.obj.ID(), cold.obj.ID()) {
 				t.Fatalf("seed %d diverges at step %d; shortest failing prefix:\n  %s\nwarm: %s\naudit%s\ncold: %s\naudit%s",
-					seed, i, strings.Join(trace, "\n  "), w, trailString(wt), c, trailString(ct))
+					seed, i, strings.Join(trace, "\n  "), w, trailString(wt, warm.obj.ID()), c, trailString(ct, cold.obj.ID()))
 			}
 		}
 	}

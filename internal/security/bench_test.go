@@ -1,6 +1,7 @@
 package security
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/naming"
@@ -46,6 +47,39 @@ func BenchmarkCheckPolicyDefault(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAuditorRecord prices one audited decision: alone, from parallel
+// callers of distinct objects (each worker's own target, as in
+// local-reflect), and from parallel callers of one object.
+func BenchmarkAuditorRecord(b *testing.B) {
+	g := naming.NewGenerator("bench")
+	p := Principal{Object: g.New(), Domain: "d"}
+	b.Run("serial", func(b *testing.B) {
+		a, target := NewAuditor(256), g.New()
+		for i := 0; i < b.N; i++ {
+			a.Record(target, p, ActionInvoke, "m", true)
+		}
+	})
+	b.Run("parallel-distinct", func(b *testing.B) {
+		a := NewAuditor(256)
+		var worker atomic.Uint32
+		b.RunParallel(func(pb *testing.PB) {
+			target := g.New()
+			target[15] = byte(worker.Add(1)) // a shard of its own
+			for pb.Next() {
+				a.Record(target, p, ActionInvoke, "m", true)
+			}
+		})
+	})
+	b.Run("parallel-shared", func(b *testing.B) {
+		a, target := NewAuditor(256), g.New()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				a.Record(target, p, ActionInvoke, "m", true)
+			}
+		})
+	})
 }
 
 func BenchmarkDomainGlobMatch(b *testing.B) {

@@ -20,8 +20,10 @@
 package security
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -330,25 +332,52 @@ func Decide(acl ACL, policy *Policy, pr Principal, action Action, item string) (
 	return fmt.Errorf("%w: %s of %q by %s (policy)", ErrDenied, action, item, pr), true
 }
 
-// Event is one audited decision.
+// Event is one audited decision: Principal attempted Action on the item
+// named Item of the object Object.
 type Event struct {
 	At        time.Time
+	Object    naming.ID
 	Principal Principal
 	Action    Action
 	Item      string
 	Allowed   bool
 }
 
-// Auditor records recent decisions in a bounded ring. The zero value is
+// auditShards is how many rings an Auditor spreads its events over. The
+// shard is picked by the target object, so parallel callers of different
+// objects seldom share a lock or a cache line.
+const auditShards = 16
+
+// Auditor records recent decisions in bounded rings. The zero value is
 // unusable; construct with NewAuditor. What an object does to itself is not
 // a decision (self-containment: there is nothing to match) and is never
 // recorded, whether the call is dispatched cold or served from a cache.
 type Auditor struct {
-	mu     sync.Mutex
-	ring   []Event
-	next   int
-	filled bool
-	now    func() time.Time
+	epoch    time.Time
+	capacity int
+	shards   [auditShards]auditShard
+}
+
+// auditShard holds the newest capacity events of its targets, stamped under
+// its lock, so ring order is stamp order. The ring is allocated on the
+// first record. The padding keeps each shard's lock off the cache line of
+// its neighbour and of the auditor's read-only fields.
+type auditShard struct {
+	_    [64]byte
+	mu   sync.Mutex
+	ring []stampedEvent
+	next int // oldest slot once the ring is full
+}
+
+// stampedEvent is a retained Event, its At kept as the offset from the
+// auditor's epoch: one monotonic clock read per record, 80 bytes a slot.
+type stampedEvent struct {
+	since   time.Duration
+	object  naming.ID
+	pr      Principal
+	item    string
+	action  Action
+	allowed bool
 }
 
 // NewAuditor returns an auditor retaining the last capacity events.
@@ -356,33 +385,42 @@ func NewAuditor(capacity int) *Auditor {
 	if capacity <= 0 {
 		capacity = 128
 	}
-	return &Auditor{ring: make([]Event, capacity), now: time.Now}
+	return &Auditor{epoch: time.Now(), capacity: capacity}
 }
 
-// Record appends a decision event.
-func (a *Auditor) Record(pr Principal, action Action, item string, allowed bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.ring[a.next] = Event{At: a.now(), Principal: pr, Action: action, Item: item, Allowed: allowed}
-	a.next++
-	if a.next == len(a.ring) {
-		a.next = 0
-		a.filled = true
+// Record appends a decision on an item of the target object.
+func (a *Auditor) Record(target naming.ID, pr Principal, action Action, item string, allowed bool) {
+	s := &a.shards[target[15]%auditShards] // a random byte of the id
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := stampedEvent{time.Since(a.epoch), target, pr, item, action, allowed}
+	if s.ring == nil {
+		s.ring = make([]stampedEvent, 0, a.capacity)
 	}
+	if len(s.ring) < cap(s.ring) {
+		s.ring = append(s.ring, e)
+		return
+	}
+	s.ring[s.next] = e
+	s.next = (s.next + 1) % len(s.ring)
 }
 
-// Events returns the retained events, oldest first.
+// Events returns the newest capacity events across all shards, oldest
+// first. Events with equal stamps keep shard order.
 func (a *Auditor) Events() []Event {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.filled {
-		out := make([]Event, a.next)
-		copy(out, a.ring[:a.next])
-		return out
+	var all []stampedEvent
+	for i := range a.shards {
+		s := &a.shards[i]
+		s.mu.Lock()
+		all = append(append(all, s.ring[s.next:]...), s.ring[:s.next]...)
+		s.mu.Unlock()
 	}
-	out := make([]Event, 0, len(a.ring))
-	out = append(out, a.ring[a.next:]...)
-	out = append(out, a.ring[:a.next]...)
+	slices.SortStableFunc(all, func(x, y stampedEvent) int { return cmp.Compare(x.since, y.since) })
+	all = all[max(0, len(all)-a.capacity):]
+	out := make([]Event, len(all))
+	for i, e := range all {
+		out[i] = Event{a.epoch.Add(e.since), e.object, e.pr, e.action, e.item, e.allowed}
+	}
 	return out
 }
 

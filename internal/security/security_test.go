@@ -2,9 +2,12 @@ package security
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/naming"
 )
@@ -180,11 +183,19 @@ func TestPropPrependGrantMonotone(t *testing.T) {
 	}
 }
 
+// inShard returns a fresh id whose events land in the given shard.
+func inShard(shard byte) naming.ID {
+	id := gen.New()
+	id[15] = shard
+	return id
+}
+
 func TestAuditorRing(t *testing.T) {
 	a := NewAuditor(4)
 	p := principal("d")
+	obj := gen.New()
 	for i := 0; i < 6; i++ {
-		a.Record(p, ActionInvoke, "m", i%2 == 0)
+		a.Record(obj, p, ActionInvoke, "m", i%2 == 0)
 	}
 	events := a.Events()
 	if len(events) != 4 {
@@ -196,9 +207,138 @@ func TestAuditorRing(t *testing.T) {
 	}
 
 	small := NewAuditor(0) // capacity defaults
-	small.Record(p, ActionGet, "x", true)
-	if len(small.Events()) != 1 {
-		t.Error("default-capacity auditor lost event")
+	small.Record(obj, p, ActionGet, "x", true)
+	if got := small.Events(); len(got) != 1 || got[0].Object != obj || got[0].Principal != p {
+		t.Errorf("default-capacity auditor holds %+v, want the one event", got)
+	}
+
+	// Three targets in different shards, written in an uneven pattern: one
+	// shard overflows on its own, and the newest four span all three.
+	a = NewAuditor(4)
+	targets := []naming.ID{inShard(1), inShard(2), inShard(3)}
+	var want []Event
+	for i, k := range []int{0, 0, 0, 0, 0, 0, 1, 2, 0, 1, 2, 1, 0} {
+		e := Event{Object: targets[k], Principal: p, Action: ActionGet, Item: fmt.Sprint(i), Allowed: k != 2}
+		a.Record(e.Object, e.Principal, e.Action, e.Item, e.Allowed)
+		want = append(want, e)
+	}
+	got := a.Events()
+	want = want[len(want)-4:]
+	if len(got) != len(want) {
+		t.Fatalf("retained %d events across shards, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if at := got[i].At; i > 0 && at.Before(got[i-1].At) {
+			t.Errorf("event %d at %v precedes event %d at %v", i, at, i-1, got[i-1].At)
+		}
+		got[i].At = time.Time{}
+		if got[i] != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestAuditorConcurrent records from four writers on targets of their own
+// and two sharing one target, reading the trail all the while. Every read
+// holds at most capacity events, oldest first, each writer's in the order
+// it wrote them; once the writers are done, the newest capacity remain.
+func TestAuditorConcurrent(t *testing.T) {
+	const capacity, writers, perWriter = 64, 6, 500
+	a := NewAuditor(capacity)
+	shared := inShard(9)
+	targets := make([]naming.ID, writers)
+	for w := range targets {
+		targets[w] = inShard(byte(w))
+		if w >= 4 {
+			targets[w] = shared
+		}
+	}
+	// stampedBefore[w][i] is the auditor's clock just before writer w
+	// recorded its event i: no later than that event's own stamp.
+	var stampedBefore [writers][perWriter]time.Duration
+	// check returns what is wrong with a read, or "".
+	check := func(events []Event) string {
+		if len(events) > capacity {
+			return fmt.Sprintf("%d events, capacity %d", len(events), capacity)
+		}
+		var next [writers]int // the least sequence number each writer may show next
+		for i, e := range events {
+			if i > 0 && e.At.Before(events[i-1].At) {
+				return fmt.Sprintf("event %d out of order", i)
+			}
+			var w, seq int
+			if _, err := fmt.Sscanf(e.Item, "%d/%d", &w, &seq); err != nil ||
+				w < 0 || w >= writers || e.Object != targets[w] {
+				return fmt.Sprintf("event %d is %+v", i, e)
+			}
+			if seq < next[w] {
+				return fmt.Sprintf("writer %d: event %d after %d", w, seq, next[w]-1)
+			}
+			next[w] = seq + 1
+		}
+		return ""
+	}
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	readerErr := make(chan string, 1)
+	go func() {
+		defer close(readerErr)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if msg := check(a.Events()); msg != "" {
+				readerErr <- msg
+				return
+			}
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			p := principal(fmt.Sprint("writer", w))
+			for i := 0; i < perWriter; i++ {
+				item := fmt.Sprintf("%d/%d", w, i)
+				stampedBefore[w][i] = time.Since(a.epoch)
+				a.Record(targets[w], p, ActionInvoke, item, true)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	if msg := <-readerErr; msg != "" {
+		t.Fatalf("concurrent read: %s", msg)
+	}
+
+	events := a.Events()
+	if msg := check(events); msg != "" {
+		t.Fatal(msg)
+	}
+	if len(events) != capacity {
+		t.Fatalf("retained %d events, want %d", len(events), capacity)
+	}
+	// Retained events are each writer's newest; every dropped one was
+	// recorded no later than the oldest retained, so none started after it.
+	kept := make(map[string]bool, capacity)
+	for _, e := range events {
+		kept[e.Item] = true
+	}
+	oldest := events[0].At.Sub(a.epoch)
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			item := fmt.Sprintf("%d/%d", w, i)
+			if kept[item] {
+				if i+1 < perWriter && !kept[fmt.Sprintf("%d/%d", w, i+1)] {
+					t.Errorf("writer %d: event %d kept, event %d dropped", w, i, i+1)
+				}
+			} else if stampedBefore[w][i] > oldest {
+				t.Errorf("writer %d: event %d dropped, though newer than the oldest kept", w, i)
+			}
+		}
 	}
 }
 
