@@ -703,6 +703,45 @@ func BenchmarkE11_AgentHop(b *testing.B) { benchAgentHop(b, 0) }
 // for the size of Home.
 func BenchmarkE11_AgentHopHome2048(b *testing.B) { benchAgentHop(b, 2048) }
 
+// What an object's birth allocates, the price of every resident and of
+// every landing: building the RPC workloads' echo object (one data item,
+// one method) and materializing a courier-sized image (sixteen data items
+// and a script method). TestObjectFootprint pins the same two counts.
+func BenchmarkE11_BuildObject(b *testing.B) {
+	pol := experiments.OpenPolicy()
+	echo := core.NewNativeBody("bench.echo", func(_ *core.Invocation, args []value.Value) (value.Value, error) {
+		return args[0], nil
+	})
+	for i := 0; i < b.N; i++ {
+		builder := core.NewBuilder(experiments.Gen, "Echo", core.WithPolicy(pol))
+		builder.FixedData("idx", value.NewInt(int64(i)))
+		builder.FixedMethod("work", echo)
+		if _, err := builder.Build(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkE11_Materialize(b *testing.B) {
+	pol := experiments.OpenPolicy()
+	builder := core.NewBuilder(experiments.Gen, "Courier", core.WithPolicy(pol))
+	builder.ExtData("hops", value.NewInt(0))
+	for d := 0; d < 15; d++ {
+		builder.ExtData(fmt.Sprintf("cargo%02d", d), value.NewString(fmt.Sprintf("parcel %d of courier", d)))
+	}
+	builder.FixedScriptMethod("onArrival", `fn(hop) { return hop; }`)
+	img, err := builder.MustBuild().Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.FromImage(img, nil, core.HostPolicy(pol)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ---- E14: single-RTT fan-out over pipelined TCP ----
 
 // fanOutCalls builds one salaryOf call per peer for the E14 topology.

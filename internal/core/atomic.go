@@ -67,11 +67,11 @@ func (o *Object) checkpointExt() checkpoint {
 func (o *Object) restoreExt(cp checkpoint) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.extData = newContainer[*DataItem](false)
+	o.extData = container[*DataItem]{}
 	for _, d := range cp.extData {
 		_ = o.extData.add(d.name, d)
 	}
-	o.extMeth = newContainer[*Method](false)
+	o.extMeth = container[*Method]{}
 	for _, m := range cp.extMeth {
 		_ = o.extMeth.add(m.name, m)
 	}
@@ -79,9 +79,7 @@ func (o *Object) restoreExt(cp checkpoint) {
 	o.bumpStruct()
 	o.levelCount.Store(int32(len(o.invokeLevels)))
 	// Drop handles that may now point at rolled-back items.
-	for tok := range o.handles {
-		delete(o.handles, tok)
-	}
+	clear(o.handles)
 }
 
 // InvokeAtomic invokes a method with all-or-nothing semantics over the

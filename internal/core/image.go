@@ -68,7 +68,7 @@ type MethodImage struct {
 // Image is a complete, self-describing snapshot of an object — the unit in
 // which mobile objects travel ("the Ambassador arrives (as data)") and
 // persist ("write itself to disk"). Meta-methods are not serialized: they
-// are structural and reinstalled on materialization.
+// are structural and reattached on materialization.
 type Image struct {
 	ID           naming.ID
 	Class        string
@@ -157,9 +157,9 @@ func (o *Object) snapshotLocked() (img Image, computed []computedSlot, err error
 		img.ExtData = append(img.ExtData, dataImage(d))
 	})
 	collectMethods := func(c *container[*Method], dst *[]MethodImage) {
-		c.each(func(name string, m *Method) {
-			if err != nil || isReservedName(name) {
-				return // meta-methods are reinstalled, not serialized
+		c.each(func(_ string, m *Method) {
+			if err != nil {
+				return
 			}
 			mi, e := methodImage(m)
 			if e != nil {
@@ -169,8 +169,8 @@ func (o *Object) snapshotLocked() (img Image, computed []computedSlot, err error
 			*dst = append(*dst, mi)
 		})
 	}
-	collectMethods(o.fixedMeth, &img.FixedMethods)
-	collectMethods(o.extMeth, &img.ExtMethods)
+	collectMethods(&o.fixedMeth, &img.FixedMethods)
+	collectMethods(&o.extMeth, &img.ExtMethods)
 	for _, lvl := range o.invokeLevels {
 		mi, e := methodImage(lvl)
 		if e != nil {
@@ -270,11 +270,6 @@ func FromImage(img Image, reg *BehaviorRegistry, opts ...MaterializeOption) (*Ob
 		id:         img.ID,
 		class:      img.Class,
 		domain:     cfg.domain,
-		fixedData:  newContainer[*DataItem](true),
-		extData:    newContainer[*DataItem](false),
-		fixedMeth:  newContainer[*Method](true),
-		extMeth:    newContainer[*Method](false),
-		handles:    make(map[string]any),
 		budget:     mscript.DefaultBudget,
 		policy:     cfg.policy,
 		auditor:    cfg.auditor,
@@ -284,6 +279,7 @@ func FromImage(img Image, reg *BehaviorRegistry, opts ...MaterializeOption) (*Ob
 		metaHidden: img.MetaHidden,
 		metaACL:    ACLFromImage(img.MetaACL),
 	}
+	o.meta = metaTable(o.metaACL, o.metaHidden)
 	if cfg.freshID != nil {
 		o.id = cfg.freshID.New()
 	}
@@ -313,10 +309,10 @@ func FromImage(img Image, reg *BehaviorRegistry, opts ...MaterializeOption) (*Ob
 		}
 		return nil
 	}
-	if err := addData(o.fixedData, true, img.FixedData); err != nil {
+	if err := addData(&o.fixedData, true, img.FixedData); err != nil {
 		return nil, err
 	}
-	if err := addData(o.extData, false, img.ExtData); err != nil {
+	if err := addData(&o.extData, false, img.ExtData); err != nil {
 		return nil, err
 	}
 
@@ -335,10 +331,10 @@ func FromImage(img Image, reg *BehaviorRegistry, opts ...MaterializeOption) (*Ob
 		}
 		return nil
 	}
-	if err := addMethods(o.fixedMeth, true, img.FixedMethods); err != nil {
+	if err := addMethods(&o.fixedMeth, true, img.FixedMethods); err != nil {
 		return nil, err
 	}
-	if err := addMethods(o.extMeth, false, img.ExtMethods); err != nil {
+	if err := addMethods(&o.extMeth, false, img.ExtMethods); err != nil {
 		return nil, err
 	}
 	for _, mi := range img.InvokeLevels {
@@ -349,8 +345,6 @@ func FromImage(img Image, reg *BehaviorRegistry, opts ...MaterializeOption) (*Ob
 		o.invokeLevels = append(o.invokeLevels, m)
 	}
 	o.levelCount.Store(int32(len(o.invokeLevels)))
-
-	installMetaMethods(o)
 	o.sealed = true
 	return o, nil
 }

@@ -54,34 +54,43 @@ var mutatingMeta = map[string]bool{
 	"setMethod": true, "addMethod": true, "deleteMethod": true,
 }
 
-// installMetaMethods adds the meta interface to the fixed method container.
-// They are ordinary methods of the object — subject to Match like anything
-// else — realizing the model's self-containment. Accessor and introspection
-// meta-methods (get, set, invoke, describe, listings, getDataItem,
-// getMethod) default to an open ACL: for them the deciding check is the
-// *item-level* ACL applied inside (the paper's single-object granularity);
-// gating the accessors themselves would make per-item ACLs unreachable.
-func installMetaMethods(o *Object) {
+// sharedMeta is the meta interface of every object without MetaACL or
+// MetaHidden. Nothing writes its fixed methods after package init, so any
+// object may snapshot them and hand out handles to them.
+var sharedMeta = newMetaTable(security.ACL{}, false)
+
+// metaTable returns the shared meta interface, or a table of the object's
+// own when its mutating meta-methods are guarded or hidden (an Ambassador).
+func metaTable(acl security.ACL, hidden bool) *container[*Method] {
+	if acl.Empty() && !hidden {
+		return sharedMeta
+	}
+	return newMetaTable(acl, hidden)
+}
+
+// newMetaTable builds the meta interface. They are ordinary fixed methods
+// of the object — subject to Match like anything else — realizing the
+// model's self-containment. Accessor and introspection meta-methods (get,
+// set, invoke, describe, listings, getDataItem, getMethod) have an open
+// ACL: for them the deciding check is the *item-level* ACL applied inside
+// (the paper's single-object granularity); gating the accessors themselves
+// would make per-item ACLs unreachable.
+func newMetaTable(metaACL security.ACL, hidden bool) *container[*Method] {
+	t := new(container[*Method])
 	openACL := security.NewACL(security.AllowAll())
 	add := func(name string, fn NativeFunc) {
-		visible := true
-		acl := openACL
-		if mutatingMeta[name] {
-			acl = o.metaACL
-			if o.metaHidden {
-				visible = false
-			}
-		}
 		m := &Method{
 			name:    name,
 			body:    &nativeBody{name: "mrom." + name, fn: fn},
-			acl:     acl,
-			visible: visible,
+			acl:     openACL,
+			visible: true,
 			fixed:   true,
 			gen:     newItemGen(),
 		}
-		// Meta names are reserved, so add cannot collide.
-		_ = o.fixedMeth.add(name, m)
+		if mutatingMeta[name] {
+			m.acl, m.visible = metaACL, !hidden
+		}
+		_ = t.add(name, m)
 	}
 	add("get", metaGet)
 	add("set", metaSet)
@@ -98,6 +107,7 @@ func installMetaMethods(o *Object) {
 	add("describe", metaDescribe)
 	add("listDataItems", metaListDataItems)
 	add("listMethods", metaListMethods)
+	return t
 }
 
 // ---- argument helpers ----
@@ -297,12 +307,12 @@ func metaDeleteDataItem(inv *Invocation, args []value.Value) (value.Value, error
 	o := inv.self
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if _, ok := o.fixedData.get(name); ok {
-		return value.Null, fmt.Errorf("%w: data item %q", ErrFixed, name)
-	}
-	d, ok := o.extData.get(name)
+	d, ok := o.lookupData(name)
 	if !ok {
 		return value.Null, fmt.Errorf("%w: data item %q", ErrNotFound, name)
+	}
+	if d.fixed {
+		return value.Null, fmt.Errorf("%w: data item %q", ErrFixed, name)
 	}
 	o.dropHandles(d)
 	d.gen.Add(1)
@@ -524,12 +534,12 @@ func metaDeleteMethod(inv *Invocation, args []value.Value) (value.Value, error) 
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if _, ok := o.fixedMeth.get(name); ok {
-		return value.Null, fmt.Errorf("%w: method %q", ErrFixed, name)
-	}
-	m, ok := o.extMeth.get(name)
+	m, ok := o.lookupMethod(name) // a meta-method is found, and fixed, too
 	if !ok {
 		return value.Null, fmt.Errorf("%w: method %q", ErrNotFound, name)
+	}
+	if m.fixed {
+		return value.Null, fmt.Errorf("%w: method %q", ErrFixed, name)
 	}
 	o.dropHandles(m)
 	m.gen.Add(1)

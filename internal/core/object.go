@@ -33,10 +33,11 @@ type Object struct {
 	class  string
 	domain string
 
-	fixedData *container[*DataItem]
-	extData   *container[*DataItem]
-	fixedMeth *container[*Method]
-	extMeth   *container[*Method]
+	fixedData container[*DataItem]
+	extData   container[*DataItem]
+	fixedMeth container[*Method]
+	extMeth   container[*Method]
+	meta      *container[*Method] // the meta-methods, usually sharedMeta (see metaTable)
 
 	// invokeLevels is the meta-mutable invocation chain: element 0 is
 	// level 1, element k-1 is level k. Empty means pure level-0 dispatch.
@@ -59,7 +60,7 @@ type Object struct {
 	admission    chan struct{}
 	admitTimeout time.Duration
 
-	handles   map[string]any // handle token → *DataItem or *Method
+	handles   map[string]any // handle token → *DataItem or *Method, one per item; nil until needed
 	handleSeq int
 
 	// structGen versions the object's dispatch shape — the meta-invoke
@@ -135,11 +136,14 @@ func (o *Object) Registry() *BehaviorRegistry {
 	return o.registry
 }
 
-// lookupMethod finds a method by name, fixed section first (the fixed
-// section is the guaranteed interface; the extensible section cannot
-// shadow it). Callers hold o.mu.
+// lookupMethod finds a method by name: fixed section, meta-methods (their
+// names are reserved), then extensible, which cannot shadow the guaranteed
+// interface. Callers hold o.mu.
 func (o *Object) lookupMethod(name string) (*Method, bool) {
 	if m, ok := o.fixedMeth.get(name); ok {
+		return m, true
+	}
+	if m, ok := o.meta.get(name); ok {
 		return m, true
 	}
 	if m, ok := o.extMeth.get(name); ok {
@@ -278,12 +282,13 @@ func (o *Object) DataItemNames(caller security.Principal) []string {
 			}
 		})
 	}
-	collect(o.fixedData)
-	collect(o.extData)
+	collect(&o.fixedData)
+	collect(&o.extData)
 	return out
 }
 
-// MethodNames lists method names visible to caller, fixed section first.
+// MethodNames lists method names visible to caller: the fixed section, the
+// meta-methods in metaNames order, then the extensible section.
 func (o *Object) MethodNames(caller security.Principal) []string {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -296,8 +301,9 @@ func (o *Object) MethodNames(caller security.Principal) []string {
 			}
 		})
 	}
-	collect(o.fixedMeth)
-	collect(o.extMeth)
+	collect(&o.fixedMeth)
+	collect(o.meta)
+	collect(&o.extMeth)
 	return out
 }
 
@@ -338,8 +344,17 @@ func (o *Object) InvokeLevelCount() int {
 	return len(o.invokeLevels)
 }
 
-// newHandle registers an item pointer and returns its token. Callers hold o.mu.
+// newHandle returns item's token, registering one on first use: asking
+// again cannot grow the table. Callers hold o.mu.
 func (o *Object) newHandle(item any) string {
+	for tok, it := range o.handles {
+		if it == item {
+			return tok
+		}
+	}
+	if o.handles == nil {
+		o.handles = make(map[string]any)
+	}
 	o.handleSeq++
 	tok := fmt.Sprintf("h%d", o.handleSeq)
 	o.handles[tok] = item
@@ -356,7 +371,7 @@ func (o *Object) dropHandles(item any) {
 }
 
 // Builder constructs an Object. Fixed items can only be declared before
-// Build; Build seals the fixed containers and installs the meta-methods.
+// Build; Build seals the fixed containers.
 type Builder struct {
 	obj  *Object
 	errs []error
@@ -405,19 +420,15 @@ func WithBudget(b mscript.Budget) BuildOption {
 // generator mints the object's decentralized identity.
 func NewBuilder(gen *naming.Generator, class string, opts ...BuildOption) *Builder {
 	o := &Object{
-		id:        gen.New(),
-		class:     class,
-		domain:    "local",
-		fixedData: newContainer[*DataItem](true),
-		extData:   newContainer[*DataItem](false),
-		fixedMeth: newContainer[*Method](true),
-		extMeth:   newContainer[*Method](false),
-		handles:   make(map[string]any),
-		budget:    mscript.DefaultBudget,
+		id:     gen.New(),
+		class:  class,
+		domain: "local",
+		budget: mscript.DefaultBudget,
 	}
 	for _, opt := range opts {
 		opt(o)
 	}
+	o.meta = metaTable(o.metaACL, o.metaHidden)
 	return &Builder{obj: o}
 }
 
@@ -465,19 +476,19 @@ func (b *Builder) ComputedData(name string, fn func() value.Value, opts ...ItemO
 		b.fail(fmt.Errorf("%w: computed data item %q has no function", ErrArity, name))
 		return b
 	}
-	b.addData(b.obj.fixedData, true, name, value.Null, fn, opts...)
+	b.addData(&b.obj.fixedData, true, name, value.Null, fn, opts...)
 	return b
 }
 
 // FixedData declares a fixed-section data item.
 func (b *Builder) FixedData(name string, v value.Value, opts ...ItemOption) *Builder {
-	b.addData(b.obj.fixedData, true, name, v, nil, opts...)
+	b.addData(&b.obj.fixedData, true, name, v, nil, opts...)
 	return b
 }
 
 // ExtData declares an extensible-section data item.
 func (b *Builder) ExtData(name string, v value.Value, opts ...ItemOption) *Builder {
-	b.addData(b.obj.extData, false, name, v, nil, opts...)
+	b.addData(&b.obj.extData, false, name, v, nil, opts...)
 	return b
 }
 
@@ -507,13 +518,13 @@ func (b *Builder) addMethod(c *container[*Method], fixed bool, name string, body
 
 // FixedMethod declares a fixed-section method.
 func (b *Builder) FixedMethod(name string, body Body, opts ...ItemOption) *Builder {
-	b.addMethod(b.obj.fixedMeth, true, name, body, opts...)
+	b.addMethod(&b.obj.fixedMeth, true, name, body, opts...)
 	return b
 }
 
 // ExtMethod declares an extensible-section method.
 func (b *Builder) ExtMethod(name string, body Body, opts ...ItemOption) *Builder {
-	b.addMethod(b.obj.extMeth, false, name, body, opts...)
+	b.addMethod(&b.obj.extMeth, false, name, body, opts...)
 	return b
 }
 
@@ -537,13 +548,12 @@ func (b *Builder) ExtScriptMethod(name, src string, opts ...ItemOption) *Builder
 	return b.ExtMethod(name, body, opts...)
 }
 
-// Build seals the object: the fixed containers become immutable, the
-// meta-methods are installed, and the object is ready for invocation.
+// Build seals the object: the fixed containers become immutable and the
+// object is ready for invocation.
 func (b *Builder) Build() (*Object, error) {
 	if len(b.errs) > 0 {
 		return nil, fmt.Errorf("building object %q: %w", b.obj.class, b.errs[0])
 	}
-	installMetaMethods(b.obj)
 	b.obj.sealed = true
 	return b.obj, nil
 }
