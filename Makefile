@@ -49,9 +49,9 @@ BENCH_STREAM_TIME = 2000x
 # (including the race detector, and internal/core and Home's concurrency
 # tests again across a -cpu sweep), a one-iteration benchmark smoke run, a
 # comparison of the tracked benchmarks against BENCH_PR.json (bench-check),
-# a bounded fuzz of the frame reader and of MScript evaluation, the
-# benchmark module's own vet and tests, and the bounded chaos sweep
-# (chaos-short) behind the SLO gate.
+# bounded fuzzes of the frame reader, MScript, WAL replay and the protocol
+# records, the benchmark module's own vet and tests, and the bounded chaos
+# sweep (chaos-short) behind the SLO gate.
 verify: fmt-check vet build test verify-race race-core-cpu race-hadas-cpu fuzz-short bench-module bench-smoke bench-check chaos-short
 
 fmt-check:
@@ -96,11 +96,13 @@ race-hadas-cpu:
 # test programs, and then arbitrary bytes as a WAL's active segment against
 # a whole-buffer reference replay, seeded from a log that ends in a group
 # (an exec there costs a few fsyncs, so minimizing a find is capped —
-# uncapped it takes the whole ten seconds).
+# uncapped it takes the whole ten seconds), and then arbitrary bytes into
+# every protocol record's decoder, seeded from the records' golden vectors.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzEval$$' -fuzztime=10s ./internal/mscript
 	$(GO) test -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=10s -fuzzminimizetime=10x ./internal/persist
+	$(GO) test -run='^$$' -fuzz='^FuzzProtocolRecords$$' -fuzztime=10s ./internal/hadas
 
 # bench-module vets and tests bench/, the repository benchmark: a module of
 # its own (BENCHMARK.json runs it) that `go build ./... && go test ./...`

@@ -15,6 +15,9 @@ import (
 	"repro/internal/value"
 )
 
+// raceBuild is set by race_test.go in a -race build.
+var raceBuild bool
+
 func assertAllocFree(t *testing.T, what string, f func()) {
 	t.Helper()
 	f() // fill the dispatch cache before measuring
@@ -78,6 +81,33 @@ func TestWarmInvocationPathsAllocFree(t *testing.T) {
 			t.Fatal("denied call succeeded")
 		}
 	})
+}
+
+// A remote invocation over the in-process transport, which has no socket
+// and no frame: the request and the reply are typed records, so what is
+// left is the call's timeout context, the two payload copies the transport
+// makes, the two encode buffers, and the strings and argument list the
+// handler decodes. The bound is the measured count.
+func TestRemoteInvokeAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	host, _, names, cleanup, err := experiments.LoadedSites(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	client := security.Principal{Object: host.Generator().New(), Domain: host.Domain()}
+	arg := value.NewInt(1)
+	call := func() {
+		if _, err := host.InvokeRemote("bench-origin", client, names[0], "work", arg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	if n := testing.AllocsPerRun(200, call); n > 12 {
+		t.Errorf("remote invoke: %v allocs/op, want <= 12", n)
+	}
 }
 
 // An interpreted body runs on slot frames and an operand stack the pooled

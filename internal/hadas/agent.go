@@ -109,13 +109,9 @@ func (s *Site) DispatchAgent(name, peerName string) (value.Value, error) {
 	// re-registers it here — retiring afterwards would erase the returned
 	// incarnation.
 	s.retireAgent(name, obj.ID())
-	resp, err := s.callPeer(peerName, verbDispatch, value.NewMap(map[string]value.Value{
-		"site":  value.NewString(s.cfg.Name),
-		"name":  value.NewString(name),
-		"agent": value.NewBytes(rec.Image),
-		"mid":   value.NewString(mid),
-	}))
-	if err != nil {
+	req := dispatchReq{s.cfg.Name, name, rec.Image, mid}
+	var rep dispatchReply
+	if err := s.callPeer(peerName, verbDispatch, "", req.Fields, rep.Fields); err != nil {
 		if definiteDispatchFailure(err) {
 			// The agent never left; restore it.
 			s.reinstateAgent(name, obj, wasAPO)
@@ -148,16 +144,12 @@ func (s *Site) DispatchAgent(name, peerName string) (value.Value, error) {
 	}
 	s.commitMigration(rec, obj.ID())
 	s.log("dispatched agent %s to %s (migration %s)", name, peerName, mid)
-	m, ok := resp.Map()
-	if !ok {
-		return value.Null, nil
-	}
-	if msg := field(m, "arrivalError"); msg != "" {
+	if msg := rep.ArrivalError; msg != "" {
 		// Installation was acknowledged before onArrival ran: the agent
 		// lives at the destination even though its arrival handler failed.
 		return value.Null, fmt.Errorf("dispatch %q to %q: %s", name, peerName, msg)
 	}
-	return m["result"], nil
+	return rep.Result, nil
 }
 
 // retireAgent removes a moved object from the local registries; it reports
@@ -187,45 +179,43 @@ func (s *Site) reinstateAgent(name string, obj *core.Object, wasAPO bool) {
 
 // handleDispatch receives a migrating agent: materialize under this host's
 // policy and budget, register it, durably acknowledge the installation,
-// and only then invoke its onArrival with a hop context. The response
-// carries onArrival's result (the journey's tail) or its error — either
-// way "installed" is set, because by then the agent lives here.
+// and only then invoke its onArrival with a hop context. The reply carries
+// onArrival's result (the journey's tail) or its error — either way the
+// agent lives here by then.
 //
 // Receipt is idempotent: the migration ID claims a dedup-table entry, and
 // a retried dispatch (the origin's transport layer may replay the verb)
 // returns the recorded outcome without re-installing or re-running
 // onArrival. A concurrent retry waits for the first installation to
 // settle.
-func (s *Site) handleDispatch(ctx context.Context, m map[string]value.Value) (value.Value, error) {
-	fromSite := field(m, "site")
+func (s *Site) handleDispatch(ctx context.Context, req *dispatchReq) (func(*wire.Codec), error) {
+	fromSite, name, raw := req.Site, req.Name, req.Agent
 	if err := s.linkedPeer(fromSite); err != nil {
-		return value.Null, err // agents only arrive over cooperation agreements
+		return nil, err // agents only arrive over cooperation agreements
 	}
-	name := field(m, "name")
 	if name == "" {
-		return value.Null, fmt.Errorf("%w: agent needs a name", core.ErrArity)
+		return nil, fmt.Errorf("%w: agent needs a name", core.ErrArity)
 	}
 	var arr *arrival
-	if mid := field(m, "mid"); mid != "" {
-		prev, owner := s.claimArrival(mid, name, fromSite)
+	if req.MID != "" {
+		prev, owner := s.claimArrival(req.MID, name, fromSite)
 		if !owner {
 			return s.arrivalOutcome(ctx, prev)
 		}
 		arr = prev
 	}
-	raw, _ := m["agent"].Bytes()
 	img, err := wire.DecodeImage(raw)
 	if err != nil {
-		return value.Null, s.failArrival(arr, fmt.Errorf("arriving agent: %w", err))
+		return nil, s.failArrival(arr, fmt.Errorf("arriving agent: %w", err))
 	}
 	agent, err := s.materialize(img)
 	if err != nil {
-		return value.Null, s.failArrival(arr, fmt.Errorf("arriving agent: %w", err))
+		return nil, s.failArrival(arr, fmt.Errorf("arriving agent: %w", err))
 	}
 	// A refused admission is answered as an error: the origin sees a
 	// definite failure and reinstates its copy.
 	if err := s.admit(name, agent, true); err != nil {
-		return value.Null, s.failArrival(arr, err)
+		return nil, s.failArrival(arr, err)
 	}
 	s.log("agent %s arrived from %s", name, fromSite)
 
@@ -249,13 +239,11 @@ func (s *Site) handleDispatch(ctx context.Context, m map[string]value.Value) (va
 	if arr != nil {
 		s.completeArrival(arr, result, arrivalErr)
 	}
-	out := map[string]value.Value{"installed": value.NewBool(true)}
+	rep := dispatchReply{Result: result}
 	if arrivalErr != nil {
-		out["arrivalError"] = value.NewString(fmt.Sprintf("agent %q onArrival: %v", name, arrivalErr))
-	} else {
-		out["result"] = result
+		rep = dispatchReply{ArrivalError: fmt.Sprintf("agent %q onArrival: %v", name, arrivalErr)}
 	}
-	return value.NewMap(out), nil
+	return rep.Fields, nil
 }
 
 // hasMethod reports whether the object lists a method under name for its

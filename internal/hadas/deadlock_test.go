@@ -7,12 +7,14 @@ package hadas
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/security"
 	"repro/internal/transport"
 	"repro/internal/value"
 )
@@ -213,5 +215,53 @@ func TestProbeVerbIsRetrySafe(t *testing.T) {
 	}
 	if retrySafeVerb(verbInvoke) {
 		t.Error("invoke verb must NOT be retry-safe")
+	}
+}
+
+// TestRemoteFailureKeepsItsKind: a remote failure is a deadlock or an
+// admission timeout at the caller because the invoke reply's outcome code
+// says so, not because its text mentions one. The message used to be
+// substring-matched, so an audit body reporting that it saw no deadlock
+// reached its caller as core.ErrDeadlock. Both the single call and the
+// fan-out keep the transport's RemoteError for every failure.
+func TestRemoteFailureKeepsItsKind(t *testing.T) {
+	net := transport.NewInProcNet()
+	origin, host := newTestSite(t, net, "kind-origin"), newTestSite(t, net, "kind-host")
+	if _, err := host.Link("kind-origin"); err != nil {
+		t.Fatal(err)
+	}
+	b := origin.NewAPOBuilder("Auditor")
+	for method, fail := range map[string]error{
+		"audit":   errors.New("audit: no serialized admission deadlock seen"),
+		"victim":  fmt.Errorf("%w: a real cycle", core.ErrDeadlock),
+		"starved": fmt.Errorf("%w: a real wait", core.ErrAdmissionTimeout),
+	} {
+		origin.Behaviors().Register("test."+method, func(*core.Invocation, []value.Value) (value.Value, error) {
+			return value.Null, fail
+		})
+		body, err := origin.Behaviors().Lookup("test." + method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.FixedMethod(method, body)
+	}
+	if err := origin.AddAPO("auditor", b.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	caller := security.Principal{Object: host.Generator().New(), Domain: host.Domain()}
+	for method, want := range map[string]error{"audit": nil, "victim": core.ErrDeadlock, "starved": core.ErrAdmissionTimeout} {
+		_, single := host.InvokeRemote("kind-origin", caller, "auditor", method)
+		fanned := host.InvokeFanOut([]FanOutCall{{Peer: "kind-origin", Caller: caller, Target: "auditor", Method: method}})[0].Err
+		for how, err := range map[string]error{"InvokeRemote": single, "InvokeFanOut": fanned} {
+			var re *transport.RemoteError
+			if !errors.As(err, &re) {
+				t.Errorf("%s %s: %v, want a RemoteError", how, method, err)
+			}
+			for _, sentinel := range []error{core.ErrDeadlock, core.ErrAdmissionTimeout} {
+				if errors.Is(err, sentinel) != (sentinel == want) {
+					t.Errorf("%s %s: %v; errors.Is(%v) = %v", how, method, err, sentinel, errors.Is(err, sentinel))
+				}
+			}
+		}
 	}
 }

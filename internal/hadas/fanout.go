@@ -9,6 +9,7 @@ import (
 	"repro/internal/security"
 	"repro/internal/transport"
 	"repro/internal/value"
+	"repro/internal/wire"
 )
 
 // This file is the site-level face of the pipelined transport (DESIGN.md
@@ -19,26 +20,19 @@ import (
 
 // fanReq is one wire request of a fan-out batch.
 type fanReq struct {
-	peer string
-	verb string
-	body value.Value
-}
-
-// fanRes is the decoded outcome of one fan-out request.
-type fanRes struct {
-	val value.Value
-	err error
+	peer, verb string
+	payload    []byte
 }
 
 // fanOut issues every request pipelined and returns outcomes matching
 // reqs by index. Per-peer batches share one connection round; a peer that
 // cannot be reached fails only its own entries.
-func (s *Site) fanOut(reqs []fanReq) []fanRes {
+func (s *Site) fanOut(reqs []fanReq) []transport.MultiResult {
 	byPeer := make(map[string][]int)
 	for i, r := range reqs {
 		byPeer[r.peer] = append(byPeer[r.peer], i)
 	}
-	out := make([]fanRes, len(reqs))
+	out := make([]transport.MultiResult, len(reqs))
 	var wg sync.WaitGroup
 	for peer, idxs := range byPeer {
 		wg.Add(1)
@@ -47,29 +41,21 @@ func (s *Site) fanOut(reqs []fanReq) []fanRes {
 			conn, err := s.connTo(peer)
 			if err != nil {
 				for _, i := range idxs {
-					out[i] = fanRes{err: err}
+					out[i].Err = err
 				}
 				return
 			}
 			batch := make([]transport.MultiRequest, len(idxs))
 			for k, i := range idxs {
-				batch[k] = transport.MultiRequest{Verb: reqs[i].verb, Payload: encodeReq(reqs[i].body)}
+				batch[k] = transport.MultiRequest{Verb: reqs[i].verb, Payload: reqs[i].payload}
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
 			defer cancel()
-			results := transport.DoMulti(ctx, conn, batch)
-			for k, i := range idxs {
-				res := results[k]
-				if res.Err != nil {
-					err := rewrapRemote(res.Err)
-					if errors.Is(err, transport.ErrCircuitOpen) {
-						err = fmt.Errorf("%w: site %q: %v", ErrPeerDown, peer, err)
-					}
-					out[i] = fanRes{err: err}
-					continue
+			for k, res := range transport.DoMulti(ctx, conn, batch) {
+				if errors.Is(res.Err, transport.ErrCircuitOpen) {
+					res.Err = fmt.Errorf("%w: site %q: %v", ErrPeerDown, peer, res.Err)
 				}
-				v, err := decodeReq(res.Payload)
-				out[i] = fanRes{val: v, err: err}
+				out[idxs[k]] = res
 			}
 		}(peer, idxs)
 	}
@@ -103,29 +89,18 @@ type FanOutResult struct {
 func (s *Site) InvokeFanOut(calls []FanOutCall) []FanOutResult {
 	reqs := make([]fanReq, len(calls))
 	for i, c := range calls {
-		reqs[i] = fanReq{peer: c.Peer, verb: verbInvoke, body: value.NewMap(map[string]value.Value{
-			"site":   value.NewString(s.cfg.Name),
-			"caller": value.NewString(c.Caller.Object.String()),
-			"target": value.NewString(c.Target),
-			"method": value.NewString(c.Method),
-			"args":   value.NewList(c.Args),
-		})}
+		req := invokeReq{s.cfg.Name, c.Caller.Object, c.Target, c.Method, c.Args}
+		reqs[i] = fanReq{c.Peer, verbInvoke, wire.EncodeRecord(req.Fields)}
 	}
-	raw := s.fanOut(reqs)
 	out := make([]FanOutResult, len(calls))
-	for i, r := range raw {
+	for i, r := range s.fanOut(reqs) {
 		out[i].Peer = calls[i].Peer
-		if r.err != nil {
-			out[i].Err = r.err
-			continue
+		var rep invokeReply
+		if out[i].Err = r.Err; r.Err == nil {
+			if out[i].Err = wire.DecodeRecord(r.Payload, rep.Fields); out[i].Err == nil {
+				out[i].Result, out[i].Err = rep.result()
+			}
 		}
-		m, ok := r.val.Map()
-		if !ok {
-			out[i].Err = fmt.Errorf("invoke %s!%s.%s: malformed response",
-				calls[i].Peer, calls[i].Target, calls[i].Method)
-			continue
-		}
-		out[i].Result = m["result"]
 	}
 	return out
 }
@@ -143,28 +118,27 @@ func (s *Site) TraceAgent(start, agentName string) ([]string, AgentStatus, error
 		start = s.cfg.Name
 	}
 	peers := s.PeerNames()
+	req := statusReq{Site: s.cfg.Name, Agent: agentName}
+	payload := wire.EncodeRecord(req.Fields)
 	reqs := make([]fanReq, len(peers))
 	for i, p := range peers {
-		reqs[i] = fanReq{peer: p, verb: verbMigrationStatus, body: value.NewMap(map[string]value.Value{
-			"site":  value.NewString(s.cfg.Name),
-			"agent": value.NewString(agentName),
-		})}
+		reqs[i] = fanReq{p, verbMigrationStatus, payload}
 	}
 	raw := s.fanOut(reqs)
 
 	statuses := map[string]AgentStatus{s.cfg.Name: s.AgentArrivalStatus(agentName)}
 	errs := map[string]error{}
 	for i, p := range peers {
-		if raw[i].err != nil {
-			errs[p] = raw[i].err
+		var rep agentReply
+		err := raw[i].Err
+		if err == nil {
+			err = wire.DecodeRecord(raw[i].Payload, rep.Fields)
+		}
+		if err != nil {
+			errs[p] = err
 			continue
 		}
-		m, ok := raw[i].val.Map()
-		if !ok {
-			errs[p] = fmt.Errorf("agent status %s: malformed response", agentName)
-			continue
-		}
-		statuses[p] = AgentStatus{State: field(m, "state"), Next: field(m, "next")}
+		statuses[p] = AgentStatus(rep)
 	}
 
 	path := []string{start}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/transport"
-	"repro/internal/value"
 	"repro/internal/wire"
 )
 
@@ -217,12 +216,9 @@ func TestArrivalCannotTakeBoundName(t *testing.T) {
 		before := tablesOf(b, name, agent)
 		// Sent as a raw protocol request: the origin's own rule would not
 		// let an APO be called "ioo" in the first place.
-		_, err = a.callPeer("b", verbDispatch, value.NewMap(map[string]value.Value{
-			"site":  value.NewString("a"),
-			"name":  value.NewString(name),
-			"agent": value.NewBytes(wire.EncodeImage(img)),
-			"mid":   value.NewString(a.gen.New().String()),
-		}))
+		req := dispatchReq{"a", name, wire.EncodeImage(img), a.gen.New().String()}
+		var rep dispatchReply
+		err = a.callPeer("b", verbDispatch, "", req.Fields, rep.Fields)
 		var remote *transport.RemoteError
 		if !errors.As(err, &remote) || !strings.Contains(err.Error(), core.ErrExists.Error()) {
 			t.Errorf("dispatch under %q = %v, want the destination to answer %v", name, err, core.ErrExists)

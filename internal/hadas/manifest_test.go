@@ -21,11 +21,10 @@ func storedManifest(t *testing.T, store persist.Store) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, err := decodeReq(raw)
+	m, err := decodeMap(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := man.Map()
 	names := make([]string, 0, len(m))
 	for name := range m {
 		names = append(names, name)

@@ -125,17 +125,13 @@ func encodeMigrationRecord(r *migrationRecord) []byte {
 	if r.Attempts > 0 { // absent reads as 0; PREPARE stays an eight-key map
 		m["tries"] = value.NewInt(int64(r.Attempts))
 	}
-	return encodeReq(value.NewMap(m))
+	return encodeMap(m)
 }
 
 func decodeMigrationRecord(raw []byte) (*migrationRecord, error) {
-	v, err := decodeReq(raw)
+	m, err := decodeMap(raw)
 	if err != nil {
-		return nil, err
-	}
-	m, ok := v.Map()
-	if !ok {
-		return nil, fmt.Errorf("migration record is not a map")
+		return nil, fmt.Errorf("migration record: %w", err)
 	}
 	img, _ := m["image"].Bytes()
 	wasAPO, _ := m["wasAPO"].Bool()
@@ -388,7 +384,7 @@ type arrival struct {
 }
 
 func (s *Site) encodeArrival(a *arrival) []byte {
-	return encodeReq(value.NewMap(map[string]value.Value{
+	return encodeMap(map[string]value.Value{
 		"mid":    value.NewString(a.mid),
 		"name":   value.NewString(a.name),
 		"from":   value.NewString(a.from),
@@ -399,17 +395,13 @@ func (s *Site) encodeArrival(a *arrival) []byte {
 		"result": a.result,
 		"err":    value.NewString(a.errMsg),
 		"next":   value.NewString(a.next),
-	}))
+	})
 }
 
 func decodeArrival(raw []byte) (*arrival, error) {
-	v, err := decodeReq(raw)
+	m, err := decodeMap(raw)
 	if err != nil {
-		return nil, err
-	}
-	m, ok := v.Map()
-	if !ok {
-		return nil, fmt.Errorf("arrival record is not a map")
+		return nil, fmt.Errorf("arrival record: %w", err)
 	}
 	id, err := naming.ParseID(field(m, "agent"))
 	if err != nil {
@@ -525,24 +517,22 @@ func (s *Site) failArrival(a *arrival, err error) error {
 
 // arrivalOutcome reports a recorded (or in-flight) migration's outcome as
 // the dispatch response, waiting for a concurrent installation to settle.
-func (s *Site) arrivalOutcome(ctx context.Context, a *arrival) (value.Value, error) {
+func (s *Site) arrivalOutcome(ctx context.Context, a *arrival) (func(*wire.Codec), error) {
 	select {
 	case <-a.done:
 	case <-ctx.Done():
-		return value.Null, ctx.Err()
+		return nil, ctx.Err()
 	}
 	s.arrMu.Lock()
 	defer s.arrMu.Unlock()
 	if a.state == arrivalFailed {
-		return value.Null, errors.New(a.errMsg)
+		return nil, errors.New(a.errMsg)
 	}
-	out := map[string]value.Value{"installed": value.NewBool(true)}
-	if a.errMsg != "" {
-		out["arrivalError"] = value.NewString(a.errMsg)
-	} else {
-		out["result"] = a.result
+	rep := dispatchReply{ArrivalError: a.errMsg}
+	if a.errMsg == "" {
+		rep.Result = a.result
 	}
-	return value.NewMap(out), nil
+	return rep.Fields, nil
 }
 
 // arrivalSeq returns the dedup-table watermark (the seq of the youngest
@@ -701,18 +691,12 @@ type MigrationStatus struct {
 
 // MigrationStatusAt queries a linked peer for a migration's outcome.
 func (s *Site) MigrationStatusAt(peerName, mid string) (MigrationStatus, error) {
-	resp, err := s.callPeer(peerName, verbMigrationStatus, value.NewMap(map[string]value.Value{
-		"site": value.NewString(s.cfg.Name),
-		"mid":  value.NewString(mid),
-	}))
-	if err != nil {
+	req := statusReq{Site: s.cfg.Name, MID: mid}
+	var rep statusReply
+	if err := s.callPeer(peerName, verbMigrationStatus, "", req.Fields, rep.Fields); err != nil {
 		return MigrationStatus{}, err
 	}
-	m, ok := resp.Map()
-	if !ok {
-		return MigrationStatus{}, fmt.Errorf("migration status %s: malformed response", mid)
-	}
-	st := MigrationStatus{State: field(m, "state"), Result: m["result"], ArrivalError: field(m, "arrivalError")}
+	st := MigrationStatus{State: rep.State, Result: rep.Result, ArrivalError: rep.ArrivalError}
 	switch st.State {
 	case arrivalInstalled, arrivalDone, arrivalDeparted:
 		st.Landed = true
@@ -760,55 +744,23 @@ func (s *Site) AgentArrivalStatus(name string) AgentStatus {
 // departed toward AgentStatus.Next. Following Next pointers site by site
 // traces the agent's whole itinerary to its current host.
 func (s *Site) AgentStatusAt(peerName, agentName string) (AgentStatus, error) {
-	resp, err := s.callPeer(peerName, verbMigrationStatus, value.NewMap(map[string]value.Value{
-		"site":  value.NewString(s.cfg.Name),
-		"agent": value.NewString(agentName),
-	}))
-	if err != nil {
+	req := statusReq{Site: s.cfg.Name, Agent: agentName}
+	var rep agentReply
+	if err := s.callPeer(peerName, verbMigrationStatus, "", req.Fields, rep.Fields); err != nil {
 		return AgentStatus{}, err
 	}
-	m, ok := resp.Map()
-	if !ok {
-		return AgentStatus{}, fmt.Errorf("agent status %s: malformed response", agentName)
-	}
-	return AgentStatus{State: field(m, "state"), Next: field(m, "next")}, nil
+	return AgentStatus(rep), nil
 }
 
 // MigrationReportAt fetches a linked peer's MigrationReport — unresolved
 // outgoing migrations with orphans flagged — over the wire.
 func (s *Site) MigrationReportAt(peerName string) ([]MigrationInfo, error) {
-	resp, err := s.callPeer(peerName, verbMigrationStatus, value.NewMap(map[string]value.Value{
-		"site":   value.NewString(s.cfg.Name),
-		"report": value.NewBool(true),
-	}))
-	if err != nil {
+	req := statusReq{Site: s.cfg.Name, Report: true}
+	var rep reportReply
+	if err := s.callPeer(peerName, verbMigrationStatus, "", req.Fields, rep.Fields); err != nil {
 		return nil, err
 	}
-	m, ok := resp.Map()
-	if !ok {
-		return nil, fmt.Errorf("migration report from %s: malformed response", peerName)
-	}
-	list, _ := m["migrations"].List()
-	out := make([]MigrationInfo, 0, len(list))
-	for _, e := range list {
-		em, ok := e.Map()
-		if !ok {
-			continue
-		}
-		tries, _ := em["tries"].Int()
-		ageMs, _ := em["ageMs"].Int()
-		orphaned, _ := em["orphaned"].Bool()
-		out = append(out, MigrationInfo{
-			MID:      field(em, "mid"),
-			Name:     field(em, "name"),
-			Dest:     field(em, "dest"),
-			State:    field(em, "state"),
-			Attempts: int(tries),
-			Age:      time.Duration(ageMs) * time.Millisecond,
-			Orphaned: orphaned,
-		})
-	}
-	return out, nil
+	return rep.Migrations, nil
 }
 
 // handleMigrationStatus answers a status query from the dedup table. An
@@ -816,39 +768,25 @@ func (s *Site) MigrationReportAt(peerName string) ([]MigrationInfo, error) {
 // so the origin learns the settled outcome, not a racing snapshot.
 //
 // Besides the migration-ID lookup, the verb answers two further read-only
-// queries (all retry-safe): {"report": true} returns this site's
-// MigrationReport (unresolved outgoing migrations, orphans flagged), and
-// {"agent": name} returns the agent-trace view — whether the agent is
-// resident here and, if it departed, which site it went to next.
-func (s *Site) handleMigrationStatus(ctx context.Context, m map[string]value.Value) (value.Value, error) {
-	if err := s.linkedPeer(field(m, "site")); err != nil {
-		return value.Null, err // only linked sites may probe migration state
+// queries (all retry-safe): Report returns this site's MigrationReport
+// (unresolved outgoing migrations, orphans flagged), and Agent returns the
+// agent-trace view — whether the agent is resident here and, if it
+// departed, which site it went to next.
+func (s *Site) handleMigrationStatus(ctx context.Context, req *statusReq) (func(*wire.Codec), error) {
+	if err := s.linkedPeer(req.Site); err != nil {
+		return nil, err // only linked sites may probe migration state
 	}
-	if rep, ok := m["report"].Bool(); ok && rep {
-		entries := make([]value.Value, 0)
-		for _, info := range s.MigrationReport() {
-			entries = append(entries, value.NewMap(map[string]value.Value{
-				"mid":      value.NewString(info.MID),
-				"name":     value.NewString(info.Name),
-				"dest":     value.NewString(info.Dest),
-				"state":    value.NewString(info.State),
-				"tries":    value.NewInt(int64(info.Attempts)),
-				"ageMs":    value.NewInt(info.Age.Milliseconds()),
-				"orphaned": value.NewBool(info.Orphaned),
-			}))
-		}
-		return value.NewMap(map[string]value.Value{"migrations": value.NewList(entries)}), nil
+	if req.Report {
+		rep := reportReply{s.MigrationReport()}
+		return rep.Fields, nil
 	}
-	if agentName := field(m, "agent"); agentName != "" {
-		st := s.AgentArrivalStatus(agentName)
-		return value.NewMap(map[string]value.Value{
-			"state": value.NewString(st.State),
-			"next":  value.NewString(st.Next),
-		}), nil
+	if req.Agent != "" {
+		rep := agentReply(s.AgentArrivalStatus(req.Agent))
+		return rep.Fields, nil
 	}
-	mid := field(m, "mid")
+	mid := req.MID
 	if mid == "" {
-		return value.Null, fmt.Errorf("%w: status query needs a migration id", core.ErrArity)
+		return nil, fmt.Errorf("%w: status query needs a migration id", core.ErrArity)
 	}
 	s.arrMu.Lock()
 	a := s.arrivals[mid]
@@ -862,24 +800,22 @@ func (s *Site) handleMigrationStatus(ctx context.Context, m map[string]value.Val
 			}
 		}
 	}
+	rep := statusReply{State: "unknown"}
 	if a == nil {
-		return value.NewMap(map[string]value.Value{"state": value.NewString("unknown")}), nil
+		return rep.Fields, nil
 	}
 	select {
 	case <-a.done:
 	case <-ctx.Done():
-		return value.Null, ctx.Err()
+		return nil, ctx.Err()
 	}
 	s.arrMu.Lock()
 	defer s.arrMu.Unlock()
-	out := map[string]value.Value{"state": value.NewString(a.state)}
-	if a.state == arrivalFailed || a.errMsg != "" {
-		out["arrivalError"] = value.NewString(a.errMsg)
-	}
+	rep.State, rep.ArrivalError = a.state, a.errMsg
 	if a.state == arrivalDone {
-		out["result"] = a.result
+		rep.Result = a.result
 	}
-	return value.NewMap(out), nil
+	return rep.Fields, nil
 }
 
 // ---- recovery ----

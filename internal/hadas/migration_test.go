@@ -958,7 +958,7 @@ func TestUpdateAmbassadorsSkipsDownPeers(t *testing.T) {
 	if err := hq.SetPeerConn("c", fc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hq.callPeer("c", verbInvoke, value.NewMap(nil)); err == nil {
+	if _, err := hq.InvokeRemote("c", hq.IOO().Principal(), "x", "y"); err == nil {
 		t.Fatal("call over cut wire succeeded")
 	}
 	if st, err := hq.PeerStatus("c"); err != nil || st.Up() {
@@ -1010,7 +1010,7 @@ func TestDispatchFailsFastWhenPeerDown(t *testing.T) {
 	if err := a.SetPeerConn("b", fc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.callPeer("b", verbInvoke, value.NewMap(nil)); err == nil {
+	if _, err := a.InvokeRemote("b", a.IOO().Principal(), "x", "y"); err == nil {
 		t.Fatal("call over cut wire succeeded")
 	}
 

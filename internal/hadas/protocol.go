@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/naming"
 	"repro/internal/security"
 	"repro/internal/transport"
 	"repro/internal/value"
@@ -19,19 +18,23 @@ const (
 	verbInvoke = "hadas.invoke"
 )
 
-func encodeReq(v value.Value) []byte { return wire.EncodeValue(v) }
+// encodeMap and decodeMap are the map form the durable records keep (the
+// migration journal, arrival records, the Home manifest). decodeMap decodes
+// in place: a slot a store returned is never written again, so a byte
+// string that makes up at least half of it aliases it instead of being
+// copied out.
+func encodeMap(m map[string]value.Value) []byte { return wire.EncodeValue(value.NewMap(m)) }
 
-// decodeReq decodes a protocol payload in place: b is a frame payload or
-// stream assembly the transport handed over (or a slot a store returned)
-// and nothing writes it again, so a byte string that makes up at least
-// half of it — a streamed blob or object image — aliases b instead of
-// being copied out.
-func decodeReq(b []byte) (value.Value, error) {
+func decodeMap(b []byte) (map[string]value.Value, error) {
 	v, err := wire.DecodeValueInPlace(b)
 	if err != nil {
-		return value.Null, fmt.Errorf("protocol payload: %w", err)
+		return nil, err
 	}
-	return v, nil
+	m, ok := v.Map()
+	if !ok {
+		return nil, fmt.Errorf("%w: record is not a map", wire.ErrCodec)
+	}
+	return m, nil
 }
 
 // field extracts a string field; absent or null fields read as empty (a
@@ -44,37 +47,46 @@ func field(m map[string]value.Value, key string) string {
 	return v.String()
 }
 
-// handle is the site's protocol endpoint.
+// handle is the site's protocol endpoint. A payload is a frame payload or
+// stream assembly the transport handed over, so it is decoded in place.
 func (s *Site) handle(ctx context.Context, verb string, payload []byte) ([]byte, error) {
-	req, err := decodeReq(payload)
-	if err != nil {
-		return nil, err
-	}
-	m, ok := req.Map()
-	if !ok {
-		return nil, fmt.Errorf("%w: request is not a map", core.ErrArity)
-	}
-	var resp value.Value
 	switch verb {
+	case verbInvoke: // the hot path: request and reply stay off the heap
+		var req invokeReq
+		if err := wire.DecodeRecord(payload, req.Fields); err != nil {
+			return nil, err
+		}
+		rep := invokeOutcome(s.handleInvoke(ctx, &req))
+		return wire.EncodeRecord(rep.Fields), nil
 	case verbLink:
-		resp, err = s.handleLink(m)
+		return serve(ctx, payload, s.handleLink)
 	case verbExport:
-		resp, err = s.handleExport(m)
-	case verbInvoke:
-		resp, err = s.handleInvoke(ctx, m)
+		return serve(ctx, payload, s.handleExport)
 	case verbDispatch:
-		resp, err = s.handleDispatch(ctx, m)
+		return serve(ctx, payload, s.handleDispatch)
 	case verbMigrationStatus:
-		resp, err = s.handleMigrationStatus(ctx, m)
+		return serve(ctx, payload, s.handleMigrationStatus)
 	case verbProbe:
-		resp, err = s.handleProbe(m)
-	default:
-		return nil, fmt.Errorf("%w: unknown verb %q", core.ErrNotFound, verb)
+		return serve(ctx, payload, s.handleProbe)
 	}
+	return nil, fmt.Errorf("%w: unknown verb %q", core.ErrNotFound, verb)
+}
+
+// serve decodes a verb's request record, runs its handler, and encodes the
+// reply record the handler returns.
+func serve[R any, P interface {
+	*R
+	Fields(*wire.Codec)
+}](ctx context.Context, payload []byte, h func(context.Context, P) (func(*wire.Codec), error)) ([]byte, error) {
+	req := P(new(R))
+	if err := wire.DecodeRecord(payload, req.Fields); err != nil {
+		return nil, err
+	}
+	reply, err := h(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	return encodeReq(resp), nil
+	return wire.EncodeRecord(reply), nil
 }
 
 // ---- Link ----
@@ -94,30 +106,18 @@ func (s *Site) Link(addr string) (string, error) {
 		conn.Close()
 		return "", err
 	}
-	resp, err := s.callConn(conn, verbLink, value.NewMap(map[string]value.Value{
-		"site":   value.NewString(s.cfg.Name),
-		"domain": value.NewString(s.cfg.Domain),
-		"addr":   value.NewString(s.advertisedAddr()),
-		"ioo":    value.NewBytes(myAmb),
-	}))
-	if err != nil {
+	req := linkReq{linkReply{s.cfg.Name, s.cfg.Domain, myAmb}, s.advertisedAddr()}
+	var rep linkReply
+	if err := s.callConn(conn, verbLink, "", req.Fields, rep.Fields); err != nil {
 		conn.Close()
 		return "", fmt.Errorf("link %s: %w", addr, err)
 	}
-	m, ok := resp.Map()
-	if !ok {
-		conn.Close()
-		return "", fmt.Errorf("link %s: malformed response", addr)
-	}
-	peerName := field(m, "site")
-	peerDomain := field(m, "domain")
-	ambBytes, _ := m["ioo"].Bytes()
-	if err := s.installPeer(peerName, peerDomain, addr, conn, ambBytes); err != nil {
+	if err := s.installPeer(rep.Site, rep.Domain, addr, conn, rep.IOO); err != nil {
 		conn.Close()
 		return "", err
 	}
-	s.log("linked to %s (domain %s)", peerName, peerDomain)
-	return peerName, nil
+	s.log("linked to %s (domain %s)", rep.Site, rep.Domain)
+	return rep.Site, nil
 }
 
 // advertisedAddr is the address peers can dial back on.
@@ -132,24 +132,17 @@ func (s *Site) advertisedAddr() string {
 
 // handleLink is the receiving half: install the requester's IOO ambassador
 // and answer with our own identity and ambassador.
-func (s *Site) handleLink(m map[string]value.Value) (value.Value, error) {
-	peerName := field(m, "site")
-	peerDomain := field(m, "domain")
-	peerAddr := field(m, "addr")
-	ambBytes, _ := m["ioo"].Bytes()
-	if err := s.installPeer(peerName, peerDomain, peerAddr, nil, ambBytes); err != nil {
-		return value.Null, err
+func (s *Site) handleLink(_ context.Context, req *linkReq) (func(*wire.Codec), error) {
+	if err := s.installPeer(req.Site, req.Domain, req.Addr, nil, req.IOO); err != nil {
+		return nil, err
 	}
 	myAmb, err := s.iooAmbassadorImage()
 	if err != nil {
-		return value.Null, err
+		return nil, err
 	}
-	s.log("accepted link from %s (domain %s)", peerName, peerDomain)
-	return value.NewMap(map[string]value.Value{
-		"site":   value.NewString(s.cfg.Name),
-		"domain": value.NewString(s.cfg.Domain),
-		"ioo":    value.NewBytes(myAmb),
-	}), nil
+	s.log("accepted link from %s (domain %s)", req.Site, req.Domain)
+	rep := linkReply{s.cfg.Name, s.cfg.Domain, myAmb}
+	return rep.Fields, nil
 }
 
 // installPeer records the Vicinity entry, grades the peer's domain in the
@@ -367,21 +360,12 @@ func (s *Site) SetPeerConn(peerName string, conn transport.Conn) error {
 // invokes the Ambassador, which in turn installs itself."
 // It returns the local name of the installed ambassador ("<apo>@<site>").
 func (s *Site) Import(peerName, apoName string) (string, error) {
-	resp, err := s.callPeer(peerName, verbExport, value.NewMap(map[string]value.Value{
-		"site":   value.NewString(s.cfg.Name),
-		"domain": value.NewString(s.cfg.Domain),
-		"apo":    value.NewString(apoName),
-		"ioo":    value.NewString(s.ioo.ID().String()),
-	}))
-	if err != nil {
+	req := exportReq{s.cfg.Name, s.cfg.Domain, apoName, s.ioo.ID()}
+	var rep exportReply
+	if err := s.callPeer(peerName, verbExport, "", req.Fields, rep.Fields); err != nil {
 		return "", fmt.Errorf("import %q from %q: %w", apoName, peerName, err)
 	}
-	m, ok := resp.Map()
-	if !ok {
-		return "", fmt.Errorf("import %q: malformed export response", apoName)
-	}
-	ambBytes, _ := m["ambassador"].Bytes()
-	img, err := wire.DecodeImage(ambBytes)
+	img, err := wire.DecodeImage(rep.Ambassador)
 	if err != nil {
 		return "", fmt.Errorf("import %q: %w", apoName, err)
 	}
@@ -432,21 +416,14 @@ func (s *Site) Import(peerName, apoName string) (string, error) {
 
 // handleExport is the origin half of Import: verify the requester may
 // import, instantiate the Ambassador, and ship it as data.
-func (s *Site) handleExport(m map[string]value.Value) (value.Value, error) {
-	requesterSite := field(m, "site")
-	requesterDomain := field(m, "domain")
-	apoName := field(m, "apo")
-	requesterIOO, err := naming.ParseID(field(m, "ioo"))
-	if err != nil {
-		return value.Null, fmt.Errorf("%w: requester ioo id: %v", core.ErrArity, err)
-	}
-
+func (s *Site) handleExport(_ context.Context, req *exportReq) (func(*wire.Codec), error) {
+	requesterSite, apoName := req.Site, req.APO
 	if err := s.linkedPeer(requesterSite); err != nil {
-		return value.Null, err // export only to linked sites
+		return nil, err // export only to linked sites
 	}
 	apo, err := s.APO(apoName)
 	if err != nil {
-		return value.Null, err
+		return nil, err
 	}
 
 	// "Export verifies that the requested APO is accessible to the
@@ -455,15 +432,15 @@ func (s *Site) handleExport(m map[string]value.Value) (value.Value, error) {
 	acl, hasACL := s.exportACL[apoName]
 	s.mu.Unlock()
 	if hasACL {
-		pr := security.Principal{Object: requesterIOO, Domain: requesterDomain}
+		pr := security.Principal{Object: req.IOO, Domain: req.Domain}
 		if effect, matched := acl.Decide(pr, security.ActionAny); !matched || effect != security.Allow {
-			return value.Null, fmt.Errorf("%w: %q to %s", ErrNotExportable, apoName, requesterSite)
+			return nil, fmt.Errorf("%w: %q to %s", ErrNotExportable, apoName, requesterSite)
 		}
 	}
 
 	img, err := s.instantiateAmbassador(apo, apoName)
 	if err != nil {
-		return value.Null, err
+		return nil, err
 	}
 
 	// One deployment row per (APO, host): a re-import replaces the host's
@@ -490,9 +467,8 @@ func (s *Site) handleExport(m map[string]value.Value) (value.Value, error) {
 	}
 	s.mu.Unlock()
 	s.log("exported %s to %s", apoName, requesterSite)
-	return value.NewMap(map[string]value.Value{
-		"ambassador": value.NewBytes(wire.EncodeImage(img)),
-	}), nil
+	rep := exportReply{wire.EncodeImage(img)}
+	return rep.Fields, nil
 }
 
 // ---- Remote invocation ----
@@ -521,21 +497,12 @@ func (s *Site) invokeRemote(inv *core.Invocation, peerName string,
 	caller security.Principal, target, method string, args []value.Value) (value.Value, error) {
 	gid, done := inv.BeginRemoteCall(s.det, peerName)
 	defer done()
-	resp, err := s.callPeerChain(peerName, verbInvoke, gid, value.NewMap(map[string]value.Value{
-		"site":   value.NewString(s.cfg.Name),
-		"caller": value.NewString(caller.Object.String()),
-		"target": value.NewString(target),
-		"method": value.NewString(method),
-		"args":   value.NewList(args),
-	}))
-	if err != nil {
-		return value.Null, rewrapRemote(err)
+	req := invokeReq{s.cfg.Name, caller.Object, target, method, args}
+	var rep invokeReply
+	if err := s.callPeer(peerName, verbInvoke, gid, req.Fields, rep.Fields); err != nil {
+		return value.Null, err
 	}
-	m, ok := resp.Map()
-	if !ok {
-		return value.Null, fmt.Errorf("invoke %s!%s.%s: malformed response", peerName, target, method)
-	}
-	return m["result"], nil
+	return rep.result()
 }
 
 // handleInvoke dispatches a remote invocation. The caller's claimed object
@@ -546,44 +513,26 @@ func (s *Site) invokeRemote(inv *core.Invocation, peerName string,
 // request frame is adopted for the call's duration, so the invocation
 // re-enters admissions its chain already holds here, and a block becomes
 // a chaseable waits-for edge attributed to the right chain.
-func (s *Site) handleInvoke(ctx context.Context, m map[string]value.Value) (value.Value, error) {
-	fromSite := field(m, "site")
-	domain, err := s.peerDomain(fromSite)
+//
+// A malformed args field never reaches here: the record refuses it, since
+// coercing a corrupted frame to zero args would invoke the method with the
+// wrong arity.
+func (s *Site) handleInvoke(ctx context.Context, req *invokeReq) (value.Value, error) {
+	domain, err := s.peerDomain(req.Site)
 	if err != nil {
 		return value.Null, err
 	}
-	callerID, err := naming.ParseID(field(m, "caller"))
-	if err != nil {
-		return value.Null, fmt.Errorf("%w: caller id: %v", core.ErrArity, err)
-	}
-	target, err := s.ResolveObject(field(m, "target"))
+	target, err := s.ResolveObject(req.Target)
 	if err != nil {
 		return value.Null, err
 	}
-	// A malformed args field is a protocol error, not an empty argument
-	// list: silently coercing a corrupted frame to zero args would invoke
-	// the method with the wrong arity.
-	var args []value.Value
-	if argsV, present := m["args"]; present && !argsV.IsNull() {
-		list, ok := argsV.List()
-		if !ok {
-			return value.Null, fmt.Errorf("%w: args is not a list", core.ErrArity)
-		}
-		args = list
-	}
-	caller := security.Principal{Object: callerID, Domain: domain}
-	var result value.Value
+	caller := security.Principal{Object: req.Caller, Domain: domain}
 	if gid := transport.ChainFrom(ctx); gid != "" {
 		ac, release := s.det.Adopt(gid)
 		defer release()
-		result, err = target.InvokeWithChain(caller, ac, field(m, "method"), args...)
-	} else {
-		result, err = target.Invoke(caller, field(m, "method"), args...)
+		return target.InvokeWithChain(caller, ac, req.Method, req.Args...)
 	}
-	if err != nil {
-		return value.Null, err
-	}
-	return value.NewMap(map[string]value.Value{"result": result}), nil
+	return target.Invoke(caller, req.Method, req.Args...)
 }
 
 // UpdateAmbassadors invokes a method (typically a meta-method such as

@@ -1,0 +1,174 @@
+package hadas
+
+// Golden vectors and a fuzz target for the protocol records. The golden
+// file holds one encoding per record (two for the invoke reply, to pin an
+// outcome code), so a change of format is a deliberate edit: run with
+// -update to rewrite it. FuzzProtocolRecords feeds arbitrary bytes, seeded
+// from those vectors, to every record's decoder.
+
+import (
+	"bytes"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/naming"
+	"repro/internal/value"
+	"repro/internal/wire"
+)
+
+var updateRecords = flag.Bool("update", false, "rewrite testdata/records_golden.json")
+
+const recordsGolden = "testdata/records_golden.json"
+
+// recordCase is one record type: a filled sample, and a zero record to
+// decode into.
+type recordCase struct {
+	name   string
+	sample func(*wire.Codec)
+	zero   func() func(*wire.Codec)
+}
+
+func recordOf[R any, P interface {
+	*R
+	Fields(*wire.Codec)
+}](name string, sample R) recordCase {
+	return recordCase{name, P(&sample).Fields, func() func(*wire.Codec) { return P(new(R)).Fields }}
+}
+
+func protocolRecords() []recordCase {
+	id := naming.ID{0xa1, 0xa2, 0xa3, 0xa4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	args := []value.Value{value.NewString("alice"), value.NewInt(-3), value.Null}
+	return []recordCase{
+		recordOf("linkReq", linkReq{linkReply{"a", "dom-a", []byte{1, 2, 3}}, "127.0.0.1:7000"}),
+		recordOf("linkReply", linkReply{"b", "dom-b", []byte{4, 5}}),
+		recordOf("exportReq", exportReq{"a", "dom-a", "payroll", id}),
+		recordOf("exportReply", exportReply{[]byte("image")}),
+		recordOf("invokeReq", invokeReq{"a", id, "payroll", "salaryOf", args}),
+		recordOf("invokeReply", invokeReply{Result: value.NewInt(12500)}),
+		recordOf("invokeReply/deadlock", invokeReply{Outcome: outcomeDeadlock, Msg: "serialized admission deadlock: a:1 → b:2"}),
+		recordOf("dispatchReq", dispatchReq{"a", "scout", []byte("agent image"), "mid-1"}),
+		recordOf("dispatchReply", dispatchReply{Result: value.NewListOf(value.True, value.NewFloat(0.5))}),
+		recordOf("statusReq", statusReq{"a", "mid-1", "scout", true}),
+		recordOf("statusReply", statusReply{dispatchReply{value.Null, `agent "scout" onArrival: boom`}, arrivalDone}),
+		recordOf("agentReply", agentReply{arrivalDeparted, "c"}),
+		recordOf("reportReply", reportReply{[]MigrationInfo{{"m1", "scout", "b", migrationInDoubt, 2, 1500 * time.Millisecond, true}}}),
+		recordOf("probeReq", probeReq{"a:1", "b:2", 8, []core.ProbeStep{{Chain: "a:1", Site: "a", Object: "Lock<x>", Holder: "b:2"}}}),
+		recordOf("verdictReply", verdictReply{"a:1 → b:2 → a:1", "a:1", "Lock<x>"}),
+	}
+}
+
+type recordVector struct {
+	Name string `json:"name"`
+	Wire string `json:"wire"` // hex
+}
+
+func readRecordVectors(t testing.TB) [][]byte {
+	t.Helper()
+	raw, err := os.ReadFile(recordsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vs []recordVector
+	if err := json.Unmarshal(raw, &vs); err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]byte, len(vs))
+	for i, v := range vs {
+		if out[i], err = hex.DecodeString(v.Wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestProtocolRecordsGolden pins every record's bytes. Each vector is a
+// wire value, decodes into its record, and re-encodes to the same bytes;
+// the encoder sizes its buffer exactly.
+func TestProtocolRecordsGolden(t *testing.T) {
+	cases := protocolRecords()
+	if *updateRecords {
+		vs := make([]recordVector, len(cases))
+		for i, rc := range cases {
+			vs[i] = recordVector{rc.name, hex.EncodeToString(wire.EncodeRecord(rc.sample))}
+		}
+		raw, err := json.MarshalIndent(vs, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(recordsGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(recordsGolden, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	golden := readRecordVectors(t)
+	if len(golden) != len(cases) {
+		t.Fatalf("golden file has %d vectors, the protocol %d records", len(golden), len(cases))
+	}
+	for i, rc := range cases {
+		enc := wire.EncodeRecord(rc.sample)
+		if !bytes.Equal(enc, golden[i]) {
+			t.Errorf("%s: encoding drifted:\n got %x\nwant %x", rc.name, enc, golden[i])
+		}
+		if cap(enc) != len(enc) {
+			t.Errorf("%s: encoder sized its buffer at %d for %d bytes", rc.name, cap(enc), len(enc))
+		}
+		if _, err := wire.DecodeValue(golden[i]); err != nil {
+			t.Errorf("%s: not a wire value: %v", rc.name, err)
+		}
+		dec := rc.zero()
+		if err := wire.DecodeRecord(golden[i], dec); err != nil {
+			t.Errorf("%s: decode: %v", rc.name, err)
+		} else if again := wire.EncodeRecord(dec); !bytes.Equal(again, golden[i]) {
+			t.Errorf("%s: decode and re-encode drifted:\n got %x\nwant %x", rc.name, again, golden[i])
+		}
+		// A record cut at any byte is a typed codec error.
+		for n := 0; n < len(golden[i]); n++ {
+			if err := wire.DecodeRecord(golden[i][:n], rc.zero()); !errors.Is(err, wire.ErrCodec) {
+				t.Fatalf("%s cut to %d of %d bytes: %v, want wire.ErrCodec", rc.name, n, len(golden[i]), err)
+			}
+		}
+	}
+}
+
+// FuzzProtocolRecords: every record's decoder either refuses the input
+// with wire.ErrCodec or core.ErrArity, or returns a record whose
+// re-encoding is a wire value that decodes back to the same record. It
+// never panics.
+func FuzzProtocolRecords(f *testing.F) {
+	for _, v := range readRecordVectors(f) {
+		f.Add(v)
+	}
+	cases := protocolRecords()
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, rc := range cases {
+			dec := rc.zero()
+			if err := wire.DecodeRecord(b, dec); err != nil {
+				if !errors.Is(err, wire.ErrCodec) && !errors.Is(err, core.ErrArity) {
+					t.Fatalf("%s: untyped refusal %v", rc.name, err)
+				}
+				continue
+			}
+			enc := wire.EncodeRecord(dec)
+			if _, err := wire.DecodeValue(enc); err != nil {
+				t.Fatalf("%s: re-encoding is not a wire value: %v", rc.name, err)
+			}
+			again := rc.zero()
+			if err := wire.DecodeRecord(enc, again); err != nil {
+				t.Fatalf("%s: re-encoding does not decode: %v", rc.name, err)
+			}
+			if re := wire.EncodeRecord(again); !bytes.Equal(re, enc) {
+				t.Fatalf("%s: round trip drifted:\n%x\n%x", rc.name, enc, re)
+			}
+		}
+	})
+}

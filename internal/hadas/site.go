@@ -23,6 +23,7 @@ import (
 	"repro/internal/security"
 	"repro/internal/transport"
 	"repro/internal/value"
+	"repro/internal/wire"
 )
 
 // Errors of the framework layer.
@@ -596,42 +597,34 @@ func (s *Site) peerDomain(name string) (string, error) {
 	return domain, nil
 }
 
-// callPeer performs one protocol round trip to a linked site, dialing the
-// peer lazily if this side accepted the link without a client connection.
-// An open circuit breaker fails fast with ErrPeerDown — the graceful
-// degradation Ambassadors rely on — instead of burning the call timeout
-// on a peer already known to be dead.
-func (s *Site) callPeer(peerName, verb string, req value.Value) (value.Value, error) {
-	return s.callPeerChain(peerName, verb, "", req)
-}
-
-// callPeerChain is callPeer with a call-chain identity stamped on the
-// request frame (empty: the request runs on no serialized chain).
-func (s *Site) callPeerChain(peerName, verb, chain string, req value.Value) (value.Value, error) {
+// callPeer performs one protocol round trip to a linked site: the record
+// req describes goes out, on behalf of call chain (empty: no serialized
+// chain), and the reply is decoded into the record rep describes. The peer
+// is dialed lazily if this side accepted the link without a client
+// connection. An open circuit breaker fails fast with ErrPeerDown — the
+// graceful degradation Ambassadors rely on — instead of burning the call
+// timeout on a peer already known to be dead.
+func (s *Site) callPeer(peerName, verb, chain string, req, rep func(*wire.Codec)) error {
 	conn, err := s.connTo(peerName)
 	if err != nil {
-		return value.Null, err
+		return err
 	}
-	out, err := s.callConnChain(conn, verb, chain, req)
+	err = s.callConn(conn, verb, chain, req, rep)
 	if errors.Is(err, transport.ErrCircuitOpen) {
-		return value.Null, fmt.Errorf("%w: site %q: %v", ErrPeerDown, peerName, err)
+		return fmt.Errorf("%w: site %q: %v", ErrPeerDown, peerName, err)
 	}
-	return out, err
+	return err
 }
 
 // callConn runs one round trip under the site's configured call timeout.
-func (s *Site) callConn(conn transport.Conn, verb string, req value.Value) (value.Value, error) {
-	return s.callConnChain(conn, verb, "", req)
-}
-
-func (s *Site) callConnChain(conn transport.Conn, verb, chain string, req value.Value) (value.Value, error) {
+func (s *Site) callConn(conn transport.Conn, verb, chain string, req, rep func(*wire.Codec)) error {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
 	defer cancel()
-	out, err := conn.Call(transport.WithChain(ctx, chain), verb, encodeReq(req))
+	out, err := conn.Call(transport.WithChain(ctx, chain), verb, wire.EncodeRecord(req))
 	if err != nil {
-		return value.Null, err
+		return err
 	}
-	return decodeReq(out)
+	return wire.DecodeRecord(out, rep)
 }
 
 // ---- persistence ----
@@ -646,7 +639,7 @@ func encodeManifest(ids map[string]naming.ID) []byte {
 	for name, id := range ids {
 		m[name] = value.NewString(id.String())
 	}
-	return encodeReq(value.NewMap(m))
+	return encodeMap(m)
 }
 
 // persistedManifest returns the membership of the Home manifest in the
@@ -660,13 +653,9 @@ func (s *Site) persistedManifest() (map[string]naming.ID, error) {
 	if err != nil {
 		return nil, err
 	}
-	man, err := decodeReq(raw)
+	m, err := decodeMap(raw)
 	if err != nil {
-		return nil, err
-	}
-	m, ok := man.Map()
-	if !ok {
-		return nil, fmt.Errorf("manifest is not a map")
+		return nil, fmt.Errorf("manifest: %w", err)
 	}
 	ids := make(map[string]naming.ID, len(m))
 	for name, idV := range m {

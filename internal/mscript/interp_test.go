@@ -326,6 +326,9 @@ func (f *fakeObject) HostName() string { return f.name }
 
 func (f *fakeObject) Call(name string, args []Val) (Val, error) {
 	f.calls = append(f.calls, name)
+	if (name == "get" && len(args) < 1) || (name == "set" && len(args) < 2) {
+		return NullVal, fmt.Errorf("%w: %s takes more arguments", ErrRuntime, name)
+	}
 	switch name {
 	case "get":
 		d, err := args[0].Data()

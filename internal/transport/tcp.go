@@ -321,18 +321,17 @@ func (s *tcpServer) serveConn(c net.Conn) {
 			result, err := s.handler(rctx, f.Verb, f.Payload)
 			if err != nil {
 				_ = out.send(wire.Frame{Type: wire.FrameError, RequestID: f.RequestID,
-					Verb: f.Verb, Payload: []byte(err.Error())})
+					Payload: []byte(err.Error())})
 				return
 			}
 			if len(result) <= StreamThreshold {
-				_ = out.send(wire.Frame{Type: wire.FrameResponse, RequestID: f.RequestID,
-					Verb: f.Verb, Payload: result})
+				_ = out.send(wire.Frame{Type: wire.FrameResponse, RequestID: f.RequestID, Payload: result})
 				return
 			}
 			win := newStreamWindow()
 			st.addStream(f.RequestID, win)
 			defer st.dropStream(f.RequestID)
-			_ = sendChunks(rctx, out, f.RequestID, win, st.announces(), f.Verb, "", result)
+			_ = sendChunks(rctx, out, f.RequestID, win, st.announces(), "", "", result)
 		}()
 	}
 
@@ -370,7 +369,7 @@ func (s *tcpServer) serveConn(c net.Conn) {
 			payload, ok := st.finish(f.RequestID)
 			if !ok {
 				_ = out.send(wire.Frame{Type: wire.FrameError, RequestID: f.RequestID,
-					Verb: f.Verb, Payload: []byte("request stream exceeds payload limit")})
+					Payload: []byte("request stream exceeds payload limit")})
 				continue
 			}
 			dispatch(wire.Frame{Type: wire.FrameRequest, RequestID: f.RequestID,
@@ -493,7 +492,7 @@ func (c *tcpConn) readLoop() {
 			c.mu.Unlock()
 			if ok {
 				pc.ch <- wire.Frame{Type: wire.FrameResponse, RequestID: f.RequestID,
-					Verb: f.Verb, Payload: pc.asm.payload()} // buffered; never blocks
+					Payload: pc.asm.payload()} // buffered; never blocks
 			}
 		case wire.FrameCredit:
 			c.mu.Lock()

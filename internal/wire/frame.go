@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"unsafe"
 )
 
 // FrameType discriminates transport messages.
@@ -27,7 +28,7 @@ const (
 	FrameChunk FrameType = 6
 	// FrameStreamEnd closes a chunk run: the assembled payload is complete.
 	// On a request stream it carries the Verb and Chain of the call the
-	// chunks spell out; on a response stream both are informational.
+	// chunks spell out; on a response stream, like every reply, neither.
 	FrameStreamEnd FrameType = 7
 	// FrameCredit grants the stream sender window space: the payload is a
 	// uvarint of bytes the receiver has consumed (credit-based flow
@@ -232,7 +233,7 @@ func (p *frameParser) str(what string) (string, error) {
 	if err := p.fill(b); err != nil {
 		return "", err
 	}
-	return string(b), nil
+	return unsafe.String(&b[0], n), nil // b is fresh, and nothing writes it again
 }
 
 // ReadFrameInto reads one length-prefixed frame, parsing the header fields

@@ -1,0 +1,229 @@
+package wire
+
+import (
+	"fmt"
+	"sync"
+
+	"repro/internal/core"
+	"repro/internal/naming"
+	"repro/internal/value"
+)
+
+// Codec runs a protocol record's field-order method three ways: to size
+// the record, to encode it into a buffer of exactly that size, and to
+// decode it in place. A record is a Go struct whose Fields method names its
+// fields in wire order — c.Str("site", &r.Site); c.ID("caller", &r.Caller)
+// — so encoder and decoder cannot drift apart. On the wire a record is a
+// list value, its fields in order, each an ordinary tagged value (an ID is
+// a 16-byte Bytes), so any value decoder reads it. One versioning rule: a
+// list shorter than the record reads its missing tail as zero, elements
+// past the known fields are decoded under the usual limits and dropped, a
+// null field reads as zero, and a field of another kind fails
+// core.ErrArity naming it.
+type Codec struct {
+	op                codecOp
+	size, left, depth int // left: fields written to the open record, or its elements still to read
+	w                 Writer
+	r                 Reader
+	err               error
+}
+
+type codecOp uint8
+
+const (
+	opSize codecOp = iota
+	opEncode
+	opDecode
+)
+
+// Fields is passed as a func value, which keeps the record off the heap;
+// the Codec it is handed escapes, so it is pooled.
+var codecs = sync.Pool{New: func() any { return new(Codec) }}
+
+// EncodeRecord encodes the record fields describes, in a buffer sized by a
+// first walk over the same fields, so it is allocated once.
+func EncodeRecord(fields func(*Codec)) []byte {
+	c := codecs.Get().(*Codec)
+	defer codecs.Put(c)
+	*c = Codec{op: opSize}
+	c.record(fields)
+	c.op, c.w.buf = opEncode, make([]byte, 0, c.size)
+	c.record(fields)
+	out := c.w.buf
+	*c = Codec{}
+	return out
+}
+
+// DecodeRecord decodes b into the zero record fields describes. Like
+// DecodeValueInPlace it is for a buffer nothing writes again: a byte string
+// making up at least half of b aliases it.
+func DecodeRecord(b []byte, fields func(*Codec)) error {
+	if len(b) > 0 && b[0] == tagMap {
+		return fmt.Errorf("%w: a map-shaped message, the format before records", ErrCodec)
+	}
+	c := codecs.Get().(*Codec)
+	defer codecs.Put(c)
+	*c = Codec{op: opDecode, r: Reader{buf: b, shareFrom: (len(b) + 1) / 2}}
+	c.record(fields)
+	if c.err == nil && !c.r.Done() {
+		c.err = fmt.Errorf("%w: %d trailing bytes after record", ErrCodec, c.r.Remaining())
+	}
+	err := c.err
+	*c = Codec{}
+	return err
+}
+
+// record walks one record. Its count is one byte, patched once the fields
+// are written: records have fewer than 128 fields.
+func (c *Codec) record(fields func(*Codec)) {
+	outer, at := c.left, len(c.w.buf)
+	c.left = 0
+	c.depth++
+	switch c.op {
+	case opSize:
+		c.size += 2
+	case opEncode:
+		c.w.buf = append(c.w.buf, tagList, 0)
+	case opDecode:
+		if tag, err := c.r.Byte(); c.err == nil && (err != nil || tag != tagList) {
+			c.err = fmt.Errorf("%w: not a record", ErrCodec)
+		} else if c.err == nil {
+			c.left, c.err = c.r.Count()
+		}
+	}
+	fields(c)
+	for ; c.op == opDecode && c.left > 0 && c.err == nil; c.left-- {
+		_, c.err = getValueDepth(&c.r, c.depth)
+	}
+	if c.op == opEncode {
+		c.w.buf[at+1] = byte(c.left)
+	}
+	c.left = outer
+	c.depth--
+}
+
+// field is one field of the walk: the size and encode walks count or write
+// v; decoding returns the next element, which must be of kind k, and false
+// when the element is absent or null. (v never flows to the result, or the
+// record it came from would escape.)
+func (c *Codec) field(name string, v value.Value, k value.Kind) (value.Value, bool) {
+	if c.op != opDecode {
+		c.left++
+		if c.op == opSize {
+			c.size += valueSize(v)
+		} else {
+			PutValue(&c.w, v)
+		}
+		return value.Null, false
+	}
+	tag, ok := c.next()
+	if !ok {
+		return value.Null, false
+	}
+	got, err := getTagged(&c.r, tag, c.depth)
+	if c.err = err; err == nil && k != kindAny && got.Kind() != k {
+		c.err = fmt.Errorf("%w: %s is not a %s", core.ErrArity, name, k)
+	}
+	return got, c.err == nil
+}
+
+const kindAny = value.Kind(255)
+
+// next reads the tag of the next element to decode; false when the
+// element is absent or null, or decoding has failed.
+func (c *Codec) next() (byte, bool) {
+	if c.err != nil || c.left == 0 {
+		return 0, false
+	}
+	c.left--
+	tag, err := c.r.Byte()
+	c.err = err
+	return tag, err == nil && tag != tagNull
+}
+
+// Str is a string field.
+func (c *Codec) Str(name string, p *string) {
+	if v, ok := c.field(name, value.NewString(*p), value.KindString); ok {
+		*p, _ = v.Str()
+	}
+}
+
+// Bytes is a byte-string field.
+func (c *Codec) Bytes(name string, p *[]byte) {
+	if v, ok := c.field(name, value.NewBytes(*p), value.KindBytes); ok {
+		*p, _ = v.Bytes()
+	}
+}
+
+// Int is an integer field.
+func (c *Codec) Int(name string, p *int64) {
+	if v, ok := c.field(name, value.NewInt(*p), value.KindInt); ok {
+		*p, _ = v.Int()
+	}
+}
+
+// Bool is a boolean field.
+func (c *Codec) Bool(name string, p *bool) {
+	if v, ok := c.field(name, value.NewBool(*p), value.KindBool); ok {
+		*p, _ = v.Bool()
+	}
+}
+
+// Values is a list of values.
+func (c *Codec) Values(name string, p *[]value.Value) {
+	if v, ok := c.field(name, value.NewList(*p), value.KindList); ok {
+		*p, _ = v.List()
+	}
+}
+
+// Value is a field of any kind.
+func (c *Codec) Value(name string, p *value.Value) {
+	if v, ok := c.field(name, *p, kindAny); ok {
+		*p = v
+	}
+}
+
+// ID is an object identity, sent as its 16 bytes and read without a copy
+// of its own.
+func (c *Codec) ID(name string, p *naming.ID) {
+	if c.op != opDecode {
+		c.field(name, value.NewBytes(p[:]), value.KindBytes)
+	} else if tag, ok := c.next(); ok {
+		var b []byte
+		if tag == tagBytes {
+			b, c.err = c.r.span()
+		}
+		if c.err == nil && len(b) != len(p) {
+			c.err = fmt.Errorf("%w: %s is not a %d-byte id", core.ErrArity, name, len(p))
+		}
+		copy(p[:], b)
+	}
+}
+
+// List is a list of sub-records, each described by fields.
+func List[T any](c *Codec, name string, p *[]T, fields func(*Codec, *T)) {
+	n := len(*p)
+	if c.op != opDecode { // the list header: sized, and written by the encode walk
+		c.left++
+		c.size += 1 + uvarintSize(uint64(n))
+		if c.op == opEncode {
+			c.w.Byte(tagList)
+			c.w.Uvarint(uint64(n))
+		}
+	} else {
+		n = 0
+		if tag, ok := c.next(); ok && tag != tagList {
+			c.err = fmt.Errorf("%w: %s is not a list", core.ErrArity, name)
+		} else if ok {
+			n, c.err = c.r.Count()
+		}
+		*p = make([]T, 0, min(n, 64))
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		if c.op == opDecode {
+			var zero T
+			*p = append(*p, zero)
+		}
+		c.record(func(c *Codec) { fields(c, &(*p)[i]) })
+	}
+}

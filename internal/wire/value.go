@@ -101,6 +101,11 @@ func getValueDepth(r *Reader, depth int) (value.Value, error) {
 	if err != nil {
 		return value.Null, err
 	}
+	return getTagged(r, tag, depth)
+}
+
+// getTagged decodes the rest of a value whose tag byte has been read.
+func getTagged(r *Reader, tag byte, depth int) (value.Value, error) {
 	switch tag {
 	case tagNull:
 		return value.Null, nil
