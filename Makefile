@@ -6,8 +6,10 @@ GO ?= go
 # Each is run BENCH_COUNT times and benchguard keeps the fastest
 # repetition, damping scheduler noise on shared machines. E11 (agent hop
 # round trip) guards the journaled migration protocol's dispatch cost, on
-# an empty site and past 2 048 resident APOs (E11_AgentHopHome2048).
-BENCH_TRACKED = E3|E5|E11
+# an empty site and past 2 048 resident APOs (E11_AgentHopHome2048). E4's
+# cold gets and E3/E5's cold calls pay a full Match each, and
+# GetDataItemHandles pins handles as a function of the item.
+BENCH_TRACKED = E3|E4|E5|E11|GetDataItemHandles
 BENCH_TIME    = 100000x
 BENCH_COUNT   = 3
 

@@ -53,7 +53,7 @@ func TestWarmInvocationPathsAllocFree(t *testing.T) {
 	})
 
 	// Two callers alternating on one object never hit the one-entry L1:
-	// every call is a table hit that republishes the entry's reference.
+	// every call is served by the policy's verdict table.
 	pair, turn := [2]security.Principal{caller, experiments.Stranger()}, 0
 	alternate := func() {
 		turn++
@@ -62,9 +62,35 @@ func TestWarmInvocationPathsAllocFree(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		alternate() // each caller's fill, then the hit that builds its reference
+		alternate() // each caller's fill, then its first table hit
 	}
 	assertAllocFree(t, "alternating callers", alternate)
+
+	// Eight callers rotating over a method and a data item of one object,
+	// the shape of the repository benchmark's local-reflect: no call finds
+	// its caller in the item's L1, so every one is served by the policy's
+	// verdict table.
+	var ring [8]security.Principal
+	for i := range ring {
+		ring[i] = experiments.Stranger()
+	}
+	name := value.NewString("f0001")
+	// One call per run, like every shape here: under -race the frame pool
+	// drops some frames, and two calls a run would round that up to one.
+	rotate := func() {
+		turn++
+		method, args := "work", []value.Value{arg}
+		if turn%2 == 1 {
+			method, args = "get", []value.Value{name}
+		}
+		if _, err := obj.Invoke(ring[turn/2%8], method, args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		rotate() // each caller's fills
+	}
+	assertAllocFree(t, "8-principal rotation", rotate)
 
 	aclCaller := experiments.Stranger()
 	aclObj := experiments.ACLObject(1024, security.AllowObject(aclCaller.Object))

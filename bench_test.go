@@ -241,6 +241,27 @@ func BenchmarkE4_Set(b *testing.B) {
 	}
 }
 
+// A handle is a function of its item: asking getDataItem for the handles
+// of 1, 16 or 512 distinct items of one object costs the same per ask,
+// however many handles are out.
+func BenchmarkGetDataItemHandles(b *testing.B) {
+	obj := experiments.BenchObject(0, 512)
+	caller := experiments.Stranger()
+	names := make([]value.Value, 512)
+	for i := range names {
+		names[i] = value.NewString(fmt.Sprintf("e%04d", i))
+	}
+	for _, asked := range []int{1, 16, 512} {
+		b.Run(fmt.Sprintf("asked=%d", asked), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := obj.Invoke(caller, "getDataItem", names[i%asked]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // ---- E5: ACL match cost ----
 
 func BenchmarkE5_ACLScan(b *testing.B) {

@@ -62,24 +62,28 @@ func (o *Object) checkpointExt() checkpoint {
 }
 
 // restoreExt reinstates a checkpoint, discarding every extensible-section
-// change made since it was taken. Handles into the extensible section are
-// invalidated (their items may no longer exist).
+// change made since it was taken. Every restored item gets a new
+// generation, so a handle into the extensible section issued before the
+// rollback — during the failed call, say — is stale.
 func (o *Object) restoreExt(cp checkpoint) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.extData = container[*DataItem]{}
 	for _, d := range cp.extData {
+		o.stamp(d.gen)
 		_ = o.extData.add(d.name, d)
 	}
 	o.extMeth = container[*Method]{}
 	for _, m := range cp.extMeth {
+		o.stamp(m.gen)
 		_ = o.extMeth.add(m.name, m)
+	}
+	for _, m := range cp.invokeLevels {
+		o.stamp(m.gen)
 	}
 	o.invokeLevels = append(o.invokeLevels[:0:0], cp.invokeLevels...)
 	o.bumpStruct()
 	o.levelCount.Store(int32(len(o.invokeLevels)))
-	// Drop handles that may now point at rolled-back items.
-	clear(o.handles)
 }
 
 // InvokeAtomic invokes a method with all-or-nothing semantics over the

@@ -4,227 +4,141 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/naming"
 	"repro/internal/security"
 )
 
-// This file implements the invocation fast path: per object, one published
-// table per structural generation holding the meta-invoke chain, the
-// policy and auditor in force, Lookup results (immutable method snapshots)
-// and Match decisions, validated against generation counters so any
-// reflective mutation invalidates the affected entries before it can be
-// observed. The paper concedes that "structural mutability bears some price
-// on performance" (§3); the table confines that price to the first call
-// after a mutation — repeat invocations by the same principal skip both the
-// container search and the ACL scan.
+// This file implements the invocation fast path (DESIGN.md §7). A Match
+// verdict depends on the caller, the item's ACL, name and visibility, the
+// action and the policy — never on the object — so the site's policy
+// remembers it once for every object asking the same question
+// (security.Policy.Recall). What an object keeps scales with its items,
+// never with its callers: per structural generation, one published table
+// holding the meta-invoke chain, the policy and auditor in force, and an
+// immutable Lookup snapshot per item. The paper concedes that "structural
+// mutability bears some price on performance" (§3); the table confines that
+// price to the first call after a mutation.
 //
-// Invalidation is per entry, not per object (documented for users in
-// DESIGN.md §7 and §10): every DataItem and Method carries its own
-// generation counter, and every cached entry records the counter pointer
-// plus the value it was filled against. An entry is valid while
-//
-//   - it sits in the table of the object's current structGen (structGen
-//     advances only on dispatch-shape changes: meta-invoke level push, pop
-//     or edit, atomic rollback, policy/auditor attachment, and manual
-//     cache flushes);
-//   - the source item's generation is unchanged (item generations advance
-//     on body/pre/post replacement, rename, visibility and ACL edits, and
-//     deletion — all the per-item mutations);
-//   - for a Match decision that fell through to the site Policy,
-//     Policy.Generation is also unchanged.
-//
-// Adding a new item needs no invalidation at all: misses are never
-// memoized, and the duplicate check prevents an add from shadowing an
-// existing name. Bumps happen inside the object lock; a table is built, and
-// a fill reads its item's state and generation, under that same lock. So a
-// table always describes the shape its generation names, and a fill can
-// never tag a stale snapshot with a current generation: either the fill
-// observed the mutation, or its entry is dead on arrival. The guarantee
-// that matters: once a revoke (ACL edit, policy change, method deletion,
-// level pop) returns, the very next invocation re-evaluates Match from
-// scratch — a cached allow is never served after a revoke. What fine
-// granularity adds: a mutation of one item no longer evicts warm entries
-// for its neighbors.
+// A snapshot is valid while its table is the one of the object's current
+// structGen (bumped only by dispatch-shape changes: level push, pop or
+// edit, rollback, policy/auditor attachment, flushes) and its item's own
+// generation is unchanged (bumped by every per-item edit, deletion and
+// rollback). Bumps happen, and tables and snapshots are taken, under the
+// object lock, so a snapshot can never tag stale item state with a current
+// generation: once a revoke returns, the very next call re-evaluates Match.
+// A verdict needs no invalidation of its own: ACLs are immutable, so an ACL
+// edit makes the item ask a new question; a verdict the policy default
+// settled also carries the policy generation. Adding an item invalidates
+// nothing: misses are never stored, and duplicate checks forbid shadowing.
 
-// methodSnap is an immutable snapshot of a method, taken under the object
-// lock. The Apply phase works from snapshots so a concurrent setMethod is
-// never observed mid-edit: an in-flight invocation finishes on the body it
-// started with, and the next dispatch sees the replacement. src/srcGen
-// pin the snapshot to the method state it was taken from.
-type methodSnap struct {
-	name    string
-	body    Body
-	pre     Body
-	post    Body
-	acl     security.ACL
-	visible bool
-	src     *atomic.Uint64 // the method's generation counter
-	srcGen  uint64         // its value when the snapshot was taken
+// itemSnap is what Lookup found of an item and Match needs: name, ACL and
+// visibility, taken under the object lock. src/srcGen pin it to the item
+// state it was taken from. It is a data item's whole snapshot.
+type itemSnap struct {
+	security.Item
+	src    *atomic.Uint64 // the item's generation counter
+	srcGen uint64         // its value when the snapshot was taken
+	// hot is the verdict last served on the item, the L1 in front of the
+	// policy's table. Every verdict stored here answers this item's
+	// question for its own principal, so racing stores only ever replace
+	// one right answer with another.
+	hot atomic.Pointer[security.Verdict]
 }
 
-// fresh reports whether the snapshotted method is unedited.
-func (s *methodSnap) fresh() bool { return s.src.Load() == s.srcGen }
+// fresh reports whether the snapshotted item is unedited.
+func (s *itemSnap) fresh() bool { return s.src.Load() == s.srcGen }
+
+// methodSnap is an immutable snapshot of a method. The Apply phase works
+// from snapshots so a concurrent setMethod is never observed mid-edit: an
+// in-flight invocation finishes on the body it started with, and the next
+// dispatch sees the replacement.
+type methodSnap struct {
+	itemSnap
+	body Body
+	pre  Body
+	post Body
+}
 
 // snapshotMethod copies the dispatch-relevant fields. Callers hold o.mu.
 func snapshotMethod(m *Method) *methodSnap {
-	return &methodSnap{name: m.name, body: m.body, pre: m.pre, post: m.post,
-		acl: m.acl, visible: m.visible, src: m.gen, srcGen: m.gen.Load()}
+	return &methodSnap{itemSnap: itemSnap{Item: security.NewItem(m.acl, m.name, m.visible),
+		src: m.gen, srcGen: m.gen.Load()}, body: m.body, pre: m.pre, post: m.post}
 }
 
-// matchKey identifies one memoized Match decision: who asked to do what to
-// which item. level is 0 for ordinary items; a level-k meta-invoke decision
-// is keyed by its level so it can never collide with a stored method that
-// happens to share the name.
-type matchKey struct {
-	object naming.ID
-	domain string
-	action security.Action
-	item   string
-	level  int
-}
+// dataKey keys a data item's snapshot in the table, apart from a method
+// of the same name.
+type dataKey string
 
-// caller returns the principal the key was built for.
-func (k matchKey) caller() security.Principal {
-	return security.Principal{Object: k.object, Domain: k.domain}
-}
+// maxItemEntries bounds a table's snapshot map: past it, a new name is not
+// admitted, so add/delete churn cannot grow an object's memory.
+const maxItemEntries = 512
 
-// matchEntry is one memoized Match decision — the only entry type of the
-// cache. err is the exact (immutable) error a cold Match would produce, nil
-// on allow. src/srcGen pin the decision to the generation of the item it
-// was computed against. A level-0 invoke decision also carries the Lookup
-// result it was computed on, so a hit needs no second map. The struct stays
-// inside the 64-byte size class: every cold call allocates one.
-type matchEntry struct {
-	err    error
-	snap   *methodSnap    // level-0 invoke decisions only
-	src    *atomic.Uint64 // the item's generation counter
-	srcGen uint64         // its value when the decision was computed
-	polGen uint64         // Policy.Generation the decision was computed against
-	polDep bool           // decision fell through to the policy default
-	// ref is the entry's L1 reference, built on its first warm hit (never
-	// on the fill path, whose bytes local-mutate prices) and reused by
-	// every later one, so callers alternating on an object republish it
-	// without allocating.
-	ref atomic.Pointer[hotRef]
-}
-
-// fresh reports whether the decided-against item is unedited.
-func (e *matchEntry) fresh() bool { return e.src.Load() == e.srcGen }
-
-// valid reports whether the decision still holds under pol, the policy of
-// the table the entry sits in.
-func (e *matchEntry) valid(pol *security.Policy) bool {
-	return e.fresh() && (!e.polDep || pol == nil || pol.Generation() == e.polGen)
-}
-
-// hotRef is what the monomorphic L1 points at: the level-0 invoke decision
-// last served, with the caller it belongs to (the method name is the
-// snapshot's) and the table it sits in (generation, policy, auditor). The
-// repeat-caller hot path is an atomic load and a handful of comparisons —
-// no lock and no map hash.
-type hotRef struct {
-	t      *cacheTables
-	ent    *matchEntry
-	obj    naming.ID
-	domain string
-}
-
-// Cache maps stop admitting new keys at these bounds, so caller churn
-// cannot grow an object's memory without bound.
-const (
-	maxMethodEntries = 512
-	maxMatchEntries  = 4096
-)
-
-// dispatchCache memoizes Lookup and Match. One lives inline in every
-// Object; the zero value is an empty cache. hot is the single-entry
-// lock-free L1; tables is the current generation's table, published
-// through an atomic pointer so concurrent readers on different Ps never
-// serialize on a mutex word — under contention an RWMutex's reader count
-// is a single cache line every RLock bounces between cores, and the table
-// sits on the path of every caller-alternating workload.
+// dispatchCache is the published table, inline in every Object; the zero
+// value is empty. An atomic pointer, so concurrent readers on different Ps
+// never serialize on a mutex word.
 type dispatchCache struct {
-	hot    atomic.Pointer[hotRef]
 	tables atomic.Pointer[cacheTables]
 }
 
 // cacheTables is one structural generation's worth of dispatch state: the
 // shape (meta-invoke chain, policy, auditor — changing any of them bumps
-// structGen) and what has been memoized against it. The maps are sync.Maps
-// — after the first fill for a key, reads are lock-free and contention-free
-// (sync.Map's read path is an atomic load of an immutable read-only map).
-// A generation bump abandons the whole table: the next reader builds a
-// fresh one and the old becomes garbage, which is the wholesale
-// invalidation.
+// structGen) and the item snapshots taken against it. After the first fill
+// for a name, reads of items are lock-free and contention-free. A
+// generation bump abandons the whole table: the next reader builds a fresh
+// one and the old becomes garbage, which is the wholesale invalidation.
 type cacheTables struct {
-	gen      uint64
-	levels   []*methodSnap // the meta-invoke chain: index k-1 holds level k
-	pol      *security.Policy
-	aud      *security.Auditor
-	methods  sync.Map     // method name -> *methodSnap
-	match    sync.Map     // matchKey -> *matchEntry
-	nmethods atomic.Int64 // approximate key counts backing the size bounds
-	nmatch   atomic.Int64
+	gen    uint64
+	levels []*methodSnap // the meta-invoke chain: index k-1 holds level k
+	pol    *security.Policy
+	aud    *security.Auditor
+	items  sync.Map // method name -> *methodSnap, dataKey(name) -> *itemSnap
+	nitems atomic.Int64
+	hot    atomic.Pointer[methodSnap] // the method last dispatched: the L1
 }
 
-// method returns the cached Lookup snapshot for name, or nil.
+// method returns the cached Lookup snapshot of the method name, or nil.
 func (t *cacheTables) method(name string) *methodSnap {
-	if v, ok := t.methods.Load(name); ok {
+	if v, ok := t.items.Load(name); ok {
 		return v.(*methodSnap)
 	}
 	return nil
 }
 
-// decision returns the cached Match decision under key, or nil.
-func (t *cacheTables) decision(key matchKey) *matchEntry {
-	if v, ok := t.match.Load(key); ok {
-		return v.(*matchEntry)
+// data returns the cached Lookup snapshot of the data item name, or nil.
+func (t *cacheTables) data(name string) *itemSnap {
+	if v, ok := t.items.Load(dataKey(name)); ok {
+		return v.(*itemSnap)
 	}
 	return nil
 }
 
-// served returns the memoized decision under key while it is still valid.
-// Audited objects record every decision served from the cache, with self,
-// the table's object, as the target. Callers have already short-circuited
-// self access.
-func (t *cacheTables) served(self naming.ID, key matchKey) (decision error, ok bool) {
-	ent := t.decision(key)
-	if ent == nil || !ent.valid(t.pol) {
-		return nil, false
-	}
-	if t.aud != nil {
-		t.aud.Record(self, key.caller(), key.action, key.item, ent.err == nil)
-	}
-	return ent.err, true
-}
-
-// boundedStore stores val under key, admitting a NEW key only while the
-// map holds fewer than limit keys (replacing a present key is always
-// allowed — that is how stale entries heal in place). The count is
-// approximate under racing inserts of the same fresh key; the bound is a
-// memory backstop against caller churn, not an exact capacity, and a
-// dropped fill only costs the next call a slow-path recompute.
-func boundedStore(m *sync.Map, n *atomic.Int64, limit int64, key, val any) {
-	if _, ok := m.Load(key); ok {
-		m.Store(key, val)
-		return
-	}
-	if n.Add(1) <= limit {
-		m.Store(key, val)
+// store publishes a snapshot under key. Past maxItemEntries names a new
+// key is taken back at once (an existing one is always replaced — that is
+// how stale snapshots heal in place); the count is approximate under races,
+// and a dropped fill only costs the next call a slow-path Lookup.
+func (t *cacheTables) store(key, snap any) {
+	if _, replaced := t.items.Swap(key, snap); !replaced && t.nitems.Add(1) > maxItemEntries {
+		t.items.Delete(key)
 	}
 }
 
-// bumpStruct invalidates every dispatch-cache entry of the object. Called
-// (under o.mu) by mutations that change the dispatch shape wholesale:
-// level push/pop/edit, atomic rollback, policy/auditor attachment. Per-item
-// edits bump the item's own counter instead (see item.go).
+// bumpStruct invalidates every snapshot of the object. Called (under o.mu)
+// by mutations that change the dispatch shape wholesale: level push/pop/
+// edit, atomic rollback, policy/auditor attachment. Per-item edits bump the
+// item's own counter instead (see item.go).
 func (o *Object) bumpStruct() { o.structGen.Add(1) }
 
-// FlushDispatchCache drops every memoized lookup and Match decision. The
-// caches invalidate themselves on reflective mutation; manual flushing
-// exists for cold-path benchmarks and for hosts shedding memory.
+// FlushDispatchCache drops every memoized lookup, and every verdict of the
+// object's policy, so the object's next call is fully cold. The caches
+// invalidate themselves on reflective mutation; manual flushing exists for
+// cold-path benchmarks and for hosts shedding memory.
 func (o *Object) FlushDispatchCache() {
-	o.structGen.Add(1)
+	o.mu.Lock()
+	pol := o.policy
+	o.bumpStruct()
+	o.mu.Unlock()
+	if pol != nil {
+		pol.ForgetVerdicts()
+	}
 }
 
 // tableLocked returns the table of the current structural generation,
@@ -267,78 +181,69 @@ func (t *cacheTables) snapLocked(m *Method) *methodSnap {
 		return s
 	}
 	s := snapshotMethod(m)
-	boundedStore(&t.methods, &t.nmethods, maxMethodEntries, m.name, s)
+	t.store(m.name, s)
 	return s
 }
 
-// decide runs Match for key against item state (acl, visible, src/srcGen)
-// that was read under o.mu together with t, and memoizes the outcome in t —
-// the one place a decision entry is built and stored. snap is the Lookup
-// result of a level-0 invoke decision, nil otherwise. A mutation racing the
-// fill leaves the entry dead on arrival: an item edit has moved src past
-// srcGen, a shape change has abandoned t, a policy flip has moved past the
-// generation read here before Match.
-func (o *Object) decide(t *cacheTables, key matchKey, acl security.ACL, visible bool,
-	src *atomic.Uint64, srcGen uint64, snap *methodSnap) error {
-	var polGen uint64
-	if t.pol != nil {
-		polGen = t.pol.Generation()
+// dataSnapLocked is snapLocked for data item d.
+func (t *cacheTables) dataSnapLocked(d *DataItem) *itemSnap {
+	if s := t.data(d.name); s != nil && s.src == d.gen && s.fresh() {
+		return s
 	}
-	decision, polDep := o.matchDecide(key.caller(), acl, visible, t.pol, t.aud, key.action, key.item)
-	boundedStore(&t.match, &t.nmatch, maxMatchEntries, key,
-		&matchEntry{err: decision, snap: snap, src: src, srcGen: srcGen, polGen: polGen, polDep: polDep})
-	return decision
+	s := &itemSnap{Item: security.NewItem(d.acl, d.name, d.visible), src: d.gen, srcGen: d.gen.Load()}
+	t.store(dataKey(d.name), s)
+	return s
 }
 
-// fastLookup returns the cached method snapshot and Match decision for
-// caller invoking name at level 0. ok is false on any miss or staleness;
-// the caller then takes the slow path, which refills the cache. Audited
-// objects still record every decision served from the cache — except the
-// object's own, which Match never records either.
-func (o *Object) fastLookup(caller security.Principal, name string) (snap *methodSnap, decision error, ok bool) {
-	c := &o.cache
-	sg := o.structGen.Load()
-	// L1: the last dispatch, revalidated with plain comparisons.
-	r := c.hot.Load()
-	if r == nil || r.t.gen != sg || r.obj != caller.Object || r.ent.snap.name != name ||
-		r.domain != caller.Domain || !r.ent.valid(r.t.pol) {
-		t := c.tables.Load()
-		if t == nil || t.gen != sg {
-			return nil, nil, false
-		}
-		// The map is read directly: decision is past the inlining budget,
-		// and a second copy of the key costs this path 2-3 ns.
-		v, found := t.match.Load(matchKey{object: caller.Object, domain: caller.Domain,
-			action: security.ActionInvoke, item: name})
-		if !found {
-			return nil, nil, false
-		}
-		ent := v.(*matchEntry)
-		if !ent.valid(t.pol) {
-			return nil, nil, false
-		}
-		if r = ent.ref.Load(); r == nil {
-			r = &hotRef{t: t, ent: ent, obj: caller.Object, domain: caller.Domain}
-			ent.ref.Store(r)
-		}
-		c.hot.Store(r)
-	}
-	if aud := r.t.aud; aud != nil && caller.Object != o.id {
-		aud.Record(o.id, caller, security.ActionInvoke, name, r.ent.err == nil)
-	}
-	return r.ent.snap, r.ent.err, true
-}
-
-// fastDecision returns the memoized Match decision for (caller, action,
-// item) — the data-access half of the fast path. Self access always allows
-// without consulting the cache.
-func (o *Object) fastDecision(caller security.Principal, action security.Action, item string) (decision error, ok bool) {
+// decide is the Match phase of caller taking action on the item s
+// snapshots, under t's policy and auditor: an open item allows outright;
+// else the item's L1 verdict, else the policy's remembered one, else a cold
+// Match the policy remembers. Audited objects record every decision,
+// however it is served — except the object's own access, which is no
+// decision (self-containment).
+func (o *Object) decide(t *cacheTables, s *itemSnap, caller security.Principal, action security.Action) error {
 	if caller.Object == o.id {
-		return nil, true
+		return nil
 	}
+	var err error
+	if !s.Open() {
+		pol := t.pol
+		v := s.hot.Load()
+		if v == nil || !v.Answers(pol, caller, action) {
+			if pol == nil { // nothing to remember verdicts in: Match runs cold
+				err, _ = o.matchDecide(s, caller, nil, t.aud, action)
+				return err
+			}
+			if v = pol.Recall(&s.Item, caller, action); v == nil {
+				gen := pol.Generation()
+				err, viaPolicy := o.matchDecide(s, caller, pol, t.aud, action)
+				s.hot.Store(pol.Remember(&s.Item, caller, action, gen, err, viaPolicy))
+				return err
+			}
+			s.hot.Store(v)
+		}
+		err = v.Err
+	}
+	if t.aud != nil {
+		t.aud.Record(o.id, caller, action, s.Name, err == nil)
+	}
+	return err
+}
+
+// fastLookup returns the current table and its snapshot of method name,
+// or a nil snapshot on any miss or staleness; the caller then takes the
+// slow path, which refills the table.
+func (o *Object) fastLookup(name string) (*cacheTables, *methodSnap) {
 	t := o.cache.tables.Load()
 	if t == nil || t.gen != o.structGen.Load() {
-		return nil, false
+		return nil, nil
 	}
-	return t.served(o.id, matchKey{object: caller.Object, domain: caller.Domain, action: action, item: item})
+	s := t.hot.Load()
+	if s == nil || s.Name != name || !s.fresh() {
+		if s = t.method(name); s == nil || !s.fresh() {
+			return nil, nil
+		}
+		t.hot.Store(s)
+	}
+	return t, s
 }

@@ -59,12 +59,13 @@ func liveHeap() float64 {
 	return float64(ms.HeapAlloc)
 }
 
-// TestDispatchCacheFootprint bounds the decision-cache state one object
-// holds once 8 callers have each made every read twice (the second pass is
-// the first warm hit, which builds the L1 references). Storing every
-// decision a second time with its snapshot attached held 27.4 KB here.
+// TestDispatchCacheFootprint bounds the dispatch state one object holds
+// once 8 callers have each made every read twice: its snapshots, and its
+// share of the policy's verdicts — the 8 on its own 17-entry ACL, and the
+// ones every object's empty ACLs share. It reads 3.9 KB; a table of
+// decisions per object held 17.8 KB here.
 func TestDispatchCacheFootprint(t *testing.T) {
-	const objects, budget = 4096, 20_000
+	const objects, budget = 4096, 4_500
 	pol, aud := allowAllPolicy(), security.NewAuditor(128)
 	objs := make([]*Object, objects)
 	for i := range objs {
@@ -91,12 +92,13 @@ func TestDispatchCacheFootprint(t *testing.T) {
 }
 
 // TestColdFillBudget bounds what the first dispatch after a flush
-// allocates: a table, a method snapshot, a decision entry and their map
-// cells. It enters at dispatchBase with a frame of its own, because under
+// allocates: a table, a method snapshot, a verdict and their map cells
+// (640 B in 8 allocations; 832 B in 9 with a table of decisions per
+// object). It enters at dispatchBase with a frame of its own, because under
 // the race detector the frame pool drops a share of its frames and a
 // budget of single bytes cannot absorb that.
 func TestColdFillBudget(t *testing.T) {
-	const calls, maxBytes, maxMallocs = 2000, 848, 9
+	const calls, maxBytes, maxMallocs = 2000, 656, 8
 	obj := reflectObject(allowAllPolicy(), nil, 0)
 	caller := callerFor("elsewhere")
 	args := []value.Value{value.NewInt(1)}
@@ -120,5 +122,48 @@ func TestColdFillBudget(t *testing.T) {
 	t.Logf("cold dispatch: %.0f B, %.1f allocations", bytes, mallocs)
 	if bytes > maxBytes+0.5 || mallocs > maxMallocs+0.5 {
 		t.Errorf("a cold dispatch allocates %.0f B in %.1f allocations, budget %d B in %d", bytes, mallocs, maxBytes, maxMallocs)
+	}
+}
+
+// TestVerdictTableChurn: 10^5 distinct callers on one object ask 3×10^5
+// questions, past security.MaxVerdicts. The policy's table never holds more
+// than its bound, and every verdict, served cold or remembered, is right.
+func TestVerdictTableChurn(t *testing.T) {
+	const callers = 100_000
+	pol := security.NewPolicy()
+	pol.GradeDomain("friends", security.Trusted)
+	obj := reflectObject(pol, nil, 0) // guarded lets "elsewhere" in, nobody else
+	zero := value.NewInt(0)
+	// friends pass on the policy, elsewhere only through guarded's ACL.
+	check := func(c security.Principal) {
+		t.Helper()
+		friend := c.Domain == "friends"
+		if _, err := obj.Invoke(c, "work", zero); (err == nil) != friend {
+			t.Fatalf("%v: work = %v", c, err)
+		}
+		if _, err := obj.Invoke(c, "guarded", zero); err != nil {
+			t.Fatalf("%v: guarded = %v", c, err)
+		}
+		if _, err := obj.Get(c, "n"); (err == nil) != friend {
+			t.Fatalf("%v: get n = %v", c, err)
+		}
+	}
+	seen := make([]security.Principal, callers)
+	dropped := false
+	for i := range seen {
+		seen[i] = callerFor([]string{"friends", "elsewhere"}[i%2])
+		before := pol.Verdicts()
+		check(seen[i])
+		if n := pol.Verdicts(); n > security.MaxVerdicts {
+			t.Fatalf("caller %d: the table holds %d verdicts, bound %d", i, n, security.MaxVerdicts)
+		} else if n < before {
+			dropped = true
+		}
+	}
+	if !dropped {
+		t.Fatalf("%d questions never reached the bound of %d", 3*callers, security.MaxVerdicts)
+	}
+	for _, c := range append(seen[:1000:1000], seen[callers-1000:]...) {
+		check(c) // the first callers' verdicts were dropped, the last ones' are remembered
 	}
 }

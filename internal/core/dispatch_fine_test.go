@@ -37,13 +37,13 @@ func cachedMethodSnap(o *Object, name string) *methodSnap {
 	return t.method(name)
 }
 
-// cachedMatchEntry reads the Match decision the table holds under key, if any.
-func cachedMatchEntry(o *Object, key matchKey) *matchEntry {
+// cachedDataSnap reads the snapshot the table holds for data item name, if any.
+func cachedDataSnap(o *Object, name string) *itemSnap {
 	t := o.cache.tables.Load()
 	if t == nil || t.gen != o.structGen.Load() {
 		return nil
 	}
-	return t.decision(key)
+	return t.data(name)
 }
 
 // TestPerItemInvalidationKeepsMethodNeighborsWarm: editing method "a" must
@@ -92,8 +92,8 @@ func TestPerItemInvalidationKeepsMethodNeighborsWarm(t *testing.T) {
 }
 
 // TestPerItemInvalidationKeepsDataNeighborsWarm: revoking access to data
-// item "y" denies the next get on y, while x's cached Match decision stays
-// in place and keeps serving.
+// item "y" denies the next get on y, while x's snapshot and the verdict it
+// serves stay in place.
 func TestPerItemInvalidationKeepsDataNeighborsWarm(t *testing.T) {
 	obj := neighborObject(t)
 	caller := callerFor("elsewhere")
@@ -106,12 +106,11 @@ func TestPerItemInvalidationKeepsDataNeighborsWarm(t *testing.T) {
 		}
 	}
 	sg := obj.structGen.Load()
-	keyX := matchKey{object: caller.Object, domain: caller.Domain,
-		action: security.ActionGet, item: "x"}
-	entX := cachedMatchEntry(obj, keyX)
-	if entX == nil {
-		t.Fatal("no cached Match decision for x after warming")
+	entX := cachedDataSnap(obj, "x")
+	if entX == nil || entX.hot.Load() == nil {
+		t.Fatal("no cached snapshot and verdict for x after warming")
 	}
+	verdictX := entX.hot.Load()
 
 	if _, err := obj.InvokeSelf("setDataItem", value.NewString("y"),
 		value.NewMap(map[string]value.Value{"aclDeny": value.NewString("domain:elsewhere")})); err != nil {
@@ -124,11 +123,11 @@ func TestPerItemInvalidationKeepsDataNeighborsWarm(t *testing.T) {
 	if _, err := obj.Get(caller, "y"); !errors.Is(err, security.ErrDenied) {
 		t.Errorf("stale allow on y after revoke: err = %v, want ErrDenied", err)
 	}
-	got := cachedMatchEntry(obj, keyX)
-	if got != entX {
-		t.Errorf("neighbor x's Match decision was evicted by an edit of y")
+	got := cachedDataSnap(obj, "x")
+	if got != entX || got.hot.Load() != verdictX {
+		t.Errorf("neighbor x's snapshot or verdict was evicted by an edit of y")
 	} else if !got.fresh() {
-		t.Errorf("neighbor x's Match decision went stale without an edit")
+		t.Errorf("neighbor x's snapshot went stale without an edit")
 	}
 	if v, err := obj.Get(caller, "x"); err != nil || !v.Equal(value.NewInt(1)) {
 		t.Errorf("neighbor x = (%v, %v), want 1", v, err)
@@ -345,5 +344,54 @@ func TestLevelCachePushPopObserved(t *testing.T) {
 	}
 	if v, err := obj.Invoke(caller, "probe"); err != nil || v.String() != "v1" {
 		t.Fatalf("after pop = (%v, %v), want v1", v, err)
+	}
+}
+
+// TestSharedACLVerdicts: two objects on one policy whose items carry one
+// ACL ask one question, so one verdict serves both. Editing the ACL of one
+// retires the verdict for it alone: the other keeps being served the very
+// same verdict, and the edited one is decided afresh.
+func TestSharedACLVerdicts(t *testing.T) {
+	pol := security.NewPolicy()
+	caller := callerFor("elsewhere") // untrusted: only the ACL lets it in
+	guard := security.NewACL(security.DenyObject(gen.New()), security.AllowDomain("elsewhere"))
+	echo := NewNativeBody("shared.echo", func(_ *Invocation, args []value.Value) (value.Value, error) {
+		return argAt(args, 0), nil
+	})
+	build := func() *Object {
+		b := NewBuilder(gen, "Sharer", WithPolicy(pol))
+		b.ExtMethod("guarded", echo, WithACL(guard))
+		return b.MustBuild()
+	}
+	edited, kept := build(), build()
+	for _, o := range []*Object{edited, kept} {
+		if _, err := o.Invoke(caller, "guarded"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	item := security.NewItem(guard, "guarded", true)
+	shared := pol.Recall(&item, caller, security.ActionInvoke)
+	if shared == nil || pol.Verdicts() != 1 {
+		t.Fatalf("after the same question from two objects: recalled %v, %d verdicts; want one", shared, pol.Verdicts())
+	}
+	if cachedMethodSnap(edited, "guarded").hot.Load() != shared || cachedMethodSnap(kept, "guarded").hot.Load() != shared {
+		t.Fatal("the two objects do not serve the one remembered verdict")
+	}
+
+	if _, err := edited.InvokeSelf("setMethod", value.NewString("guarded"),
+		value.NewMap(map[string]value.Value{"aclDeny": value.NewString("domain:elsewhere")})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := edited.Invoke(caller, "guarded"); !errors.Is(err, security.ErrDenied) {
+		t.Errorf("edited object after the revoke: %v, want ErrDenied", err)
+	}
+	if _, err := kept.Invoke(caller, "guarded"); err != nil {
+		t.Errorf("the other object after the edit: %v", err)
+	}
+	if pol.Recall(&item, caller, security.ActionInvoke) != shared || cachedMethodSnap(kept, "guarded").hot.Load() != shared {
+		t.Error("the other object's verdict did not survive the edit")
+	}
+	if got := cachedMethodSnap(edited, "guarded").hot.Load(); got == shared || got == nil || got.Err == nil {
+		t.Errorf("the edited object serves %v, want a verdict of its own denying the call", got)
 	}
 }

@@ -1,12 +1,13 @@
 package core
 
 // What an object holds: the meta interface shared by every default object,
-// one handle per item, and the allocations of building and materializing
+// no state per handle, and the allocations of building and materializing
 // an object, pinned so the footprint cannot regrow silently.
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -96,27 +97,39 @@ func TestObjectFootprint(t *testing.T) {
 }
 
 // TestHandlesBoundedPerItem: getDataItem and getMethod are open accessors,
-// so a caller the item refuses can still ask for handles. Every ask for the
-// same item returns the same token, so asking cannot grow the object.
+// so a caller the item refuses can still ask for handles. A handle is a
+// function of its item, so every ask returns the same one and 20 000 asks
+// leave nothing behind.
 func TestHandlesBoundedPerItem(t *testing.T) {
 	obj := testObject(t, WithPolicy(security.NewPolicy()))
 	out := stranger() // an unknown domain: Untrusted
 	if _, err := obj.Get(out, "name"); !errors.Is(err, security.ErrDenied) {
 		t.Fatalf("stranger's get = %v, want denied", err)
 	}
-	if n := len(obj.sortedHandleTokens()); n != 0 {
-		t.Fatalf("a new object holds %d handles", n)
+	ask := func() (data, method string) {
+		d, err := obj.Invoke(out, "getDataItem", value.NewString("name"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := obj.Invoke(out, "getMethod", value.NewString("double"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dm, _ := d.Map()
+		mm, _ := m.Map()
+		return dm["handle"].String(), mm["handle"].String()
 	}
+	firstData, firstMethod := ask() // fills the dispatch cache
+	before := liveHeap()
 	for i := 0; i < 10_000; i++ {
-		if _, err := obj.Invoke(out, "getDataItem", value.NewString("name")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := obj.Invoke(out, "getMethod", value.NewString("double")); err != nil {
-			t.Fatal(err)
+		if d, m := ask(); d != firstData || m != firstMethod {
+			t.Fatalf("ask %d handed out %q, %q; the first ask %q, %q", i, d, m, firstData, firstMethod)
 		}
 	}
-	if toks := obj.sortedHandleTokens(); len(toks) != 2 {
-		t.Errorf("after 20 000 asks the object holds %d handles, want 2", len(toks))
+	grown := liveHeap() - before
+	runtime.KeepAlive(obj)
+	if grown > 1024 {
+		t.Errorf("20 000 asks for handles retained %.0f B, want <= 1024", grown)
 	}
 }
 

@@ -231,8 +231,9 @@ func FreshIdentity(gen *naming.Generator) MaterializeOption {
 	return func(c *materializeConfig) { c.freshID = gen }
 }
 
-func rebuildMethod(mi MethodImage, fixed bool, reg *BehaviorRegistry) (*Method, error) {
-	body, err := RebuildBody(mi.Body, reg)
+// rebuildMethod materializes a method image on o, under construction.
+func (o *Object) rebuildMethod(mi MethodImage, fixed bool) (*Method, error) {
+	body, err := RebuildBody(mi.Body, o.registry)
 	if err != nil {
 		return nil, fmt.Errorf("method %q: %w", mi.Name, err)
 	}
@@ -242,15 +243,15 @@ func rebuildMethod(mi MethodImage, fixed bool, reg *BehaviorRegistry) (*Method, 
 		visible: mi.Visible,
 		fixed:   fixed,
 		acl:     ACLFromImage(mi.ACL),
-		gen:     newItemGen(),
+		gen:     o.stamp(nil),
 	}
 	if mi.Pre.Kind != 0 {
-		if m.pre, err = RebuildBody(mi.Pre, reg); err != nil {
+		if m.pre, err = RebuildBody(mi.Pre, o.registry); err != nil {
 			return nil, fmt.Errorf("method %q pre: %w", mi.Name, err)
 		}
 	}
 	if mi.Post.Kind != 0 {
-		if m.post, err = RebuildBody(mi.Post, reg); err != nil {
+		if m.post, err = RebuildBody(mi.Post, o.registry); err != nil {
 			return nil, fmt.Errorf("method %q post: %w", mi.Name, err)
 		}
 	}
@@ -298,7 +299,7 @@ func FromImage(img Image, reg *BehaviorRegistry, opts ...MaterializeOption) (*Ob
 				visible: di.Visible,
 				fixed:   fixed,
 				acl:     ACLFromImage(di.ACL),
-				gen:     newItemGen(),
+				gen:     o.stamp(nil),
 			}
 			if err := d.setValue(di.Value.Clone()); err != nil {
 				return err
@@ -321,7 +322,7 @@ func FromImage(img Image, reg *BehaviorRegistry, opts ...MaterializeOption) (*Ob
 			if isReservedName(mi.Name) {
 				return fmt.Errorf("%w: image method %q is reserved", ErrExists, mi.Name)
 			}
-			m, err := rebuildMethod(mi, fixed, reg)
+			m, err := o.rebuildMethod(mi, fixed)
 			if err != nil {
 				return err
 			}
@@ -338,7 +339,7 @@ func FromImage(img Image, reg *BehaviorRegistry, opts ...MaterializeOption) (*Ob
 		return nil, err
 	}
 	for _, mi := range img.InvokeLevels {
-		m, err := rebuildMethod(mi, false, reg)
+		m, err := o.rebuildMethod(mi, false)
 		if err != nil {
 			return nil, fmt.Errorf("invoke level: %w", err)
 		}

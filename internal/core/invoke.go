@@ -161,9 +161,9 @@ func (o *Object) invokeChained(caller security.Principal, chain *callChain, name
 	// invokeFrom → dispatchBase → applyMethod, minus three call frames of
 	// value copying.
 	if o.admission == nil && o.levelCount.Load() == 0 {
-		if snap, decision, ok := o.fastLookup(caller, name); ok {
-			if decision != nil {
-				return value.Null, decision
+		if t, snap := o.fastLookup(name); snap != nil {
+			if err := o.decide(t, &snap.itemSnap, caller, security.ActionInvoke); err != nil {
+				return value.Null, err
 			}
 			inv := getInvocation(o, caller, name, 0, 1, chain)
 			argv := inv.captureArgs(args)
@@ -251,19 +251,10 @@ func (o *Object) runLevel(inv *Invocation, k int, name string, args []value.Valu
 	meta := t.levels[k-1]
 
 	// The meta-invoke is itself a method: Match applies to it, with the
-	// original requester as the checked principal, memoized under the level
-	// number (the whole chain shares one method name, so the name alone
-	// cannot key it). Self-containment makes the object's own descent free.
-	if inv.caller.Object != o.id {
-		key := matchKey{object: inv.caller.Object, domain: inv.caller.Domain,
-			action: security.ActionInvoke, item: meta.name, level: k}
-		decision, ok := t.served(o.id, key)
-		if !ok {
-			decision = o.decide(t, key, meta.acl, meta.visible, meta.src, meta.srcGen, nil)
-		}
-		if decision != nil {
-			return value.Null, decision
-		}
+	// original requester as the checked principal. Self-containment makes
+	// the object's own descent free.
+	if err := o.decide(t, &meta.itemSnap, inv.caller, security.ActionInvoke); err != nil {
+		return value.Null, err
 	}
 
 	// The args list handed to the meta body must own its storage: args may
@@ -271,7 +262,7 @@ func (o *Object) runLevel(inv *Invocation, k int, name string, args []value.Valu
 	// The two-element argument vector itself lives in the frame's scratch.
 	argCopy := make([]value.Value, len(args))
 	copy(argCopy, args)
-	metaInv := getInvocation(o, inv.caller, meta.name, k, inv.depth+1, inv.chain)
+	metaInv := getInvocation(o, inv.caller, meta.Name, k, inv.depth+1, inv.chain)
 	metaInv.argbuf = append(metaInv.argbuf[:0], value.NewString(name), value.NewList(argCopy))
 	v, err := applyMethod(metaInv, meta, metaInv.argbuf)
 	putInvocation(metaInv)
@@ -288,9 +279,9 @@ func (o *Object) dispatchBase(inv *Invocation, name string, args []value.Value) 
 	// is reused as the body invocation — every dispatchBase caller hands
 	// over a child (or entry) Invocation it never touches again, so
 	// rewriting it in place saves an allocation per call.
-	if snap, decision, ok := o.fastLookup(inv.caller, name); ok {
-		if decision != nil {
-			return value.Null, decision
+	if t, snap := o.fastLookup(name); snap != nil {
+		if err := o.decide(t, &snap.itemSnap, inv.caller, security.ActionInvoke); err != nil {
+			return value.Null, err
 		}
 		inv.method = name
 		inv.level = 0
@@ -311,10 +302,8 @@ func (o *Object) dispatchBase(inv *Invocation, name string, args []value.Value) 
 	snap := t.snapLocked(m)
 	o.mu.Unlock()
 
-	// Phase 2: Match, memoized with the snapshot it was decided on.
-	key := matchKey{object: inv.caller.Object, domain: inv.caller.Domain,
-		action: security.ActionInvoke, item: name}
-	if err := o.decide(t, key, snap.acl, snap.visible, snap.src, snap.srcGen, snap); err != nil {
+	// Phase 2: Match, on the snapshot Apply will run.
+	if err := o.decide(t, &snap.itemSnap, inv.caller, security.ActionInvoke); err != nil {
 		return value.Null, err
 	}
 
@@ -333,15 +322,15 @@ func applyMethod(inv *Invocation, m *methodSnap, args []value.Value) (value.Valu
 	if m.pre != nil {
 		ok, err := runGuard(inv, m.pre, args)
 		if err != nil {
-			return value.Null, fmt.Errorf("pre-procedure of %q: %w", m.name, err)
+			return value.Null, fmt.Errorf("pre-procedure of %q: %w", m.Name, err)
 		}
 		if !ok {
-			return value.Null, fmt.Errorf("%w: method %q", ErrPreconditionFailed, m.name)
+			return value.Null, fmt.Errorf("%w: method %q", ErrPreconditionFailed, m.Name)
 		}
 	}
 	result, err := m.body.Invoke(inv, args)
 	if err != nil {
-		return value.Null, fmt.Errorf("method %q: %w", m.name, err)
+		return value.Null, fmt.Errorf("method %q: %w", m.Name, err)
 	}
 	if m.post != nil {
 		postArgs := make([]value.Value, 0, len(args)+1)
@@ -349,10 +338,10 @@ func applyMethod(inv *Invocation, m *methodSnap, args []value.Value) (value.Valu
 		postArgs = append(postArgs, result)
 		ok, err := runGuard(inv, m.post, postArgs)
 		if err != nil {
-			return value.Null, fmt.Errorf("post-procedure of %q: %w", m.name, err)
+			return value.Null, fmt.Errorf("post-procedure of %q: %w", m.Name, err)
 		}
 		if !ok {
-			return value.Null, fmt.Errorf("%w: method %q", ErrPostconditionFailed, m.name)
+			return value.Null, fmt.Errorf("%w: method %q", ErrPostconditionFailed, m.Name)
 		}
 	}
 	return result, nil

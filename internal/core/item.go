@@ -14,7 +14,19 @@ import (
 // warm. The counter is a pointer so the struct copies taken for atomic
 // rollback (copyDataItem/copyMethod) share it — a counter, once attached to
 // a name, only ever moves forward.
-func newItemGen() *atomic.Uint64 { return new(atomic.Uint64) }
+//
+// stamp moves counter g (a new one when g is nil) past every generation
+// the object has handed out, and returns it, so (name, generation) names
+// one item state: the item's handle (handleOf). Callers hold o.mu, or own
+// an object under construction.
+func (o *Object) stamp(g *atomic.Uint64) *atomic.Uint64 {
+	if g == nil {
+		g = new(atomic.Uint64)
+	}
+	o.clock++
+	g.Store(o.clock)
+	return g
+}
 
 // DataItem is a named, access-controlled datum of an object. Per the model,
 // controlled access serves "both for visibility purposes … as well as for

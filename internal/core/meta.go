@@ -3,6 +3,9 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
+	"sync/atomic"
 
 	"repro/internal/naming"
 	"repro/internal/security"
@@ -85,7 +88,7 @@ func newMetaTable(metaACL security.ACL, hidden bool) *container[*Method] {
 			acl:     openACL,
 			visible: true,
 			fixed:   true,
-			gen:     newItemGen(),
+			gen:     new(atomic.Uint64),
 		}
 		if mutatingMeta[name] {
 			m.acl, m.visible = metaACL, !hidden
@@ -238,7 +241,7 @@ func metaGetDataItem(inv *Invocation, args []value.Value) (value.Value, error) {
 		o.mu.Unlock()
 		return value.Null, fmt.Errorf("%w: data item %q", ErrNotFound, name)
 	}
-	desc, fn := d.describe(o.newHandle(d)), d.compute
+	desc, fn := d.describe(handleOf(d.name, d.gen)), d.compute
 	o.mu.Unlock()
 	if fn != nil {
 		// A computed item's kind is that of the value it produces now; the
@@ -285,7 +288,7 @@ func metaAddDataItem(inv *Invocation, args []value.Value) (value.Value, error) {
 	if _, dup := o.lookupData(name); dup {
 		return value.Null, fmt.Errorf("%w: data item %q", ErrExists, name)
 	}
-	d := &DataItem{name: name, visible: true, fixed: false, gen: newItemGen()}
+	d := &DataItem{name: name, visible: true, fixed: false, gen: o.stamp(nil)}
 	if err := d.setValue(argAt(args, 1)); err != nil {
 		return value.Null, err
 	}
@@ -314,18 +317,35 @@ func metaDeleteDataItem(inv *Invocation, args []value.Value) (value.Value, error
 	if d.fixed {
 		return value.Null, fmt.Errorf("%w: data item %q", ErrFixed, name)
 	}
-	o.dropHandles(d)
-	d.gen.Add(1)
+	o.stamp(d.gen)
 	return value.Null, o.extData.remove(name)
 }
 
-// resolveDataRef maps a handle token or a name to an item. Callers hold o.mu.
+// handleOf is the handle getDataItem and getMethod return: "h<gen>:<name>"
+// (the digits end at the first colon, so any name reads back whole). Asking
+// stores nothing; an edit, delete or rollback moves gen, staling the handle.
+func handleOf(name string, gen *atomic.Uint64) string {
+	buf := strconv.AppendUint(append(make([]byte, 0, 32), 'h'), gen.Load(), 10)
+	return string(append(append(buf, ':'), name...))
+}
+
+// parseHandle splits a handle into the name and generation it names.
+func parseHandle(ref string) (name string, gen uint64, ok bool) {
+	i := strings.IndexByte(ref, ':')
+	if i < 2 || ref[0] != 'h' {
+		return "", 0, false
+	}
+	gen, err := strconv.ParseUint(ref[1:i], 10, 64)
+	return ref[i+1:], gen, err == nil
+}
+
+// resolveDataRef maps a handle or a name to an item. A handle resolves
+// only while its item is in the state it was issued for. Callers hold o.mu.
 func (o *Object) resolveDataRef(ref string) (*DataItem, error) {
-	if it, ok := o.handles[ref]; ok {
-		if d, ok := it.(*DataItem); ok {
+	if name, gen, ok := parseHandle(ref); ok {
+		if d, ok := o.lookupData(name); ok && d.gen.Load() == gen {
 			return d, nil
 		}
-		return nil, fmt.Errorf("%w: %q is a method handle", ErrBadHandle, ref)
 	}
 	if d, ok := o.lookupData(ref); ok {
 		return d, nil
@@ -341,7 +361,7 @@ func (o *Object) applyDataProps(d *DataItem, props map[string]value.Value) error
 	// structure (rename), visibility, or the ACL, and a partial mutation on
 	// error must still invalidate. Only this item's entries go stale —
 	// cached dispatches of sibling items stay warm.
-	d.gen.Add(1)
+	o.stamp(d.gen)
 	if v, ok := props["rename"]; ok {
 		newName := v.String()
 		if newName != d.name { // self-rename is a no-op
@@ -439,7 +459,7 @@ func metaGetMethod(inv *Invocation, args []value.Value) (value.Value, error) {
 	defer o.mu.Unlock()
 	if name == "invoke" && len(o.invokeLevels) > 0 {
 		top := o.invokeLevels[len(o.invokeLevels)-1]
-		desc := top.describe(o.newHandle(top))
+		desc := top.describe(handleOf(top.name, top.gen))
 		m, _ := desc.Map()
 		m["level"] = value.NewInt(int64(len(o.invokeLevels)))
 		return value.NewMap(m), nil
@@ -451,7 +471,7 @@ func metaGetMethod(inv *Invocation, args []value.Value) (value.Value, error) {
 	if !m.visible && inv.caller.Object != o.id {
 		return value.Null, fmt.Errorf("%w: method %q", ErrNotFound, name)
 	}
-	return m.describe(o.newHandle(m)), nil
+	return m.describe(handleOf(m.name, m.gen)), nil
 }
 
 // metaSetMethod changes an extensible method's body, wrapping and
@@ -512,7 +532,7 @@ func metaAddMethod(inv *Invocation, args []value.Value) (value.Value, error) {
 	if _, dup := o.lookupMethod(name); dup {
 		return value.Null, fmt.Errorf("%w: method %q", ErrExists, name)
 	}
-	m := &Method{name: name, body: body, visible: true, fixed: false, gen: newItemGen()}
+	m := &Method{name: name, body: body, visible: true, fixed: false, gen: o.stamp(nil)}
 	if props := argMap(args, 2); props != nil {
 		if err := o.applyMethodProps(m, props); err != nil {
 			return value.Null, err
@@ -541,18 +561,21 @@ func metaDeleteMethod(inv *Invocation, args []value.Value) (value.Value, error) 
 	if m.fixed {
 		return value.Null, fmt.Errorf("%w: method %q", ErrFixed, name)
 	}
-	o.dropHandles(m)
-	m.gen.Add(1)
+	o.stamp(m.gen)
 	return value.Null, o.extMeth.remove(name)
 }
 
-// resolveMethodRef maps a handle token or a name to a method. Callers hold o.mu.
+// resolveMethodRef is resolveDataRef for methods; a handle also reaches
+// a meta-invoke level. Callers hold o.mu.
 func (o *Object) resolveMethodRef(ref string) (*Method, error) {
-	if it, ok := o.handles[ref]; ok {
-		if m, ok := it.(*Method); ok {
+	if name, gen, ok := parseHandle(ref); ok {
+		m, found := o.lookupMethod(name)
+		if i := slices.IndexFunc(o.invokeLevels, func(l *Method) bool { return l.name == name }); !found && i >= 0 {
+			m, found = o.invokeLevels[i], true
+		}
+		if found && m.gen.Load() == gen {
 			return m, nil
 		}
-		return nil, fmt.Errorf("%w: %q is a data-item handle", ErrBadHandle, ref)
 	}
 	if m, ok := o.lookupMethod(ref); ok {
 		return m, nil
@@ -569,7 +592,7 @@ func (o *Object) applyMethodProps(m *Method, props map[string]value.Value) error
 	// body, structure (rename), visibility, or the ACL, and a partial
 	// mutation on error must still invalidate. Only this method's entries
 	// go stale — cached dispatches of sibling methods stay warm.
-	m.gen.Add(1)
+	o.stamp(m.gen)
 	setBody := func(key string, cur Body, detachable bool) (Body, error) {
 		v, ok := props[key]
 		if !ok {
@@ -654,7 +677,7 @@ func (o *Object) pushInvokeLevel(props map[string]value.Value) error {
 		body:    body,
 		visible: true,
 		fixed:   false,
-		gen:     newItemGen(),
+		gen:     o.stamp(nil),
 	}
 	if err := o.applyMethodProps(m, stripBodies(props)); err != nil {
 		return err
@@ -685,8 +708,6 @@ func (o *Object) popInvokeLevel() error {
 	if len(o.invokeLevels) == 0 {
 		return fmt.Errorf("%w: no meta-invoke level installed", ErrNotFound)
 	}
-	top := o.invokeLevels[len(o.invokeLevels)-1]
-	o.dropHandles(top)
 	o.invokeLevels = o.invokeLevels[:len(o.invokeLevels)-1]
 	o.bumpStruct()
 	o.levelCount.Store(int32(len(o.invokeLevels)))

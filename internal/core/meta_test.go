@@ -67,9 +67,6 @@ func TestAddGetDeleteDataItem(t *testing.T) {
 		value.NewMap(map[string]value.Value{"visible": value.False})); !errors.Is(err, ErrBadHandle) {
 		t.Errorf("stale handle: %v", err)
 	}
-	if len(obj.sortedHandleTokens()) != 0 {
-		t.Errorf("handles leaked: %v", obj.sortedHandleTokens())
-	}
 
 	// Deleting fixed or missing items fails.
 	if _, err := obj.Invoke(self, "deleteDataItem", value.NewString("name")); !errors.Is(err, ErrFixed) {
@@ -474,6 +471,76 @@ func TestValueToDescriptorErrors(t *testing.T) {
 	d, err = ValueToDescriptor(DescriptorToValue(BodyDescriptor{Kind: BodyScript, Source: "fn() { }"}))
 	if err != nil || d.Kind != BodyScript || d.Source != "fn() { }" {
 		t.Errorf("script roundtrip: %+v, %v", d, err)
+	}
+}
+
+// TestStaleHandles: a handle names its item in one state, so it stops
+// resolving once the item is deleted, has its ACL edited, or is rolled
+// back by the atomic call that issued the handle.
+func TestStaleHandles(t *testing.T) {
+	obj := openObject(t)
+	self := obj.Principal()
+	handle := func(name string) value.Value {
+		t.Helper()
+		desc, err := obj.Invoke(self, "getDataItem", value.NewString(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _ := desc.Map()
+		return m["handle"]
+	}
+	hide := value.NewMap(map[string]value.Value{"visible": value.False})
+	stale := func(what string, h value.Value) {
+		t.Helper()
+		if _, err := obj.Invoke(self, "setDataItem", h, hide); !errors.Is(err, ErrBadHandle) {
+			t.Errorf("handle %v %s: setDataItem = %v, want ErrBadHandle", h, what, err)
+		}
+	}
+
+	// Deleted, then bound again under the same name.
+	if _, err := obj.Invoke(self, "addDataItem", value.NewString("load"), value.NewInt(3)); err != nil {
+		t.Fatal(err)
+	}
+	h := handle("load")
+	for _, step := range []string{"deleteDataItem", "addDataItem"} {
+		if _, err := obj.Invoke(self, step, value.NewString("load"), value.NewInt(4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale("after delete and re-add", h)
+
+	// ACL edit, through the handle itself: it is good for exactly one edit.
+	h = handle("counter")
+	deny := value.NewMap(map[string]value.Value{"aclDeny": value.NewString("domain:nowhere")})
+	if _, err := obj.Invoke(self, "setDataItem", h, deny); err != nil {
+		t.Fatalf("fresh handle: %v", err)
+	}
+	stale("after an ACL edit", h)
+
+	// Rolled back: the atomic call edits the ACL, takes a handle on the
+	// edited item, then fails.
+	var minted value.Value
+	mint := NewNativeBody("test.mint", func(inv *Invocation, _ []value.Value) (value.Value, error) {
+		if _, err := inv.Invoke("setDataItem", value.NewString("counter"), deny); err != nil {
+			return value.Null, err
+		}
+		minted = handle("counter")
+		return value.Null, errors.New("fail after minting")
+	})
+	b := NewBuilder(gen, "Minter", WithPolicy(allowAllPolicy()))
+	b.ExtData("counter", value.NewInt(0))
+	b.ExtMethod("mint", mint)
+	obj = b.MustBuild()
+	self = obj.Principal()
+	if _, err := obj.InvokeAtomic(self, "mint"); err == nil {
+		t.Fatal("mint succeeded")
+	}
+	if minted.IsNull() {
+		t.Fatal("mint issued no handle")
+	}
+	stale("after the atomic call that issued it rolled back", minted)
+	if _, err := obj.Invoke(self, "setDataItem", handle("counter"), hide); err != nil {
+		t.Errorf("a handle issued after the rollback: %v", err)
 	}
 }
 

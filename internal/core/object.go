@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,8 +59,7 @@ type Object struct {
 	admission    chan struct{}
 	admitTimeout time.Duration
 
-	handles   map[string]any // handle token → *DataItem or *Method, one per item; nil until needed
-	handleSeq int
+	clock uint64 // the last item generation handed out (see stamp)
 
 	// structGen versions the object's dispatch shape — the meta-invoke
 	// chain, policy and auditor — and cache holds the table built for it
@@ -163,24 +161,29 @@ func (o *Object) lookupData(name string) (*DataItem, bool) {
 	return nil, false
 }
 
-// matchData is the Lookup and Match of `get` and `set`: the memoized
-// decision when there is one, else a cold Match against the item's state,
-// memoized for the next call.
+// matchData is the Lookup and Match of `get` and `set`: the item's
+// published snapshot when there is a fresh one, else one taken now.
 func (o *Object) matchData(caller security.Principal, action security.Action, name string) error {
-	if decision, ok := o.fastDecision(caller, action, name); ok {
-		return decision
+	if caller.Object == o.id {
+		return nil // self-containment; a missing item surfaces on the read
 	}
-	o.mu.Lock()
-	d, ok := o.lookupData(name)
-	if !ok {
+	t := o.cache.tables.Load()
+	var s *itemSnap
+	if t != nil && t.gen == o.structGen.Load() {
+		s = t.data(name)
+	}
+	if s == nil || !s.fresh() {
+		o.mu.Lock()
+		d, ok := o.lookupData(name)
+		if !ok {
+			o.mu.Unlock()
+			return fmt.Errorf("%w: data item %q", ErrNotFound, name)
+		}
+		t = o.tableLocked()
+		s = t.dataSnapLocked(d)
 		o.mu.Unlock()
-		return fmt.Errorf("%w: data item %q", ErrNotFound, name)
 	}
-	t := o.tableLocked()
-	acl, visible, src, srcGen := d.acl, d.visible, d.gen, d.gen.Load()
-	o.mu.Unlock()
-	return o.decide(t, matchKey{object: caller.Object, domain: caller.Domain, action: action, item: name},
-		acl, visible, src, srcGen, nil)
+	return o.decide(t, s, caller, action)
 }
 
 // getData implements the ordinary `get` operation with its Match check.
@@ -225,36 +228,33 @@ func (o *Object) setData(caller security.Principal, name string, v value.Value) 
 	return d.setValue(v)
 }
 
-// matchDecide is the Match phase shared by invocation and data access:
-// hidden items appear nonexistent to everyone but the object itself;
-// otherwise the item ACL decides, falling back to the host policy. polDep
-// reports whether the decision came from the policy default — the dispatch
-// cache validates such entries against the policy generation too.
-func (o *Object) matchDecide(caller security.Principal, acl security.ACL, visible bool,
-	pol *security.Policy, aud *security.Auditor, action security.Action, item string) (decision error, polDep bool) {
-	if caller.Object == o.id {
-		// Self-containment: an object always controls itself.
-		return nil, false
-	}
-	if !visible {
+// matchDecide is the cold Match phase shared by invocation and data
+// access, for a caller other than the object itself (decide answers that
+// one): hidden items appear nonexistent; otherwise the item ACL decides,
+// falling back to the host policy. polDep reports whether the decision
+// came from the policy default — its remembered verdict is validated
+// against the policy generation too.
+func (o *Object) matchDecide(s *itemSnap, caller security.Principal,
+	pol *security.Policy, aud *security.Auditor, action security.Action) (decision error, polDep bool) {
+	if !s.Visible {
 		// Encapsulation: a hidden item appears nonexistent — except to a
 		// principal its ACL explicitly grants (an Ambassador's origin keeps
 		// access to the hidden meta-methods; the host does not). The policy
 		// default never opens a hidden item.
-		if effect, matched := acl.Decide(caller, action); matched && effect == security.Allow {
+		if effect, matched := s.ACL.Decide(caller, action); matched && effect == security.Allow {
 			if aud != nil {
-				aud.Record(o.id, caller, action, item, true)
+				aud.Record(o.id, caller, action, s.Name, true)
 			}
 			return nil, false
 		}
 		if aud != nil {
-			aud.Record(o.id, caller, action, item, false)
+			aud.Record(o.id, caller, action, s.Name, false)
 		}
-		return fmt.Errorf("%w: %s %q", ErrNotFound, actionNoun(action), item), false
+		return fmt.Errorf("%w: %s %q", ErrNotFound, actionNoun(action), s.Name), false
 	}
-	err, viaPolicy := security.Decide(acl, pol, caller, action, item)
+	err, viaPolicy := security.Decide(s.ACL, pol, caller, action, s.Name)
 	if aud != nil {
-		aud.Record(o.id, caller, action, item, err == nil)
+		aud.Record(o.id, caller, action, s.Name, err == nil)
 	}
 	return err, viaPolicy
 }
@@ -344,32 +344,6 @@ func (o *Object) InvokeLevelCount() int {
 	return len(o.invokeLevels)
 }
 
-// newHandle returns item's token, registering one on first use: asking
-// again cannot grow the table. Callers hold o.mu.
-func (o *Object) newHandle(item any) string {
-	for tok, it := range o.handles {
-		if it == item {
-			return tok
-		}
-	}
-	if o.handles == nil {
-		o.handles = make(map[string]any)
-	}
-	o.handleSeq++
-	tok := fmt.Sprintf("h%d", o.handleSeq)
-	o.handles[tok] = item
-	return tok
-}
-
-// dropHandles removes all handles pointing at item. Callers hold o.mu.
-func (o *Object) dropHandles(item any) {
-	for tok, it := range o.handles {
-		if it == item {
-			delete(o.handles, tok)
-		}
-	}
-}
-
 // Builder constructs an Object. Fixed items can only be declared before
 // Build; Build seals the fixed containers.
 type Builder struct {
@@ -445,7 +419,7 @@ func (b *Builder) addData(c *container[*DataItem], fixed bool, name string, v va
 		b.fail(fmt.Errorf("%w: computed data item %q cannot take a dynamic kind", ErrArity, name))
 		return
 	}
-	d := &DataItem{name: name, acl: cfg.acl, visible: cfg.visible, dynKind: cfg.dynKind, fixed: fixed, gen: newItemGen()}
+	d := &DataItem{name: name, acl: cfg.acl, visible: cfg.visible, dynKind: cfg.dynKind, fixed: fixed, gen: b.obj.stamp(nil)}
 	if err := d.setValue(v); err != nil {
 		b.fail(err)
 		return
@@ -502,7 +476,7 @@ func (b *Builder) addMethod(c *container[*Method], fixed bool, name string, body
 		return
 	}
 	m := &Method{name: name, body: body, pre: cfg.pre, post: cfg.post,
-		acl: cfg.acl, visible: cfg.visible, fixed: fixed, gen: newItemGen()}
+		acl: cfg.acl, visible: cfg.visible, fixed: fixed, gen: b.obj.stamp(nil)}
 	if isReservedName(name) {
 		b.fail(fmt.Errorf("%w: %q is reserved", ErrExists, name))
 		return
@@ -566,16 +540,4 @@ func (b *Builder) MustBuild() *Object {
 		panic(err)
 	}
 	return o
-}
-
-// sortedHandleTokens is a test hook: the current live handle tokens, sorted.
-func (o *Object) sortedHandleTokens() []string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]string, 0, len(o.handles))
-	for tok := range o.handles {
-		out = append(out, tok)
-	}
-	sort.Strings(out)
-	return out
 }

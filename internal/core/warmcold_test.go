@@ -6,6 +6,11 @@ package core
 // program, one of them flushed before every step, must agree on results,
 // errors, self-description and audit trail; whatever the warm one serves
 // from its table that the cold one would not have computed is a cache bug.
+// Each twin has a policy of its own, so the cold twin's flush, which
+// empties its policy's verdicts, never chills the warm twin; and each has a
+// sibling whose items carry the twin's ACLs, so a verdict one object's edit
+// retires while the other still asks for it is checked too. A mutant that
+// edits an ACL in place, keeping its identity, fails here.
 
 import (
 	"errors"
@@ -20,9 +25,11 @@ import (
 )
 
 // twin is one of the two objects under comparison, with the policy and
-// auditor that are its own.
+// auditor that are its own, and a sibling on the same policy whose items
+// carry the same ACLs (so the two share verdicts until one is edited).
 type twin struct {
 	obj *Object
+	sib *Object
 	pol *security.Policy
 	aud *security.Auditor
 }
@@ -44,14 +51,21 @@ const twinTxnSrc = `fn(fail) {
 	return self.n;
 }`
 
-// newTwin builds one twin. guard is the 17-entry ACL of "guarded" (shared:
-// an ACL is immutable).
-func newTwin(guard security.ACL) *twin {
+// newTwin builds one twin. rules are the 17 entries of the ACL of
+// "guarded", built once per twin and carried by both of its objects.
+func newTwin(rules []security.Entry) *twin {
 	tw := &twin{pol: security.NewPolicy(), aud: security.NewAuditor(256)}
 	tw.pol.GradeDomain("elsewhere", security.Trusted)
+	guard := security.NewACL(rules...)
 	echo := NewNativeBody("twin.echo", func(_ *Invocation, args []value.Value) (value.Value, error) {
 		return argAt(args, 0), nil
 	})
+	sb := NewBuilder(gen, "Sibling", WithPolicy(tw.pol))
+	sb.ExtData("n", value.NewInt(0))
+	sb.FixedMethod("work", echo)
+	sb.ExtMethod("workExt", echo)
+	sb.FixedMethod("guarded", echo, WithACL(guard))
+	tw.sib = sb.MustBuild()
 	b := NewBuilder(gen, "Twin", WithPolicy(tw.pol), WithAuditor(tw.aud))
 	b.FixedData("idx", value.NewInt(7))
 	b.ExtData("n", value.NewInt(0))
@@ -115,6 +129,14 @@ func (p *twinProgram) who(tw *twin, i int) security.Principal {
 func (p *twinProgram) call(c int, name string, args ...value.Value) twinStep {
 	return twinStep{fmt.Sprintf("caller %d: %s%v", c, name, args), func(tw *twin) (value.Value, error) {
 		return tw.obj.Invoke(p.who(tw, c), name, args...)
+	}}
+}
+
+// sibling is the step "caller c invokes name(args) on the sibling", which
+// asks the questions the twin's items asked before the twin's edits.
+func (p *twinProgram) sibling(c int, name string, args ...value.Value) twinStep {
+	return twinStep{fmt.Sprintf("caller %d: sibling %s%v", c, name, args), func(tw *twin) (value.Value, error) {
+		return tw.sib.Invoke(p.who(tw, c), name, args...)
 	}}
 }
 
@@ -266,6 +288,10 @@ func (p *twinProgram) next() twinStep {
 		return p.call(c, "set", value.NewString(data), arg)
 	case op < 58:
 		return p.call(c, "invoke", value.NewString(meth), value.NewListOf(arg))
+	case op < 61:
+		return p.sibling(c, pick(rng, []string{"work", "workExt", "guarded"}), arg)
+	case op < 63:
+		return p.sibling(c, "get", value.NewString("n"))
 	}
 	change, probe := p.mutation()
 	if rng.Intn(2) == 0 {
@@ -334,7 +360,7 @@ func TestWarmEqualsCold(t *testing.T) {
 	for k := 0; k < 16; k++ {
 		entries = append(entries, security.DenyObject(gen.New())) // never matches a caller
 	}
-	guard := security.NewACL(append(entries, security.AllowDomain("friends"))...)
+	entries = append(entries, security.AllowDomain("friends"))
 	callers := []security.Principal{{},
 		{Object: gen.New(), Domain: "friends"},
 		{Object: gen.New(), Domain: "elsewhere"},
@@ -345,7 +371,7 @@ func TestWarmEqualsCold(t *testing.T) {
 	callers = append(callers, security.Principal{Object: callers[2].Object, Domain: "nowhere"})
 	for seed := int64(1); seed <= seeds; seed++ {
 		prog := &twinProgram{rng: rand.New(rand.NewSource(seed)), callers: callers}
-		warm, cold := newTwin(guard), newTwin(guard)
+		warm, cold := newTwin(entries), newTwin(entries)
 		var trace []string
 		for i := 0; i < steps; i++ {
 			step := prog.next()

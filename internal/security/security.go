@@ -23,6 +23,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"strings"
 	"sync"
@@ -49,22 +50,14 @@ const (
 	ActionMeta // reflective manipulation: add/delete/setMethod etc.
 )
 
+var actionNames = [...]string{"any", "invoke", "get", "set", "meta"}
+
 // String returns the action name.
 func (a Action) String() string {
-	switch a {
-	case ActionAny:
-		return "any"
-	case ActionInvoke:
-		return "invoke"
-	case ActionGet:
-		return "get"
-	case ActionSet:
-		return "set"
-	case ActionMeta:
-		return "meta"
-	default:
-		return fmt.Sprintf("action(%d)", uint8(a))
+	if int(a) < len(actionNames) {
+		return actionNames[a]
 	}
+	return fmt.Sprintf("action(%d)", uint8(a))
 }
 
 // TrustLevel grades how much a domain is trusted by the local site.
@@ -78,20 +71,14 @@ const (
 	Local
 )
 
+var trustNames = [...]string{"untrusted", "limited", "trusted", "local"}
+
 // String returns the trust level name.
 func (t TrustLevel) String() string {
-	switch t {
-	case Untrusted:
-		return "untrusted"
-	case Limited:
-		return "limited"
-	case Trusted:
-		return "trusted"
-	case Local:
-		return "local"
-	default:
-		return fmt.Sprintf("trust(%d)", uint8(t))
+	if int(t) < len(trustNames) {
+		return trustNames[t]
 	}
+	return fmt.Sprintf("trust(%d)", uint8(t))
 }
 
 // Principal identifies a requester.
@@ -159,9 +146,21 @@ func domainMatch(pattern, domain string) bool {
 }
 
 // ACL is an ordered access-control list attached to an item. The zero ACL
-// is empty and delegates every decision to the policy.
+// is empty and delegates every decision to the policy. An ACL is immutable:
+// NewACL, Append and Prepend each build a new rule list, so the list's
+// array names it (see identity) and an edit yields a new name.
 type ACL struct {
 	entries []Entry
+}
+
+// identity names the rule list: the address of its array, nil for every
+// empty ACL. Every ACL owns its whole array — no constructor shares or
+// reslices one — so two ACLs with one identity hold the same rules.
+func (a ACL) identity() *Entry {
+	if len(a.entries) == 0 {
+		return nil
+	}
+	return &a.entries[0]
 }
 
 // NewACL builds an ACL from entries, copying the slice.
@@ -233,15 +232,19 @@ func (a ACL) Decide(p Principal, action Action) (effect Effect, ok bool) {
 	return Deny, false
 }
 
-// Policy maps trust domains to levels and levels to default decisions.
-// The zero value is unusable; construct with NewPolicy. Policies are safe
-// for concurrent use.
+// Policy maps trust domains to levels and levels to default decisions,
+// and remembers the verdicts Match reached under it (see Recall). The zero
+// value is unusable; construct with NewPolicy. Policies are safe for
+// concurrent use.
 type Policy struct {
 	mu       sync.RWMutex
 	gen      atomic.Uint64
 	levels   map[string]TrustLevel
 	defaults map[TrustLevel]Effect
 	fallback TrustLevel
+
+	verdicts  sync.Map     // verdictKey -> *Verdict
+	nverdicts atomic.Int64 // keys stored since the table was last emptied
 }
 
 // NewPolicy returns a policy with the conventional defaults: Local and
@@ -331,6 +334,107 @@ func Decide(acl ACL, policy *Policy, pr Principal, action Action, item string) (
 	}
 	return fmt.Errorf("%w: %s of %q by %s (policy)", ErrDenied, action, item, pr), true
 }
+
+// MaxVerdicts bounds a policy's verdict table, one bound per site: the key
+// that would pass it empties the table instead.
+const MaxVerdicts = 1 << 18
+
+// Item is what a Match question fixes about the item asked after. The
+// answer depends on nothing else but the principal, the action and the
+// policy, so it is remembered once per site for every object whose item
+// asks it. Visible is keyed, not interpreted. Build an Item with NewItem
+// once per item state, and ask with it many times.
+type Item struct {
+	ACL     ACL
+	Name    string
+	Visible bool
+	hash    uint64 // of Name, so asking hashes no string
+	open    bool   // the first rule allows everyone everything
+}
+
+// Open reports whether Match allows every question on the item outright,
+// leaving nothing worth remembering.
+func (it *Item) Open() bool { return it.open }
+
+var itemSeed = maphash.MakeSeed()
+
+// NewItem describes an item for Recall and Remember.
+func NewItem(acl ACL, name string, visible bool) Item {
+	open := !acl.Empty() && acl.entries[0] == AllowAll()
+	return Item{ACL: acl, Name: name, Visible: visible, hash: maphash.String(itemSeed, name), open: open}
+}
+
+// verdictKey files a question: its ACL's identity, the principal's object,
+// and a hash of the rest; plain memory, so the table hashes it in one pass.
+// The verdict filed under it holds the whole question: another question
+// that shares the key is a miss, and remembering it replaces the other.
+type verdictKey struct {
+	rules *Entry
+	obj   naming.ID
+	rest  uint64
+}
+
+func (it *Item) key(pr Principal, action Action) verdictKey {
+	return verdictKey{it.ACL.identity(), pr.Object, it.hash*31 + uint64(action)}
+}
+
+// Verdict is a remembered Match outcome: Err is exactly what the cold
+// Match returned, nil on allow. A verdict the policy default settled holds
+// while the policy generation it was reached under is current; one an ACL
+// entry settled holds for as long as its ACL exists.
+type Verdict struct {
+	Err     error
+	item    string
+	pr      Principal
+	gen     uint64
+	action  Action
+	visible bool
+	polDep  bool
+}
+
+// Answers reports whether v, a verdict on some question about an item,
+// still answers the one pr asks for action under p. Callers keep a verdict
+// beside its item, so matching the item is theirs.
+func (v *Verdict) Answers(p *Policy, pr Principal, action Action) bool {
+	return v.pr == pr && v.action == action && (!v.polDep || v.gen == p.gen.Load())
+}
+
+// Recall returns the verdict remembered on pr taking action on it while
+// the verdict still holds, or nil.
+func (p *Policy) Recall(it *Item, pr Principal, action Action) *Verdict {
+	if val, ok := p.verdicts.Load(it.key(pr, action)); ok {
+		if v := val.(*Verdict); v.item == it.Name && v.visible == it.Visible && v.Answers(p, pr, action) {
+			return v
+		}
+	}
+	return nil
+}
+
+// Remember stores err, the outcome of a cold Match of pr taking action on
+// it, reached under policy generation gen (read before the Match began)
+// and settled by the policy default if viaPolicy, and returns the verdict.
+func (p *Policy) Remember(it *Item, pr Principal, action Action, gen uint64, err error, viaPolicy bool) *Verdict {
+	v := &Verdict{Err: err, item: it.Name, pr: pr, gen: gen, action: action,
+		visible: it.Visible, polDep: viaPolicy}
+	if _, replaced := p.verdicts.Swap(it.key(pr, action), v); !replaced && p.nverdicts.Add(1) > MaxVerdicts {
+		p.ForgetVerdicts()
+	}
+	return v
+}
+
+// ForgetVerdicts empties the verdict table: the next Recall of every
+// question misses. Verdicts already handed out stay true.
+func (p *Policy) ForgetVerdicts() {
+	p.nverdicts.Store(0)
+	p.verdicts.Range(func(k, _ any) bool {
+		p.verdicts.Delete(k)
+		return true
+	})
+}
+
+// Verdicts reports how many verdicts the table holds (approximately, while
+// Remember runs).
+func (p *Policy) Verdicts() int { return int(p.nverdicts.Load()) }
 
 // Event is one audited decision: Principal attempted Action on the item
 // named Item of the object Object.
