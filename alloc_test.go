@@ -112,8 +112,9 @@ func TestWarmInvocationPathsAllocFree(t *testing.T) {
 // A remote invocation over the in-process transport, which has no socket
 // and no frame: the request and the reply are typed records, so what is
 // left is the call's timeout context, the two payload copies the transport
-// makes, the two encode buffers, and the strings and argument list the
-// handler decodes. The bound is the measured count.
+// makes, the reply's encode buffer (the request's is pooled), and the
+// strings and argument list the handler decodes. The bound is the measured
+// count.
 func TestRemoteInvokeAllocs(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts differ under the race detector")
@@ -131,8 +132,8 @@ func TestRemoteInvokeAllocs(t *testing.T) {
 		}
 	}
 	call()
-	if n := testing.AllocsPerRun(200, call); n > 12 {
-		t.Errorf("remote invoke: %v allocs/op, want <= 12", n)
+	if n := testing.AllocsPerRun(200, call); n > 11 {
+		t.Errorf("remote invoke: %v allocs/op, want <= 11", n)
 	}
 }
 

@@ -616,13 +616,26 @@ func (s *Site) callPeer(peerName, verb, chain string, req, rep func(*wire.Codec)
 	return err
 }
 
+// reqBufs holds request buffers between round trips, so a call encodes into
+// the buffer an earlier one sent instead of a fresh one.
+var reqBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // callConn runs one round trip under the site's configured call timeout.
+// The request buffer goes back to reqBufs only once Call has returned nil,
+// the point after which no carrier reads it (transport.Conn); a failed call
+// drops it, and a buffer past transport.MaxPooledBuffer is dropped too.
 func (s *Site) callConn(conn transport.Conn, verb, chain string, req, rep func(*wire.Codec)) error {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
 	defer cancel()
-	out, err := conn.Call(transport.WithChain(ctx, chain), verb, wire.EncodeRecord(req))
+	buf := reqBufs.Get().(*[]byte)
+	payload := wire.AppendRecord((*buf)[:0], req)
+	out, err := conn.Call(transport.WithChain(ctx, chain), verb, payload)
 	if err != nil {
 		return err
+	}
+	if cap(payload) <= transport.MaxPooledBuffer {
+		*buf = payload
+		reqBufs.Put(buf)
 	}
 	return wire.DecodeRecord(out, rep)
 }

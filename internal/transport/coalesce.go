@@ -42,6 +42,14 @@ const (
 	// stream is a protocol violation (the defensive stance of the wire
 	// package, extended to multi-frame payloads).
 	MaxStreamPayload = 256 << 20
+	// MaxPooledBuffer is the largest request buffer a caller keeps for its
+	// next call: 4 × StreamWindow, as far as an assembly trusts an
+	// announcement. A larger one goes to the collector.
+	MaxPooledBuffer = 4 * StreamWindow
+	// maxStreams caps the request streams one connection holds open at the
+	// server, refused ones included; a peer that opens one more is torn
+	// down. A client's streamed calls wait for one of as many slots.
+	maxStreams = 64
 )
 
 // frameQueue is one connection's outbound path: send enqueues a frame and
@@ -109,14 +117,22 @@ func (q *frameQueue) run() {
 		}
 		batch = batch[:0]
 		var err error
-		batch, err = wire.AppendFrame(batch, f)
 		// Cork: fold already-queued frames into the same write until the
-		// queue momentarily drains or the batch is large enough.
+		// queue momentarily drains or the batch is large enough. A frame
+		// dequeued once the queue has closed is dropped, not appended.
 	fold:
-		for err == nil && len(batch) < coalesceBytes {
+		for err == nil {
 			select {
-			case f2 := <-q.ch:
-				batch, err = wire.AppendFrame(batch, f2)
+			case <-q.done:
+				return
+			default:
+			}
+			batch, err = wire.AppendFrame(batch, f)
+			if len(batch) >= coalesceBytes {
+				break
+			}
+			select {
+			case f = <-q.ch:
 			default:
 				break fold
 			}

@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -353,7 +355,7 @@ func (b *brokenConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // TestServerClosesConnOnWriteError is the regression test for the silent
 // response-write failure: when a response cannot be written, the server
-// must close the connection (so the peer's failAll fires at once) instead
+// must close the connection (so the peer's teardown fires at once) instead
 // of dropping the response and leaving the client to hang out its timeout.
 func TestServerClosesConnOnWriteError(t *testing.T) {
 	frames, err := encodeFrames(t)
@@ -497,5 +499,176 @@ func TestMidStreamDropFailsClean(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("caller hung after mid-stream drop")
+	}
+}
+
+// killConn is a socket that dies mid-stream while deaths are left: the
+// write that takes it past budget bytes closes it and fails, as a reset
+// peer does.
+type killConn struct {
+	net.Conn
+	budget  int
+	written int           // touched only by the connection's writer goroutine
+	deaths  *atomic.Int64 // below zero once every death is spent
+}
+
+func (k *killConn) Write(p []byte) (int, error) {
+	if k.written += len(p); k.written > k.budget && k.deaths.Add(-1) >= 0 {
+		k.Conn.Close()
+		return 0, errors.New("connection reset by peer")
+	}
+	return k.Conn.Write(p)
+}
+
+// TestConformanceCallerOwnsPayloadAfterReturn pins the Conn contract a
+// caller's buffer reuse rests on: once Call returns nil, the carrier never
+// reads payload again. Four callers each encode every call into one buffer
+// and overwrite it the moment Call returns; every payload the handler was
+// handed must still be the one sent. It runs over tcp, inproc, and a
+// ResilientConn over tcp whose first connections die mid-stream, so calls
+// fail with ErrClosed and succeed on a redialed one. Under -race it also
+// pins that no carrier reads the buffer after Call has returned nil.
+func TestConformanceCallerOwnsPayloadAfterReturn(t *testing.T) {
+	var mu sync.Mutex
+	got := make(map[string][][]byte) // by verb: every payload handed over
+	h := func(ctx context.Context, verb string, payload []byte) ([]byte, error) {
+		mu.Lock()
+		got[verb] = append(got[verb], payload)
+		mu.Unlock()
+		return []byte{1}, nil
+	}
+	conns := backends(t, h)
+	srv, err := ListenTCP("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	const killed = 3
+	var deaths atomic.Int64
+	deaths.Store(killed)
+	dial := func() (Conn, error) {
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			return nil, err
+		}
+		return newTCPConn(&killConn{Conn: nc, budget: 3 * StreamThreshold, deaths: &deaths}), nil
+	}
+	res := NewResilientConn(nil, dial, ResilientPolicy{
+		MaxAttempts: 10, BaseBackoff: time.Millisecond, FailureThreshold: 1000,
+		Idempotent: func(string) bool { return true },
+	})
+	t.Cleanup(func() { res.Close() })
+	conns["resilient-killed"] = res
+
+	sizes := []int{64, StreamChunk, StreamThreshold + 1, 2 * StreamThreshold}
+	const callers, calls = 4, 4 * 4
+	seed := func(g, i int) byte { return byte(g*calls + i) }
+	for name, conn := range conns {
+		t.Run(name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			for g := 0; g < callers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					buf := make([]byte, 0, 2*StreamThreshold)
+					for i := 0; i < calls; i++ {
+						p := append(buf[:0], streamPayload(seed(g, i), sizes[i%len(sizes)])...)
+						if _, err := conn.Call(context.Background(), fmt.Sprintf("%s/%d/%d", name, g, i), p); err != nil {
+							t.Errorf("caller %d, call %d: %v", g, i, err)
+							return
+						}
+						for j := range p {
+							p[j] = 0xEE
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			mu.Lock()
+			defer mu.Unlock()
+			for g := 0; g < callers; g++ {
+				for i := 0; i < calls; i++ {
+					want := streamPayload(seed(g, i), sizes[i%len(sizes)])
+					seen := got[fmt.Sprintf("%s/%d/%d", name, g, i)]
+					if len(seen) == 0 {
+						t.Errorf("caller %d, call %d never reached the handler", g, i)
+					}
+					for _, p := range seen {
+						if !bytes.Equal(p, want) {
+							t.Errorf("caller %d, call %d (%d bytes): the handler holds bytes the caller wrote after Call returned", g, i, len(want))
+						}
+					}
+				}
+			}
+		})
+	}
+	if n := deaths.Load(); n >= 0 {
+		t.Errorf("%d connections died mid-stream, want %d", killed-n, killed)
+	}
+}
+
+// stallConn holds the first write larger than a connection's opening
+// Begin until the test releases it, and a Close does not release it: it
+// stands for a writer still busy with a frame when its connection dies.
+type stallConn struct {
+	net.Conn
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (s *stallConn) Write(p []byte) (int, error) {
+	if len(p) > 64 {
+		s.once.Do(func() {
+			close(s.entered)
+			<-s.release
+		})
+	}
+	return s.Conn.Write(p)
+}
+
+// TestTeardownWaitsForWriter pins the ordering a ResilientConn's resend
+// rests on: a call failed by a dying connection returns ErrClosed only
+// after the connection's writer has exited, so no frame of its payload is
+// read once the caller may reuse it. The writer is held in a Write, the
+// server drops the connection, and the call must not return until the
+// writer is let go — for a one-frame request (teardown waits) and for a
+// streamed one (the failed sender waits as well).
+func TestTeardownWaitsForWriter(t *testing.T) {
+	for name, size := range map[string]int{"frame": 4 << 10, "stream": 2 * StreamThreshold} {
+		t.Run(name, func(t *testing.T) {
+			addr, accepted := rawServer(t)
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := &stallConn{Conn: nc, entered: make(chan struct{}), release: make(chan struct{})}
+			c := newTCPConn(sc)
+			defer c.Close()
+			peer := <-accepted
+			go io.Copy(io.Discard, peer)
+
+			result := make(chan error, 1)
+			go func() {
+				_, err := c.Call(context.Background(), "put", streamPayload(1, size))
+				result <- err
+			}()
+			<-sc.entered
+			peer.Close()
+			select {
+			case err := <-result:
+				close(sc.release)
+				t.Fatalf("Call returned (%v) while the writer still held a frame of its payload", err)
+			case <-time.After(100 * time.Millisecond):
+			}
+			close(sc.release)
+			select {
+			case err := <-result:
+				if !errors.Is(err, ErrClosed) {
+					t.Fatalf("err = %v, want ErrClosed", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Call hung after the writer was released")
+			}
+		})
 	}
 }

@@ -200,11 +200,12 @@ func TestOversizedRequestAnnouncementRefused(t *testing.T) {
 }
 
 // TestAnnouncementsPinNoMemory is the hostile peer the announcement must
-// not arm: the largest legal Begin on each of many stream ids, then one
-// byte on each. The server retains next to nothing for either — what it
-// reserves follows the bytes a peer really sends, not the ones it promises.
+// not arm: the largest legal Begin on each of as many stream ids as a
+// connection may hold open, then one byte on each. The server retains next
+// to nothing for either — what it reserves follows the bytes a peer really
+// sends, not the ones it promises.
 func TestAnnouncementsPinNoMemory(t *testing.T) {
-	const ids, slack = 400, 4 << 20
+	const ids, slack = maxStreams, 4 << 20
 	p := serverAndRawClient(t, echoHandler)
 	p.sync()
 	before := heapNow()
@@ -231,10 +232,10 @@ func TestServerStreamState(t *testing.T) {
 	const id = 7
 	t.Run("oversized announcement retains no chunk", func(t *testing.T) {
 		st := newServerConnState()
-		if st.beginStream(id, beginFrame(id, MaxStreamPayload+1).Payload) {
+		if refused, _ := st.beginStream(id, beginFrame(id, MaxStreamPayload+1).Payload); !refused {
 			t.Fatal("announcement over the limit accepted")
 		}
-		if room := st.chunkRoom(id, StreamChunk); room != nil || !st.refused(id) {
+		if room := st.chunkRoom(id, StreamChunk); room != nil || !refusedChunk(st, id) {
 			t.Errorf("refused stream offered %d bytes of room", len(room))
 		}
 		if a := st.asm[id]; a.buf != nil {
@@ -246,7 +247,7 @@ func TestServerStreamState(t *testing.T) {
 	})
 	t.Run("announcement alone allocates nothing; cancel releases it", func(t *testing.T) {
 		st := newServerConnState()
-		if !st.beginStream(id, beginFrame(id, MaxStreamPayload).Payload) {
+		if refused, over := st.beginStream(id, beginFrame(id, MaxStreamPayload).Payload); refused || over {
 			t.Fatal("largest legal announcement refused")
 		}
 		if a := st.asm[id]; a == nil || a.announced != MaxStreamPayload || a.buf != nil {
@@ -262,7 +263,7 @@ func TestServerStreamState(t *testing.T) {
 		if st.announces() {
 			t.Fatal("a fresh connection already counts as Begin-capable")
 		}
-		if !st.beginStream(hello.RequestID, hello.Payload) || !st.announces() || len(st.asm) != 0 {
+		if refused, over := st.beginStream(hello.RequestID, hello.Payload); refused || over || !st.announces() || len(st.asm) != 0 {
 			t.Errorf("after the opening Begin: announces=%v, %d assemblies", st.announces(), len(st.asm))
 		}
 	})
@@ -272,10 +273,10 @@ func TestServerStreamState(t *testing.T) {
 		for _, announced := range []int{0, MaxStreamPayload} {
 			st := newServerConnState()
 			st.asm[id] = &assembly{buf: make([]byte, MaxStreamPayload-10, MaxStreamPayload), announced: announced}
-			if room := st.chunkRoom(id, 10); len(room) != 10 || st.refused(id) {
+			if room := st.chunkRoom(id, 10); len(room) != 10 || refusedChunk(st, id) {
 				t.Fatalf("announced %d: a chunk that fits exactly got %d bytes of room", announced, len(room))
 			}
-			if room := st.chunkRoom(id, 1); room != nil || !st.refused(id) || st.asm[id].buf != nil {
+			if room := st.chunkRoom(id, 1); room != nil || !refusedChunk(st, id) || st.asm[id].buf != nil {
 				t.Errorf("announced %d: the byte past the limit was given room", announced)
 			}
 			if _, ok := st.finish(id); ok {
@@ -283,6 +284,11 @@ func TestServerStreamState(t *testing.T) {
 			}
 		}
 	})
+}
+
+func refusedChunk(st *serverConnState, id uint64) bool {
+	refused, _ := st.refused(id)
+	return refused
 }
 
 // TestAssemblyTrust pins how far tail follows an announcement: to the full
@@ -524,5 +530,86 @@ func TestAssemblyGrowsWithoutAnnouncement(t *testing.T) {
 	}
 	if a.begin(MaxStreamPayload + 1); a.poisoned || len(a.buf) != 64*StreamChunk {
 		t.Error("a late announcement disturbed the assembly")
+	}
+}
+
+// TestStreamIDCap: a connection holds at most maxStreams request streams
+// open at the server, refused ones included. The Begin that would open one
+// more is a protocol violation that tears the connection down, while a
+// second connection to the same server keeps being served.
+func TestStreamIDCap(t *testing.T) {
+	srv, err := ListenTCP("127.0.0.1:0", echoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dial := func() *rawPeer {
+		c, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return newRawPeer(t, c)
+	}
+	hostile, honest := dial(), dial()
+	for id := uint64(1); id <= maxStreams; id++ {
+		total := 1000
+		if id%2 == 0 {
+			total = MaxStreamPayload + 1 // refused, and still held open
+		}
+		hostile.send(beginFrame(id, total))
+	}
+	for id := uint64(2); id <= maxStreams; id += 2 {
+		hostile.expect(wire.FrameCancel, id)
+	}
+	hostile.sync()
+
+	hostile.send(beginFrame(maxStreams+1, 1000), wire.Frame{Type: wire.FramePing, RequestID: 1 << 40})
+	for {
+		f, err := wire.ReadFrame(hostile.br)
+		if err != nil {
+			break // torn down
+		}
+		if f.Type == wire.FramePong {
+			t.Fatalf("stream %d was opened past the cap of %d", maxStreams+1, maxStreams)
+		}
+	}
+	honest.send(wire.Frame{Type: wire.FrameRequest, RequestID: 1, Verb: "echo", Payload: []byte("x")})
+	if f := honest.expect(wire.FrameResponse, 1); string(f.Payload) != "echo:x" {
+		t.Errorf("second connection answered %q", f.Payload)
+	}
+}
+
+// TestStreamedCallsWaitForASlot: an honest client never opens more request
+// streams than the server holds, so twice maxStreams concurrent streamed
+// calls on one connection all succeed.
+func TestStreamedCallsWaitForASlot(t *testing.T) {
+	srv, err := ListenTCP("127.0.0.1:0", func(ctx context.Context, verb string, payload []byte) ([]byte, error) {
+		return []byte(fmt.Sprint(len(payload))), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payload := streamPayload(4, StreamThreshold+1)
+	errs := make(chan error, 2*maxStreams)
+	for i := 0; i < 2*maxStreams; i++ {
+		go func() {
+			out, err := conn.Call(context.Background(), "put", payload)
+			if err == nil && string(out) != fmt.Sprint(len(payload)) {
+				err = fmt.Errorf("answered %q", out)
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < 2*maxStreams; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("streamed call: %v", err)
+		}
 	}
 }

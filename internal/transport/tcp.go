@@ -171,31 +171,36 @@ func newServerConnState() *serverConnState {
 	}
 }
 
-// assembly returns the (possibly new) assembly of request id; st.mu held.
+// assembly returns the assembly of request id, opening one if there is
+// none; nil when the connection already holds maxStreams. st.mu held.
 func (st *serverConnState) assembly(id uint64) *assembly {
 	a := st.asm[id]
-	if a == nil {
+	if a == nil && len(st.asm) < maxStreams {
 		a = &assembly{}
 		st.asm[id] = a
 	}
 	return a
 }
 
-// beginStream handles a FrameStreamBegin; false means the announced stream
-// is refused and the sender should be cancelled. Whatever it announces — a
-// client's opening Begin announces nothing — it shows that the peer knows
-// the frame type, so response streams to it may be announced too.
-func (st *serverConnState) beginStream(id uint64, announce []byte) bool {
+// beginStream handles a FrameStreamBegin: refused means the announced
+// stream is refused and the sender should be cancelled, over that it would
+// open more than maxStreams. Whatever it announces — a client's opening
+// Begin announces nothing — it shows that the peer knows the frame type,
+// so response streams to it may be announced too.
+func (st *serverConnState) beginStream(id uint64, announce []byte) (refused, over bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.begins = true
 	total, ok := beginTotal(announce)
 	if !ok {
-		return true
+		return false, false
 	}
 	a := st.assembly(id)
+	if a == nil {
+		return false, true
+	}
 	a.begin(total)
-	return !a.poisoned
+	return a.poisoned, false
 }
 
 // announces reports whether response streams on this connection may open
@@ -208,20 +213,25 @@ func (st *serverConnState) announces() bool {
 }
 
 // chunkRoom returns the tail of the request's assembly for an n-byte chunk
-// to be read into, nil when the assembly is poisoned (over limit).
+// to be read into, nil when the assembly is poisoned (over limit) or could
+// not be opened.
 func (st *serverConnState) chunkRoom(id uint64, n int) []byte {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.assembly(id).tail(n)
+	if a := st.assembly(id); a != nil {
+		return a.tail(n)
+	}
+	return nil
 }
 
 // refused reports whether the request's stream is poisoned, so that its
-// sender should be cancelled rather than granted credit.
-func (st *serverConnState) refused(id uint64) bool {
+// sender should be cancelled rather than granted credit; over, that the
+// chunk found no assembly because the connection held maxStreams.
+func (st *serverConnState) refused(id uint64) (refused, over bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	a := st.asm[id]
-	return a != nil && a.poisoned
+	return a != nil && a.poisoned, a == nil
 }
 
 // finish removes and returns the assembled payload; ok is false when the
@@ -300,7 +310,7 @@ func (s *tcpServer) serveConn(c net.Conn) {
 	defer reqWG.Wait()
 	out := newFrameQueue(c, func(error) {
 		// A response that cannot be written strands every call pending on
-		// this connection: close the socket so the peer's failAll fires at
+		// this connection: close the socket so the peer's teardown fires at
 		// once instead of the client waiting out its timeout.
 		c.Close()
 	})
@@ -356,11 +366,21 @@ func (s *tcpServer) serveConn(c net.Conn) {
 		case wire.FrameRequest:
 			dispatch(f)
 		case wire.FrameStreamBegin:
-			if !st.beginStream(f.RequestID, f.Payload) {
+			refused, over := st.beginStream(f.RequestID, f.Payload)
+			if over {
+				// One stream past maxStreams is a protocol violation, as an
+				// oversized response stream is to the client.
+				return
+			}
+			if refused {
 				_ = out.send(wire.Frame{Type: wire.FrameCancel, RequestID: f.RequestID})
 			}
 		case wire.FrameChunk:
-			if st.refused(f.RequestID) {
+			refused, over := st.refused(f.RequestID)
+			if over {
+				return // as for a Begin past maxStreams
+			}
+			if refused {
 				_ = out.send(wire.Frame{Type: wire.FrameCancel, RequestID: f.RequestID})
 			} else {
 				_ = out.send(creditFrame(f.RequestID, len(f.Payload)))
@@ -393,24 +413,34 @@ func DialTCP(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dial %s: %w", addr, err)
 	}
+	return newTCPConn(nc), nil
+}
+
+func newTCPConn(nc net.Conn) *tcpConn {
 	c := &tcpConn{
 		nc:      nc,
 		pending: make(map[uint64]*clientCall),
+		streams: make(chan struct{}, maxStreams),
 	}
-	c.out = newFrameQueue(nc, func(error) { c.teardown() })
+	// The writer's own failure skips teardown's wait for the writer: it is
+	// the writer, and it reads no frame once it has failed.
+	c.out = newFrameQueue(nc, func(error) {
+		c.closeSocket()
+		c.failPending()
+	})
 	// An empty Begin for request id 0, which is never a call's, tells the
 	// server that this client understands the frame type (an older server
 	// ignores it): response streams on this connection may be announced.
 	_ = c.out.send(wire.Frame{Type: wire.FrameStreamBegin})
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // clientCall is one in-flight request: its completion channel, the
 // incremental assembly of a streamed response, and — while the request
 // itself streams — the sender-side credit window.
 type clientCall struct {
-	ch  chan wire.Frame // buffered 1; closed by failAll
+	ch  chan wire.Frame // buffered 1; closed by failPending
 	asm assembly        // streamed-response assembly (readLoop's, under c.mu)
 	win *streamWindow   // non-nil only while the request streams out
 }
@@ -418,12 +448,13 @@ type clientCall struct {
 type tcpConn struct {
 	nc      net.Conn
 	out     *frameQueue
-	mu      sync.Mutex // guards pending and closed
+	streams chan struct{} // a slot per streamed request in flight, ≤ maxStreams
+	mu      sync.Mutex    // guards pending and closed
 	pending map[uint64]*clientCall
-	// closed is set by failAll under mu and re-checked at registration under
-	// the same mutex: a request can never slip into pending after failAll has
-	// drained it (a request registered then would hang forever — no reader is
-	// left to complete it).
+	// closed is set by failPending under mu and re-checked at registration
+	// under the same mutex: a request can never slip into pending after
+	// failPending has drained it (a request registered then would hang
+	// forever — no reader is left to complete it).
 	closed    bool
 	nextID    atomic.Uint64
 	closeOnce sync.Once
@@ -448,7 +479,7 @@ func (c *tcpConn) readLoop() {
 	for {
 		f, err := wire.ReadFrameInto(br, place)
 		if err != nil {
-			c.failAll()
+			c.teardown()
 			return
 		}
 		switch f.Type {
@@ -527,8 +558,8 @@ func (c *tcpConn) readLoop() {
 	}
 }
 
-func (c *tcpConn) failAll() {
-	c.out.close() // unblock senders and stream writers first
+// failPending fails every pending call with ErrClosed and refuses new ones.
+func (c *tcpConn) failPending() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
@@ -541,11 +572,22 @@ func (c *tcpConn) failAll() {
 	}
 }
 
-// teardown is the internal hard stop: close the socket (ending readLoop)
-// and fail every pending call.
-func (c *tcpConn) teardown() {
-	c.closeOnce.Do(func() { c.nc.Close() })
-	c.failAll()
+func (c *tcpConn) closeSocket() (err error) {
+	c.closeOnce.Do(func() { err = c.nc.Close() })
+	return err
+}
+
+// teardown is the hard stop. It closes the socket, which ends readLoop and
+// releases a writer blocked in Write, and waits for the writer to exit
+// before it fails the pending calls. So a call that fails with ErrClosed
+// leaves no frame of its payload to be read: a ResilientConn may resend it
+// on a new connection, and once that succeeds its caller reuses the buffer.
+func (c *tcpConn) teardown() error {
+	err := c.closeSocket()
+	c.out.close()
+	c.out.wait()
+	c.failPending()
+	return err
 }
 
 // register allocates a request id and its pending entry; ok is false when
@@ -591,6 +633,17 @@ func (c *tcpConn) abandon(id uint64) {
 
 func (c *tcpConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, error) {
 	streaming := f.Type == wire.FrameRequest && len(f.Payload) > StreamThreshold
+	if streaming {
+		// The server holds at most maxStreams request streams open. A slot
+		// is released after abandon has queued its FrameCancel, which the
+		// server reads before the next stream's first frame.
+		select {
+		case c.streams <- struct{}{}:
+			defer func() { <-c.streams }()
+		case <-ctx.Done():
+			return wire.Frame{}, ctx.Err()
+		}
+	}
 	id, pc, ok := c.register(streaming)
 	if !ok {
 		return wire.Frame{}, ErrClosed
@@ -606,6 +659,9 @@ func (c *tcpConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, erro
 	}
 	if err != nil {
 		c.abandon(id)
+		if errors.Is(err, ErrClosed) {
+			c.out.wait() // as teardown does: the writer may still hold a frame of f
+		}
 		return wire.Frame{}, fmt.Errorf("send: %w", err)
 	}
 
@@ -712,14 +768,9 @@ func (c *tcpConn) Ping(ctx context.Context) error {
 	return nil
 }
 
-// Close implements Conn. closeOnce guards the socket close (rather than the
-// closed flag: readLoop's failAll sets that on disconnect without closing
-// the socket, and Close must still release it afterwards).
+// Close implements Conn.
 func (c *tcpConn) Close() error {
-	var err error
-	c.closeOnce.Do(func() { err = c.nc.Close() })
-	c.failAll()
-	if err != nil && !errors.Is(err, io.ErrClosedPipe) {
+	if err := c.teardown(); err != nil && !errors.Is(err, io.ErrClosedPipe) {
 		return err
 	}
 	return nil

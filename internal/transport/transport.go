@@ -63,7 +63,9 @@ func ChainFrom(ctx context.Context) string {
 
 // Conn is a client connection to one remote site.
 type Conn interface {
-	// Call sends a request and waits for the matching response.
+	// Call sends a request and waits for the matching response. Once Call
+	// has returned nil, the carrier never reads payload again, so the caller
+	// may reuse it. After an error it may still be read.
 	Call(ctx context.Context, verb string, payload []byte) ([]byte, error)
 	// Ping checks liveness.
 	Ping(ctx context.Context) error

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -71,97 +69,4 @@ func fromJSONValue(raw any) (Value, error) {
 	default:
 		return Null, fmt.Errorf("%w: unsupported JSON node %T", ErrBadType, raw)
 	}
-}
-
-// ToJSON renders a model value as JSON. Bytes render as a base64-free hex
-// string under {"$bytes": "…"}; Refs as {"$ref": "…"}; Times as RFC 3339
-// strings. Map keys are emitted sorted for deterministic output.
-func ToJSON(v Value) ([]byte, error) {
-	var sb strings.Builder
-	if err := writeJSON(&sb, v); err != nil {
-		return nil, err
-	}
-	return []byte(sb.String()), nil
-}
-
-func writeJSON(sb *strings.Builder, v Value) error {
-	switch v.Kind() {
-	case KindNull:
-		sb.WriteString("null")
-	case KindBool:
-		b, _ := v.Bool()
-		sb.WriteString(strconv.FormatBool(b))
-	case KindInt:
-		i, _ := v.Int()
-		sb.WriteString(strconv.FormatInt(i, 10))
-	case KindFloat:
-		f, _ := v.Float()
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("%w: %v has no JSON representation", ErrBadType, f)
-		}
-		sb.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
-	case KindString:
-		s, _ := v.Str()
-		writeJSONString(sb, s)
-	case KindBytes:
-		b, _ := v.Bytes()
-		sb.WriteString(`{"$bytes":`)
-		writeJSONString(sb, hexEncode(b))
-		sb.WriteByte('}')
-	case KindRef:
-		r, _ := v.Ref()
-		sb.WriteString(`{"$ref":`)
-		writeJSONString(sb, r)
-		sb.WriteByte('}')
-	case KindTime:
-		sb.WriteString(strconv.Quote(v.String()))
-	case KindList:
-		l, _ := v.List()
-		sb.WriteByte('[')
-		for i, e := range l {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			if err := writeJSON(sb, e); err != nil {
-				return err
-			}
-		}
-		sb.WriteByte(']')
-	case KindMap:
-		m, _ := v.Map()
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		sb.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			writeJSONString(sb, k)
-			sb.WriteByte(':')
-			if err := writeJSON(sb, m[k]); err != nil {
-				return err
-			}
-		}
-		sb.WriteByte('}')
-	default:
-		return fmt.Errorf("%w: kind %s has no JSON representation", ErrBadType, v.Kind())
-	}
-	return nil
-}
-
-func writeJSONString(sb *strings.Builder, s string) {
-	enc, _ := json.Marshal(s) // strings always marshal
-	sb.Write(enc)
-}
-
-func hexEncode(b []byte) string {
-	const hexDigits = "0123456789abcdef"
-	out := make([]byte, 0, len(b)*2)
-	for _, c := range b {
-		out = append(out, hexDigits[c>>4], hexDigits[c&0xf])
-	}
-	return string(out)
 }

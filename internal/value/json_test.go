@@ -48,57 +48,3 @@ func TestFromJSONErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestToJSON(t *testing.T) {
-	tests := []struct {
-		name string
-		in   Value
-		want string
-	}{
-		{"null", Null, `null`},
-		{"bool", True, `true`},
-		{"int", NewInt(-3), `-3`},
-		{"float", NewFloat(2.5), `2.5`},
-		{"string escaped", NewString("a\"b"), `"a\"b"`},
-		{"list", NewListOf(NewInt(1), NewString("x")), `[1,"x"]`},
-		{"map sorted", NewMap(map[string]Value{"b": NewInt(2), "a": NewInt(1)}), `{"a":1,"b":2}`},
-		{"bytes", NewBytes([]byte{0xAB, 0x01}), `{"$bytes":"ab01"}`},
-		{"ref", NewRef("oid"), `{"$ref":"oid"}`},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, err := ToJSON(tt.in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != tt.want {
-				t.Errorf("ToJSON = %s, want %s", got, tt.want)
-			}
-		})
-	}
-	if _, err := ToJSON(NewFloat(nan())); !errors.Is(err, ErrBadType) {
-		t.Errorf("NaN: %v", err)
-	}
-}
-
-// Round trip: JSON-representable values survive ToJSON → FromJSON.
-func TestJSONRoundTrip(t *testing.T) {
-	vals := []Value{
-		Null, True, NewInt(123), NewFloat(0.5), NewString("héllo"),
-		NewListOf(NewInt(1), NewListOf(NewString("nested"))),
-		NewMap(map[string]Value{"a": NewInt(1), "b": NewListOf(False)}),
-	}
-	for _, v := range vals {
-		enc, err := ToJSON(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := FromJSON(enc)
-		if err != nil {
-			t.Fatalf("FromJSON(%s): %v", enc, err)
-		}
-		if !back.Equal(v) {
-			t.Errorf("round trip %s: got %v", enc, back)
-		}
-	}
-}

@@ -3,8 +3,8 @@ package wire
 // Golden vectors for the value codec. The testdata files were captured
 // from the pre-compaction struct layout of value.Value (the 120-byte
 // tagged union); the tests assert that the current representation —
-// whatever its in-memory shape — produces byte-identical wire and JSON
-// encodings and decodes the captured bytes back to equal values. Run with
+// whatever its in-memory shape — produces byte-identical wire encodings
+// and decodes the captured bytes back to equal values. Run with
 // -update to re-capture (only legitimate when the *format* changes, never
 // for a representation change).
 
@@ -26,12 +26,10 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden testdata files")
 
 // goldenEntry is one captured vector: the value is reconstructed from
-// Wire, and JSON is the expected value.ToJSON rendering ("" when the value
-// has no JSON representation, e.g. NaN).
+// Wire.
 type goldenEntry struct {
 	Name string `json:"name"`
 	Wire string `json:"wire"` // hex of the wire encoding
-	JSON string `json:"json"`
 }
 
 // goldenCorpus enumerates values covering every kind, the encoding edge
@@ -185,11 +183,7 @@ func TestValueGoldenVectors(t *testing.T) {
 	if *updateGolden {
 		var entries []goldenEntry
 		for _, c := range corpus {
-			e := goldenEntry{Name: c.name, Wire: hex.EncodeToString(EncodeValue(c.v))}
-			if j, err := value.ToJSON(c.v); err == nil {
-				e.JSON = string(j)
-			}
-			entries = append(entries, e)
+			entries = append(entries, goldenEntry{Name: c.name, Wire: hex.EncodeToString(EncodeValue(c.v))})
 		}
 		writeGolden(t, "value_golden.json", entries)
 		t.Logf("captured %d vectors", len(entries))
@@ -225,24 +219,13 @@ func TestValueGoldenVectors(t *testing.T) {
 			if got := hex.EncodeToString(EncodeValue(dec)); got != g.Wire {
 				t.Errorf("re-encode of decoded value drifted:\n got %s\nwant %s", got, g.Wire)
 			}
-			j, err := value.ToJSON(c.v)
-			if err != nil {
-				if g.JSON != "" {
-					t.Errorf("ToJSON failed (%v) but golden has %q", err, g.JSON)
-				}
-				return
-			}
-			if string(j) != g.JSON {
-				t.Errorf("JSON drifted:\n got %s\nwant %s", j, g.JSON)
-			}
 		})
 	}
 }
 
 // TestValueRoundTripProperty is the property-style sweep: a larger seeded
 // random population (not stored as golden) must round-trip the wire codec
-// to Equal values with stable re-encodings, and JSON-native values must
-// survive ToJSON→FromJSON.
+// to Equal values with stable re-encodings.
 func TestValueRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	for i := 0; i < 500; i++ {
@@ -264,49 +247,5 @@ func TestValueRoundTripProperty(t *testing.T) {
 		if inPlace, err := DecodeValueInPlace(enc); err != nil || !inPlace.Equal(v) {
 			t.Fatalf("#%d: in-place decode = %v, %v; want %v", i, inPlace, err, v)
 		}
-		if jsonNative(v) {
-			j, err := value.ToJSON(v)
-			if err != nil {
-				t.Fatalf("#%d %v: ToJSON: %v", i, v, err)
-			}
-			back, err := value.FromJSON(j)
-			if err != nil {
-				t.Fatalf("#%d: FromJSON: %v", i, err)
-			}
-			if !value.LooseEqual(back, v) && !back.Equal(v) {
-				t.Fatalf("#%d: JSON round trip drifted:\n in %v\nout %v", i, v, back)
-			}
-		}
-	}
-}
-
-// jsonNative reports whether v uses only kinds that survive a
-// ToJSON→FromJSON round trip unchanged (bytes/ref/time re-enter as maps
-// and strings by design, and non-finite floats have no JSON form).
-func jsonNative(v value.Value) bool {
-	switch v.Kind() {
-	case value.KindNull, value.KindBool, value.KindInt, value.KindString:
-		return true
-	case value.KindFloat:
-		f, _ := v.Float()
-		return !math.IsNaN(f) && !math.IsInf(f, 0)
-	case value.KindList:
-		l, _ := v.List()
-		for _, e := range l {
-			if !jsonNative(e) {
-				return false
-			}
-		}
-		return true
-	case value.KindMap:
-		m, _ := v.Map()
-		for _, e := range m {
-			if !jsonNative(e) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
 	}
 }

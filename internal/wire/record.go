@@ -40,14 +40,22 @@ const (
 // the Codec it is handed escapes, so it is pooled.
 var codecs = sync.Pool{New: func() any { return new(Codec) }}
 
-// EncodeRecord encodes the record fields describes, in a buffer sized by a
-// first walk over the same fields, so it is allocated once.
-func EncodeRecord(fields func(*Codec)) []byte {
+// EncodeRecord encodes the record fields describes in a buffer of its own,
+// allocated once and exactly sized.
+func EncodeRecord(fields func(*Codec)) []byte { return AppendRecord(nil, fields) }
+
+// AppendRecord appends the record fields describes to dst. A first walk
+// over the same fields sizes it, so dst grows at most once, to exactly the
+// room the record needs.
+func AppendRecord(dst []byte, fields func(*Codec)) []byte {
 	c := codecs.Get().(*Codec)
 	defer codecs.Put(c)
 	*c = Codec{op: opSize}
 	c.record(fields)
-	c.op, c.w.buf = opEncode, make([]byte, 0, c.size)
+	if cap(dst)-len(dst) < c.size {
+		dst = append(make([]byte, 0, len(dst)+c.size), dst...)
+	}
+	c.op, c.w.buf = opEncode, dst
 	c.record(fields)
 	out := c.w.buf
 	*c = Codec{}
