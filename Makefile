@@ -87,11 +87,13 @@ race-core-cpu:
 	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/security
 
 # race-hadas-cpu does the same where Home's compare-and-swap loops live:
-# the container, admission and arrival tests of internal/hadas; and where a
+# the container, admission and arrival tests of internal/hadas, with the
+# dedup table's acknowledgements (concurrent dispatches share a pending set
+# at the origin and an unacknowledged list at the destination); and where a
 # request buffer is reused once its call returns: the ownership tests of
 # hadas and transport, with the per-connection stream cap.
 race-hadas-cpu:
-	$(GO) test -race -cpu 1,2,4 -run 'Home|Contention|Concurrent|Arrival|Aliased|FailedCallKeeps|RetriedDispatch' ./internal/hadas
+	$(GO) test -race -cpu 1,2,4 -run 'Home|Contention|Concurrent|Arrival|Aliased|FailedCallKeeps|RetriedDispatch|InDoubtOutlives|DedupCap|CrashLosesAckBatch' ./internal/hadas
 	$(GO) test -race -cpu 1,2,4 -run 'CallerOwnsPayload|TeardownWaitsForWriter|StreamIDCap|WaitForASlot' ./internal/transport
 
 # fuzz-short runs the wire frame reader against its whole-body reference

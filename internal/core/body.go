@@ -90,13 +90,22 @@ var _ Body = (*scriptBody)(nil)
 // Sharing the parsed literal is safe because a scriptBody already serves
 // every concurrent invocation from one *FnLit: ParseFunction finishes
 // resolving it before returning and the interpreter never writes to a
-// parsed function. The cache is capacity-bounded and simply stops
-// admitting new entries at the cap (no eviction churn; a site's steady
-// working set of mobile bodies is small).
-var scriptCache sync.Map // source string → *scriptCacheEntry
-var scriptCacheSize atomic.Int64
+// parsed function. A full cache is swapped for an empty one, so a peer
+// that lands scriptCacheCap distinct bodies costs the process one round of
+// re-parsing, and a site's steady working set of mobile bodies refills it
+// at once.
+var scriptCache atomic.Pointer[scriptCacheGen]
+
+func init() { scriptCache.Store(new(scriptCacheGen)) }
 
 const scriptCacheCap = 1024
+
+// scriptCacheGen is one generation of the cache: source string →
+// *scriptCacheEntry, and how many entries it holds.
+type scriptCacheGen struct {
+	m    sync.Map
+	size atomic.Int64
+}
 
 type scriptCacheEntry struct {
 	fn    *mscript.FnLit
@@ -106,7 +115,8 @@ type scriptCacheEntry struct {
 // NewScriptBody parses src as a function literal and verifies it is mobile
 // (self-contained up to the host bindings self/args/ctx).
 func NewScriptBody(src string) (Body, error) {
-	if e, ok := scriptCache.Load(src); ok {
+	gen := scriptCache.Load()
+	if e, ok := gen.m.Load(src); ok {
 		ent := e.(*scriptCacheEntry)
 		return &scriptBody{fn: ent.fn, src: ent.canon}, nil
 	}
@@ -118,10 +128,12 @@ func NewScriptBody(src string) (Body, error) {
 		return nil, fmt.Errorf("script body: %w", err)
 	}
 	canon := (&mscript.Closure{Fn: fn}).Source()
-	if scriptCacheSize.Load() < scriptCacheCap {
-		if _, loaded := scriptCache.LoadOrStore(src, &scriptCacheEntry{fn: fn, canon: canon}); !loaded {
-			scriptCacheSize.Add(1)
-		}
+	if gen.size.Load() >= scriptCacheCap {
+		scriptCache.CompareAndSwap(gen, new(scriptCacheGen)) // a racing swap won: use its generation
+		gen = scriptCache.Load()
+	}
+	if _, loaded := gen.m.LoadOrStore(src, &scriptCacheEntry{fn: fn, canon: canon}); !loaded {
+		gen.size.Add(1)
 	}
 	return &scriptBody{fn: fn, src: canon}, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/mscript"
@@ -274,5 +275,29 @@ func TestACLImageRoundTrip(t *testing.T) {
 	evil := security.Principal{Object: gen.New(), Domain: "evil.corp"}
 	if e, _ := back.Decide(evil, security.ActionGet); e != security.Deny {
 		t.Error("deny entry lost")
+	}
+}
+
+// TestScriptCacheKeepsAdmitting: a peer that lands more distinct bodies
+// than the cache holds must not turn parse caching off. After
+// scriptCacheCap+1 distinct sources, a new source parsed twice is served
+// from the cache the second time (one parsed literal, shared).
+func TestScriptCacheKeepsAdmitting(t *testing.T) {
+	for i := 0; i <= scriptCacheCap; i++ {
+		if _, err := NewScriptBody(fmt.Sprintf("fn() { return %d; }", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := "fn(x) { return x + 1025; }"
+	first, err := NewScriptBody(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := NewScriptBody(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.(*scriptBody).fn != again.(*scriptBody).fn {
+		t.Error("a repeated source was parsed again: the full cache stopped admitting")
 	}
 }

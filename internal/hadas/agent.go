@@ -89,6 +89,7 @@ func (s *Site) DispatchAgent(name, peerName string) (value.Value, error) {
 	// PREPARE: the journal record (with the full image) is durable before
 	// the agent is retired, so a crash at any later point can reinstate it.
 	mid := s.gen.New().String()
+	num, acked := s.prepareMigration(peerName)
 	rec := &migrationRecord{
 		MID:    mid,
 		Name:   name,
@@ -96,10 +97,12 @@ func (s *Site) DispatchAgent(name, peerName string) (value.Value, error) {
 		State:  migrationPrepared,
 		WasAPO: wasAPO,
 		Image:  wire.EncodeImage(img),
-		Seq:    s.arrivalSeq(),
+		Seq:    s.arrSeq.Load(),
+		Num:    num,
 		Born:   time.Now().UnixNano(),
 	}
 	if err := s.putMigration(rec); err != nil {
+		s.abortMigration(rec)
 		return value.Null, fmt.Errorf("dispatch %q: journal: %w", name, err)
 	}
 
@@ -109,7 +112,7 @@ func (s *Site) DispatchAgent(name, peerName string) (value.Value, error) {
 	// re-registers it here — retiring afterwards would erase the returned
 	// incarnation.
 	s.retireAgent(name, obj.ID())
-	req := dispatchReq{s.cfg.Name, name, rec.Image, mid}
+	req := dispatchReq{s.cfg.Name, name, rec.Image, mid, num, acked}
 	var rep dispatchReply
 	if err := s.callPeer(peerName, verbDispatch, "", req.Fields, rep.Fields); err != nil {
 		if definiteDispatchFailure(err) {
@@ -197,25 +200,26 @@ func (s *Site) handleDispatch(ctx context.Context, req *dispatchReq) (func(*wire
 		return nil, fmt.Errorf("%w: agent needs a name", core.ErrArity)
 	}
 	var arr *arrival
+	var batch map[string][]byte
 	if req.MID != "" {
-		prev, owner := s.claimArrival(req.MID, name, fromSite)
+		prev, owner, gone := s.claimArrival(req)
 		if !owner {
 			return s.arrivalOutcome(ctx, prev)
 		}
-		arr = prev
+		arr, batch = prev, gone
 	}
 	img, err := wire.DecodeImage(raw)
 	if err != nil {
-		return nil, s.failArrival(arr, fmt.Errorf("arriving agent: %w", err))
+		return nil, s.failArrival(arr, batch, fmt.Errorf("arriving agent: %w", err))
 	}
 	agent, err := s.materialize(img)
 	if err != nil {
-		return nil, s.failArrival(arr, fmt.Errorf("arriving agent: %w", err))
+		return nil, s.failArrival(arr, batch, fmt.Errorf("arriving agent: %w", err))
 	}
 	// A refused admission is answered as an error: the origin sees a
 	// definite failure and reinstates its copy.
 	if err := s.admit(name, agent, true); err != nil {
-		return nil, s.failArrival(arr, err)
+		return nil, s.failArrival(arr, batch, err)
 	}
 	s.log("agent %s arrived from %s", name, fromSite)
 
@@ -223,7 +227,7 @@ func (s *Site) handleDispatch(ctx context.Context, req *dispatchReq) (func(*wire
 	// runs. From here the origin commits; an arrival handler's error (or
 	// a crash during it) can no longer resurrect the origin copy.
 	if arr != nil {
-		s.recordInstalled(arr, agent.ID(), raw)
+		s.recordInstalled(arr, batch, agent.ID(), raw)
 	}
 
 	hop := value.NewMap(map[string]value.Value{

@@ -216,7 +216,7 @@ func TestArrivalCannotTakeBoundName(t *testing.T) {
 		before := tablesOf(b, name, agent)
 		// Sent as a raw protocol request: the origin's own rule would not
 		// let an APO be called "ioo" in the first place.
-		req := dispatchReq{"a", name, wire.EncodeImage(img), a.gen.New().String()}
+		req := dispatchReq{Site: "a", Name: name, Agent: wire.EncodeImage(img), MID: a.gen.New().String()}
 		var rep dispatchReply
 		err = a.callPeer("b", verbDispatch, "", req.Fields, rep.Fields)
 		var remote *transport.RemoteError

@@ -5,14 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/transport"
 	"repro/internal/value"
+	"repro/internal/wire"
 )
 
 // The journal model (DESIGN.md §9): the migration protocol driven over a
@@ -25,7 +28,11 @@ import (
 // epoch: one live copy of every agent, found by the status trace from its
 // birth site; no migration left in doubt; onArrival once per landing; and
 // the live copy carries what its journey gathered — every landing bumps a
-// counter, and no copy may be older than an image some landing read.
+// counter, and no copy may be older than an image some landing read. Two
+// more hold the destination's table to the acknowledgements it received: a
+// migration its origin still holds unresolved is never answered "unknown"
+// once the agent landed, and a record a dispatch acknowledged, that nothing
+// is replayed from and that is not its name's youngest, has left.
 
 var errCrashed = errors.New("site crashed")
 
@@ -34,9 +41,14 @@ var errCrashed = errors.New("site crashed")
 type crashStore struct {
 	*persist.MemStore
 	mu       sync.Mutex
-	barriers int  // barriers applied
-	crashAt  int  // the site dies once this many are applied; 0 never
+	barriers int  // barriers counted
+	crashAt  int  // the site dies once this many are counted; 0 never
+	lose     bool // the barrier it dies at is lost instead of applied
 	dead     bool // later writes are dropped
+	// landed names the agent of every arrival record a remote dispatch
+	// journaled here, by slot: the table lets records go, the count of
+	// landings stays.
+	landed map[string]string
 }
 
 func (c *crashStore) barrier(apply func() error) error {
@@ -47,17 +59,56 @@ func (c *crashStore) barrier(apply func() error) error {
 	}
 	c.barriers++
 	c.dead = c.barriers == c.crashAt
+	if c.dead && c.lose {
+		return errCrashed
+	}
 	return apply()
 }
 
+// noteLanding records an arrival slot's first journaled write (mu held).
+func (c *crashStore) noteLanding(slot string, data []byte) {
+	if _, seen := c.landed[slot]; seen || data == nil || !strings.HasPrefix(slot, arrivalSlotPrefix) {
+		return
+	}
+	if a, err := decodeArrival(data); err == nil && a.from != "" {
+		c.landed[slot] = a.name
+	}
+}
+
 func (c *crashStore) Put(slot string, data []byte) error {
-	return c.barrier(func() error { return c.MemStore.Put(slot, data) })
+	return c.barrier(func() error {
+		c.noteLanding(slot, data)
+		return c.MemStore.Put(slot, data)
+	})
 }
 func (c *crashStore) Delete(slot string) error {
 	return c.barrier(func() error { return c.MemStore.Delete(slot) })
 }
 func (c *crashStore) PutAll(batch map[string][]byte) error {
-	return c.barrier(func() error { return c.MemStore.PutAll(batch) })
+	return c.barrier(func() error {
+		for slot, data := range batch {
+			c.noteLanding(slot, data)
+		}
+		return c.MemStore.PutAll(batch)
+	})
+}
+
+// landings counts the arrival records journaled here, by agent.
+func (c *crashStore) landings() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := map[string]int{}
+	for _, agent := range c.landed {
+		out[agent]++
+	}
+	return out
+}
+
+func (c *crashStore) hasLanded(mid string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.landed[arrivalSlot(mid)]
+	return ok
 }
 func (c *crashStore) Sync() error { return c.barrier(c.MemStore.Sync) }
 
@@ -75,7 +126,7 @@ func (c *crashStore) crashAfter(k int) {
 // restart is the disk after a reboot: everything applied, nothing armed.
 func (c *crashStore) restart() {
 	c.mu.Lock()
-	c.dead, c.crashAt = false, 0
+	c.dead, c.crashAt, c.lose = false, 0, false
 	c.mu.Unlock()
 }
 
@@ -93,15 +144,18 @@ func (c *crashStore) isDead() bool {
 
 // crashConn is a wire either end of which may be dead: nothing leaves a
 // dead site, nothing reaches one, and a reply that crosses a death is lost.
+// sent sees every request that goes out.
 type crashConn struct {
 	transport.Conn
-	cut func() bool
+	cut  func() bool
+	sent func(verb string, payload []byte)
 }
 
 func (c *crashConn) Call(ctx context.Context, verb string, payload []byte) ([]byte, error) {
 	if c.cut() {
 		return nil, errCrashed
 	}
+	c.sent(verb, payload)
 	out, err := c.Conn.Call(ctx, verb, payload)
 	if c.cut() {
 		return nil, errCrashed
@@ -132,6 +186,9 @@ type journalModel struct {
 	runs     map[[2]string]int // {site, agent} → onArrival runs
 	cuts     map[string]int    // site → deaths so far
 	gathered map[string]int64  // agent → highest landings count an onArrival read
+	// acked is, by {destination, origin}, the highest Acked a dispatch
+	// delivered to the destination's running incarnation.
+	acked map[[2]string]int64
 }
 
 func newJournalModel(t *testing.T, cfg Config, names ...string) *journalModel {
@@ -139,9 +196,10 @@ func newJournalModel(t *testing.T, cfg Config, names ...string) *journalModel {
 		t: t, net: transport.NewInProcNet(), names: names,
 		stores: map[string]*crashStore{}, sites: map[string]*Site{}, agents: map[string]string{},
 		runs: map[[2]string]int{}, cuts: map[string]int{}, gathered: map[string]int64{},
+		acked: map[[2]string]int64{},
 	}
 	for _, n := range names {
-		m.stores[n] = &crashStore{MemStore: persist.NewMemStore()}
+		m.stores[n] = &crashStore{MemStore: persist.NewMemStore(), landed: map[string]string{}}
 	}
 	for _, n := range names {
 		m.start(n, cfg)
@@ -169,8 +227,27 @@ func (m *journalModel) start(name string, cfg Config) {
 		}
 		return &crashConn{Conn: inner, cut: func() bool {
 			return m.stores[name].isDead() || m.stores[addr].isDead()
+		}, sent: func(verb string, payload []byte) {
+			var req dispatchReq
+			if verb != verbDispatch || wire.DecodeRecord(payload, req.Fields) != nil {
+				return
+			}
+			m.mu.Lock()
+			k := [2]string{addr, name}
+			m.acked[k] = max(m.acked[k], req.Acked)
+			m.mu.Unlock()
 		}}, nil
 	}
+	m.mu.Lock()
+	// A restarted destination forgets what it heard; a restarted origin
+	// numbers afresh above what it still holds pending, so a record it
+	// sends later may lie below an ack of its last incarnation.
+	for k := range m.acked {
+		if k[0] == name || k[1] == name {
+			delete(m.acked, k)
+		}
+	}
+	m.mu.Unlock()
 	s, err := NewSite(cfg)
 	if err != nil {
 		m.t.Fatal(err)
@@ -353,18 +430,9 @@ func (m *journalModel) check() error {
 		if rep := m.sites[n].MigrationReport(); len(rep) > 0 {
 			return fmt.Errorf("site %s: migration report %+v", n, rep)
 		}
-		// A landing is an arrival record; its handler ran exactly once,
-		// unless a death of this site fell between the two.
-		recs, err := scanJournal(m.sites[n], arrivalSlotPrefix, decodeArrival, func(string, error) {})
-		if err != nil {
-			return err
-		}
-		landed := map[string]int{}
-		for _, a := range recs {
-			if a.from != "" {
-				landed[a.name]++
-			}
-		}
+		// A landing is a journaled arrival record; its handler ran exactly
+		// once, unless a death of this site fell between the two.
+		landed := m.stores[n].landings()
 		unrun := 0
 		for agent := range m.agents {
 			runs := m.runs[[2]string{n, agent}]
@@ -375,6 +443,52 @@ func (m *journalModel) check() error {
 		}
 		if unrun > m.cuts[n] {
 			return fmt.Errorf("site %s: %d landings never ran onArrival, %d deaths", n, unrun, m.cuts[n])
+		}
+	}
+	return m.checkAcked()
+}
+
+// checkAcked: a record that a delivered dispatch acknowledged, that nothing
+// is replayed from and that is not its name's youngest has left the table.
+func (m *journalModel) checkAcked() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for k, acked := range m.acked {
+		s := m.sites[k[0]]
+		s.arrMu.Lock()
+		for name, recs := range s.arrByName {
+			for _, a := range recs[:len(recs)-1] {
+				if a.from == k[1] && a.num < acked && a.spent() {
+					s.arrMu.Unlock()
+					return fmt.Errorf("site %s kept %s's record %s of %s (%s, number %d) past its ack %d",
+						k[0], k[1], a.mid, name, a.state, a.num, acked)
+				}
+			}
+		}
+		s.arrMu.Unlock()
+	}
+	return nil
+}
+
+// checkInDoubt: a destination asked about a migration its origin still
+// holds unresolved does not answer "unknown" once the agent landed there.
+func (m *journalModel) checkInDoubt() error {
+	for _, n := range m.names {
+		for _, rec := range m.sites[n].pendingMigrations() {
+			if m.stores[rec.Dest].isDead() || !m.stores[rec.Dest].hasLanded(rec.MID) {
+				continue
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			fields, err := m.sites[rec.Dest].handleMigrationStatus(ctx, &statusReq{Site: n, MID: rec.MID})
+			cancel()
+			var rep statusReply
+			if err == nil {
+				err = wire.DecodeRecord(wire.EncodeRecord(fields), rep.Fields)
+			}
+			if err != nil || rep.State == "unknown" {
+				return fmt.Errorf("%s's unresolved migration %s of %s landed at %s, which answers %q (%v)",
+					n, rec.MID, rec.Name, rec.Dest, rep.State, err)
+			}
 		}
 	}
 	return nil
@@ -430,6 +544,41 @@ func TestCrashAtEveryBarrier(t *testing.T) {
 	}
 }
 
+// TestCrashLosesAckBatch: a destination dies at the barrier that was to
+// carry an acknowledgement's journal deletes. The record the ack let go in
+// memory replays, which is harmless, and the origin's next dispatch lets it
+// go again.
+func TestCrashLosesAckBatch(t *testing.T) {
+	m := newJournalModel(t, Config{}, "a", "b")
+	defer m.close()
+	m.addAgent("scout", "a")
+	m.dispatch("scout", "b", "")
+	m.dispatch("scout", "a", "")
+	first := arrivalSlots(t, m.sites["b"]) // scout's departed record
+	m.stores["b"].lose = true
+	m.stores["b"].crashAfter(1) // the installation that carries the ack
+	m.dispatch("scout", "b", "")
+	if !m.stores["b"].isDead() {
+		t.Fatal("b survived the barrier it was to die at")
+	}
+	if err := m.recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.check(); err != nil {
+		t.Fatal(err)
+	}
+	if got := arrivalSlots(t, m.sites["b"]); !reflect.DeepEqual(got, first) {
+		t.Fatalf("after the lost batch b journals %v, want the replayed %v", got, first)
+	}
+	m.dispatch("scout", "b", "")
+	if err := m.check(); err != nil {
+		t.Fatal(err)
+	}
+	if got := arrivalSlots(t, m.sites["b"]); len(got) != 1 || got[0] == first[0] {
+		t.Errorf("b journals %v; the replayed %v should have gone", got, first)
+	}
+}
+
 // modelOp is one step of a random history.
 type modelOp struct {
 	kind    string // dispatch | checkpoint | restart
@@ -477,6 +626,9 @@ func runHistory(t *testing.T, ops []modelOp) error {
 			m.dispatch(op.agent, op.site, op.bounce)
 			for _, st := range m.stores {
 				st.crashAfter(0)
+			}
+			if err := m.checkInDoubt(); err != nil {
+				return fmt.Errorf("step %d (%v): %w", i, op, err)
 			}
 		case "checkpoint":
 			if err := m.sites[op.site].PersistAll(); err != nil {

@@ -1,10 +1,12 @@
 package hadas
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -38,7 +40,7 @@ import (
 //	a retried dispatch returns the recorded outcome, never double-installs
 //	or re-runs onArrival — and installation is ACKed (recorded durably)
 //	*before* onArrival runs, so an arrival handler's failure can no longer
-//	resurrect the origin copy.
+//	resurrect the origin copy. A dispatch acks what its origin resolved.
 //
 // Recovery (BootstrapHome):
 //
@@ -101,6 +103,7 @@ type migrationRecord struct {
 	// *during* the dispatch call — and survive this departure's marking,
 	// in the live commit and in recovery's alike.
 	Seq int64
+	Num int64 // the migration's number at this site (0, acking nothing, in older journals)
 	// Born is the PREPARE wall-clock time (UnixNano) and Attempts counts
 	// failed resolution rounds; together they drive the orphan caps
 	// (Config.MaxMigrationAge / MaxMigrationAttempts).
@@ -116,13 +119,16 @@ func encodeMigrationRecord(r *migrationRecord) []byte {
 		"mid":    value.NewString(r.MID),
 		"name":   value.NewString(r.Name),
 		"dest":   value.NewString(r.Dest),
-		"state":  value.NewString(r.State),
 		"wasAPO": value.NewBool(r.WasAPO),
 		"image":  value.NewBytes(r.Image),
 		"seq":    value.NewInt(r.Seq),
+		"num":    value.NewInt(r.Num),
 		"born":   value.NewInt(r.Born),
 	}
-	if r.Attempts > 0 { // absent reads as 0; PREPARE stays an eight-key map
+	if r.State != migrationPrepared { // absent reads as prepared: PREPARE stays an eight-key map
+		m["state"] = value.NewString(r.State)
+	}
+	if r.Attempts > 0 { // absent reads as 0
 		m["tries"] = value.NewInt(int64(r.Attempts))
 	}
 	return encodeMap(m)
@@ -137,6 +143,7 @@ func decodeMigrationRecord(raw []byte) (*migrationRecord, error) {
 	wasAPO, _ := m["wasAPO"].Bool()
 	born, _ := m["born"].Int()
 	tries, _ := m["tries"].Int()
+	num, _ := m["num"].Int()
 	seq, ok := m["seq"].Int()
 	if !ok {
 		seq = math.MaxInt64 // a record from before the watermark was journaled
@@ -145,10 +152,11 @@ func decodeMigrationRecord(raw []byte) (*migrationRecord, error) {
 		MID:      field(m, "mid"),
 		Name:     field(m, "name"),
 		Dest:     field(m, "dest"),
-		State:    field(m, "state"),
+		State:    cmp.Or(field(m, "state"), migrationPrepared),
 		WasAPO:   wasAPO,
 		Image:    img,
 		Seq:      seq,
+		Num:      num,
 		Born:     born,
 		Attempts: int(tries),
 	}, nil
@@ -170,11 +178,41 @@ func (s *Site) writeJournal(step, mid string, batch map[string][]byte) error {
 	return err
 }
 
+// prepareMigration numbers a migration toward dest and returns the number
+// with the least one still unresolved toward dest, its own included.
+func (s *Site) prepareMigration(dest string) (num, acked int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.migSeq++
+	s.pendingTo[dest] = append(s.pendingTo[dest], s.migSeq)
+	return s.migSeq, slices.Min(s.pendingTo[dest])
+}
+
+// endMigration writes a migration's outcome batch and, once that is
+// durable, takes it off the pending set: the next dispatch acks it.
+func (s *Site) endMigration(step string, r *migrationRecord, batch map[string][]byte) error {
+	if err := s.writeJournal(step, r.MID, batch); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.pendingTo[r.Dest] = without(s.pendingTo[r.Dest], r.Num)
+	s.mu.Unlock()
+	return nil
+}
+
+// without removes x's first occurrence from xs.
+func without[T comparable](xs []T, x T) []T {
+	if i := slices.Index(xs, x); i >= 0 {
+		return slices.Delete(xs, i, i+1)
+	}
+	return xs
+}
+
 // abortMigration ends a migration whose agent was reinstated here: deleting
 // the record is the outcome. A crash before it leaves the PREPARE record,
 // which recovery resolves against the peer to the same answer.
 func (s *Site) abortMigration(r *migrationRecord) {
-	s.writeJournal("abort", r.MID, map[string][]byte{migrationSlot(r.MID): nil})
+	s.endMigration("abort", r, map[string][]byte{migrationSlot(r.MID): nil})
 }
 
 // commitMigration finalizes a successful hand-off in one atomic batch, the
@@ -189,7 +227,7 @@ func (s *Site) commitMigration(r *migrationRecord, id naming.ID) (back bool) {
 	batch := map[string][]byte{migrationSlot(r.MID): nil}
 	back = s.markAgentDeparted(r, id, batch)
 	if back || s.cfg.Store == nil || !s.scrubCheckpoint(r, id, batch) {
-		s.writeJournal("commit", r.MID, batch)
+		s.endMigration("commit", r, batch)
 	}
 	return back
 }
@@ -212,7 +250,7 @@ func (s *Site) scrubCheckpoint(r *migrationRecord, id naming.ID, batch map[strin
 	delete(ids, r.Name)
 	batch[homeManifestSlot] = encodeManifest(ids)
 	batch[id.String()] = nil
-	if s.writeJournal("commit", r.MID, batch) != nil {
+	if s.endMigration("commit", r, batch) != nil {
 		s.manifest = nil
 	}
 	return true
@@ -369,6 +407,7 @@ type arrival struct {
 	agentID naming.ID
 	image   []byte
 	seq     int64
+	num     int64 // the migration's number at its origin
 	state   string
 	result  value.Value
 	errMsg  string
@@ -378,10 +417,25 @@ type arrival struct {
 	// where it went.
 	next string
 	// checkpointed is set while the persisted Home manifest names the agent
-	// of a live record: replay no longer needs it, so the cap may evict it.
+	// of a live record: replay no longer needs it.
 	checkpointed bool
-	done         chan struct{}
+	// acked: the origin resolved the migration, so no retry or status query
+	// asks for the record again (a birth site's synthetic one: from the start).
+	acked bool
+	done  chan struct{}
 }
+
+// live reports whether replay reinstalls the agent from a.
+func (a *arrival) live() bool { return a.state == arrivalInstalled || a.state == arrivalDone }
+
+// spent reports whether nothing is replayed from a: departed, failed, or
+// live but named by a checkpoint.
+func (a *arrival) spent() bool {
+	return a.state == arrivalDeparted || a.state == arrivalFailed || a.checkpointed
+}
+
+// settled is the done channel of a record made settled.
+var settled = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
 func (s *Site) encodeArrival(a *arrival) []byte {
 	return encodeMap(map[string]value.Value{
@@ -391,6 +445,7 @@ func (s *Site) encodeArrival(a *arrival) []byte {
 		"agent":  value.NewString(a.agentID.String()),
 		"image":  value.NewBytes(a.image),
 		"seq":    value.NewInt(a.seq),
+		"num":    value.NewInt(a.num),
 		"state":  value.NewString(a.state),
 		"result": a.result,
 		"err":    value.NewString(a.errMsg),
@@ -409,8 +464,7 @@ func decodeArrival(raw []byte) (*arrival, error) {
 	}
 	img, _ := m["image"].Bytes()
 	seq, _ := m["seq"].Int()
-	done := make(chan struct{})
-	close(done) // replayed records are settled by definition
+	num, _ := m["num"].Int()
 	return &arrival{
 		mid:     field(m, "mid"),
 		name:    field(m, "name"),
@@ -418,61 +472,112 @@ func decodeArrival(raw []byte) (*arrival, error) {
 		agentID: id,
 		image:   img,
 		seq:     seq,
+		num:     num,
 		state:   field(m, "state"),
 		result:  m["result"],
 		errMsg:  field(m, "err"),
 		next:    field(m, "next"),
-		done:    done,
+		done:    settled, // a replayed record is settled by definition
 	}, nil
 }
 
 // claimArrival registers interest in a migration ID. The first caller owns
-// the installation (owner true); later callers get the existing entry and
-// must report its recorded outcome instead of re-installing.
-func (s *Site) claimArrival(mid, name, from string) (*arrival, bool) {
+// the installation (owner true) and gets the batch its first journal write
+// carries, with the deletes of the records req's ack let go; later callers
+// get the existing entry and report its recorded outcome instead.
+func (s *Site) claimArrival(req *dispatchReq) (a *arrival, owner bool, batch map[string][]byte) {
 	s.arrMu.Lock()
 	defer s.arrMu.Unlock()
-	if a, ok := s.arrivals[mid]; ok {
-		return a, false
+	if a, ok := s.arrivals[req.MID]; ok {
+		return a, false, nil
 	}
-	s.arrSeq++
-	a := &arrival{
-		mid:   mid,
-		name:  name,
-		from:  from,
-		seq:   s.arrSeq,
+	batch = make(map[string][]byte, 2)
+	recs := s.arrUnacked[req.Site]
+	kept := recs[:0]
+	for _, r := range recs {
+		if r.acked = r.num < req.Acked; r.acked {
+			s.settleArrivals(r.name, batch)
+		} else {
+			kept = append(kept, r)
+		}
+	}
+	clear(recs[len(kept):])
+	s.arrUnacked[req.Site] = kept
+	a = &arrival{
+		mid:   req.MID,
+		name:  req.Name,
+		from:  req.Site,
+		num:   req.Seq,
+		seq:   s.arrSeq.Add(1),
 		state: arrivalPending,
 		done:  make(chan struct{}),
 	}
-	s.arrivals[mid] = a
-	s.arrOrder = append(s.arrOrder, a)
-	return a, true
+	s.addArrival(a)
+	s.settleArrivals(a.name, batch)
+	return a, true, batch
 }
 
-// arrivalBatch is the journal write of a's current state, with the
-// evictions the table's cap asks for riding the same barrier (arrMu held).
-func (s *Site) arrivalBatch(a *arrival) map[string][]byte {
-	batch := map[string][]byte{arrivalSlot(a.mid): s.encodeArrival(a)}
+// addArrival enters a into the table and its indexes (arrMu held).
+func (s *Site) addArrival(a *arrival) {
+	s.arrivals[a.mid] = a
+	s.arrOrder = append(s.arrOrder, a)
+	s.arrByName[a.name] = append(s.arrByName[a.name], a)
+	if a.from == "" {
+		a.acked = true
+	} else {
+		s.arrUnacked[a.from] = append(s.arrUnacked[a.from], a)
+	}
+}
+
+// settleArrivals lets go of every record of an agent name that is acked,
+// replays nothing and is not the youngest, the forward pointer a trace
+// reads; their journal deletes join batch (arrMu held).
+func (s *Site) settleArrivals(name string, batch map[string][]byte) {
+	recs := s.arrByName[name] // forgetting one shifts only those after it
+	for i := len(recs) - 2; i >= 0; i-- {
+		if a := recs[i]; a.acked && a.spent() {
+			s.forgetArrival(a, batch)
+		}
+	}
+}
+
+// forgetArrival removes a from the table and its indexes, and its journal
+// slot through batch; failures were never journaled (arrMu held).
+func (s *Site) forgetArrival(a *arrival, batch map[string][]byte) {
+	delete(s.arrivals, a.mid)
+	s.arrOrder = without(s.arrOrder, a)
+	if s.arrByName[a.name] = without(s.arrByName[a.name], a); len(s.arrByName[a.name]) == 0 {
+		delete(s.arrByName, a.name)
+	}
+	if a.state != arrivalFailed {
+		batch[arrivalSlot(a.mid)] = nil
+	}
+}
+
+// arrivalBatch adds a's current state to batch, with the evictions the
+// table's cap asks for riding the same barrier (arrMu held).
+func (s *Site) arrivalBatch(a *arrival, batch map[string][]byte) map[string][]byte {
+	batch[arrivalSlot(a.mid)] = s.encodeArrival(a)
 	s.evictArrivals(batch)
 	return batch
 }
 
 // recordInstalled durably ACKs an installation *before* onArrival runs:
 // from this point the origin must commit, whatever the arrival handler
-// does.
-func (s *Site) recordInstalled(a *arrival, id naming.ID, image []byte) {
+// does. batch is what the claim let go.
+func (s *Site) recordInstalled(a *arrival, batch map[string][]byte, id naming.ID, image []byte) {
 	s.arrMu.Lock()
 	a.agentID = id
 	a.image = image
 	a.state = arrivalInstalled
-	s.arrByAgent[id] = append(s.arrByAgent[id], a)
-	batch := s.arrivalBatch(a)
+	s.arrivalBatch(a, batch)
 	s.arrMu.Unlock()
 	s.writeJournal("installed", a.mid, batch)
 }
 
-// completeArrival records onArrival's outcome and releases waiters. The
-// done transition only applies to a still-installed record: an arrival
+// completeArrival records onArrival's outcome and then releases waiters,
+// so a status query that sees the outcome sees a durable one. The done
+// transition only applies to a still-installed record: an arrival
 // handler that chains the agent onward commits that departure *inside*
 // onArrival, so by the time the outcome is recorded here the record may
 // already say departed — overwriting it with done would break the
@@ -487,30 +592,29 @@ func (s *Site) completeArrival(a *arrival, result value.Value, arrivalErr error)
 	if arrivalErr != nil {
 		a.errMsg = fmt.Sprintf("agent %q onArrival: %v", a.name, arrivalErr)
 	}
-	batch := s.arrivalBatch(a)
-	close(a.done)
+	batch := s.arrivalBatch(a, make(map[string][]byte, 1))
 	s.arrMu.Unlock()
 	s.writeJournal("done", a.mid, batch)
+	close(a.done)
 }
 
 // failArrival records an installation failure (nil a — a legacy dispatch
 // without a migration ID — is a no-op) and returns err for convenience.
 // Failures are kept in memory only: a crashed destination has nothing to
 // replay, and the origin's status query correctly reads absence as "the
-// agent never landed".
-func (s *Site) failArrival(a *arrival, err error) error {
+// agent never landed". batch, what the claim let go, is still written.
+func (s *Site) failArrival(a *arrival, batch map[string][]byte, err error) error {
 	if a == nil {
 		return err
 	}
-	evicted := map[string][]byte{}
 	s.arrMu.Lock()
 	a.state = arrivalFailed
 	a.errMsg = err.Error()
 	close(a.done)
-	s.evictArrivals(evicted)
+	s.evictArrivals(batch)
 	s.arrMu.Unlock()
-	if len(evicted) > 0 {
-		s.writeJournal("failed", a.mid, evicted)
+	if len(batch) > 0 {
+		s.writeJournal("failed", a.mid, batch)
 	}
 	return err
 }
@@ -535,122 +639,72 @@ func (s *Site) arrivalOutcome(ctx context.Context, a *arrival) (func(*wire.Codec
 	return rep.Fields, nil
 }
 
-// arrivalSeq returns the dedup-table watermark (the seq of the youngest
-// entry); arrivals claimed later have a larger seq.
-func (s *Site) arrivalSeq() int64 {
-	s.arrMu.Lock()
-	defer s.arrMu.Unlock()
-	return s.arrSeq
-}
-
 // markAgentDeparted marks arrival records of an agent that just migrated
 // onward, so a restart does not resurrect a copy that lives elsewhere.
 // Each record keeps the next hop, so a status query here can point an
 // itinerary trace at the site the agent went to. Only records claimed
 // before the dispatch began (seq ≤ watermark) are touched: an itinerary
 // looping home re-arrives mid-dispatch with a younger record, and that
-// incarnation stays.
+// incarnation stays. Marked records settleArrivals lets go leave with it.
 //
 // An agent leaving its birth site has no arrival record to mark; a
 // synthetic departed record (under the migration's own ID) is journaled
 // instead, so a trace can start at the agent's first home. The synthetic
-// record is skipped whenever ANY record for the agent exists — marked or
-// not — because a younger, watermark-protected incarnation must stay the
-// youngest answer the status query sees.
+// record is skipped whenever ANY live record for the agent exists — marked
+// or not — because a younger, watermark-protected incarnation must stay
+// the youngest answer the status query sees.
 func (s *Site) markAgentDeparted(rec *migrationRecord, id naming.ID, batch map[string][]byte) (back bool) {
 	next, watermark := rec.Dest, rec.Seq
 	s.arrMu.Lock()
 	defer s.arrMu.Unlock()
-	recs := s.arrByAgent[id]
-	kept := recs[:0]
-	for _, a := range recs {
-		if a.seq <= watermark {
-			a.state = arrivalDeparted
-			a.next = next
-			// Only installed/done records are ever replayed; a departed one
-			// keeps its place in the dedup table, not a copy of the agent.
-			a.image = nil
-			batch[arrivalSlot(a.mid)] = s.encodeArrival(a)
-		} else {
-			kept = append(kept, a)
+	found := false
+	for _, a := range s.arrByName[rec.Name] {
+		if a.agentID != id || !a.live() {
+			continue
 		}
-	}
-	// Departed is terminal for this index: the record can never need
-	// marking again, so only the surviving incarnations stay — the next
-	// departure's scan is O(live copies), not O(dedup table).
-	if len(kept) == 0 {
-		delete(s.arrByAgent, id)
-	} else {
-		s.arrByAgent[id] = kept
-	}
-	if len(recs) == 0 {
-		if _, dup := s.arrivals[rec.MID]; !dup {
-			s.arrSeq++
-			done := make(chan struct{})
-			close(done)
-			syn := &arrival{
-				mid:     rec.MID,
-				name:    rec.Name,
-				agentID: id,
-				seq:     s.arrSeq,
-				state:   arrivalDeparted,
-				next:    next,
-				done:    done,
-			}
-			s.arrivals[syn.mid] = syn
-			s.arrOrder = append(s.arrOrder, syn)
-			batch[arrivalSlot(syn.mid)] = s.encodeArrival(syn)
+		found = true
+		if a.seq > watermark {
+			back = true
+			continue
 		}
+		a.state = arrivalDeparted
+		a.next = next
+		// Only installed/done records are ever replayed; a departed one
+		// keeps its place in the dedup table, not a copy of the agent.
+		a.image = nil
+		batch[arrivalSlot(a.mid)] = s.encodeArrival(a)
 	}
+	if _, dup := s.arrivals[rec.MID]; !found && !dup {
+		syn := &arrival{
+			mid:     rec.MID,
+			name:    rec.Name,
+			agentID: id,
+			seq:     s.arrSeq.Add(1),
+			state:   arrivalDeparted,
+			next:    next,
+			done:    settled,
+		}
+		s.addArrival(syn)
+		batch[arrivalSlot(syn.mid)] = s.encodeArrival(syn)
+	}
+	s.settleArrivals(rec.Name, batch)
 	s.evictArrivals(batch)
-	return len(kept) > 0
-}
-
-// dropAgentIndex removes an evicted record from the by-agent index
-// (arrMu held). Records that never reached recordInstalled have no agent
-// identity and were never indexed.
-func (s *Site) dropAgentIndex(a *arrival) {
-	if a.agentID == (naming.ID{}) {
-		return
-	}
-	recs := s.arrByAgent[a.agentID]
-	for i, r := range recs {
-		if r == a {
-			recs = append(recs[:i], recs[i+1:]...)
-			break
-		}
-	}
-	if len(recs) == 0 {
-		delete(s.arrByAgent, a.agentID)
-	} else {
-		s.arrByAgent[a.agentID] = recs
-	}
+	return back
 }
 
 // evictArrivals caps the dedup table at Config.MaxArrivalRecords (arrMu
-// held): the oldest records nothing is replayed from — departed, failed,
-// or live but named by a checkpoint — leave the table, and the deletes of
-// their journal slots join batch, the write that made the table grow. An
-// in-flight record, or a live one that is its agent's only durable copy,
-// is stepped over and leaves when it departs. The cap must comfortably
-// exceed the window in which an origin might still retry or status-query
-// a migration, or an evicted record would read as "never landed".
+// held): the oldest acked records nothing replays — forward pointers, and
+// live ones a checkpoint names — leave, their slot deletes joining batch,
+// the write that made the table grow. An unacked record is never evicted:
+// its origin may still retry or ask, and it would read "never landed". So
+// in-flight and in-doubt migrations can hold the table over the cap; what
+// the cap bounds is how far back a trace can follow agents through a site.
 func (s *Site) evictArrivals(batch map[string][]byte) {
-	over, skipped := len(s.arrOrder)-s.maxArrivals(), 0
-	for over > 0 && skipped < len(s.arrOrder) {
-		a := s.arrOrder[skipped]
-		if a.state != arrivalDeparted && a.state != arrivalFailed && !a.checkpointed {
-			skipped++
-			continue
+	for i := 0; len(s.arrOrder) > s.maxArrivals() && i < len(s.arrOrder); i++ {
+		if a := s.arrOrder[i]; a.acked && a.spent() {
+			s.forgetArrival(a, batch)
+			i-- // the next record moved into i
 		}
-		copy(s.arrOrder[1:skipped+1], s.arrOrder[:skipped])
-		s.arrOrder = s.arrOrder[1:]
-		delete(s.arrivals, a.mid)
-		s.dropAgentIndex(a)
-		if a.state != arrivalFailed { // failures were never journaled
-			batch[arrivalSlot(a.mid)] = nil
-		}
-		over--
 	}
 }
 
@@ -728,16 +782,12 @@ func (s *Site) AgentArrivalStatus(name string) AgentStatus {
 	}
 	s.arrMu.Lock()
 	defer s.arrMu.Unlock()
-	var best *arrival
-	for _, a := range s.arrivals {
-		if a.name == name && (best == nil || a.seq > best.seq) {
-			best = a
-		}
-	}
-	if best == nil {
+	recs := s.arrByName[name]
+	if len(recs) == 0 {
 		return AgentStatus{State: "unknown"}
 	}
-	return AgentStatus{State: best.state, Next: best.next}
+	youngest := recs[len(recs)-1]
+	return AgentStatus{State: youngest.state, Next: youngest.next}
 }
 
 // AgentStatusAt asks a linked peer where an agent is: resident there, or
@@ -844,15 +894,9 @@ func (s *Site) replayArrivals() ([]string, error) {
 		if _, dup := s.arrivals[a.mid]; dup {
 			continue // already live in memory
 		}
-		if a.seq > s.arrSeq {
-			s.arrSeq = a.seq
-		}
-		s.arrivals[a.mid] = a
-		s.arrOrder = append(s.arrOrder, a)
-		if a.state == arrivalInstalled || a.state == arrivalDone {
-			// Only live incarnations enter the by-agent index; departed
-			// and failed records never need departure-marking again.
-			s.arrByAgent[a.agentID] = append(s.arrByAgent[a.agentID], a)
+		s.arrSeq.Store(max(s.arrSeq.Load(), a.seq))
+		s.addArrival(a) // unacknowledged until its origin's next dispatch
+		if a.live() {
 			live = append(live, a)
 		}
 	}

@@ -836,9 +836,12 @@ func TestConcurrentDispatchSameName(t *testing.T) {
 	}
 }
 
-// TestArrivalDedupPruning caps the dedup table of a site agents pass
-// through: the records they leave behind are departed, nothing is replayed
-// from them, and the oldest are evicted (memory and journal slots alike).
+// TestArrivalDedupPruning: agents that pass through b leave one departed
+// record each, the forward pointer a trace reads. a's next dispatch
+// acknowledges them, and past b's cap of two the oldest acknowledged
+// pointers are evicted, memory and journal slots alike. The youngest
+// record is not yet acknowledged and stays whatever the cap. A table that
+// let its youngest pointers go too would answer "unknown" for box2.
 func TestArrivalDedupPruning(t *testing.T) {
 	net := transport.NewInProcNet()
 	a := newMigSite(t, net, "a", persist.NewMemStore())
@@ -851,7 +854,8 @@ func TestArrivalDedupPruning(t *testing.T) {
 	link(t, a, "b")
 	link(t, b, "a")
 
-	for _, n := range []string{"box0", "box1", "box2", "box3"} {
+	boxes := []string{"box0", "box1", "box2", "box3"}
+	for _, n := range boxes {
 		inertAgent(t, a, n)
 		if _, err := a.DispatchAgent(n, "b"); err != nil {
 			t.Fatal(err)
@@ -864,6 +868,21 @@ func TestArrivalDedupPruning(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("arrival records after pruning = %v", recs)
 	}
+	for i, n := range boxes {
+		want := AgentStatus{State: "unknown"}
+		if i >= 2 {
+			want = AgentStatus{State: arrivalDeparted, Next: "a"}
+		}
+		if got := b.AgentArrivalStatus(n); got != want {
+			t.Errorf("%s at b: %+v, want %+v", n, got, want)
+		}
+	}
+	b.arrMu.Lock()
+	unacked := len(b.arrUnacked["a"])
+	b.arrMu.Unlock()
+	if unacked != 1 {
+		t.Errorf("%d records from a unacknowledged, want box3's alone", unacked)
+	}
 	// The journal mirrors the table: evicted slots are deleted.
 	arrSlots := arrivalSlots(t, b)
 	sort.Strings(arrSlots)
@@ -873,9 +892,13 @@ func TestArrivalDedupPruning(t *testing.T) {
 }
 
 // TestDedupCapKeepsResidentAgents: an agent that arrived and stayed has one
-// durable copy, its arrival record, until a checkpoint names it. The cap
-// evicted the oldest *settled* record, live ones included: with a cap of
-// two, four arrivals and a restart, the first two agents were gone.
+// durable copy, its arrival record, until a checkpoint names it; and its
+// origin may still ask about it until a later dispatch acknowledges it.
+// The cap evicted the oldest *settled* record, live ones included: with a
+// cap of two, four arrivals and a restart, the first two agents were gone.
+// Now it evicts only acknowledged records that replay nothing: four live
+// records stand over the cap until a checkpoint names their agents and
+// the next dispatch from a acknowledges them.
 func TestDedupCapKeepsResidentAgents(t *testing.T) {
 	net := transport.NewInProcNet()
 	a := newMigSite(t, net, "a", persist.NewMemStore())
@@ -909,20 +932,143 @@ func TestDedupCapKeepsResidentAgents(t *testing.T) {
 		}
 	}
 
-	// A checkpoint names all four: their records may go, the agents stay.
+	// A checkpoint names all four: replay no longer needs their records,
+	// but until a dispatch acknowledges them the cap does not touch them.
 	if err := b.PersistAll(); err != nil {
 		t.Fatal(err)
 	}
 	link(t, a, "b")
 	settle()
-	if got := len(b.ArrivalRecords()); got != 2 {
-		t.Fatalf("%d arrival records after a checkpoint, cap 2", got)
+	// The fifth dispatch acknowledged the four; the cap keeps the youngest
+	// of them, and the fifth record, which is live and unacknowledged.
+	b.arrMu.Lock()
+	var kept []string
+	for _, rec := range b.arrOrder {
+		kept = append(kept, rec.name)
+	}
+	b.arrMu.Unlock()
+	if want := []string{"settler-3", "settler-4"}; !reflect.DeepEqual(kept, want) {
+		t.Fatalf("arrival records after a checkpoint and an ack are %v's, want %v's (cap 2)", kept, want)
 	}
 	b = restartSite(t, net, b)
 	bootstrap(t, b)
 	for _, n := range names {
 		if got := copies(n, a, b); got != 1 {
 			t.Fatalf("%s has %d live copies after checkpoint and restart", n, got)
+		}
+	}
+}
+
+// TestInDoubtOutlivesDedupCap: an in-doubt origin's arrival record outlives
+// any traffic at its destination. a ships scout to b and hears neither the
+// reply nor the status answer. While a holds that migration in doubt it
+// sends a courier to b, b sends scout on to c, and three agents bounce
+// c → b → c through b's table of two. Healed, a resolves against b: the
+// agent landed, a commits, and scout lives at c alone. A cap that evicts
+// unacknowledged records, or an ack of the highest migration a prepared
+// instead of the first one still pending, lets b answer "unknown", and a
+// reinstates a second copy.
+func TestInDoubtOutlivesDedupCap(t *testing.T) {
+	net := transport.NewInProcNet()
+	a := newMigSite(t, net, "a", persist.NewMemStore())
+	b := newMigSiteCfg(t, net, Config{
+		Name:              "b",
+		Store:             persist.NewMemStore(),
+		Resilience:        migPolicy(),
+		MaxArrivalRecords: 2,
+	})
+	c := newMigSite(t, net, "c", persist.NewMemStore())
+	link(t, a, "b")
+	link(t, b, "c")
+	link(t, c, "b")
+
+	counterAgent(t, a, "scout")
+	injectFaults(t, a, "b", map[string]*transport.FaultRule{
+		verbDispatch:        {Fail: true, FailAfter: true},
+		verbMigrationStatus: {Fail: true},
+	})
+	if _, err := a.DispatchAgent("scout", "b"); !errors.Is(err, ErrMigrationInDoubt) {
+		t.Fatalf("dispatch error = %v, want ErrMigrationInDoubt", err)
+	}
+	healFaults(t, a, "b")
+	inertAgent(t, a, "courier")
+	if _, err := a.DispatchAgent("courier", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.DispatchAgent("scout", "c"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("bouncer-%d", i)
+		inertAgent(t, c, name)
+		if _, err := c.DispatchAgent(name, "b"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.DispatchAgent(name, "c"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.ResolveMigrations(); err != nil {
+		t.Fatal(err)
+	}
+	if got := copies("scout", a, b, c); got != 1 {
+		t.Fatalf("scout has %d live copies after a resolved its doubt", got)
+	}
+	if _, err := c.ResolveObject("scout"); err != nil {
+		t.Errorf("scout is not at c: %v", err)
+	}
+	if ids := a.InDoubtMigrations(); len(ids) != 0 {
+		t.Errorf("still in doubt: %v", ids)
+	}
+}
+
+// TestArrivalTableBoundedByAgents: eight agents make 5 000 hops between two
+// WAL sites, each agent in a goroutine of its own, at the default cap. The
+// origin's next dispatch lets each record go once a younger one of its
+// agent stands beside it, so each site ends with no more than two records
+// per agent, and its journal holds exactly the table's slots. A table that
+// keeps each record until a count cap evicts it holds ~2 500 here.
+func TestArrivalTableBoundedByAgents(t *testing.T) {
+	const agents, hops = 8, 5000
+	net := transport.NewInProcNet()
+	a := newMigSite(t, net, "a", walStore(t))
+	b := newMigSite(t, net, "b", walStore(t))
+	link(t, a, "b")
+	link(t, b, "a")
+	var wg sync.WaitGroup
+	errs := make(chan error, agents)
+	for i := 0; i < agents; i++ {
+		name := fmt.Sprintf("agent-%d", i)
+		inertAgent(t, a, name)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for h := 0; h < hops/agents/2; h++ {
+				if _, err := a.DispatchAgent(name, "b"); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := b.DispatchAgent(name, "a"); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for _, s := range []*Site{a, b} {
+		recs := s.ArrivalRecords()
+		if len(recs) > 2*agents {
+			t.Errorf("site %s holds %d arrival records for %d agents", s.Name(), len(recs), agents)
+		}
+		slots := arrivalSlots(t, s)
+		sort.Strings(slots)
+		if !reflect.DeepEqual(slots, recs) {
+			t.Errorf("site %s: journal arrival slots %v, table %v", s.Name(), slots, recs)
 		}
 	}
 }

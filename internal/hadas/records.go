@@ -113,10 +113,14 @@ func (r *invokeReply) result() (value.Value, error) {
 	return value.Null, err
 }
 
+// dispatchReq ships an agent. Seq numbers the migration at its origin, and
+// Acked is the least number the origin has not resolved toward this site,
+// Seq included: Site settled every migration numbered below it.
 type dispatchReq struct {
 	Site, Name string
 	Agent      []byte
 	MID        string
+	Seq, Acked int64
 }
 
 // dispatchReply is onArrival's result or failure: either way the agent was
@@ -135,6 +139,8 @@ func (r *dispatchReq) Fields(c *wire.Codec) {
 	c.Str("name", &r.Name)
 	c.Bytes("agent", &r.Agent)
 	c.Str("mid", &r.MID)
+	c.Int("seq", &r.Seq)
+	c.Int("acked", &r.Acked)
 }
 func (r *dispatchReply) Fields(c *wire.Codec) {
 	c.Value("result", &r.Result)

@@ -53,7 +53,9 @@ func protocolRecords() []recordCase {
 		recordOf("invokeReq", invokeReq{"a", id, "payroll", "salaryOf", args}),
 		recordOf("invokeReply", invokeReply{Result: value.NewInt(12500)}),
 		recordOf("invokeReply/deadlock", invokeReply{Outcome: outcomeDeadlock, Msg: "serialized admission deadlock: a:1 → b:2"}),
-		recordOf("dispatchReq", dispatchReq{"a", "scout", []byte("agent image"), "mid-1"}),
+		recordOf("dispatchReq", dispatchReq{"a", "scout", []byte("agent image"), "mid-1", 7, 5}),
+		recordOf("dispatchReq/acked-ahead", dispatchReq{"a", "scout", nil, "mid-2", 3, 9}),
+		recordOf("dispatchReq/zero", dispatchReq{Site: "a", Name: "scout", MID: "mid-3"}),
 		recordOf("dispatchReply", dispatchReply{Result: value.NewListOf(value.True, value.NewFloat(0.5))}),
 		recordOf("statusReq", statusReq{"a", "mid-1", "scout", true}),
 		recordOf("statusReply", statusReply{dispatchReply{value.Null, `agent "scout" onArrival: boom`}, arrivalDone}),
@@ -140,6 +142,29 @@ func TestProtocolRecordsGolden(t *testing.T) {
 	}
 }
 
+// legacyDispatch is a dispatch as sent before Seq and Acked: four fields.
+func legacyDispatch() []byte {
+	site, name, mid, agent := "a", "scout", "mid-1", []byte("agent image")
+	return wire.EncodeRecord(func(c *wire.Codec) {
+		c.Str("site", &site)
+		c.Str("name", &name)
+		c.Bytes("agent", &agent)
+		c.Str("mid", &mid)
+	})
+}
+
+// TestLegacyDispatchAcksNothing: an older origin's dispatch decodes with
+// Seq and Acked zero, and a destination lets go of no record below 0.
+func TestLegacyDispatchAcksNothing(t *testing.T) {
+	var req dispatchReq
+	if err := wire.DecodeRecord(legacyDispatch(), req.Fields); err != nil {
+		t.Fatal(err)
+	}
+	if req.MID != "mid-1" || req.Seq != 0 || req.Acked != 0 {
+		t.Errorf("legacy dispatch decoded as %+v", req)
+	}
+}
+
 // FuzzProtocolRecords: every record's decoder either refuses the input
 // with wire.ErrCodec or core.ErrArity, or returns a record whose
 // re-encoding is a wire value that decodes back to the same record. It
@@ -148,6 +173,7 @@ func FuzzProtocolRecords(f *testing.F) {
 	for _, v := range readRecordVectors(f) {
 		f.Add(v)
 	}
+	f.Add(legacyDispatch())
 	cases := protocolRecords()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, rc := range cases {

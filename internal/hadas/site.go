@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -48,9 +49,8 @@ var (
 const DefaultCallTimeout = 30 * time.Second
 
 // DefaultMaxArrivalRecords caps the destination-side migration dedup table
-// when Config.MaxArrivalRecords is zero. The cap must comfortably exceed
-// the window in which an origin might still retry or status-query a
-// migration (see Site.evictArrivals).
+// when Config.MaxArrivalRecords is zero. Only records their origins have
+// acknowledged count against it as evictable (see Site.evictArrivals).
 const DefaultMaxArrivalRecords = 4096
 
 // Defaults for the migration-journal hygiene caps (Config
@@ -95,9 +95,9 @@ type Config struct {
 	// half-open probe so Ambassadors recover without waiting for a caller
 	// to pay for the discovery. Zero disables probing.
 	ProbeInterval time.Duration
-	// MaxArrivalRecords caps the migration dedup table (arrival records
-	// kept so a retried dispatch returns its recorded outcome). Zero uses
-	// DefaultMaxArrivalRecords.
+	// MaxArrivalRecords caps the migration dedup table: past it, the oldest
+	// records their origins acknowledged and nothing replays are evicted.
+	// Zero uses DefaultMaxArrivalRecords.
 	MaxArrivalRecords int
 	// MaxMigrationAttempts caps how many times ResolveMigrations retries a
 	// journaled migration before declaring it orphaned: still listed by
@@ -169,8 +169,10 @@ type Site struct {
 	ambassadorSpecs map[string]AmbassadorSpec // apoName → split
 	ambassadors     map[string]*core.Object   // hosted ambassadors, by registry name
 	deployments     []deployment
-	programs        []string        // interop program names, install order
-	migrating       map[string]bool // agent names with a dispatch in flight
+	programs        []string           // interop program names, install order
+	migrating       map[string]bool    // agent names with a dispatch in flight
+	migSeq          int64              // the number the last PREPARE took
+	pendingTo       map[string][]int64 // by destination, unresolved migrations' numbers
 	listener        transport.Listener
 	stopProbe       chan struct{} // closes to stop the background prober
 	closed          bool
@@ -182,14 +184,12 @@ type Site struct {
 	manMu    sync.Mutex
 	manifest map[string]naming.ID
 
-	arrMu    sync.Mutex
-	arrivals map[string]*arrival // dedup table, by migration ID
-	arrOrder []*arrival          // claim order, oldest first (for pruning)
-	// arrByAgent indexes installed records by agent identity so marking an
-	// agent departed touches only that agent's records — a full-table scan
-	// here once dominated the hop cost at a high-traffic destination.
-	arrByAgent map[naming.ID][]*arrival
-	arrSeq     int64 // monotonically increasing claim sequence
+	arrMu      sync.Mutex
+	arrivals   map[string]*arrival   // dedup table, by migration ID
+	arrOrder   []*arrival            // claim order, oldest first (for the cap)
+	arrByName  map[string][]*arrival // by agent name, in claim order: a trace reads the last
+	arrUnacked map[string][]*arrival // by origin site, records it has not acknowledged
+	arrSeq     atomic.Int64          // monotonically increasing claim sequence
 }
 
 // NewSite constructs a site, its behavior registry and its IOO.
@@ -221,14 +221,20 @@ func NewSite(cfg Config) (*Site, error) {
 		exportACL:   make(map[string]security.ACL),
 		ambassadors: make(map[string]*core.Object),
 		migrating:   make(map[string]bool),
+		pendingTo:   make(map[string][]int64),
 		arrivals:    make(map[string]*arrival),
-		arrByAgent:  make(map[naming.ID][]*arrival),
+		arrByName:   make(map[string][]*arrival),
+		arrUnacked:  make(map[string][]*arrival),
 	}
 	s.det = core.NewDetector(cfg.Name, s)
 	if cfg.Store != nil {
 		s.journal = cfg.Store
 	} else {
 		s.journal = persist.NewMemStore()
+	}
+	for _, rec := range s.pendingMigrations() { // numbering resumes above the journal's
+		s.pendingTo[rec.Dest] = append(s.pendingTo[rec.Dest], rec.Num)
+		s.migSeq = max(s.migSeq, rec.Num)
 	}
 	s.policy.GradeDomain(cfg.Domain, security.Local)
 	registerBehaviors(s.behaviors)
@@ -715,9 +721,9 @@ func (s *Site) PersistAll() error {
 	// A live arrival record is its agent's only durable copy until a
 	// checkpoint names the agent; from then on the dedup cap may evict it.
 	s.arrMu.Lock()
-	for id, recs := range s.arrByAgent {
+	for name, recs := range s.arrByName {
 		for _, a := range recs {
-			a.checkpointed = ids[a.name] == id
+			a.checkpointed = a.live() && ids[name] == a.agentID
 		}
 	}
 	s.arrMu.Unlock()
