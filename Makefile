@@ -91,10 +91,12 @@ race-core-cpu:
 # dedup table's acknowledgements (concurrent dispatches share a pending set
 # at the origin and an unacknowledged list at the destination); and where a
 # request buffer is reused once its call returns: the ownership tests of
-# hadas and transport, with the per-connection stream cap.
+# hadas and transport, with the per-connection stream cap; and where calls
+# share a deadline, a call record is pooled, and a request's context is
+# cancelled by a FrameCancel or a teardown.
 race-hadas-cpu:
-	$(GO) test -race -cpu 1,2,4 -run 'Home|Contention|Concurrent|Arrival|Aliased|FailedCallKeeps|RetriedDispatch|InDoubtOutlives|DedupCap|CrashLosesAckBatch' ./internal/hadas
-	$(GO) test -race -cpu 1,2,4 -run 'CallerOwnsPayload|TeardownWaitsForWriter|StreamIDCap|WaitForASlot' ./internal/transport
+	$(GO) test -race -cpu 1,2,4 -run 'Home|Contention|Concurrent|Arrival|Aliased|FailedCallKeeps|RetriedDispatch|InDoubtOutlives|DedupCap|CrashLosesAckBatch|CallDeadline' ./internal/hadas
+	$(GO) test -race -cpu 1,2,4 -run 'CallerOwnsPayload|TeardownWaitsForWriter|StreamIDCap|WaitForASlot|PooledCallRecord|HandlerContextOverTCP' ./internal/transport
 
 # fuzz-short runs the wire frame reader against its whole-body reference
 # parser for a bounded time, seeded from the golden frame vectors, and then

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"encoding/json"
 	"sort"
 	"time"
 )
@@ -41,11 +40,6 @@ type Report struct {
 	ElapsedMs  float64  `json:"elapsed_ms"`
 	Schedule   []string `json:"schedule"`
 	Transcript []string `json:"transcript"`
-}
-
-// JSON renders the report, indented, for the gate and for humans.
-func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 func (h *harness) report(started time.Time, sched *schedule) *Report {

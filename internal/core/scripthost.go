@@ -187,10 +187,3 @@ func joinSpace(parts []string) string {
 	}
 	return out
 }
-
-// Handle returns a script-callable handle on the object acting as the
-// given caller. The HADAS layer uses this to hand interoperability
-// programs references to Home and Vicinity members.
-func (o *Object) Handle(caller security.Principal) mscript.HostObject {
-	return &objectHandle{obj: o, caller: caller}
-}

@@ -1,7 +1,6 @@
 package hadas
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -49,9 +48,7 @@ func (s *Site) fanOut(reqs []fanReq) []transport.MultiResult {
 			for k, i := range idxs {
 				batch[k] = transport.MultiRequest{Verb: reqs[i].verb, Payload: reqs[i].payload}
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
-			defer cancel()
-			for k, res := range transport.DoMulti(ctx, conn, batch) {
+			for k, res := range transport.DoMulti(s.callCtx(), conn, batch) {
 				if errors.Is(res.Err, transport.ErrCircuitOpen) {
 					res.Err = fmt.Errorf("%w: site %q: %v", ErrPeerDown, peer, res.Err)
 				}

@@ -1,7 +1,6 @@
 package hadas
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -115,8 +114,6 @@ func (s *Site) probePeers() {
 	}
 	s.peerMu.RUnlock()
 	for _, rc := range conns {
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
-		_ = rc.Ping(ctx)
-		cancel()
+		_ = rc.Ping(s.callCtx())
 	}
 }

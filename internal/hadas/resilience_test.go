@@ -230,6 +230,54 @@ func TestCallTimeoutBoundsSlowPeers(t *testing.T) {
 	}
 }
 
+// TestCallDeadlineWithinSeventeenSixteenths: the calls of one window share
+// a deadline, and each call's lies between CallTimeout and
+// CallTimeout×17/16 after it starts: the first call of a window gets the
+// longest, and one that starts just before the window closes shares it and
+// gets the shortest. The call after the window opens the next one.
+//
+// Caught, 5 of 5 runs each: a window deadline of CallTimeout (no margin),
+// a window twice as long, a deadline one window too late.
+func TestCallDeadlineWithinSeventeenSixteenths(t *testing.T) {
+	const timeout = 320 * time.Millisecond
+	window := timeout / deadlineWindows
+	s, err := NewSite(Config{Name: "clock", CallTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	call := func(what string) (context.Context, time.Duration) {
+		t.Helper()
+		start := time.Now()
+		ctx := s.callCtx()
+		end := time.Now()
+		dl, ok := ctx.Deadline()
+		if !ok || dl.Before(start.Add(timeout)) || dl.After(end.Add(timeout*17/16)) {
+			t.Fatalf("%s: deadline %v after its start, want within [%v, %v]",
+				what, dl.Sub(start), timeout, timeout*17/16)
+		}
+		return ctx, start.Sub(s.deadline.Load().opened)
+	}
+	edges := 0
+	for try := 0; try < 50 && edges < 3; try++ {
+		first, _ := call("a window's first call")
+		opened := s.deadline.Load().opened
+		time.Sleep(time.Until(opened.Add(window - window/8)))
+		last, into := call("a call at the window's edge")
+		if into < window-window/4 || last != first {
+			continue // the sleep overshot into the next window, or fell short
+		}
+		edges++
+		time.Sleep(time.Until(opened.Add(window)))
+		if next, _ := call("the next window's first call"); next == first {
+			t.Fatalf("a call %v after the window opened shares its deadline", time.Since(opened))
+		}
+	}
+	if edges == 0 {
+		t.Fatal("no call landed in the last quarter of its window")
+	}
+}
+
 // TestBackgroundProbingHealsIdlePeer checks that the prober — not a
 // caller — pays for recovery: with ProbeInterval set, a healed peer's
 // breaker closes again with no application traffic at all.

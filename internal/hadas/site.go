@@ -82,7 +82,8 @@ type Config struct {
 	// barrier per PersistAll, not one per object).
 	Store persist.Backend
 	// CallTimeout bounds each remote protocol round trip, threaded through
-	// every remote verb. Zero uses DefaultCallTimeout.
+	// every remote verb, to at most 17/16 of it (callCtx). Zero uses
+	// DefaultCallTimeout.
 	CallTimeout time.Duration
 	// Resilience tunes per-peer retry and circuit-breaker behavior (see
 	// transport.ResilientPolicy). Zero fields use transport defaults; a
@@ -190,6 +191,8 @@ type Site struct {
 	arrByName  map[string][]*arrival // by agent name, in claim order: a trace reads the last
 	arrUnacked map[string][]*arrival // by origin site, records it has not acknowledged
 	arrSeq     atomic.Int64          // monotonically increasing claim sequence
+
+	deadline atomic.Pointer[callDeadline] // the current window's (callCtx)
 }
 
 // NewSite constructs a site, its behavior registry and its IOO.
@@ -577,13 +580,8 @@ func (s *Site) Deployments(apoName string) []string {
 
 // linkedPeer verifies a cooperation agreement exists with the named site.
 func (s *Site) linkedPeer(name string) error {
-	s.peerMu.RLock()
-	_, ok := s.peers[name]
-	s.peerMu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotLinked, name)
-	}
-	return nil
+	_, err := s.peerDomain(name)
+	return err
 }
 
 // peerDomain returns the trust domain the link agreement assigned to a
@@ -626,16 +624,41 @@ func (s *Site) callPeer(peerName, verb, chain string, req, rep func(*wire.Codec)
 // the buffer an earlier one sent instead of a fresh one.
 var reqBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// callConn runs one round trip under the site's configured call timeout.
+// deadlineWindows is how many windows one CallTimeout spans (callCtx).
+const deadlineWindows = 16
+
+// callDeadline is one window's shared context, the cancel func its own
+// timer makes redundant, and when the window opened.
+type callDeadline struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	opened time.Time
+}
+
+// callCtx returns the context a round trip runs under. The calls started
+// within one CallTimeout/16 window share a deadline CallTimeout×17/16 after
+// it opened, so each call's lies within [CallTimeout, CallTimeout×17/16] of
+// its start; a busy site makes one timer per window, freed as it fires.
+func (s *Site) callCtx() context.Context {
+	d := s.deadline.Load()
+	now := time.Now() // read after the load, so never before d.opened
+	window := s.cfg.CallTimeout / deadlineWindows
+	if d != nil && now.Sub(d.opened) < window {
+		return d.ctx
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), now.Add(s.cfg.CallTimeout+window))
+	s.deadline.Store(&callDeadline{ctx: ctx, cancel: cancel, opened: now})
+	return ctx
+}
+
+// callConn runs one round trip under the site's call deadline (callCtx).
 // The request buffer goes back to reqBufs only once Call has returned nil,
 // the point after which no carrier reads it (transport.Conn); a failed call
 // drops it, and a buffer past transport.MaxPooledBuffer is dropped too.
 func (s *Site) callConn(conn transport.Conn, verb, chain string, req, rep func(*wire.Codec)) error {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
-	defer cancel()
 	buf := reqBufs.Get().(*[]byte)
 	payload := wire.AppendRecord((*buf)[:0], req)
-	out, err := conn.Call(transport.WithChain(ctx, chain), verb, payload)
+	out, err := conn.Call(transport.WithChain(s.callCtx(), chain), verb, payload)
 	if err != nil {
 		return err
 	}

@@ -44,16 +44,6 @@ var builtins = map[string]BuiltinFunc{
 	"indexof":   biIndexOf,
 }
 
-// BuiltinNames lists the builtin identifiers, sorted (for tooling and docs).
-func BuiltinNames() []string {
-	names := make([]string, 0, len(builtins))
-	for n := range builtins {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // IsBuiltin reports whether name is a builtin function.
 func IsBuiltin(name string) bool {
 	_, ok := builtins[name]

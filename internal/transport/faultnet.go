@@ -41,9 +41,6 @@ func (l *FaultLink) Cut() { l.gate.Store(true) }
 // Heal restores a pair severed by Cut.
 func (l *FaultLink) Heal() { l.gate.Store(false) }
 
-// Severed reports whether the pair is currently cut.
-func (l *FaultLink) Severed() bool { return l.gate.Load() }
-
 // Rule returns the link's rule for a verb, creating it if absent. The
 // table is read lock-free by every conn of the pair, so create every rule
 // a schedule needs before traffic starts; the shared rule's counters and

@@ -151,22 +151,67 @@ func (a *assembly) payload() []byte {
 	return a.buf
 }
 
+// reqCtx is a request handler's context, and its one object: no parent,
+// no deadline, the frame's chain as its value, and a Done channel made
+// only for a handler that asks, or by the cancel.
+type reqCtx struct {
+	context.Context // Background, for Deadline
+	chain           string
+	mu              sync.Mutex
+	done            chan struct{}
+	err             error
+}
+
+func (c *reqCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done == nil {
+		c.done = make(chan struct{})
+	}
+	return c.done
+}
+
+func (c *reqCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
+func (c *reqCtx) Value(key any) any {
+	if key == any(chainKey{}) && c.chain != "" {
+		return c.chain
+	}
+	return nil
+}
+
+func (c *reqCtx) cancel() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		c.err = context.Canceled
+		if c.done == nil {
+			c.done = make(chan struct{})
+		}
+		close(c.done)
+	}
+}
+
 // serverConnState is the per-connection demux state of a server: partial
-// request-stream assemblies, the cancel func of every in-flight handler
-// (so a peer's FrameCancel aborts the work, not just the reply), and the
-// credit window of every outbound response stream.
+// request-stream assemblies, the context of every in-flight handler (so a
+// peer's FrameCancel aborts the work, not just the reply), and the credit
+// window of every outbound response stream.
 type serverConnState struct {
 	mu      sync.Mutex
 	begins  bool // the peer has sent a FrameStreamBegin, so it understands one
 	asm     map[uint64]*assembly
-	cancels map[uint64]context.CancelFunc
+	reqs    map[uint64]*reqCtx
 	streams map[uint64]*streamWindow
 }
 
 func newServerConnState() *serverConnState {
 	return &serverConnState{
 		asm:     make(map[uint64]*assembly),
-		cancels: make(map[uint64]context.CancelFunc),
+		reqs:    make(map[uint64]*reqCtx),
 		streams: make(map[uint64]*streamWindow),
 	}
 }
@@ -248,27 +293,32 @@ func (st *serverConnState) finish(id uint64) ([]byte, bool) {
 	return a.payload(), !a.poisoned
 }
 
-func (st *serverConnState) addCancel(id uint64, cancel context.CancelFunc) {
+func (st *serverConnState) addReq(id uint64, rc *reqCtx) {
 	st.mu.Lock()
-	st.cancels[id] = cancel
+	st.reqs[id] = rc
 	st.mu.Unlock()
 }
 
-func (st *serverConnState) dropCancel(id uint64) {
+// dropReq forgets a request whose handler, and response stream, are done.
+func (st *serverConnState) dropReq(id uint64) {
 	st.mu.Lock()
-	delete(st.cancels, id)
+	delete(st.reqs, id)
+	delete(st.streams, id)
 	st.mu.Unlock()
+}
+
+// cancelAll cancels every in-flight handler: the connection is going away.
+func (st *serverConnState) cancelAll() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, rc := range st.reqs {
+		rc.cancel()
+	}
 }
 
 func (st *serverConnState) addStream(id uint64, win *streamWindow) {
 	st.mu.Lock()
 	st.streams[id] = win
-	st.mu.Unlock()
-}
-
-func (st *serverConnState) dropStream(id uint64) {
-	st.mu.Lock()
-	delete(st.streams, id)
 	st.mu.Unlock()
 }
 
@@ -288,11 +338,11 @@ func (st *serverConnState) grant(id uint64, n int64) {
 func (st *serverConnState) cancelRequest(id uint64) {
 	st.mu.Lock()
 	delete(st.asm, id)
-	cancel := st.cancels[id]
+	rc := st.reqs[id]
 	win := st.streams[id]
 	st.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	if rc != nil {
+		rc.cancel()
 	}
 	if win != nil {
 		win.cancel()
@@ -315,19 +365,16 @@ func (s *tcpServer) serveConn(c net.Conn) {
 		c.Close()
 	})
 	defer out.close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
 	st := newServerConnState()
+	defer st.cancelAll()
 
 	dispatch := func(f wire.Frame) {
-		rctx, rcancel := context.WithCancel(WithChain(ctx, f.Chain))
-		st.addCancel(f.RequestID, rcancel)
+		rctx := &reqCtx{Context: context.Background(), chain: f.Chain}
+		st.addReq(f.RequestID, rctx)
 		reqWG.Add(1)
 		go func() {
 			defer reqWG.Done()
-			defer rcancel()
-			defer st.dropCancel(f.RequestID)
+			defer st.dropReq(f.RequestID)
 			result, err := s.handler(rctx, f.Verb, f.Payload)
 			if err != nil {
 				_ = out.send(wire.Frame{Type: wire.FrameError, RequestID: f.RequestID,
@@ -340,7 +387,6 @@ func (s *tcpServer) serveConn(c net.Conn) {
 			}
 			win := newStreamWindow()
 			st.addStream(f.RequestID, win)
-			defer st.dropStream(f.RequestID)
 			_ = sendChunks(rctx, out, f.RequestID, win, st.announces(), "", "", result)
 		}()
 	}
@@ -355,11 +401,13 @@ func (s *tcpServer) serveConn(c net.Conn) {
 	}
 
 	br := bufio.NewReader(c)
+	var verb string // the last frame's: a run of one verb reads it once
 	for {
-		f, err := wire.ReadFrameInto(br, place)
+		f, err := wire.ReadFrameInto(br, verb, place)
 		if err != nil {
 			return // disconnect (clean EOF or protocol error)
 		}
+		verb = f.Verb
 		switch f.Type {
 		case wire.FramePing:
 			_ = out.send(wire.Frame{Type: wire.FramePong, RequestID: f.RequestID})
@@ -445,6 +493,12 @@ type clientCall struct {
 	win *streamWindow   // non-nil only while the request streams out
 }
 
+// clientCalls holds call records between round trips. await puts one
+// back once it has received its reply, which readLoop sends only after
+// removing the record from pending. An abandoned record may still get a
+// reply and failPending closes a record's channel: neither goes back.
+var clientCalls = sync.Pool{New: func() any { return &clientCall{ch: make(chan wire.Frame, 1)} }}
+
 type tcpConn struct {
 	nc      net.Conn
 	out     *frameQueue
@@ -477,7 +531,7 @@ func (c *tcpConn) readLoop() {
 
 	br := bufio.NewReader(c.nc)
 	for {
-		f, err := wire.ReadFrameInto(br, place)
+		f, err := wire.ReadFrameInto(br, "", place)
 		if err != nil {
 			c.teardown()
 			return
@@ -594,7 +648,7 @@ func (c *tcpConn) teardown() error {
 // the connection is already closed.
 func (c *tcpConn) register(streaming bool) (uint64, *clientCall, bool) {
 	id := c.nextID.Add(1)
-	pc := &clientCall{ch: make(chan wire.Frame, 1)}
+	pc := clientCalls.Get().(*clientCall)
 	if streaming {
 		pc.win = newStreamWindow()
 	}
@@ -665,11 +719,23 @@ func (c *tcpConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, erro
 		return wire.Frame{}, fmt.Errorf("send: %w", err)
 	}
 
+	return c.await(ctx, id, pc)
+}
+
+// await waits for call id's reply, abandoning the call if ctx ends first;
+// a reply to another request (a record reused too early) is an error.
+func (c *tcpConn) await(ctx context.Context, id uint64, pc *clientCall) (wire.Frame, error) {
 	select {
 	case resp, ok := <-pc.ch:
 		if !ok {
 			return wire.Frame{}, ErrClosed
 		}
+		if resp.RequestID != id {
+			c.abandon(id)
+			return wire.Frame{}, fmt.Errorf("reply to request %d reached call %d", resp.RequestID, id)
+		}
+		pc.asm, pc.win = assembly{}, nil
+		clientCalls.Put(pc)
 		return resp, nil
 	case <-ctx.Done():
 		c.abandon(id)
@@ -739,18 +805,11 @@ func (c *tcpConn) CallMulti(ctx context.Context, reqs []MultiRequest) []MultiRes
 		if pc == nil {
 			continue
 		}
-		select {
-		case resp, ok := <-pc.ch:
-			if !ok {
-				results[i] = MultiResult{Err: ErrClosed}
-				continue
-			}
-			p, err := unpackResponse(reqs[i].Verb, resp)
-			results[i] = MultiResult{Payload: p, Err: err}
-		case <-ctx.Done():
-			c.abandon(ids[i])
-			results[i] = MultiResult{Err: ctx.Err()}
+		resp, err := c.await(ctx, ids[i], pc)
+		if err == nil {
+			resp.Payload, err = unpackResponse(reqs[i].Verb, resp)
 		}
+		results[i] = MultiResult{Payload: resp.Payload, Err: err}
 	}
 	wg.Wait()
 	return results

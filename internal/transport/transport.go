@@ -36,6 +36,10 @@ func (e *RemoteError) Error() string {
 
 // Handler processes one request at a site. Implementations must be safe
 // for concurrent use; the transport may dispatch requests in parallel.
+// Over TCP, ctx is cancelled when the caller gives up (FrameCancel) or the
+// connection is torn down, carries the request's chain (ChainFrom), and
+// has no deadline: the caller's timeout bounds the call, not the handler.
+// The in-process carrier passes the caller's own context.
 type Handler func(ctx context.Context, verb string, payload []byte) ([]byte, error)
 
 // chainKey carries the caller's call-chain identity through a request

@@ -113,23 +113,8 @@ func AppendFrame(buf []byte, f Frame) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteFrame writes one length-prefixed frame.
-func WriteFrame(w io.Writer, f Frame) error {
-	buf, err := AppendFrame(nil, f)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("write frame: %w", err)
-	}
-	if bw, ok := w.(*bufio.Writer); ok {
-		return bw.Flush()
-	}
-	return nil
-}
-
 // ReadFrame reads one length-prefixed frame.
-func ReadFrame(r io.Reader) (Frame, error) { return ReadFrameInto(r, nil) }
+func ReadFrame(r io.Reader) (Frame, error) { return ReadFrameInto(r, "", nil) }
 
 // byteReader is what the frame parser reads from: single header bytes and
 // bulk fields. *bufio.Reader, *bytes.Reader and *bytes.Buffer all qualify.
@@ -224,10 +209,20 @@ func (p *frameParser) fill(dst []byte) error {
 	return nil
 }
 
-func (p *frameParser) str(what string) (string, error) {
+// str reads a string field. One with the bytes of prev, buffered whole in
+// a *bufio.Reader, is prev itself: a reader that passes the previous
+// frame's verb back allocates nothing for a run of one verb.
+func (p *frameParser) str(what, prev string) (string, error) {
 	n, err := p.length(what)
 	if err != nil || n == 0 {
 		return "", err
+	}
+	if br, ok := p.r.(*bufio.Reader); ok && n == len(prev) {
+		if b, err := br.Peek(n); err == nil && string(b) == prev {
+			_, err = br.Discard(n)
+			p.rem -= n
+			return prev, err
+		}
 	}
 	b := make([]byte, n)
 	if err := p.fill(b); err != nil {
@@ -242,8 +237,9 @@ func (p *frameParser) str(what string) (string, error) {
 // length n, returns the buffer whose first n bytes the payload fills. A nil
 // place, or a result shorter than n, gets a fresh buffer of exactly n bytes.
 // Nothing is allocated or requested from place before the header has been
-// checked against the length prefix and the wire limits.
-func ReadFrameInto(r io.Reader, place func(hdr Frame, n int) []byte) (Frame, error) {
+// checked against the length prefix and the wire limits. A verb with the
+// bytes of verb is returned as verb itself, not a copy.
+func ReadFrameInto(r io.Reader, verb string, place func(hdr Frame, n int) []byte) (Frame, error) {
 	br, ok := r.(byteReader)
 	if !ok {
 		br = &byteAtATime{Reader: r}
@@ -271,10 +267,10 @@ func ReadFrameInto(r io.Reader, place func(hdr Frame, n int) []byte) (Frame, err
 	if f.RequestID, err = p.uvarint("request id"); err != nil {
 		return Frame{}, err
 	}
-	if f.Verb, err = p.str("verb"); err != nil {
+	if f.Verb, err = p.str("verb", verb); err != nil {
 		return Frame{}, err
 	}
-	if f.Chain, err = p.str("chain"); err != nil {
+	if f.Chain, err = p.str("chain", ""); err != nil {
 		return Frame{}, err
 	}
 	size, err := p.length("payload")

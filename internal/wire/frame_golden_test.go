@@ -106,11 +106,11 @@ var frameGolden = []struct {
 
 func TestFrameGoldenVectors(t *testing.T) {
 	for _, g := range frameGolden {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, g.frame); err != nil {
+		enc, err := AppendFrame(nil, g.frame)
+		if err != nil {
 			t.Fatalf("%s: write: %v", g.name, err)
 		}
-		if got := hex.EncodeToString(buf.Bytes()); got != g.hex {
+		if got := hex.EncodeToString(enc); got != g.hex {
 			t.Errorf("%s: encoding drifted\n got  %s\n want %s", g.name, got, g.hex)
 		}
 		raw, err := hex.DecodeString(g.hex)

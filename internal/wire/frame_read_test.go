@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"unsafe"
 
 	"repro/internal/value"
 )
@@ -91,32 +92,43 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := readFrameWholeBody(bytes.NewReader(data))
 
-		src := bytes.NewReader(data)
 		declared := -1
 		if len(data) >= 4 {
 			declared = int(binary.BigEndian.Uint32(data))
 		}
-		got, err := ReadFrameInto(bufio.NewReaderSize(src, 16), func(hdr Frame, n int) []byte {
-			if n > declared || len(hdr.Verb)+len(hdr.Chain)+n > declared {
-				t.Errorf("asked for %d payload bytes (verb %d, chain %d) in a frame of %d",
-					n, len(hdr.Verb), len(hdr.Chain), declared)
+		// The previous frame's verb: none, the same bytes (returned as
+		// prev itself when the 16-byte buffer holds them), and the same
+		// length differing in its last byte.
+		prevs := []string{"", want.Verb}
+		if n := len(want.Verb); n > 0 {
+			prevs = append(prevs, want.Verb[:n-1]+string(want.Verb[n-1]^1))
+		}
+		for _, prev := range prevs {
+			got, err := ReadFrameInto(bufio.NewReaderSize(bytes.NewReader(data), 16), prev, func(hdr Frame, n int) []byte {
+				if n > declared || len(hdr.Verb)+len(hdr.Chain)+n > declared {
+					t.Errorf("asked for %d payload bytes (verb %d, chain %d) in a frame of %d",
+						n, len(hdr.Verb), len(hdr.Chain), declared)
+				}
+				return nil
+			})
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("prev %q: incremental err = %v, reference err = %v", prev, err, wantErr)
 			}
-			return nil
-		})
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("incremental err = %v, reference err = %v", err, wantErr)
-		}
-		if err != nil {
-			if !typedFrameErr(err) || !typedFrameErr(wantErr) {
-				t.Fatalf("untyped error: incremental %v, reference %v", err, wantErr)
+			if err != nil {
+				if !typedFrameErr(err) || !typedFrameErr(wantErr) {
+					t.Fatalf("untyped error: incremental %v, reference %v", err, wantErr)
+				}
+				return
 			}
-			return
-		}
-		if !sameFrame(got, want) {
-			t.Fatalf("incremental %+v, reference %+v", got, want)
-		}
-		if len(got.Payload) != cap(got.Payload) {
-			t.Fatalf("payload of %d bytes sits in a buffer of %d", len(got.Payload), cap(got.Payload))
+			if !sameFrame(got, want) {
+				t.Fatalf("prev %q: incremental %+v, reference %+v", prev, got, want)
+			}
+			if prev == got.Verb && prev != "" && len(prev) <= 16 && unsafe.StringData(got.Verb) != unsafe.StringData(prev) {
+				t.Fatalf("verb %q equal to the previous one was copied", got.Verb)
+			}
+			if len(got.Payload) != cap(got.Payload) {
+				t.Fatalf("payload of %d bytes sits in a buffer of %d", len(got.Payload), cap(got.Payload))
+			}
 		}
 	})
 }
@@ -132,7 +144,7 @@ func TestReadFrameIntoPlacesPayload(t *testing.T) {
 	}
 	room := make([]byte, 64)
 	copy(room, "head")
-	got, err := ReadFrameInto(bytes.NewReader(raw), func(hdr Frame, n int) []byte {
+	got, err := ReadFrameInto(bytes.NewReader(raw), "", func(hdr Frame, n int) []byte {
 		if hdr.Type != in.Type || hdr.RequestID != in.RequestID || hdr.Verb != in.Verb ||
 			hdr.Chain != in.Chain || hdr.Payload != nil || n != len(in.Payload) {
 			t.Errorf("hook saw %+v, n=%d", hdr, n)
@@ -149,7 +161,7 @@ func TestReadFrameIntoPlacesPayload(t *testing.T) {
 		"nil":   func(Frame, int) []byte { return nil },
 		"short": func(_ Frame, n int) []byte { return make([]byte, n-1) },
 	} {
-		got, err := ReadFrameInto(bytes.NewReader(raw), place)
+		got, err := ReadFrameInto(bytes.NewReader(raw), "", place)
 		if err != nil || !sameFrame(got, in) || cap(got.Payload) != len(in.Payload) {
 			t.Errorf("%s answer: frame %+v (cap %d), err %v", name, got, cap(got.Payload), err)
 		}
@@ -172,7 +184,7 @@ func TestReadFrameIntoChecksBeforePlacing(t *testing.T) {
 		"empty frame":              frameBytes(nil),
 	}
 	for name, raw := range cases {
-		_, err := ReadFrameInto(bytes.NewReader(raw), func(Frame, int) []byte {
+		_, err := ReadFrameInto(bytes.NewReader(raw), "", func(Frame, int) []byte {
 			t.Errorf("%s: hook ran on a malformed frame", name)
 			return nil
 		})
@@ -202,17 +214,18 @@ func TestReadFrameStreamEnds(t *testing.T) {
 // TestReadFrameBareReader pins the io.Reader case: a reader with no
 // ReadByte is read without looking past the frame.
 func TestReadFrameBareReader(t *testing.T) {
-	var stream bytes.Buffer
+	var enc []byte
 	want := []Frame{
 		{Type: FrameRequest, RequestID: 1, Verb: "a", Payload: []byte("one")},
 		{Type: FrameResponse, RequestID: 2, Chain: "s:9", Payload: []byte("two")},
 	}
 	for _, f := range want {
-		if err := WriteFrame(&stream, f); err != nil {
+		var err error
+		if enc, err = AppendFrame(enc, f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bare := struct{ io.Reader }{&stream} // hides bytes.Buffer's ReadByte
+	bare := struct{ io.Reader }{bytes.NewReader(enc)} // hides bytes.Reader's ReadByte
 	for _, w := range want {
 		got, err := ReadFrame(bare)
 		if err != nil || !sameFrame(got, w) {

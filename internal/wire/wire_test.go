@@ -186,14 +186,16 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: FrameError, RequestID: 7, Verb: "export", Payload: []byte{0}},
 		{Type: FramePing, RequestID: 0, Verb: "", Payload: []byte{}},
 	}
-	var buf bytes.Buffer
+	var enc []byte
 	for _, f := range frames {
-		if err := WriteFrame(&buf, f); err != nil {
+		var err error
+		if enc, err = AppendFrame(enc, f); err != nil {
 			t.Fatal(err)
 		}
 	}
+	buf := bytes.NewReader(enc)
 	for _, want := range frames {
-		got, err := ReadFrame(&buf)
+		got, err := ReadFrame(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,9 +211,8 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameErrors(t *testing.T) {
 	// Oversized frame rejected on write.
 	big := Frame{Type: FrameRequest, Payload: make([]byte, MaxFrame)}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, big); !errors.Is(err, ErrCodec) {
-		t.Errorf("oversized write: %v", err)
+	if enc, err := AppendFrame([]byte{7}, big); !errors.Is(err, ErrCodec) || len(enc) != 1 {
+		t.Errorf("oversized write: %v, %d bytes kept", err, len(enc))
 	}
 	// Oversized length prefix rejected on read.
 	var hdr bytes.Buffer
