@@ -260,7 +260,7 @@ func (m *journalModel) start(name string, cfg Config) {
 			return value.Null, errCrashed
 		}
 		hop, _ := args[0].Map()
-		agent, self := field(hop, "agent"), inv.Self()
+		agent, self := hop["agent"].String(), inv.Self()
 		lv, err := self.Get(self.Principal(), "landings")
 		if err != nil {
 			return value.Null, err

@@ -1,6 +1,7 @@
 package hadas
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/persist"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // storedManifest decodes the Home manifest slot straight from the store,
@@ -21,15 +23,14 @@ func storedManifest(t *testing.T, store persist.Store) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := decodeMap(raw)
-	if err != nil {
+	var m manifestRecord
+	if err := wire.DecodeRecord(raw, m.Fields); err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
+	names := make([]string, 0, len(m.APOs))
+	for _, e := range m.APOs {
+		names = append(names, e.Name)
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -100,6 +101,46 @@ func TestConcurrentDeparturesScrubManifest(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDepartureDropsOnlyItsName: a checkpointed agent departs, and the
+// manifest read back through its decoder names every other member under
+// its own ID, sorted, and not the agent; its image slot goes with it.
+// Mutants caught: the scrub leaving the name in, dropping a neighbour, or
+// the manifest losing IDs or order on the way through the record.
+func TestDepartureDropsOnlyItsName(t *testing.T) {
+	net := transport.NewInProcNet()
+	store := persist.NewMemStore()
+	a := newMigSite(t, net, "a", store)
+	newMigSite(t, net, "b", persist.NewMemStore())
+	link(t, a, "b")
+	want := []manifestEntry{{"alpha", inertAgent(t, a, "alpha").ID()}}
+	walker := inertAgent(t, a, "walker").ID()
+	want = append(want, manifestEntry{"zulu", inertAgent(t, a, "zulu").ID()})
+	if err := a.PersistAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Get(walker.String()); err != nil {
+		t.Fatalf("checkpoint holds no image of the walker: %v", err)
+	}
+
+	if _, err := a.DispatchAgent("walker", "b"); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := store.Get(homeManifestSlot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifestRecord
+	if err := wire.DecodeRecord(raw, m.Fields); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m.APOs, want) {
+		t.Errorf("manifest after the departure = %v, want %v", m.APOs, want)
+	}
+	if _, err := store.Get(walker.String()); !errors.Is(err, persist.ErrNoSlot) {
+		t.Errorf("departed agent's image slot: %v, want persist.ErrNoSlot", err)
 	}
 }
 

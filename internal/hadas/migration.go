@@ -1,11 +1,9 @@
 package hadas
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -45,9 +43,8 @@ import (
 // Recovery (BootstrapHome):
 //
 //	arrival records are replayed (agents that had landed are reinstalled),
-//	in-doubt PREPAREs are resolved against the peer (commit if the agent
-//	landed, reinstate from the journaled image if not), and completed
-//	records are pruned.
+//	and in-doubt PREPAREs are resolved against the peer (commit if the
+//	agent landed, reinstate from the journaled image if not).
 
 // ErrMigrationInDoubt reports a dispatch whose outcome is unknown: the
 // transport failed ambiguously and the destination could not be queried.
@@ -73,12 +70,10 @@ const (
 )
 
 // Migration states recorded in the origin journal. Deleting the record is
-// the outcome; the two final states are only read, from older journals.
+// the outcome.
 const (
-	migrationPrepared  = "prepared"
-	migrationInDoubt   = "indoubt"
-	migrationCommitted = "committed"
-	migrationAborted   = "aborted"
+	migrationPrepared = "prepared"
+	migrationInDoubt  = "indoubt"
 )
 
 // Arrival states recorded in the destination dedup table.
@@ -103,68 +98,38 @@ type migrationRecord struct {
 	// *during* the dispatch call — and survive this departure's marking,
 	// in the live commit and in recovery's alike.
 	Seq int64
-	Num int64 // the migration's number at this site (0, acking nothing, in older journals)
+	Num int64 // the migration's number at this site
 	// Born is the PREPARE wall-clock time (UnixNano) and Attempts counts
 	// failed resolution rounds; together they drive the orphan caps
 	// (Config.MaxMigrationAge / MaxMigrationAttempts).
 	Born     int64
-	Attempts int
+	Attempts int64
+}
+
+func (r *migrationRecord) Fields(c *wire.Codec) {
+	c.Str("mid", &r.MID)
+	c.Str("name", &r.Name)
+	c.Str("dest", &r.Dest)
+	c.Str("state", &r.State)
+	c.Bool("wasAPO", &r.WasAPO)
+	c.Bytes("image", &r.Image)
+	c.Int("seq", &r.Seq)
+	c.Int("num", &r.Num)
+	c.Int("born", &r.Born)
+	c.Int("tries", &r.Attempts)
+}
+
+func decodeMigrationRecord(raw []byte) (*migrationRecord, error) {
+	r := new(migrationRecord)
+	return r, wire.DecodeRecord(raw, r.Fields)
 }
 
 func migrationSlot(mid string) string { return migrationSlotPrefix + mid }
 func arrivalSlot(mid string) string   { return arrivalSlotPrefix + mid }
 
-func encodeMigrationRecord(r *migrationRecord) []byte {
-	m := map[string]value.Value{
-		"mid":    value.NewString(r.MID),
-		"name":   value.NewString(r.Name),
-		"dest":   value.NewString(r.Dest),
-		"wasAPO": value.NewBool(r.WasAPO),
-		"image":  value.NewBytes(r.Image),
-		"seq":    value.NewInt(r.Seq),
-		"num":    value.NewInt(r.Num),
-		"born":   value.NewInt(r.Born),
-	}
-	if r.State != migrationPrepared { // absent reads as prepared: PREPARE stays an eight-key map
-		m["state"] = value.NewString(r.State)
-	}
-	if r.Attempts > 0 { // absent reads as 0
-		m["tries"] = value.NewInt(int64(r.Attempts))
-	}
-	return encodeMap(m)
-}
-
-func decodeMigrationRecord(raw []byte) (*migrationRecord, error) {
-	m, err := decodeMap(raw)
-	if err != nil {
-		return nil, fmt.Errorf("migration record: %w", err)
-	}
-	img, _ := m["image"].Bytes()
-	wasAPO, _ := m["wasAPO"].Bool()
-	born, _ := m["born"].Int()
-	tries, _ := m["tries"].Int()
-	num, _ := m["num"].Int()
-	seq, ok := m["seq"].Int()
-	if !ok {
-		seq = math.MaxInt64 // a record from before the watermark was journaled
-	}
-	return &migrationRecord{
-		MID:      field(m, "mid"),
-		Name:     field(m, "name"),
-		Dest:     field(m, "dest"),
-		State:    cmp.Or(field(m, "state"), migrationPrepared),
-		WasAPO:   wasAPO,
-		Image:    img,
-		Seq:      seq,
-		Num:      num,
-		Born:     born,
-		Attempts: int(tries),
-	}, nil
-}
-
 // putMigration writes (or rewrites) a journal record durably.
 func (s *Site) putMigration(r *migrationRecord) error {
-	return s.journal.Put(migrationSlot(r.MID), encodeMigrationRecord(r))
+	return s.journal.Put(migrationSlot(r.MID), wire.EncodeRecord(r.Fields))
 }
 
 // writeJournal applies one protocol step's batch through one barrier. A
@@ -273,7 +238,10 @@ func (s *Site) InDoubtMigrations() []string {
 
 // scanJournal decodes every journal record under a slot prefix. A slot
 // that cannot be read or decoded is handed to skipped and left out: one
-// damaged record must not keep the rest from being recovered.
+// damaged record must not keep the rest from being recovered. A record in
+// the map form written before records fails the scan (wire.ErrMapShaped):
+// skipped, a dedup record would be lost, and a redelivered dispatch could
+// install a second live copy (DESIGN §9).
 func scanJournal[T any](s *Site, prefix string, decode func([]byte) (T, error),
 	skipped func(slot string, err error)) ([]T, error) {
 	slots, err := s.journal.List()
@@ -291,7 +259,9 @@ func scanJournal[T any](s *Site, prefix string, decode func([]byte) (T, error),
 			continue
 		}
 		rec, err := decode(raw)
-		if err != nil {
+		if errors.Is(err, wire.ErrMapShaped) {
+			return nil, fmt.Errorf("%s: %w", slot, err)
+		} else if err != nil {
 			skipped(slot, err)
 			continue
 		}
@@ -336,7 +306,7 @@ func (s *Site) maxMigrationAge() time.Duration {
 // copy — but resolution stops retrying them and they are surfaced to
 // operators through MigrationReport and the migration.status report query.
 func (s *Site) migrationOrphaned(rec *migrationRecord) bool {
-	if rec.Attempts >= s.maxMigrationAttempts() {
+	if rec.Attempts >= int64(s.maxMigrationAttempts()) {
 		return true
 	}
 	if rec.Born > 0 && time.Since(time.Unix(0, rec.Born)) > s.maxMigrationAge() {
@@ -369,7 +339,7 @@ func (s *Site) MigrationReport() []MigrationInfo {
 			Name:     rec.Name,
 			Dest:     rec.Dest,
 			State:    rec.State,
-			Attempts: rec.Attempts,
+			Attempts: int(rec.Attempts),
 			Orphaned: s.migrationOrphaned(rec),
 		}
 		if rec.Born > 0 {
@@ -437,48 +407,24 @@ func (a *arrival) spent() bool {
 // settled is the done channel of a record made settled.
 var settled = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
-func (s *Site) encodeArrival(a *arrival) []byte {
-	return encodeMap(map[string]value.Value{
-		"mid":    value.NewString(a.mid),
-		"name":   value.NewString(a.name),
-		"from":   value.NewString(a.from),
-		"agent":  value.NewString(a.agentID.String()),
-		"image":  value.NewBytes(a.image),
-		"seq":    value.NewInt(a.seq),
-		"num":    value.NewInt(a.num),
-		"state":  value.NewString(a.state),
-		"result": a.result,
-		"err":    value.NewString(a.errMsg),
-		"next":   value.NewString(a.next),
-	})
+// Fields describes the journaled part of a record; the rest is memory.
+func (a *arrival) Fields(c *wire.Codec) {
+	c.Str("mid", &a.mid)
+	c.Str("name", &a.name)
+	c.Str("from", &a.from)
+	c.ID("agent", &a.agentID)
+	c.Bytes("image", &a.image)
+	c.Int("seq", &a.seq)
+	c.Int("num", &a.num)
+	c.Str("state", &a.state)
+	c.Value("result", &a.result)
+	c.Str("err", &a.errMsg)
+	c.Str("next", &a.next)
 }
 
 func decodeArrival(raw []byte) (*arrival, error) {
-	m, err := decodeMap(raw)
-	if err != nil {
-		return nil, fmt.Errorf("arrival record: %w", err)
-	}
-	id, err := naming.ParseID(field(m, "agent"))
-	if err != nil {
-		return nil, fmt.Errorf("arrival record agent id: %w", err)
-	}
-	img, _ := m["image"].Bytes()
-	seq, _ := m["seq"].Int()
-	num, _ := m["num"].Int()
-	return &arrival{
-		mid:     field(m, "mid"),
-		name:    field(m, "name"),
-		from:    field(m, "from"),
-		agentID: id,
-		image:   img,
-		seq:     seq,
-		num:     num,
-		state:   field(m, "state"),
-		result:  m["result"],
-		errMsg:  field(m, "err"),
-		next:    field(m, "next"),
-		done:    settled, // a replayed record is settled by definition
-	}, nil
+	a := &arrival{done: settled} // a replayed record is settled by definition
+	return a, wire.DecodeRecord(raw, a.Fields)
 }
 
 // claimArrival registers interest in a migration ID. The first caller owns
@@ -557,7 +503,7 @@ func (s *Site) forgetArrival(a *arrival, batch map[string][]byte) {
 // arrivalBatch adds a's current state to batch, with the evictions the
 // table's cap asks for riding the same barrier (arrMu held).
 func (s *Site) arrivalBatch(a *arrival, batch map[string][]byte) map[string][]byte {
-	batch[arrivalSlot(a.mid)] = s.encodeArrival(a)
+	batch[arrivalSlot(a.mid)] = wire.EncodeRecord(a.Fields)
 	s.evictArrivals(batch)
 	return batch
 }
@@ -672,7 +618,7 @@ func (s *Site) markAgentDeparted(rec *migrationRecord, id naming.ID, batch map[s
 		// Only installed/done records are ever replayed; a departed one
 		// keeps its place in the dedup table, not a copy of the agent.
 		a.image = nil
-		batch[arrivalSlot(a.mid)] = s.encodeArrival(a)
+		batch[arrivalSlot(a.mid)] = wire.EncodeRecord(a.Fields)
 	}
 	if _, dup := s.arrivals[rec.MID]; !found && !dup {
 		syn := &arrival{
@@ -685,7 +631,7 @@ func (s *Site) markAgentDeparted(rec *migrationRecord, id naming.ID, batch map[s
 			done:    settled,
 		}
 		s.addArrival(syn)
-		batch[arrivalSlot(syn.mid)] = s.encodeArrival(syn)
+		batch[arrivalSlot(syn.mid)] = wire.EncodeRecord(syn.Fields)
 	}
 	s.settleArrivals(rec.Name, batch)
 	s.evictArrivals(batch)
@@ -879,13 +825,7 @@ func (s *Site) handleMigrationStatus(ctx context.Context, req *statusReq) (func(
 // loop-home arrival beside the record it left from) the image that came
 // back — carrying what the journey gathered — is the one that runs.
 // Returns the names reinstalled.
-func (s *Site) replayArrivals() ([]string, error) {
-	recs, err := scanJournal(s, arrivalSlotPrefix, decodeArrival, func(slot string, err error) {
-		s.log("replay arrival %s: %v", slot, err)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("replay arrivals: %w", err)
-	}
+func (s *Site) replayArrivals(recs []*arrival) []string {
 	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
 
 	var live []*arrival
@@ -914,8 +854,7 @@ func (s *Site) replayArrivals() ([]string, error) {
 		}
 		restored = append(restored, a.name)
 	}
-	sort.Strings(restored)
-	return restored, nil
+	return restored
 }
 
 // installImage materializes a stored image — a journaled agent or a
@@ -934,32 +873,31 @@ func (s *Site) installImage(name string, image []byte) error {
 
 // ResolveMigrations drives every pending journal record to an outcome —
 // the origin half of crash recovery, also callable any time to retry
-// in-doubt migrations. Completed records are pruned; prepared/in-doubt
-// records are resolved against the destination: if the agent landed the
-// migration commits (retiring any local copy a replayed arrival record
-// reinstalled), otherwise the agent is reinstated from the journaled
-// image. Destinations that cannot be reached leave their records in doubt.
-// Returns the names reinstated locally.
+// in-doubt migrations. Each is resolved against the destination: if the
+// agent landed the migration commits (retiring any local copy a replayed
+// arrival record reinstalled), otherwise the agent is reinstated from the
+// journaled image. Destinations that cannot be reached leave their records
+// in doubt. Returns the names reinstated locally.
 func (s *Site) ResolveMigrations() ([]string, error) {
-	recs, err := scanJournal(s, migrationSlotPrefix, decodeMigrationRecord, func(slot string, err error) {
-		s.log("resolve migration %s: %v", slot, err)
-	})
+	recs, err := s.scanMigrations()
 	if err != nil {
 		return nil, fmt.Errorf("resolve migrations: %w", err)
 	}
+	return s.resolveMigrations(recs), nil
+}
+
+// scanMigrations reads the origin journal, logging what it skips.
+func (s *Site) scanMigrations() ([]*migrationRecord, error) {
+	return scanJournal(s, migrationSlotPrefix, decodeMigrationRecord, func(slot string, err error) {
+		s.log("resolve migration %s: %v", slot, err)
+	})
+}
+
+// resolveMigrations is ResolveMigrations over records already read.
+func (s *Site) resolveMigrations(recs []*migrationRecord) []string {
 	var reinstated []string
 	for _, rec := range recs {
-		switch rec.State {
-		case migrationCommitted, migrationAborted:
-			// A final-state record, as written before the delete itself
-			// became the outcome.
-			if err := s.journal.Delete(migrationSlot(rec.MID)); err != nil {
-				s.log("prune migration %s: %v", rec.MID, err)
-			}
-			continue
-		case migrationPrepared, migrationInDoubt:
-			// fall through to peer resolution
-		default:
+		if rec.State != migrationPrepared && rec.State != migrationInDoubt {
 			s.log("migration %s: unknown state %q left in journal", rec.MID, rec.State)
 			continue
 		}
@@ -1014,7 +952,7 @@ func (s *Site) ResolveMigrations() ([]string, error) {
 		s.log("migration %s: resolved aborted (reinstated %s)", rec.MID, rec.Name)
 	}
 	sort.Strings(reinstated)
-	return reinstated, nil
+	return reinstated
 }
 
 // definiteDispatchFailure classifies a dispatch error: true means the

@@ -566,49 +566,6 @@ func TestCrashMatrix(t *testing.T) {
 		}
 	})
 
-	t.Run("stale-final-record-pruned", func(t *testing.T) {
-		// Crash between the COMMIT write and the prune: the record's state
-		// is final, so recovery prunes it locally without querying anyone —
-		// and without resurrecting the agent.
-		net := transport.NewInProcNet()
-		store := walStore(t)
-		a := newMigSite(t, net, "a", store)
-		b := newMigSite(t, net, "b", persist.NewMemStore())
-		link(t, a, "b")
-
-		agent := counterAgent(t, a, "scout")
-		img, err := agent.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a.DispatchAgent("scout", "b"); err != nil {
-			t.Fatal(err)
-		}
-		rec := &migrationRecord{
-			MID:    a.gen.New().String(),
-			Name:   "scout",
-			Dest:   "b",
-			State:  migrationCommitted,
-			WasAPO: true,
-			Image:  wire.EncodeImage(img),
-		}
-		if err := a.putMigration(rec); err != nil {
-			t.Fatal(err)
-		}
-
-		a2 := restartSite(t, net, a, "b")
-		bootstrap(t, a2)
-		if slots := journalMigrations(t, a2); len(slots) != 0 {
-			t.Errorf("final record not pruned: %v", slots)
-		}
-		if _, err := a2.ResolveObject("scout"); err == nil {
-			t.Error("committed migration resurrected at origin")
-		}
-		if got := copies("scout", a2, b); got != 1 {
-			t.Errorf("agent copies = %d", got)
-		}
-	})
-
 	t.Run("dest-crash-after-install", func(t *testing.T) {
 		// The destination acknowledged the installation, then crashed. Its
 		// restart must reinstall the agent from the arrival journal without

@@ -18,35 +18,6 @@ const (
 	verbInvoke = "hadas.invoke"
 )
 
-// encodeMap and decodeMap are the map form the durable records keep (the
-// migration journal, arrival records, the Home manifest). decodeMap decodes
-// in place: a slot a store returned is never written again, so a byte
-// string that makes up at least half of it aliases it instead of being
-// copied out.
-func encodeMap(m map[string]value.Value) []byte { return wire.EncodeValue(value.NewMap(m)) }
-
-func decodeMap(b []byte) (map[string]value.Value, error) {
-	v, err := wire.DecodeValueInPlace(b)
-	if err != nil {
-		return nil, err
-	}
-	m, ok := v.Map()
-	if !ok {
-		return nil, fmt.Errorf("%w: record is not a map", wire.ErrCodec)
-	}
-	return m, nil
-}
-
-// field extracts a string field; absent or null fields read as empty (a
-// missing value must not alias the literal string "null").
-func field(m map[string]value.Value, key string) string {
-	v, ok := m[key]
-	if !ok || v.IsNull() {
-		return ""
-	}
-	return v.String()
-}
-
 // handle is the site's protocol endpoint. A payload is a frame payload or
 // stream assembly the transport handed over, so it is decoded in place.
 func (s *Site) handle(ctx context.Context, verb string, payload []byte) ([]byte, error) {

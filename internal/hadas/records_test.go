@@ -1,10 +1,11 @@
 package hadas
 
-// Golden vectors and a fuzz target for the protocol records. The golden
-// file holds one encoding per record (two for the invoke reply, to pin an
-// outcome code), so a change of format is a deliberate edit: run with
-// -update to rewrite it. FuzzProtocolRecords feeds arbitrary bytes, seeded
-// from those vectors, to every record's decoder.
+// Golden vectors and a fuzz target for the protocol records and the
+// durable ones (journal, arrival, manifest). The golden file holds one
+// encoding per record (two for the invoke reply, to pin an outcome code),
+// so a change of format is a deliberate edit: run with -update to rewrite
+// it. FuzzProtocolRecords feeds arbitrary bytes, seeded from those
+// vectors, to every record's decoder.
 
 import (
 	"bytes"
@@ -14,11 +15,14 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/naming"
+	"repro/internal/persist"
+	"repro/internal/transport"
 	"repro/internal/value"
 	"repro/internal/wire"
 )
@@ -63,6 +67,13 @@ func protocolRecords() []recordCase {
 		recordOf("reportReply", reportReply{[]MigrationInfo{{"m1", "scout", "b", migrationInDoubt, 2, 1500 * time.Millisecond, true}}}),
 		recordOf("probeReq", probeReq{"a:1", "b:2", 8, []core.ProbeStep{{Chain: "a:1", Site: "a", Object: "Lock<x>", Holder: "b:2"}}}),
 		recordOf("verdictReply", verdictReply{"a:1 → b:2 → a:1", "a:1", "Lock<x>"}),
+		// The durable records: the origin journal, the dedup table and the
+		// Home manifest.
+		recordOf("migrationRecord", migrationRecord{"mid-1", "scout", "b", migrationInDoubt, true, []byte("agent image"), 12, 7, 1_700_000_000_000_000_000, 2}),
+		recordOf("arrival", arrival{mid: "mid-1", name: "scout", from: "a", agentID: id, image: []byte("agent image"),
+			seq: 12, num: 7, state: arrivalDone, result: value.NewInt(3)}),
+		recordOf("arrival/departed", arrival{mid: "mid-2", name: "scout", agentID: id, seq: 13, state: arrivalDeparted, next: "c"}),
+		recordOf("manifestRecord", manifestRecord{[]manifestEntry{{"ledger", naming.ID{15: 1}}, {"payroll", id}}}),
 	}
 }
 
@@ -197,4 +208,93 @@ func FuzzProtocolRecords(f *testing.F) {
 			}
 		}
 	})
+}
+
+// storeContents is every slot of a store and its bytes.
+func storeContents(t *testing.T, store persist.Store) map[string]string {
+	t.Helper()
+	slots, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(slots))
+	for _, slot := range slots {
+		raw, err := store.Get(slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[slot] = string(raw)
+	}
+	return out
+}
+
+// TestMapShapedStoreRefused: a journal, arrival or manifest record in the
+// map form written before records makes BootstrapHome fail with
+// wire.ErrMapShaped and change nothing: no agent or APO is installed, and
+// the store keeps every byte. The store also holds what a bootstrap would
+// restore — a checkpointed APO, a landed agent in a record of the current
+// form — so a refusal that comes after the arrival replay shows. Mutants
+// caught: scanJournal skipping a map-shaped record as damaged (the arrival
+// and migration cases bootstrap without error), and BootstrapHome reading
+// the migrations or the manifest only after replaying the arrivals (the
+// walker is installed).
+func TestMapShapedStoreRefused(t *testing.T) {
+	str := value.NewString
+	legacy := map[string]func(id naming.ID, image []byte) (string, value.Value){
+		"arrival": func(id naming.ID, image []byte) (string, value.Value) {
+			return arrivalSlot("mid-old"), value.NewMap(map[string]value.Value{
+				"mid": str("mid-old"), "name": str("old"), "from": str("b"), "agent": str(id.String()),
+				"image": value.NewBytes(image), "seq": value.NewInt(1), "num": value.NewInt(1),
+				"state": str(arrivalDone), "result": value.Null, "err": str(""), "next": str(""),
+			})
+		},
+		"migration": func(id naming.ID, image []byte) (string, value.Value) {
+			return migrationSlot("mid-old"), value.NewMap(map[string]value.Value{
+				"mid": str("mid-old"), "name": str("old"), "dest": str("b"), "wasAPO": value.True,
+				"image": value.NewBytes(image), "seq": value.NewInt(1), "num": value.NewInt(1), "born": value.NewInt(1),
+			})
+		},
+		"manifest": func(id naming.ID, _ []byte) (string, value.Value) {
+			return homeManifestSlot, value.NewMap(map[string]value.Value{"resident": str(id.String())})
+		},
+	}
+	for what, old := range legacy {
+		t.Run(what, func(t *testing.T) {
+			net := transport.NewInProcNet()
+			store := persist.NewMemStore()
+			a := newMigSite(t, net, "a", store)
+			b := newMigSite(t, net, "b", persist.NewMemStore())
+			link(t, a, "b")
+			link(t, b, "a")
+			resident := inertAgent(t, a, "resident")
+			if err := a.PersistAll(); err != nil {
+				t.Fatal(err)
+			}
+			inertAgent(t, b, "walker")
+			if _, err := b.DispatchAgent("walker", "a"); err != nil {
+				t.Fatal(err)
+			}
+			img, err := resident.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			slot, rec := old(resident.ID(), wire.EncodeImage(img))
+			if err := store.Put(slot, wire.EncodeValue(rec)); err != nil {
+				t.Fatal(err)
+			}
+			before := storeContents(t, store)
+
+			a2 := restartSite(t, net, a, "b")
+			restored, err := a2.BootstrapHome()
+			if !errors.Is(err, wire.ErrMapShaped) {
+				t.Fatalf("bootstrap over a map-shaped %s record: %v, want wire.ErrMapShaped", what, err)
+			}
+			if len(restored) != 0 || len(a2.APONames()) != 0 {
+				t.Errorf("refused bootstrap restored %v; Home holds %v", restored, a2.APONames())
+			}
+			if !reflect.DeepEqual(storeContents(t, store), before) {
+				t.Error("refused bootstrap changed the store")
+			}
+		})
+	}
 }

@@ -23,7 +23,6 @@ import (
 	"repro/internal/persist"
 	"repro/internal/security"
 	"repro/internal/transport"
-	"repro/internal/value"
 	"repro/internal/wire"
 )
 
@@ -379,12 +378,14 @@ func (s *Site) ResolveObject(name string) (*core.Object, error) {
 	if obj, ok := s.home.get(name); ok {
 		return obj, nil
 	}
-	if id, err := naming.ParseID(name); err == nil {
-		obj, err := s.objects.LookupID(id)
-		if err != nil {
-			return nil, err
+	if len(name) == 35 { // the length of an ID's text form; no other name is parsed
+		if id, err := naming.ParseID(name); err == nil {
+			obj, err := s.objects.LookupID(id)
+			if err != nil {
+				return nil, err
+			}
+			return asObject(obj)
 		}
-		return asObject(obj)
 	}
 	obj, err := s.objects.Lookup(name)
 	if err != nil {
@@ -426,10 +427,7 @@ func (s *Site) materialize(img core.Image) (*core.Object, error) {
 // holder returns the live object the registry gives name to; nil when the
 // name is unbound or its binding is stale (the id was deregistered).
 func (s *Site) holder(name string) *core.Object {
-	held, err := s.objects.Lookup(name)
-	if err != nil {
-		return nil
-	}
+	held, _ := s.objects.Get(name)
 	obj, _ := held.(*core.Object)
 	return obj
 }
@@ -675,13 +673,29 @@ func (s *Site) callConn(conn transport.Conn, verb, chain string, req, rep func(*
 // restarted site can bootstrap itself without external knowledge.
 const homeManifestSlot = "_home-manifest"
 
+// manifestRecord is the slot's record: the checkpointed Home members,
+// sorted by name so a membership has one encoding.
+type manifestRecord struct{ APOs []manifestEntry }
+type manifestEntry struct {
+	Name string
+	ID   naming.ID
+}
+
+func (m *manifestRecord) Fields(c *wire.Codec) {
+	wire.List(c, "apos", &m.APOs, func(c *wire.Codec, e *manifestEntry) {
+		c.Str("name", &e.Name)
+		c.ID("id", &e.ID)
+	})
+}
+
 // encodeManifest renders a Home manifest membership as its slot payload.
 func encodeManifest(ids map[string]naming.ID) []byte {
-	m := make(map[string]value.Value, len(ids))
+	m := manifestRecord{make([]manifestEntry, 0, len(ids))}
 	for name, id := range ids {
-		m[name] = value.NewString(id.String())
+		m.APOs = append(m.APOs, manifestEntry{name, id})
 	}
-	return encodeMap(m)
+	sort.Slice(m.APOs, func(i, j int) bool { return m.APOs[i].Name < m.APOs[j].Name })
+	return wire.EncodeRecord(m.Fields)
 }
 
 // persistedManifest returns the membership of the Home manifest in the
@@ -695,17 +709,13 @@ func (s *Site) persistedManifest() (map[string]naming.ID, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := decodeMap(raw)
-	if err != nil {
+	var m manifestRecord
+	if err := wire.DecodeRecord(raw, m.Fields); err != nil {
 		return nil, fmt.Errorf("manifest: %w", err)
 	}
-	ids := make(map[string]naming.ID, len(m))
-	for name, idV := range m {
-		id, err := naming.ParseID(idV.String())
-		if err != nil {
-			return nil, fmt.Errorf("APO %q: %w", name, err)
-		}
-		ids[name] = id
+	ids := make(map[string]naming.ID, len(m.APOs))
+	for _, e := range m.APOs {
+		ids[e.Name] = e.ID
 	}
 	s.manifest = ids
 	return ids, nil
@@ -760,20 +770,30 @@ func (s *Site) PersistAll() error {
 // journaled image if not; unreachable destinations stay in doubt for a
 // later ResolveMigrations) — then restores every APO recorded by the last
 // PersistAll. APOs already present under their name are skipped. It
-// returns the names restored.
+// returns the names restored. A store holding a record in the map form
+// from before records is refused with wire.ErrMapShaped, before anything
+// changes: every record is read first (DESIGN §9).
 func (s *Site) BootstrapHome() ([]string, error) {
 	if s.cfg.Store == nil {
 		return nil, fmt.Errorf("%w: site has no store", core.ErrNotFound)
 	}
-	arrived, err := s.replayArrivals()
+	arrivals, err := scanJournal(s, arrivalSlotPrefix, decodeArrival, func(slot string, err error) {
+		s.log("replay arrival %s: %v", slot, err)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("bootstrap home: %w", err)
 	}
-	reinstated, err := s.ResolveMigrations()
+	migrations, err := s.scanMigrations()
 	if err != nil {
-		return arrived, fmt.Errorf("bootstrap home: %w", err)
+		return nil, fmt.Errorf("bootstrap home: %w", err)
 	}
-	restored := append(arrived, reinstated...)
+	s.manMu.Lock()
+	_, err = s.persistedManifest()
+	s.manMu.Unlock()
+	if errors.Is(err, wire.ErrMapShaped) {
+		return nil, fmt.Errorf("bootstrap home: %w", err)
+	}
+	restored := append(s.replayArrivals(arrivals), s.resolveMigrations(migrations)...)
 	// manMu stays held across the restore: a departure's scrub edits the
 	// membership this loop walks.
 	s.manMu.Lock()

@@ -39,23 +39,20 @@ func (id ID) IsNil() bool { return id == Nil }
 // String renders the canonical lower-case hex form, grouped for readability:
 // ssssssss-tttttttttttt-cccc-rrrrrrrr.
 func (id ID) String() string {
-	return fmt.Sprintf("%s-%s-%s-%s",
-		hex.EncodeToString(id[0:4]),
-		hex.EncodeToString(id[4:10]),
-		hex.EncodeToString(id[10:12]),
-		hex.EncodeToString(id[12:16]))
+	var b [35]byte
+	for _, g := range idGroups {
+		hex.Encode(b[g.from:g.to], id[g.at:g.at+(g.to-g.from)/2])
+	}
+	b[8], b[21], b[26] = '-', '-', '-'
+	return string(b[:])
 }
 
 // Site returns the 32-bit site fingerprint embedded in the ID.
 func (id ID) Site() uint32 { return binary.BigEndian.Uint32(id[0:4]) }
 
-// Minted returns the embedded mint timestamp, millisecond precision.
-func (id ID) Minted() time.Time {
-	var buf [8]byte
-	copy(buf[2:], id[4:10])
-	ms := binary.BigEndian.Uint64(buf[:])
-	return time.UnixMilli(int64(ms)).UTC()
-}
+// idGroups are the four hex groups of the text form: their positions in
+// it, and the offset of their bytes in the ID.
+var idGroups = [4]struct{ from, to, at int }{{0, 8, 0}, {9, 21, 4}, {22, 26, 10}, {27, 35, 12}}
 
 // ParseID parses the canonical String form.
 func ParseID(s string) (ID, error) {
@@ -63,21 +60,10 @@ func ParseID(s string) (ID, error) {
 	if len(s) != 35 || s[8] != '-' || s[21] != '-' || s[26] != '-' {
 		return Nil, fmt.Errorf("%w: %q", ErrBadID, s)
 	}
-	parts := []struct {
-		from, to int // positions in s
-		at       int // offset in id
-	}{
-		{0, 8, 0},
-		{9, 21, 4},
-		{22, 26, 10},
-		{27, 35, 12},
-	}
-	for _, p := range parts {
-		b, err := hex.DecodeString(s[p.from:p.to])
-		if err != nil {
+	for _, g := range idGroups {
+		if _, err := hex.Decode(id[g.at:], []byte(s[g.from:g.to])); err != nil {
 			return Nil, fmt.Errorf("%w: %q: %v", ErrBadID, s, err)
 		}
-		copy(id[p.at:], b)
 	}
 	return id, nil
 }
@@ -158,7 +144,7 @@ func (r *Registry) Register(id ID, obj any) {
 // pointing at it — that walk made every departure cost the size of the
 // site: whoever bound a name owns it and Unbinds (or Rebinds) it. A name
 // left pointing at a deregistered id resolves to nothing: Lookup reports it
-// as ErrUnbound (stale binding).
+// as ErrUnbound.
 func (r *Registry) Deregister(id ID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -213,17 +199,23 @@ func (r *Registry) LookupID(id ID) (any, error) {
 
 // Lookup resolves a human name to its object.
 func (r *Registry) Lookup(name string) (any, error) {
+	if obj, ok := r.Get(name); ok {
+		return obj, nil
+	}
+	return nil, fmt.Errorf("%w: %q", ErrUnbound, name)
+}
+
+// Get is Lookup without the error: false when name is unbound or its
+// binding is stale. A miss is a cheap answer, not a failure.
+func (r *Registry) Get(name string) (any, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	id, ok := r.byName[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnbound, name)
+		return nil, false
 	}
 	obj, ok := r.byID[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q (stale binding)", ErrUnbound, name)
-	}
-	return obj, nil
+	return obj, ok
 }
 
 // Resolve returns the ID bound to a human name.

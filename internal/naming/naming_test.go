@@ -1,7 +1,10 @@
 package naming
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -19,6 +22,37 @@ func TestIDStringParseRoundTrip(t *testing.T) {
 		if parsed != id {
 			t.Fatalf("round trip mismatch: %s != %s", parsed, id)
 		}
+	}
+}
+
+// TestIDTextForm pins the text form: a literal, the Sprintf over four hex
+// groups it was once built with, for random IDs too, and what rendering
+// and parsing cost. It fails on a String that is one allocation short of
+// its form, or back to the Sprintf (9 allocations), and on a ParseID that
+// decodes through slices of its own.
+func TestIDTextForm(t *testing.T) {
+	id := ID{0xa1, 0xa2, 0xa3, 0xa4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	if got, want := id.String(), "a1a2a3a4-05060708090a-0b0c-0d0e0f10"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	sprintf := func(id ID) string {
+		return fmt.Sprintf("%s-%s-%s-%s", hex.EncodeToString(id[0:4]), hex.EncodeToString(id[4:10]),
+			hex.EncodeToString(id[10:12]), hex.EncodeToString(id[12:16]))
+	}
+	f := func(raw [16]byte) bool {
+		s := ID(raw).String()
+		back, err := ParseID(s)
+		return s == sprintf(ID(raw)) && err == nil && back == ID(raw)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	s := id.String()
+	if n := testing.AllocsPerRun(100, func() { s = id.String() }); n != 1 {
+		t.Errorf("String: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { id, _ = ParseID(s) }); n != 0 {
+		t.Errorf("ParseID: %v allocs, want 0", n)
 	}
 }
 
@@ -52,8 +86,10 @@ func TestIDEmbedsSiteAndTime(t *testing.T) {
 	if id.Site() != g.Site() {
 		t.Errorf("Site() = %d, want %d", id.Site(), g.Site())
 	}
-	if got := id.Minted(); !got.Equal(at) {
-		t.Errorf("Minted() = %v, want %v", got, at)
+	var ms [8]byte
+	copy(ms[2:], id[4:10])
+	if got := int64(binary.BigEndian.Uint64(ms[:])); got != at.UnixMilli() {
+		t.Errorf("embedded time = %d ms, want %d", got, at.UnixMilli())
 	}
 	if id.IsNil() {
 		t.Error("fresh ID is nil")

@@ -62,12 +62,16 @@ func AppendRecord(dst []byte, fields func(*Codec)) []byte {
 	return out
 }
 
+// ErrMapShaped refuses a map value where a record belongs: a message or a
+// stored record in the format from before records. It is an ErrCodec.
+var ErrMapShaped = fmt.Errorf("%w: a map-shaped record, the format before records", ErrCodec)
+
 // DecodeRecord decodes b into the zero record fields describes. Like
 // DecodeValueInPlace it is for a buffer nothing writes again: a byte string
 // making up at least half of b aliases it.
 func DecodeRecord(b []byte, fields func(*Codec)) error {
 	if len(b) > 0 && b[0] == tagMap {
-		return fmt.Errorf("%w: a map-shaped message, the format before records", ErrCodec)
+		return ErrMapShaped
 	}
 	c := codecs.Get().(*Codec)
 	defer codecs.Put(c)
@@ -110,11 +114,11 @@ func (c *Codec) record(fields func(*Codec)) {
 	c.depth--
 }
 
-// field is one field of the walk: the size and encode walks count or write
-// v; decoding returns the next element, which must be of kind k, and false
-// when the element is absent or null. (v never flows to the result, or the
-// record it came from would escape.)
-func (c *Codec) field(name string, v value.Value, k value.Kind) (value.Value, bool) {
+// walkField is one field of the walk: the size and encode walks count or
+// write v; decoding returns the next element, which must be of kind k, and
+// false when the element is absent or null. (v never flows to the result,
+// or the record it came from would escape.)
+func (c *Codec) walkField(name string, v value.Value, k value.Kind) (value.Value, bool) {
 	if c.op != opDecode {
 		c.left++
 		if c.op == opSize {
@@ -151,42 +155,42 @@ func (c *Codec) next() (byte, bool) {
 
 // Str is a string field.
 func (c *Codec) Str(name string, p *string) {
-	if v, ok := c.field(name, value.NewString(*p), value.KindString); ok {
+	if v, ok := c.walkField(name, value.NewString(*p), value.KindString); ok {
 		*p, _ = v.Str()
 	}
 }
 
 // Bytes is a byte-string field.
 func (c *Codec) Bytes(name string, p *[]byte) {
-	if v, ok := c.field(name, value.NewBytes(*p), value.KindBytes); ok {
+	if v, ok := c.walkField(name, value.NewBytes(*p), value.KindBytes); ok {
 		*p, _ = v.Bytes()
 	}
 }
 
 // Int is an integer field.
 func (c *Codec) Int(name string, p *int64) {
-	if v, ok := c.field(name, value.NewInt(*p), value.KindInt); ok {
+	if v, ok := c.walkField(name, value.NewInt(*p), value.KindInt); ok {
 		*p, _ = v.Int()
 	}
 }
 
 // Bool is a boolean field.
 func (c *Codec) Bool(name string, p *bool) {
-	if v, ok := c.field(name, value.NewBool(*p), value.KindBool); ok {
+	if v, ok := c.walkField(name, value.NewBool(*p), value.KindBool); ok {
 		*p, _ = v.Bool()
 	}
 }
 
 // Values is a list of values.
 func (c *Codec) Values(name string, p *[]value.Value) {
-	if v, ok := c.field(name, value.NewList(*p), value.KindList); ok {
+	if v, ok := c.walkField(name, value.NewList(*p), value.KindList); ok {
 		*p, _ = v.List()
 	}
 }
 
 // Value is a field of any kind.
 func (c *Codec) Value(name string, p *value.Value) {
-	if v, ok := c.field(name, *p, kindAny); ok {
+	if v, ok := c.walkField(name, *p, kindAny); ok {
 		*p = v
 	}
 }
@@ -195,7 +199,7 @@ func (c *Codec) Value(name string, p *value.Value) {
 // of its own.
 func (c *Codec) ID(name string, p *naming.ID) {
 	if c.op != opDecode {
-		c.field(name, value.NewBytes(p[:]), value.KindBytes)
+		c.walkField(name, value.NewBytes(p[:]), value.KindBytes)
 	} else if tag, ok := c.next(); ok {
 		var b []byte
 		if tag == tagBytes {
