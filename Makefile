@@ -93,10 +93,11 @@ race-core-cpu:
 # request buffer is reused once its call returns: the ownership tests of
 # hadas and transport, with the per-connection stream cap; and where calls
 # share a deadline, a call record is pooled, and a request's context is
-# cancelled by a FrameCancel or a teardown.
+# cancelled by a FrameCancel or a teardown; and where a server hands a
+# request to a parked handler worker, and a teardown cuts a stream.
 race-hadas-cpu:
 	$(GO) test -race -cpu 1,2,4 -run 'Home|Contention|Concurrent|Arrival|Aliased|FailedCallKeeps|RetriedDispatch|InDoubtOutlives|DedupCap|CrashLosesAckBatch|CallDeadline' ./internal/hadas
-	$(GO) test -race -cpu 1,2,4 -run 'CallerOwnsPayload|TeardownWaitsForWriter|StreamIDCap|WaitForASlot|PooledCallRecord|HandlerContextOverTCP' ./internal/transport
+	$(GO) test -race -cpu 1,2,4 -run 'CallerOwnsPayload|TeardownWaitsForWriter|StreamIDCap|WaitForASlot|PooledCallRecord|HandlerContextOverTCP|SequentialCallsShareAWorker|BlockedHandlerLeavesConnectionServing|BurstLeavesAtMostKParked|CloseEndsParkedWorkers|FinishedRequestCancelSparesTheNext|TeardownCutStreamFailsClosed' ./internal/transport
 
 # fuzz-short runs the wire frame reader against its whole-body reference
 # parser for a bounded time, seeded from the golden frame vectors, and then

@@ -141,9 +141,9 @@ func TestRemoteInvokeAllocs(t *testing.T) {
 // The same round trip between two sites over loopback TCP, echoing its
 // argument. What is left per call: the payload the frame reader reads on
 // each end, the reply's encode buffer, the target and method strings and
-// the argument list the handler decodes, the request's context on the
-// server and its handler goroutine. The call record, the deadline, the
-// request buffer and a repeated verb are reused. The least of several
+// the argument list the handler decodes and the request's context on the
+// server. The call record, the deadline, the request buffer, a repeated
+// verb and the server's handler goroutine are reused. The least of several
 // runs, because a run that meets a collection refills a pool; the bound
 // is the measured count.
 func TestRemoteInvokeAllocsTCP(t *testing.T) {
@@ -194,8 +194,8 @@ func TestRemoteInvokeAllocsTCP(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		least = min(least, testing.AllocsPerRun(100, call))
 	}
-	if least > 9 {
-		t.Errorf("remote invoke over tcp: %v allocs/op, want <= 9", least)
+	if least > 8 {
+		t.Errorf("remote invoke over tcp: %v allocs/op, want <= 8", least)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestInvocationAccessors(t *testing.T) {
 		seen.selfOK = inv.Self() == obj
 		seen.method = inv.Method()
 		seen.level = inv.Level()
-		seen.depth = inv.Depth()
+		seen.depth = inv.depth
 		return value.Null, nil
 	}))
 	obj = b.MustBuild()

@@ -38,15 +38,6 @@ func (c *Class) Name() string { return c.name }
 // Parent returns the super-class (nil for a root class).
 func (c *Class) Parent() *Class { return c.parent }
 
-// Lineage returns the class chain, root first.
-func (c *Class) Lineage() []string {
-	var chain []string
-	for k := c; k != nil; k = k.parent {
-		chain = append([]string{k.name}, chain...)
-	}
-	return chain
-}
-
 // New constructs an instance: the builder runs every declaration from the
 // root down, then seals the object.
 func (c *Class) New(gen *naming.Generator, opts ...BuildOption) (*Object, error) {

@@ -45,9 +45,6 @@ func (inv *Invocation) Method() string { return inv.method }
 // ordinary method, k for the body of the level-k meta-invoke.
 func (inv *Invocation) Level() int { return inv.level }
 
-// Depth returns the re-entry depth (for diagnostics).
-func (inv *Invocation) Depth() int { return inv.depth }
-
 func (inv *Invocation) budget() mscript.Budget { return inv.self.budget }
 
 func (inv *Invocation) output() func(string) {

@@ -307,6 +307,21 @@ func (o *Object) MethodNames(caller security.Principal) []string {
 	return out
 }
 
+// HasMethod reports whether MethodNames(caller) lists name, without
+// listing: the object itself sees every method, another caller only the
+// visible ones.
+func (o *Object) HasMethod(caller security.Principal, name string) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	self := caller.Object == o.id
+	for _, c := range [...]*container[*Method]{&o.fixedMeth, o.meta, &o.extMeth} {
+		if m, ok := c.get(name); ok && (self || m.visible) {
+			return true
+		}
+	}
+	return false
+}
+
 // Describe renders the object's self-representation as seen by caller:
 // identity, class, domain, item and method listings, and the number of
 // installed meta-invoke levels. This is the paper's basic reflective

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -226,6 +227,17 @@ func TestHiddenItemsAreInvisible(t *testing.T) {
 		if n == "covertOp" {
 			t.Error("hidden method listed to stranger")
 		}
+	}
+	// HasMethod answers what the listing would, and allocates nothing.
+	for _, caller := range []security.Principal{out, obj.Principal()} {
+		for _, n := range append(obj.MethodNames(obj.Principal()), "nope") {
+			if got, want := obj.HasMethod(caller, n), slices.Contains(obj.MethodNames(caller), n); got != want {
+				t.Errorf("HasMethod(%v, %q) = %v, listing says %v", caller, n, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { obj.HasMethod(out, "covertOp") }); n != 0 && !raceBuild {
+		t.Errorf("HasMethod: %v allocs, want 0", n)
 	}
 }
 

@@ -146,7 +146,9 @@ func (s *Site) DispatchAgent(name, peerName string) (value.Value, error) {
 		return st.Result, nil
 	}
 	s.commitMigration(rec, obj.ID())
-	s.log("dispatched agent %s to %s (migration %s)", name, peerName, mid)
+	if s.cfg.Output != nil { // a hop boxes log arguments only for a listener
+		s.log("dispatched agent %s to %s (migration %s)", name, peerName, mid)
+	}
 	if msg := rep.ArrivalError; msg != "" {
 		// Installation was acknowledged before onArrival ran: the agent
 		// lives at the destination even though its arrival handler failed.
@@ -221,7 +223,9 @@ func (s *Site) handleDispatch(ctx context.Context, req *dispatchReq) (func(*wire
 	if err := s.admit(name, agent, true); err != nil {
 		return nil, s.failArrival(arr, batch, err)
 	}
-	s.log("agent %s arrived from %s", name, fromSite)
+	if s.cfg.Output != nil {
+		s.log("agent %s arrived from %s", name, fromSite)
+	}
 
 	// ACK point: the installation is recorded durably before onArrival
 	// runs. From here the origin commits; an arrival handler's error (or
@@ -237,7 +241,7 @@ func (s *Site) handleDispatch(ctx context.Context, req *dispatchReq) (func(*wire
 	})
 	result := value.Null
 	var arrivalErr error
-	if hasMethod(agent, onArrivalMethod) {
+	if agent.HasMethod(agent.Principal(), onArrivalMethod) {
 		result, arrivalErr = agent.Invoke(s.ioo.Principal(), onArrivalMethod, hop)
 	}
 	if arr != nil {
@@ -248,15 +252,4 @@ func (s *Site) handleDispatch(ctx context.Context, req *dispatchReq) (func(*wire
 		rep = dispatchReply{ArrivalError: fmt.Sprintf("agent %q onArrival: %v", name, arrivalErr)}
 	}
 	return rep.Fields, nil
-}
-
-// hasMethod reports whether the object lists a method under name for its
-// own principal (agents always see their own methods).
-func hasMethod(obj *core.Object, name string) bool {
-	for _, m := range obj.MethodNames(obj.Principal()) {
-		if m == name {
-			return true
-		}
-	}
-	return false
 }

@@ -245,6 +245,14 @@ func sendChunks(ctx context.Context, q *frameQueue, id uint64, win *streamWindow
 			select {
 			case <-win.notify:
 			case <-win.abort:
+				// A teardown closes q and then aborts the window: when
+				// both are ready the connection failed, and a resilient
+				// caller may resend only on ErrClosed.
+				select {
+				case <-q.done:
+					return ErrClosed
+				default:
+				}
 				return context.Canceled // receiver tore the stream down
 			case <-ctx.Done():
 				return ctx.Err()

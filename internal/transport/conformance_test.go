@@ -672,3 +672,25 @@ func TestTeardownWaitsForWriter(t *testing.T) {
 		})
 	}
 }
+
+// TestTeardownCutStreamFailsClosed: a teardown closes the frame queue and
+// then aborts the windows of the calls it fails, so a sender waiting for
+// credit finds both ready. It must fail with ErrClosed, the error a
+// ResilientConn resends on, never with the abort's context.Canceled.
+//
+// Caught, 5 of 5 runs: "the abort alone answered" (a select picks either,
+// so 64 tries all reading ErrClosed by chance is 2⁻⁶⁴).
+func TestTeardownCutStreamFailsClosed(t *testing.T) {
+	for i := 0; i < 64; i++ {
+		q := newFrameQueue(io.Discard, nil)
+		q.close()
+		q.wait()
+		win := newStreamWindow()
+		win.credit.Store(0)
+		win.cancel()
+		err := sendChunks(context.Background(), q, 1, win, false, "put", "", make([]byte, StreamChunk))
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("try %d: a sender cut by teardown got %v, want ErrClosed", i, err)
+		}
+	}
+}

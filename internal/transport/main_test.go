@@ -11,8 +11,8 @@ import (
 
 // TestMain fails the package when goroutines running transport code
 // outlive its tests: a server's accept loop, every connection's read,
-// serve and coalescing-writer loops, and the handler run per request must
-// end when their server or connection is closed.
+// serve and coalescing-writer loops, and every connection's handler
+// workers must end when their server or connection is closed.
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if code == 0 {

@@ -349,15 +349,36 @@ func (st *serverConnState) cancelRequest(id uint64) {
 	}
 }
 
+// parkedWorkers caps the handler goroutines a connection keeps parked
+// between requests. A worker's stack has grown to what its handlers need
+// (an interpreted body's eval frames take several KiB), so a request handed
+// to a parked worker starts on a warm stack, where a fresh goroutine would
+// grow and copy its stack again. A burst starts as many workers as it has
+// concurrent requests; once it drains, all but this many exit. A
+// connection whose peer has n calls in flight keeps n workers warm;
+// sixteen is well above what one peer's callers keep in flight in steady
+// state, while an idle connection pins at most sixteen stacks.
+const parkedWorkers = 16
+
+// request is what a connection's read loop hands a handler worker: the
+// request frame and the context registered for it.
+type request struct {
+	f   wire.Frame
+	ctx *reqCtx
+}
+
 func (s *tcpServer) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	defer s.untrack(c)
 	defer c.Close()
 
 	// Teardown order (LIFO): cancel handler contexts and fail the writer
-	// first, so handlers blocked on stream credit unblock before reqWG.Wait.
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
+	// first, so handlers blocked on stream credit return; then close the
+	// park, so each worker exits once its handler has, and wait for them.
+	var workers sync.WaitGroup
+	defer workers.Wait()
+	park := make(chan request)
+	defer close(park)
 	out := newFrameQueue(c, func(error) {
 		// A response that cannot be written strands every call pending on
 		// this connection: close the socket so the peer's teardown fires at
@@ -368,27 +389,33 @@ func (s *tcpServer) serveConn(c net.Conn) {
 	st := newServerConnState()
 	defer st.cancelAll()
 
+	// A worker serves the request it was started with, then parks for the
+	// next, unless parkedWorkers others already wait.
+	var parked atomic.Int32
+	work := func(r request) {
+		defer workers.Done()
+		for ok := true; ok; {
+			s.serveRequest(st, out, r)
+			if parked.Add(1) > parkedWorkers {
+				parked.Add(-1)
+				return
+			}
+			r, ok = <-park
+			parked.Add(-1)
+		}
+	}
+	// The read loop never runs a handler: a request goes to a parked
+	// worker, or to a new one, so a blocked handler never stalls the
+	// connection.
 	dispatch := func(f wire.Frame) {
-		rctx := &reqCtx{Context: context.Background(), chain: f.Chain}
-		st.addReq(f.RequestID, rctx)
-		reqWG.Add(1)
-		go func() {
-			defer reqWG.Done()
-			defer st.dropReq(f.RequestID)
-			result, err := s.handler(rctx, f.Verb, f.Payload)
-			if err != nil {
-				_ = out.send(wire.Frame{Type: wire.FrameError, RequestID: f.RequestID,
-					Payload: []byte(err.Error())})
-				return
-			}
-			if len(result) <= StreamThreshold {
-				_ = out.send(wire.Frame{Type: wire.FrameResponse, RequestID: f.RequestID, Payload: result})
-				return
-			}
-			win := newStreamWindow()
-			st.addStream(f.RequestID, win)
-			_ = sendChunks(rctx, out, f.RequestID, win, st.announces(), "", "", result)
-		}()
+		r := request{f, &reqCtx{Context: context.Background(), chain: f.Chain}}
+		st.addReq(f.RequestID, r.ctx)
+		select {
+		case park <- r:
+		default:
+			workers.Add(1)
+			go work(r)
+		}
 	}
 
 	// A chunk's payload is read straight into its stream's assembly (a
@@ -450,6 +477,25 @@ func (s *tcpServer) serveConn(c net.Conn) {
 			// Unknown frame types are ignored for forward compatibility.
 		}
 	}
+}
+
+// serveRequest runs one request's handler and sends its reply, then forgets
+// the request: a later FrameCancel for its id finds nothing to cancel.
+func (s *tcpServer) serveRequest(st *serverConnState, out *frameQueue, r request) {
+	id := r.f.RequestID
+	defer st.dropReq(id)
+	result, err := s.handler(r.ctx, r.f.Verb, r.f.Payload)
+	if err != nil {
+		_ = out.send(wire.Frame{Type: wire.FrameError, RequestID: id, Payload: []byte(err.Error())})
+		return
+	}
+	if len(result) <= StreamThreshold {
+		_ = out.send(wire.Frame{Type: wire.FrameResponse, RequestID: id, Payload: result})
+		return
+	}
+	win := newStreamWindow()
+	st.addStream(id, win)
+	_ = sendChunks(r.ctx, out, id, win, st.announces(), "", "", result)
 }
 
 // DialTCP connects to a framed-message server. The connection multiplexes
