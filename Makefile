@@ -107,9 +107,12 @@ race-hadas-cpu:
 # a whole-buffer reference replay, seeded from a log that ends in a group
 # (an exec there costs a few fsyncs, so minimizing a find is capped —
 # uncapped it takes the whole ten seconds), and then arbitrary bytes into
-# every protocol record's decoder, seeded from the records' golden vectors.
+# every protocol record's decoder, seeded from the records' golden vectors,
+# and into the object-image decoder, seeded from current images and the
+# golden image in the format from before records.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzImage$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzEval$$' -fuzztime=10s ./internal/mscript
 	$(GO) test -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=10s -fuzzminimizetime=10x ./internal/persist
 	$(GO) test -run='^$$' -fuzz='^FuzzProtocolRecords$$' -fuzztime=10s ./internal/hadas

@@ -307,6 +307,16 @@ func (o *Object) MethodNames(caller security.Principal) []string {
 	return out
 }
 
+// ExtMethodNames lists the extensible section's method names, hidden ones
+// included, in install order.
+func (o *Object) ExtMethodNames() []string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	out := make([]string, 0, len(o.extMeth.entries))
+	o.extMeth.each(func(name string, _ *Method) { out = append(out, name) })
+	return out
+}
+
 // HasMethod reports whether MethodNames(caller) lists name, without
 // listing: the object itself sees every method, another caller only the
 // visible ones.

@@ -103,9 +103,6 @@ func (s *Site) AddProgram(name, src string) error {
 		value.NewString(name), value.NewString(src)); err != nil {
 		return fmt.Errorf("add program %q: %w", name, err)
 	}
-	s.mu.Lock()
-	s.programs = append(s.programs, name)
-	s.mu.Unlock()
 	return nil
 }
 
@@ -114,25 +111,12 @@ func (s *Site) RemoveProgram(name string) error {
 	if _, err := s.ioo.InvokeSelf("deleteMethod", value.NewString(name)); err != nil {
 		return fmt.Errorf("remove program %q: %w", name, err)
 	}
-	s.mu.Lock()
-	for i, p := range s.programs {
-		if p == name {
-			s.programs = append(s.programs[:i], s.programs[i+1:]...)
-			break
-		}
-	}
-	s.mu.Unlock()
 	return nil
 }
 
-// ProgramNames lists installed coordination programs in install order.
-func (s *Site) ProgramNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.programs))
-	copy(out, s.programs)
-	return out
-}
+// ProgramNames lists installed coordination programs in install order: the
+// IOO's extensible methods, since its own are all fixed (buildIOO).
+func (s *Site) ProgramNames() []string { return s.ioo.ExtMethodNames() }
 
 // RunProgram executes a coordination program locally.
 func (s *Site) RunProgram(name string, args ...value.Value) (value.Value, error) {

@@ -104,6 +104,7 @@ type migrationRecord struct {
 	// (Config.MaxMigrationAge / MaxMigrationAttempts).
 	Born     int64
 	Attempts int64
+	slot     string // built once by journalSlot; memory only
 }
 
 func (r *migrationRecord) Fields(c *wire.Codec) {
@@ -121,15 +122,44 @@ func (r *migrationRecord) Fields(c *wire.Codec) {
 
 func decodeMigrationRecord(raw []byte) (*migrationRecord, error) {
 	r := new(migrationRecord)
-	return r, wire.DecodeRecord(raw, r.Fields)
+	if err := wire.DecodeRecord(raw, r.Fields); err != nil {
+		return r, err
+	}
+	return r, imageForm(r.Image)
+}
+
+// imageForm refuses a journaled image in a format from before records
+// (DESIGN §9), without decoding it; a departed record carries none.
+func imageForm(image []byte) error {
+	if len(image) == 0 {
+		return nil
+	}
+	return wire.RecordForm(image)
 }
 
 func migrationSlot(mid string) string { return migrationSlotPrefix + mid }
 func arrivalSlot(mid string) string   { return arrivalSlotPrefix + mid }
 
+// journalSlot is the record's slot, built once: a hop writes it up to
+// three times.
+func (r *migrationRecord) journalSlot() string {
+	if r.slot == "" {
+		r.slot = migrationSlot(r.MID)
+	}
+	return r.slot
+}
+
+// journalSlot is the record's slot, built once (arrMu held).
+func (a *arrival) journalSlot() string {
+	if a.slot == "" {
+		a.slot = arrivalSlot(a.mid)
+	}
+	return a.slot
+}
+
 // putMigration writes (or rewrites) a journal record durably.
 func (s *Site) putMigration(r *migrationRecord) error {
-	return s.journal.Put(migrationSlot(r.MID), wire.EncodeRecord(r.Fields))
+	return s.journal.Put(r.journalSlot(), wire.EncodeRecord(r.Fields))
 }
 
 // writeJournal applies one protocol step's batch through one barrier. A
@@ -177,7 +207,7 @@ func without[T comparable](xs []T, x T) []T {
 // the record is the outcome. A crash before it leaves the PREPARE record,
 // which recovery resolves against the peer to the same answer.
 func (s *Site) abortMigration(r *migrationRecord) {
-	s.endMigration("abort", r, map[string][]byte{migrationSlot(r.MID): nil})
+	s.endMigration("abort", r, map[string][]byte{r.journalSlot(): nil})
 }
 
 // commitMigration finalizes a successful hand-off in one atomic batch, the
@@ -189,7 +219,7 @@ func (s *Site) abortMigration(r *migrationRecord) {
 // reports whether the agent is back: an incarnation younger than r.Seq
 // lives here, and keeps its place in the checkpoint.
 func (s *Site) commitMigration(r *migrationRecord, id naming.ID) (back bool) {
-	batch := map[string][]byte{migrationSlot(r.MID): nil}
+	batch := map[string][]byte{r.journalSlot(): nil}
 	back = s.markAgentDeparted(r, id, batch)
 	if back || s.cfg.Store == nil || !s.scrubCheckpoint(r, id, batch) {
 		s.endMigration("commit", r, batch)
@@ -238,10 +268,10 @@ func (s *Site) InDoubtMigrations() []string {
 
 // scanJournal decodes every journal record under a slot prefix. A slot
 // that cannot be read or decoded is handed to skipped and left out: one
-// damaged record must not keep the rest from being recovered. A record in
-// the map form written before records fails the scan (wire.ErrMapShaped):
-// skipped, a dedup record would be lost, and a redelivered dispatch could
-// install a second live copy (DESIGN §9).
+// damaged record must not keep the rest from being recovered. A record, or
+// the image it carries, in a format from before records fails the scan
+// (wire.ErrNotRecord): skipped, a dedup record would be lost, and a
+// redelivered dispatch could install a second live copy (DESIGN §9).
 func scanJournal[T any](s *Site, prefix string, decode func([]byte) (T, error),
 	skipped func(slot string, err error)) ([]T, error) {
 	slots, err := s.journal.List()
@@ -259,7 +289,7 @@ func scanJournal[T any](s *Site, prefix string, decode func([]byte) (T, error),
 			continue
 		}
 		rec, err := decode(raw)
-		if errors.Is(err, wire.ErrMapShaped) {
+		if errors.Is(err, wire.ErrNotRecord) {
 			return nil, fmt.Errorf("%s: %w", slot, err)
 		} else if err != nil {
 			skipped(slot, err)
@@ -392,6 +422,7 @@ type arrival struct {
 	// acked: the origin resolved the migration, so no retry or status query
 	// asks for the record again (a birth site's synthetic one: from the start).
 	acked bool
+	slot  string // built once by journalSlot
 	done  chan struct{}
 }
 
@@ -424,7 +455,10 @@ func (a *arrival) Fields(c *wire.Codec) {
 
 func decodeArrival(raw []byte) (*arrival, error) {
 	a := &arrival{done: settled} // a replayed record is settled by definition
-	return a, wire.DecodeRecord(raw, a.Fields)
+	if err := wire.DecodeRecord(raw, a.Fields); err != nil {
+		return a, err
+	}
+	return a, imageForm(a.image)
 }
 
 // claimArrival registers interest in a migration ID. The first caller owns
@@ -496,14 +530,14 @@ func (s *Site) forgetArrival(a *arrival, batch map[string][]byte) {
 		delete(s.arrByName, a.name)
 	}
 	if a.state != arrivalFailed {
-		batch[arrivalSlot(a.mid)] = nil
+		batch[a.journalSlot()] = nil
 	}
 }
 
 // arrivalBatch adds a's current state to batch, with the evictions the
 // table's cap asks for riding the same barrier (arrMu held).
 func (s *Site) arrivalBatch(a *arrival, batch map[string][]byte) map[string][]byte {
-	batch[arrivalSlot(a.mid)] = wire.EncodeRecord(a.Fields)
+	batch[a.journalSlot()] = wire.EncodeRecord(a.Fields)
 	s.evictArrivals(batch)
 	return batch
 }
@@ -618,7 +652,7 @@ func (s *Site) markAgentDeparted(rec *migrationRecord, id naming.ID, batch map[s
 		// Only installed/done records are ever replayed; a departed one
 		// keeps its place in the dedup table, not a copy of the agent.
 		a.image = nil
-		batch[arrivalSlot(a.mid)] = wire.EncodeRecord(a.Fields)
+		batch[a.journalSlot()] = wire.EncodeRecord(a.Fields)
 	}
 	if _, dup := s.arrivals[rec.MID]; !found && !dup {
 		syn := &arrival{
@@ -631,7 +665,7 @@ func (s *Site) markAgentDeparted(rec *migrationRecord, id naming.ID, batch map[s
 			done:    settled,
 		}
 		s.addArrival(syn)
-		batch[arrivalSlot(syn.mid)] = wire.EncodeRecord(syn.Fields)
+		batch[syn.journalSlot()] = wire.EncodeRecord(syn.Fields)
 	}
 	s.settleArrivals(rec.Name, batch)
 	s.evictArrivals(batch)
@@ -858,12 +892,18 @@ func (s *Site) replayArrivals(recs []*arrival) []string {
 }
 
 // installImage materializes a stored image — a journaled agent or a
-// checkpointed APO — into Home.
+// checkpointed APO — into Home. The image was read from the store, a copy
+// nothing writes again, so it is decoded in place.
 func (s *Site) installImage(name string, image []byte) error {
 	img, err := wire.DecodeImage(image)
 	if err != nil {
 		return err
 	}
+	return s.install(name, img)
+}
+
+// install materializes a decoded image into Home.
+func (s *Site) install(name string, img core.Image) error {
 	obj, err := s.materialize(img)
 	if err != nil {
 		return err

@@ -69,7 +69,8 @@ func protocolRecords() []recordCase {
 		recordOf("verdictReply", verdictReply{"a:1 → b:2 → a:1", "a:1", "Lock<x>"}),
 		// The durable records: the origin journal, the dedup table and the
 		// Home manifest.
-		recordOf("migrationRecord", migrationRecord{"mid-1", "scout", "b", migrationInDoubt, true, []byte("agent image"), 12, 7, 1_700_000_000_000_000_000, 2}),
+		recordOf("migrationRecord", migrationRecord{MID: "mid-1", Name: "scout", Dest: "b", State: migrationInDoubt, WasAPO: true,
+			Image: []byte("agent image"), Seq: 12, Num: 7, Born: 1_700_000_000_000_000_000, Attempts: 2}),
 		recordOf("arrival", arrival{mid: "mid-1", name: "scout", from: "a", agentID: id, image: []byte("agent image"),
 			seq: 12, num: 7, state: arrivalDone, result: value.NewInt(3)}),
 		recordOf("arrival/departed", arrival{mid: "mid-2", name: "scout", agentID: id, seq: 13, state: arrivalDeparted, next: "c"}),
@@ -230,14 +231,11 @@ func storeContents(t *testing.T, store persist.Store) map[string]string {
 
 // TestMapShapedStoreRefused: a journal, arrival or manifest record in the
 // map form written before records makes BootstrapHome fail with
-// wire.ErrMapShaped and change nothing: no agent or APO is installed, and
-// the store keeps every byte. The store also holds what a bootstrap would
-// restore — a checkpointed APO, a landed agent in a record of the current
-// form — so a refusal that comes after the arrival replay shows. Mutants
-// caught: scanJournal skipping a map-shaped record as damaged (the arrival
-// and migration cases bootstrap without error), and BootstrapHome reading
-// the migrations or the manifest only after replaying the arrivals (the
-// walker is installed).
+// wire.ErrMapShaped and change nothing (refusesBootstrap). Mutants caught:
+// scanJournal skipping a map-shaped record as damaged (the arrival and
+// migration cases bootstrap without error), and BootstrapHome reading the
+// migrations or the manifest only after replaying the arrivals (the walker
+// is installed).
 func TestMapShapedStoreRefused(t *testing.T) {
 	str := value.NewString
 	legacy := map[string]func(id naming.ID, image []byte) (string, value.Value){
@@ -260,41 +258,98 @@ func TestMapShapedStoreRefused(t *testing.T) {
 	}
 	for what, old := range legacy {
 		t.Run(what, func(t *testing.T) {
-			net := transport.NewInProcNet()
-			store := persist.NewMemStore()
-			a := newMigSite(t, net, "a", store)
-			b := newMigSite(t, net, "b", persist.NewMemStore())
-			link(t, a, "b")
-			link(t, b, "a")
-			resident := inertAgent(t, a, "resident")
-			if err := a.PersistAll(); err != nil {
-				t.Fatal(err)
-			}
-			inertAgent(t, b, "walker")
-			if _, err := b.DispatchAgent("walker", "a"); err != nil {
-				t.Fatal(err)
-			}
-			img, err := resident.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			slot, rec := old(resident.ID(), wire.EncodeImage(img))
-			if err := store.Put(slot, wire.EncodeValue(rec)); err != nil {
-				t.Fatal(err)
-			}
-			before := storeContents(t, store)
-
-			a2 := restartSite(t, net, a, "b")
-			restored, err := a2.BootstrapHome()
-			if !errors.Is(err, wire.ErrMapShaped) {
-				t.Fatalf("bootstrap over a map-shaped %s record: %v, want wire.ErrMapShaped", what, err)
-			}
-			if len(restored) != 0 || len(a2.APONames()) != 0 {
-				t.Errorf("refused bootstrap restored %v; Home holds %v", restored, a2.APONames())
-			}
-			if !reflect.DeepEqual(storeContents(t, store), before) {
-				t.Error("refused bootstrap changed the store")
-			}
+			refusesBootstrap(t, wire.ErrMapShaped, func(id naming.ID, image []byte) (string, []byte) {
+				slot, rec := old(id, image)
+				return slot, wire.EncodeValue(rec)
+			})
 		})
+	}
+}
+
+// legacyImage is wire's golden image in the format from before records.
+func legacyImage(t *testing.T) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "wire", "testdata", "image_v1.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := hex.DecodeString(string(bytes.TrimSpace(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestOldImageStoreRefused: an image in the format from before records —
+// a checkpointed APO's, or one a current journal or arrival record carries
+// — makes BootstrapHome fail with wire.ErrNotRecord and change nothing
+// (refusesBootstrap). Mutants caught: the checkpoint's images read only
+// after the journal replay (the walker is installed), and a journal
+// decoder that leaves its image unchecked or a scan that refuses only
+// map-shaped records (the replay logs the image and bootstraps the rest).
+func TestOldImageStoreRefused(t *testing.T) {
+	legacy := legacyImage(t)
+	if err := wire.RecordForm(legacy); !errors.Is(err, wire.ErrNotRecord) || errors.Is(err, wire.ErrMapShaped) {
+		t.Fatalf("old-format image's form: %v", err)
+	}
+	cases := map[string]func(id naming.ID) (string, []byte){
+		"checkpoint": func(id naming.ID) (string, []byte) { return id.String(), legacy },
+		"arrival": func(id naming.ID) (string, []byte) {
+			a := arrival{mid: "mid-old", name: "old", from: "b", agentID: id, image: legacy, seq: 1, num: 1, state: arrivalDone}
+			return arrivalSlot(a.mid), wire.EncodeRecord(a.Fields)
+		},
+		"migration": func(naming.ID) (string, []byte) {
+			r := migrationRecord{MID: "mid-old", Name: "old", Dest: "b", State: migrationPrepared, WasAPO: true,
+				Image: legacy, Seq: 1, Num: 1, Born: 1}
+			return migrationSlot(r.MID), wire.EncodeRecord(r.Fields)
+		},
+	}
+	for what, plant := range cases {
+		t.Run(what, func(t *testing.T) {
+			refusesBootstrap(t, wire.ErrNotRecord, func(id naming.ID, _ []byte) (string, []byte) { return plant(id) })
+		})
+	}
+}
+
+// refusesBootstrap builds a store that holds what a bootstrap would
+// restore — a checkpointed APO, "resident", and a landed agent, "walker",
+// in records of the current form — writes into it the slot plant returns
+// for the resident's ID and image, and requires BootstrapHome to fail with
+// want: no agent or APO installed, and every byte of the store kept.
+func refusesBootstrap(t *testing.T, want error, plant func(id naming.ID, image []byte) (string, []byte)) {
+	t.Helper()
+	net := transport.NewInProcNet()
+	store := persist.NewMemStore()
+	a := newMigSite(t, net, "a", store)
+	b := newMigSite(t, net, "b", persist.NewMemStore())
+	link(t, a, "b")
+	link(t, b, "a")
+	resident := inertAgent(t, a, "resident")
+	if err := a.PersistAll(); err != nil {
+		t.Fatal(err)
+	}
+	inertAgent(t, b, "walker")
+	if _, err := b.DispatchAgent("walker", "a"); err != nil {
+		t.Fatal(err)
+	}
+	img, err := resident.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(plant(resident.ID(), wire.EncodeImage(img))); err != nil {
+		t.Fatal(err)
+	}
+	before := storeContents(t, store)
+
+	a2 := restartSite(t, net, a, "b")
+	restored, err := a2.BootstrapHome()
+	if !errors.Is(err, want) {
+		t.Fatalf("bootstrap: %v, want %v", err, want)
+	}
+	if len(restored) != 0 || len(a2.APONames()) != 0 {
+		t.Errorf("refused bootstrap restored %v; Home holds %v", restored, a2.APONames())
+	}
+	if !reflect.DeepEqual(storeContents(t, store), before) {
+		t.Error("refused bootstrap changed the store")
 	}
 }

@@ -169,7 +169,6 @@ type Site struct {
 	ambassadorSpecs map[string]AmbassadorSpec // apoName → split
 	ambassadors     map[string]*core.Object   // hosted ambassadors, by registry name
 	deployments     []deployment
-	programs        []string           // interop program names, install order
 	migrating       map[string]bool    // agent names with a dispatch in flight
 	migSeq          int64              // the number the last PREPARE took
 	pendingTo       map[string][]int64 // by destination, unresolved migrations' numbers
@@ -770,9 +769,10 @@ func (s *Site) PersistAll() error {
 // journaled image if not; unreachable destinations stay in doubt for a
 // later ResolveMigrations) — then restores every APO recorded by the last
 // PersistAll. APOs already present under their name are skipped. It
-// returns the names restored. A store holding a record in the map form
-// from before records is refused with wire.ErrMapShaped, before anything
-// changes: every record is read first (DESIGN §9).
+// returns the names restored. A store holding a record or an image in a
+// format from before records is refused with wire.ErrNotRecord (a
+// map-shaped record: wire.ErrMapShaped), before anything changes: every
+// record and every checkpointed image is read first (DESIGN §9).
 func (s *Site) BootstrapHome() ([]string, error) {
 	if s.cfg.Store == nil {
 		return nil, fmt.Errorf("%w: site has no store", core.ErrNotFound)
@@ -787,15 +787,13 @@ func (s *Site) BootstrapHome() ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bootstrap home: %w", err)
 	}
-	s.manMu.Lock()
-	_, err = s.persistedManifest()
-	s.manMu.Unlock()
-	if errors.Is(err, wire.ErrMapShaped) {
+	checkpoint, err := s.readCheckpoint()
+	if err != nil {
 		return nil, fmt.Errorf("bootstrap home: %w", err)
 	}
 	restored := append(s.replayArrivals(arrivals), s.resolveMigrations(migrations)...)
 	// manMu stays held across the restore: a departure's scrub edits the
-	// membership this loop walks.
+	// membership this loop reads.
 	s.manMu.Lock()
 	defer s.manMu.Unlock()
 	ids, err := s.persistedManifest()
@@ -809,17 +807,44 @@ func (s *Site) BootstrapHome() ([]string, error) {
 		}
 		return restored, fmt.Errorf("bootstrap home: %w", err)
 	}
-	for name, id := range ids {
+	for name, img := range checkpoint {
+		if ids[name] != img.ID {
+			continue // a commit during recovery took it out of the checkpoint
+		}
 		if _, err := s.APO(name); err == nil {
 			continue // already installed
 		}
-		if err := s.BootstrapAPO(name, id); err != nil {
-			return restored, err
+		if err := s.install(name, img); err != nil {
+			return restored, fmt.Errorf("bootstrap %q: %w", name, err)
 		}
 		restored = append(restored, name)
 	}
 	sort.Strings(restored)
 	return restored, nil
+}
+
+// readCheckpoint decodes every image the Home manifest names. A store with
+// no manifest has no checkpoint.
+func (s *Site) readCheckpoint() (map[string]core.Image, error) {
+	s.manMu.Lock()
+	defer s.manMu.Unlock()
+	ids, err := s.persistedManifest()
+	if errors.Is(err, persist.ErrNoSlot) {
+		return nil, nil
+	} else if err != nil {
+		return nil, err
+	}
+	images := make(map[string]core.Image, len(ids))
+	for name, id := range ids {
+		raw, err := s.cfg.Store.Get(id.String())
+		if err == nil {
+			images[name], err = wire.DecodeImage(raw)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bootstrap %q: %w", name, err)
+		}
+	}
+	return images, nil
 }
 
 // BootstrapAPO loads one persisted APO back into Home under a name.

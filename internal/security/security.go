@@ -204,14 +204,6 @@ func (a ACL) Entries() []Entry {
 	return out
 }
 
-// Append returns a new ACL with e added at the end.
-func (a ACL) Append(e Entry) ACL {
-	out := make([]Entry, 0, len(a.entries)+1)
-	out = append(out, a.entries...)
-	out = append(out, e)
-	return ACL{entries: out}
-}
-
 // Prepend returns a new ACL with e inserted at the front (highest priority).
 func (a ACL) Prepend(e Entry) ACL {
 	out := make([]Entry, 0, len(a.entries)+1)

@@ -121,7 +121,6 @@ type ResilientConn struct {
 	consecFails int
 	openedAt    time.Time
 	lastErr     error
-	onState     func(from, to BreakerState)
 	closed      bool
 }
 
@@ -138,14 +137,6 @@ func NewResilientConn(inner Conn, redial func() (Conn, error), policy ResilientP
 		redial: redial,
 		rng:    rand.New(rand.NewSource(p.JitterSeed)),
 	}
-}
-
-// OnStateChange installs a callback fired (synchronously, without internal
-// locks held) on every breaker transition.
-func (r *ResilientConn) OnStateChange(fn func(from, to BreakerState)) {
-	r.mu.Lock()
-	r.onState = fn
-	r.mu.Unlock()
 }
 
 // Status returns a snapshot of the breaker.
@@ -168,21 +159,6 @@ func (r *ResilientConn) SetInner(conn Conn) Conn {
 	r.inner = conn
 	r.mu.Unlock()
 	return old
-}
-
-// transition must be called with r.mu held; it returns the notification to
-// fire after unlock (nil if no change or no listener).
-func (r *ResilientConn) transition(to BreakerState) func() {
-	from := r.state
-	if from == to {
-		return nil
-	}
-	r.state = to
-	fn := r.onState
-	if fn == nil {
-		return nil
-	}
-	return func() { fn(from, to) }
 }
 
 // conn returns the live inner connection, dialing if necessary.
@@ -252,11 +228,8 @@ func (r *ResilientConn) recordSuccess() {
 	r.mu.Lock()
 	r.consecFails = 0
 	r.lastErr = nil
-	notify := r.transition(BreakerClosed)
+	r.state = BreakerClosed
 	r.mu.Unlock()
-	if notify != nil {
-		notify()
-	}
 }
 
 // recordFailure counts a transport failure, opening the breaker at the
@@ -265,15 +238,11 @@ func (r *ResilientConn) recordFailure(err error) {
 	r.mu.Lock()
 	r.lastErr = err
 	r.consecFails++
-	var notify func()
 	if r.state == BreakerHalfOpen || (r.state == BreakerClosed && r.consecFails >= r.policy.FailureThreshold) {
 		r.openedAt = time.Now()
-		notify = r.transition(BreakerOpen)
+		r.state = BreakerOpen
 	}
 	r.mu.Unlock()
-	if notify != nil {
-		notify()
-	}
 }
 
 // admit gates an operation on the breaker. In the open state it either
@@ -296,11 +265,8 @@ func (r *ResilientConn) admit(ctx context.Context) error {
 			r.mu.Unlock()
 			return fmt.Errorf("%w (retry in %v): %v", ErrCircuitOpen, wait.Round(time.Millisecond), last)
 		}
-		notify := r.transition(BreakerHalfOpen)
+		r.state = BreakerHalfOpen
 		r.mu.Unlock()
-		if notify != nil {
-			notify()
-		}
 		return r.probe(ctx)
 	}
 }

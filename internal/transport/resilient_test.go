@@ -133,12 +133,10 @@ func TestResilientBreakerOpensAndFailsFast(t *testing.T) {
 	p.Cooldown = time.Hour
 	rc := NewResilientConn(sc, nil, p)
 
-	var transitions []string
-	rc.OnStateChange(func(from, to BreakerState) {
-		transitions = append(transitions, from.String()+"→"+to.String())
-	})
-
 	for i := 0; i < 3; i++ {
+		if st := rc.State(); st != BreakerClosed {
+			t.Fatalf("state after %d failures = %v, want closed", i, st)
+		}
 		if _, err := rc.Call(context.Background(), "v", nil); !errors.Is(err, errWire) {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -156,8 +154,8 @@ func TestResilientBreakerOpensAndFailsFast(t *testing.T) {
 	if n := sc.callCount(); n != attempts {
 		t.Errorf("open circuit still reached the wire: %d → %d attempts", attempts, n)
 	}
-	if len(transitions) != 1 || transitions[0] != "closed→open" {
-		t.Errorf("transitions = %v", transitions)
+	if st := rc.State(); st != BreakerOpen {
+		t.Errorf("state after failing fast = %v, want open", st)
 	}
 	st := rc.Status()
 	if st.ConsecutiveFailures != 3 || !errors.Is(st.LastError, errWire) {

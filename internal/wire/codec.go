@@ -36,12 +36,6 @@ type Writer struct {
 // Bytes returns the accumulated encoding.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len reports the encoded size so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
-// Reset clears the writer for reuse.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
-
 // Byte appends a raw byte.
 func (w *Writer) Byte(b byte) { w.buf = append(w.buf, b) }
 
@@ -60,16 +54,7 @@ func (w *Writer) Float(f float64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(f))
 }
 
-// Bool appends a boolean byte.
-func (w *Writer) Bool(b bool) {
-	if b {
-		w.Byte(1)
-	} else {
-		w.Byte(0)
-	}
-}
-
-// Bytes appends a length-prefixed byte string.
+// BytesField appends a length-prefixed byte string.
 func (w *Writer) BytesField(b []byte) {
 	w.Uvarint(uint64(len(b)))
 	w.buf = append(w.buf, b...)
@@ -80,9 +65,6 @@ func (w *Writer) String(s string) {
 	w.Uvarint(uint64(len(s)))
 	w.buf = append(w.buf, s...)
 }
-
-// Raw appends bytes without a length prefix.
-func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
 // Reader consumes an encoded message.
 type Reader struct {
@@ -145,22 +127,6 @@ func (r *Reader) Float() (float64, error) {
 	bits := binary.LittleEndian.Uint64(r.buf[r.off:])
 	r.off += 8
 	return math.Float64frombits(bits), nil
-}
-
-// Bool reads a boolean byte.
-func (r *Reader) Bool() (bool, error) {
-	b, err := r.Byte()
-	if err != nil {
-		return false, err
-	}
-	switch b {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	default:
-		return false, fmt.Errorf("%w: bad bool byte %d", ErrCodec, b)
-	}
 }
 
 // span consumes a length-prefixed field and returns its bytes, still

@@ -1,10 +1,11 @@
 package wire
 
 // Golden vector for the object-image codec and the core serialize path.
-// Like the value vectors, the testdata bytes were captured before the
-// compact-Value refactor; the test proves the current representation
-// serializes objects byte-identically, including the full
-// FromImage → Snapshot → EncodeImage round trip.
+// image_golden.json pins the image as a record (imageFields), recaptured
+// with -update when the image became one; it also pins the full
+// FromImage → Snapshot → EncodeImage round trip. image_v1.hex holds the
+// same image in the format from before records, which every decoder must
+// refuse (TestDecodeImageRejectsGarbage).
 
 import (
 	"encoding/hex"

@@ -4,253 +4,97 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/naming"
-	"repro/internal/security"
-	"repro/internal/value"
 )
 
-// imageMagic and imageVersion head every object image so a receiver can
-// reject foreign or incompatible bytes before parsing further.
-const (
-	imageMagic   = 0x4D52 // "MR"
-	imageVersion = 1
-)
-
-// PutID appends a naming.ID.
-func PutID(w *Writer, id naming.ID) { w.Raw(id[:]) }
-
-// GetID reads a naming.ID.
-func GetID(r *Reader) (naming.ID, error) {
-	var id naming.ID
-	if r.Remaining() < len(id) {
-		return naming.Nil, fmt.Errorf("%w: truncated object id", ErrCodec)
-	}
-	for i := range id {
-		b, _ := r.Byte()
-		id[i] = b
-	}
-	return id, nil
+// imageFields describes an object image — the byte form in which mobile
+// objects travel and persist — as a record: its ACL entries, data items
+// and methods are lists of sub-records. An image in the format from
+// before records begins 0xD2, not a list, and is refused as ErrNotRecord.
+func imageFields(c *Codec, img *core.Image) {
+	c.ID("id", &img.ID)
+	c.Str("class", &img.Class)
+	c.Str("domain", &img.Domain)
+	c.Bool("metaHidden", &img.MetaHidden)
+	List(c, "metaACL", &img.MetaACL, aclFields)
+	List(c, "fixedData", &img.FixedData, dataFields)
+	List(c, "extData", &img.ExtData, dataFields)
+	List(c, "fixedMethods", &img.FixedMethods, methodFields)
+	List(c, "extMethods", &img.ExtMethods, methodFields)
+	List(c, "invokeLevels", &img.InvokeLevels, methodFields)
 }
 
-func putACL(w *Writer, entries []core.ACLEntryImage) {
-	w.Uvarint(uint64(len(entries)))
-	for _, e := range entries {
-		w.Bool(e.Allow)
-		PutID(w, e.Object)
-		w.String(e.Domain)
-		w.Byte(byte(e.Action))
-	}
+func aclFields(c *Codec, e *core.ACLEntryImage) {
+	c.Bool("allow", &e.Allow)
+	c.ID("object", &e.Object)
+	c.Str("domain", &e.Domain)
+	byteField(c, "action", &e.Action)
 }
 
-func getACL(r *Reader) ([]core.ACLEntryImage, error) {
-	n, err := r.Count()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.ACLEntryImage, 0, min(n, 1024))
-	for i := 0; i < n; i++ {
-		var e core.ACLEntryImage
-		if e.Allow, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		if e.Object, err = GetID(r); err != nil {
-			return nil, err
-		}
-		if e.Domain, err = r.String(); err != nil {
-			return nil, err
-		}
-		b, err := r.Byte()
-		if err != nil {
-			return nil, err
-		}
-		e.Action = security.Action(b)
-		out = append(out, e)
-	}
-	return out, nil
+func dataFields(c *Codec, d *core.DataItemImage) {
+	c.Str("name", &d.Name)
+	c.Value("value", &d.Value)
+	byteField(c, "dynKind", &d.DynKind)
+	c.Bool("visible", &d.Visible)
+	List(c, "acl", &d.ACL, aclFields)
 }
 
-func putBodyDescriptor(w *Writer, d core.BodyDescriptor) {
-	w.Byte(byte(d.Kind))
-	switch d.Kind {
-	case core.BodyNative:
-		w.String(d.Name)
-	case core.BodyScript:
-		w.String(d.Source)
+func methodFields(c *Codec, m *core.MethodImage) {
+	c.Str("name", &m.Name)
+	bodyFields(c, "body", &m.Body)
+	bodyFields(c, "pre", &m.Pre)
+	bodyFields(c, "post", &m.Post)
+	c.Bool("visible", &m.Visible)
+	List(c, "acl", &m.ACL, aclFields)
+}
+
+// bodyFields is a body descriptor as two fields of its method: the kind
+// (0 for an absent pre- or post-procedure) and the registry name or the
+// source. A body of another kind fails the decode.
+func bodyFields(c *Codec, name string, d *core.BodyDescriptor) {
+	text := d.Name
+	if d.Kind == core.BodyScript {
+		text = d.Source
+	}
+	byteField(c, name, &d.Kind)
+	c.Str(name, &text)
+	if c.op != opDecode || c.err != nil {
+		return
+	}
+	switch {
+	case d.Kind == core.BodyNative:
+		d.Name = text
+	case d.Kind == core.BodyScript:
+		d.Source = text
+	case d.Kind != 0 || text != "":
+		c.err = fmt.Errorf("%w: %s: unknown body kind %d", ErrCodec, name, d.Kind)
 	}
 }
 
-func getBodyDescriptor(r *Reader) (core.BodyDescriptor, error) {
-	b, err := r.Byte()
-	if err != nil {
-		return core.BodyDescriptor{}, err
+// byteField is a one-byte enumeration, sent as an integer.
+func byteField[T ~uint8](c *Codec, name string, p *T) {
+	n := int64(*p)
+	c.Int(name, &n)
+	if c.op != opDecode || c.err != nil {
+		return
 	}
-	d := core.BodyDescriptor{Kind: core.BodyKind(b)}
-	switch d.Kind {
-	case 0: // absent (pre/post slots)
-		return d, nil
-	case core.BodyNative:
-		d.Name, err = r.String()
-	case core.BodyScript:
-		d.Source, err = r.String()
-	default:
-		return d, fmt.Errorf("%w: unknown body kind %d", ErrCodec, b)
+	if uint64(n) > 0xFF {
+		c.err = fmt.Errorf("%w: %s %d out of range", ErrCodec, name, n)
 	}
-	return d, err
+	*p = T(n)
 }
 
-func putDataItems(w *Writer, items []core.DataItemImage) {
-	w.Uvarint(uint64(len(items)))
-	for _, d := range items {
-		w.String(d.Name)
-		PutValue(w, d.Value)
-		w.Byte(byte(d.DynKind))
-		w.Bool(d.Visible)
-		putACL(w, d.ACL)
-	}
-}
-
-func getDataItems(r *Reader) ([]core.DataItemImage, error) {
-	n, err := r.Count()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.DataItemImage, 0, min(n, 1024))
-	for i := 0; i < n; i++ {
-		var d core.DataItemImage
-		if d.Name, err = r.String(); err != nil {
-			return nil, err
-		}
-		if d.Value, err = GetValue(r); err != nil {
-			return nil, err
-		}
-		kindByte, err := r.Byte()
-		if err != nil {
-			return nil, err
-		}
-		d.DynKind = value.Kind(kindByte)
-		if d.Visible, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		if d.ACL, err = getACL(r); err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
-func putMethods(w *Writer, items []core.MethodImage) {
-	w.Uvarint(uint64(len(items)))
-	for _, m := range items {
-		w.String(m.Name)
-		putBodyDescriptor(w, m.Body)
-		putBodyDescriptor(w, m.Pre)
-		putBodyDescriptor(w, m.Post)
-		w.Bool(m.Visible)
-		putACL(w, m.ACL)
-	}
-}
-
-func getMethods(r *Reader) ([]core.MethodImage, error) {
-	n, err := r.Count()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.MethodImage, 0, min(n, 1024))
-	for i := 0; i < n; i++ {
-		var m core.MethodImage
-		if m.Name, err = r.String(); err != nil {
-			return nil, err
-		}
-		if m.Body, err = getBodyDescriptor(r); err != nil {
-			return nil, err
-		}
-		if m.Pre, err = getBodyDescriptor(r); err != nil {
-			return nil, err
-		}
-		if m.Post, err = getBodyDescriptor(r); err != nil {
-			return nil, err
-		}
-		if m.Visible, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		if m.ACL, err = getACL(r); err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-// EncodeImage serializes an object image — the byte form in which mobile
-// objects travel and persist.
+// EncodeImage serializes an object image.
 func EncodeImage(img core.Image) []byte {
-	var w Writer
-	w.Uvarint(imageMagic)
-	w.Byte(imageVersion)
-	PutID(&w, img.ID)
-	w.String(img.Class)
-	w.String(img.Domain)
-	w.Bool(img.MetaHidden)
-	putACL(&w, img.MetaACL)
-	putDataItems(&w, img.FixedData)
-	putDataItems(&w, img.ExtData)
-	putMethods(&w, img.FixedMethods)
-	putMethods(&w, img.ExtMethods)
-	putMethods(&w, img.InvokeLevels)
-	return w.Bytes()
+	return EncodeRecord(func(c *Codec) { imageFields(c, &img) })
 }
 
-// DecodeImage parses an object image, rejecting foreign or truncated input.
+// DecodeImage parses an object image, refusing foreign, truncated or
+// trailing input. Decoding is in place (DecodeRecord): a byte-string data
+// item making up at least half of b aliases it.
 func DecodeImage(b []byte) (core.Image, error) {
-	r := NewReader(b)
-	magic, err := r.Uvarint()
-	if err != nil {
-		return core.Image{}, err
-	}
-	if magic != imageMagic {
-		return core.Image{}, fmt.Errorf("%w: not an object image (magic %#x)", ErrCodec, magic)
-	}
-	ver, err := r.Byte()
-	if err != nil {
-		return core.Image{}, err
-	}
-	if ver != imageVersion {
-		return core.Image{}, fmt.Errorf("%w: unsupported image version %d", ErrCodec, ver)
-	}
 	var img core.Image
-	if img.ID, err = GetID(r); err != nil {
+	if err := DecodeRecord(b, func(c *Codec) { imageFields(c, &img) }); err != nil {
 		return core.Image{}, err
-	}
-	if img.Class, err = r.String(); err != nil {
-		return core.Image{}, err
-	}
-	if img.Domain, err = r.String(); err != nil {
-		return core.Image{}, err
-	}
-	if img.MetaHidden, err = r.Bool(); err != nil {
-		return core.Image{}, err
-	}
-	if img.MetaACL, err = getACL(r); err != nil {
-		return core.Image{}, err
-	}
-	if img.FixedData, err = getDataItems(r); err != nil {
-		return core.Image{}, err
-	}
-	if img.ExtData, err = getDataItems(r); err != nil {
-		return core.Image{}, err
-	}
-	if img.FixedMethods, err = getMethods(r); err != nil {
-		return core.Image{}, err
-	}
-	if img.ExtMethods, err = getMethods(r); err != nil {
-		return core.Image{}, err
-	}
-	if img.InvokeLevels, err = getMethods(r); err != nil {
-		return core.Image{}, err
-	}
-	if !r.Done() {
-		return core.Image{}, fmt.Errorf("%w: %d trailing bytes after image", ErrCodec, r.Remaining())
 	}
 	return img, nil
 }

@@ -1,9 +1,14 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -135,6 +140,22 @@ func TestImageEndToEndThroughCore(t *testing.T) {
 	}
 }
 
+// legacyImage is the golden image in the format from before records (a
+// magic and version byte ahead of hand-ordered fields), kept as the vector
+// every reader of images must refuse.
+func legacyImage(t testing.TB) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "image_v1.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestDecodeImageRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
@@ -147,14 +168,13 @@ func TestDecodeImageRejectsGarbage(t *testing.T) {
 			t.Errorf("DecodeImage(% x): %v", c, err)
 		}
 	}
-	// Wrong version.
-	img := sampleImage()
-	enc := EncodeImage(img)
-	enc[2] = 99 // version byte follows the 2-byte magic varint
-	if _, err := DecodeImage(enc); !errors.Is(err, ErrCodec) {
-		t.Errorf("bad version: %v", err)
+	// The format from before records.
+	if _, err := DecodeImage(legacyImage(t)); !errors.Is(err, ErrNotRecord) {
+		t.Errorf("old-format image: %v, want ErrNotRecord", err)
 	}
 	// Truncations at every prefix must fail cleanly, never panic.
+	img := sampleImage()
+	enc := EncodeImage(img)
 	for i := 0; i < len(enc)-1; i++ {
 		if _, err := DecodeImage(enc[:i]); err == nil {
 			t.Errorf("truncation at %d accepted", i)
@@ -164,19 +184,56 @@ func TestDecodeImageRejectsGarbage(t *testing.T) {
 	if _, err := DecodeImage(append(EncodeImage(img), 0)); !errors.Is(err, ErrCodec) {
 		t.Errorf("trailing bytes: %v", err)
 	}
+	// A body of a kind this site does not know.
+	img.ExtMethods[0].Post.Kind = 9
+	if _, err := DecodeImage(EncodeImage(img)); !errors.Is(err, ErrCodec) {
+		t.Errorf("unknown body kind: %v", err)
+	}
 }
 
+// TestIDRoundTrip: an id field is its 16 bytes, and a byte string of
+// another length in its place fails core.ErrArity.
 func TestIDRoundTrip(t *testing.T) {
 	id := gen.New()
-	var w Writer
-	PutID(&w, id)
-	got, err := GetID(NewReader(w.Bytes()))
-	if err != nil || got != id {
-		t.Errorf("GetID = %v, %v", got, err)
+	enc := EncodeRecord(func(c *Codec) { c.ID("id", &id) })
+	var got naming.ID
+	if err := DecodeRecord(enc, func(c *Codec) { c.ID("id", &got) }); err != nil || got != id {
+		t.Errorf("id field = %v, %v", got, err)
 	}
-	if _, err := GetID(NewReader([]byte{1, 2})); !errors.Is(err, ErrCodec) {
+	short := []byte{1, 2}
+	enc = EncodeRecord(func(c *Codec) { c.Bytes("id", &short) })
+	if err := DecodeRecord(enc, func(c *Codec) { c.ID("id", &got) }); !errors.Is(err, core.ErrArity) {
 		t.Errorf("short id: %v", err)
 	}
+}
+
+// FuzzImage: DecodeImage refuses arbitrary bytes with ErrCodec or
+// core.ErrArity, or returns an image whose re-encoding decodes back to the
+// same bytes. It never panics.
+func FuzzImage(f *testing.F) {
+	f.Add(EncodeImage(sampleImage()))
+	f.Add(legacyImage(f))
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		f.Add(EncodeImage(randomImage(r)))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		img, err := DecodeImage(b)
+		if err != nil {
+			if !errors.Is(err, ErrCodec) && !errors.Is(err, core.ErrArity) {
+				t.Fatalf("untyped refusal %v", err)
+			}
+			return
+		}
+		enc := EncodeImage(img)
+		again, err := DecodeImage(enc)
+		if err != nil {
+			t.Fatalf("re-encoding does not decode: %v", err)
+		}
+		if re := EncodeImage(again); !bytes.Equal(re, enc) {
+			t.Fatalf("round trip drifted:\n%x\n%x", enc, re)
+		}
+	})
 }
 
 // randomImage builds an arbitrary (structurally valid) image.

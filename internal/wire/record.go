@@ -62,16 +62,33 @@ func AppendRecord(dst []byte, fields func(*Codec)) []byte {
 	return out
 }
 
-// ErrMapShaped refuses a map value where a record belongs: a message or a
-// stored record in the format from before records. It is an ErrCodec.
-var ErrMapShaped = fmt.Errorf("%w: a map-shaped record, the format before records", ErrCodec)
+// ErrNotRecord refuses bytes that do not begin as a record (a list value):
+// a message, stored record or object image in a format from before
+// records. It is an ErrCodec.
+var ErrNotRecord = fmt.Errorf("%w: not a record", ErrCodec)
+
+// ErrMapShaped is the ErrNotRecord of a map value: a message or a stored
+// record in the format from before records.
+var ErrMapShaped = fmt.Errorf("%w: a map-shaped record, the format before records", ErrNotRecord)
+
+// RecordForm reports whether b begins as a record, without decoding it:
+// nil, ErrMapShaped, or ErrNotRecord.
+func RecordForm(b []byte) error {
+	switch {
+	case len(b) > 0 && b[0] == tagList:
+		return nil
+	case len(b) > 0 && b[0] == tagMap:
+		return ErrMapShaped
+	}
+	return ErrNotRecord
+}
 
 // DecodeRecord decodes b into the zero record fields describes. Like
 // DecodeValueInPlace it is for a buffer nothing writes again: a byte string
 // making up at least half of b aliases it.
 func DecodeRecord(b []byte, fields func(*Codec)) error {
-	if len(b) > 0 && b[0] == tagMap {
-		return ErrMapShaped
+	if err := RecordForm(b); err != nil {
+		return err
 	}
 	c := codecs.Get().(*Codec)
 	defer codecs.Put(c)
@@ -97,8 +114,12 @@ func (c *Codec) record(fields func(*Codec)) {
 	case opEncode:
 		c.w.buf = append(c.w.buf, tagList, 0)
 	case opDecode:
-		if tag, err := c.r.Byte(); c.err == nil && (err != nil || tag != tagList) {
-			c.err = fmt.Errorf("%w: not a record", ErrCodec)
+		if c.err != nil {
+			break
+		}
+		var tag byte
+		if tag, c.err = c.r.Byte(); c.err == nil && tag != tagList {
+			c.err = ErrNotRecord
 		} else if c.err == nil {
 			c.left, c.err = c.r.Count()
 		}
@@ -114,10 +135,11 @@ func (c *Codec) record(fields func(*Codec)) {
 	c.depth--
 }
 
-// walkField is one field of the walk: the size and encode walks count or
-// write v; decoding returns the next element, which must be of kind k, and
-// false when the element is absent or null. (v never flows to the result,
-// or the record it came from would escape.)
+// walkField is a field of a composite or open kind: the size and encode
+// walks count or write v; decoding returns the next element, which must be
+// of kind k, and false when the element is absent or null. (v never flows
+// to the result, or the record it came from would escape.) The scalar
+// fields below read and write their payload directly instead.
 func (c *Codec) walkField(name string, v value.Value, k value.Kind) (value.Value, bool) {
 	if c.op != opDecode {
 		c.left++
@@ -153,10 +175,39 @@ func (c *Codec) next() (byte, bool) {
 	return tag, err == nil && tag != tagNull
 }
 
+// put is a scalar field in the size and encode walks: the size walk counts
+// its tag and n payload bytes, the encode walk writes the tag, and reports
+// true for its caller to write the payload.
+func (c *Codec) put(tag byte, n int) bool {
+	c.left++
+	if c.op == opSize {
+		c.size += 1 + n
+		return false
+	}
+	c.w.Byte(tag)
+	return true
+}
+
+// want reads the next element for a scalar field of kind k, tagged tag:
+// false when it is absent or null, or decoding has failed; an element of
+// another kind fails the decode.
+func (c *Codec) want(name string, tag byte, k value.Kind) bool {
+	got, ok := c.next()
+	if ok && got != tag {
+		c.err = fmt.Errorf("%w: %s is not a %s", core.ErrArity, name, k)
+		return false
+	}
+	return ok
+}
+
 // Str is a string field.
 func (c *Codec) Str(name string, p *string) {
-	if v, ok := c.walkField(name, value.NewString(*p), value.KindString); ok {
-		*p, _ = v.Str()
+	if c.op != opDecode {
+		if c.put(tagString, blobSize(len(*p))) {
+			c.w.String(*p)
+		}
+	} else if c.want(name, tagString, value.KindString) {
+		*p, c.err = c.r.String()
 	}
 }
 
@@ -169,15 +220,28 @@ func (c *Codec) Bytes(name string, p *[]byte) {
 
 // Int is an integer field.
 func (c *Codec) Int(name string, p *int64) {
-	if v, ok := c.walkField(name, value.NewInt(*p), value.KindInt); ok {
-		*p, _ = v.Int()
+	if c.op != opDecode {
+		if c.put(tagInt, varintSize(*p)) {
+			c.w.Varint(*p)
+		}
+	} else if c.want(name, tagInt, value.KindInt) {
+		*p, c.err = c.r.Varint()
 	}
 }
 
-// Bool is a boolean field.
+// Bool is a boolean field: its tag is its value.
 func (c *Codec) Bool(name string, p *bool) {
-	if v, ok := c.walkField(name, value.NewBool(*p), value.KindBool); ok {
-		*p, _ = v.Bool()
+	if c.op != opDecode {
+		tag := byte(tagFalse)
+		if *p {
+			tag = tagTrue
+		}
+		c.put(tag, 0)
+	} else if tag, ok := c.next(); ok {
+		if tag != tagFalse && tag != tagTrue {
+			c.err = fmt.Errorf("%w: %s is not a %s", core.ErrArity, name, value.KindBool)
+		}
+		*p = tag == tagTrue
 	}
 }
 
@@ -199,7 +263,9 @@ func (c *Codec) Value(name string, p *value.Value) {
 // of its own.
 func (c *Codec) ID(name string, p *naming.ID) {
 	if c.op != opDecode {
-		c.walkField(name, value.NewBytes(p[:]), value.KindBytes)
+		if c.put(tagBytes, blobSize(len(p))) {
+			c.w.BytesField(p[:])
+		}
 	} else if tag, ok := c.next(); ok {
 		var b []byte
 		if tag == tagBytes {

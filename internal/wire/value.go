@@ -268,10 +268,3 @@ func decodeValue(r *Reader) (value.Value, error) {
 	}
 	return v, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
