@@ -51,8 +51,9 @@ BENCH_STREAM_TIME = 2000x
 # (including the race detector, and internal/core and Home's concurrency
 # tests again across a -cpu sweep), a one-iteration benchmark smoke run, a
 # comparison of the tracked benchmarks against BENCH_PR.json (bench-check),
-# bounded fuzzes of the frame reader, MScript, WAL replay and the protocol
-# records, the benchmark module's own vet and tests, and the bounded chaos
+# bounded fuzzes of the frame reader, the image and value decoders,
+# MScript, WAL replay and the protocol records, the benchmark module's own
+# vet and tests, and the bounded chaos
 # sweep (chaos-short) behind the SLO gate.
 verify: fmt-check vet build test verify-race race-core-cpu race-hadas-cpu fuzz-short bench-module bench-smoke bench-check chaos-short
 
@@ -109,10 +110,13 @@ race-hadas-cpu:
 # uncapped it takes the whole ten seconds), and then arbitrary bytes into
 # every protocol record's decoder, seeded from the records' golden vectors,
 # and into the object-image decoder, seeded from current images and the
-# golden image in the format from before records.
+# golden image in the format from before records, and into both value
+# decoders (copying and in place), seeded from the golden value vectors and
+# a list nested past MaxDepth.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzImage$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzValue$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzEval$$' -fuzztime=10s ./internal/mscript
 	$(GO) test -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=10s -fuzzminimizetime=10x ./internal/persist
 	$(GO) test -run='^$$' -fuzz='^FuzzProtocolRecords$$' -fuzztime=10s ./internal/hadas

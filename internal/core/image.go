@@ -290,8 +290,8 @@ func FromImage(img Image, reg *BehaviorRegistry, opts ...MaterializeOption) (*Ob
 
 	addData := func(c *container[*DataItem], fixed bool, items []DataItemImage) error {
 		for _, di := range items {
-			if isReservedName(di.Name) {
-				return fmt.Errorf("%w: image data item %q is reserved", ErrExists, di.Name)
+			if err := o.freeDataName(di.Name); err != nil {
+				return fmt.Errorf("image: %w", err)
 			}
 			d := &DataItem{
 				name:    di.Name,
@@ -319,8 +319,8 @@ func FromImage(img Image, reg *BehaviorRegistry, opts ...MaterializeOption) (*Ob
 
 	addMethods := func(c *container[*Method], fixed bool, items []MethodImage) error {
 		for _, mi := range items {
-			if isReservedName(mi.Name) {
-				return fmt.Errorf("%w: image method %q is reserved", ErrExists, mi.Name)
+			if err := o.freeMethodName(mi.Name); err != nil {
+				return fmt.Errorf("image: %w", err)
 			}
 			m, err := o.rebuildMethod(mi, fixed)
 			if err != nil {

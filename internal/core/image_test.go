@@ -215,6 +215,20 @@ func TestImageRejectsReservedNames(t *testing.T) {
 	if _, err := FromImage(img2, nil); !errors.Is(err, ErrExists) {
 		t.Errorf("reserved method in image: %v", err)
 	}
+	// A name in both sections is refused, as Builder refuses declaring it.
+	both := Image{Class: "Twice",
+		FixedData: []DataItemImage{{Name: "x", Visible: true}},
+		ExtData:   []DataItemImage{{Name: "x", Visible: true}}}
+	if _, err := FromImage(both, nil); !errors.Is(err, ErrExists) {
+		t.Errorf("data item in both sections: %v", err)
+	}
+	body := BodyDescriptor{Kind: BodyScript, Source: "fn() { return 1; }"}
+	both = Image{Class: "Twice",
+		FixedMethods: []MethodImage{{Name: "m", Visible: true, Body: body}},
+		ExtMethods:   []MethodImage{{Name: "m", Visible: true, Body: body}}}
+	if _, err := FromImage(both, nil); !errors.Is(err, ErrExists) {
+		t.Errorf("method in both sections: %v", err)
+	}
 }
 
 func TestImageRejectsBadScript(t *testing.T) {

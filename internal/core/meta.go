@@ -282,11 +282,8 @@ func metaAddDataItem(inv *Invocation, args []value.Value) (value.Value, error) {
 	o := inv.self
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if isReservedName(name) {
-		return value.Null, fmt.Errorf("%w: %q is reserved", ErrExists, name)
-	}
-	if _, dup := o.lookupData(name); dup {
-		return value.Null, fmt.Errorf("%w: data item %q", ErrExists, name)
+	if err := o.freeDataName(name); err != nil {
+		return value.Null, err
 	}
 	d := &DataItem{name: name, visible: true, fixed: false, gen: o.stamp(nil)}
 	if err := d.setValue(argAt(args, 1)); err != nil {
@@ -365,11 +362,8 @@ func (o *Object) applyDataProps(d *DataItem, props map[string]value.Value) error
 	if v, ok := props["rename"]; ok {
 		newName := v.String()
 		if newName != d.name { // self-rename is a no-op
-			if isReservedName(newName) {
-				return fmt.Errorf("%w: %q is reserved", ErrExists, newName)
-			}
-			if _, dup := o.lookupData(newName); dup {
-				return fmt.Errorf("%w: data item %q", ErrExists, newName)
+			if err := o.freeDataName(newName); err != nil {
+				return err
 			}
 			if err := o.extData.remove(d.name); err != nil {
 				return err
@@ -526,11 +520,8 @@ func metaAddMethod(inv *Invocation, args []value.Value) (value.Value, error) {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if isReservedName(name) {
-		return value.Null, fmt.Errorf("%w: %q is reserved", ErrExists, name)
-	}
-	if _, dup := o.lookupMethod(name); dup {
-		return value.Null, fmt.Errorf("%w: method %q", ErrExists, name)
+	if err := o.freeMethodName(name); err != nil {
+		return value.Null, err
 	}
 	m := &Method{name: name, body: body, visible: true, fixed: false, gen: o.stamp(nil)}
 	if props := argMap(args, 2); props != nil {
@@ -636,11 +627,8 @@ func (o *Object) applyMethodProps(m *Method, props map[string]value.Value) error
 	if v, ok := props["rename"]; ok {
 		newName := v.String()
 		if newName != m.name { // self-rename is a no-op
-			if isReservedName(newName) {
-				return fmt.Errorf("%w: %q is reserved", ErrExists, newName)
-			}
-			if _, dup := o.lookupMethod(newName); dup {
-				return fmt.Errorf("%w: method %q", ErrExists, newName)
+			if err := o.freeMethodName(newName); err != nil {
+				return err
 			}
 			if err := o.extMeth.remove(m.name); err != nil {
 				return err

@@ -134,6 +134,31 @@ func (o *Object) Registry() *BehaviorRegistry {
 	return o.registry
 }
 
+// freeDataName is the rule every declaration of a data item follows —
+// Builder, FromImage, addDataItem and rename alike: a reserved name, or
+// one a data item of either section already has, is refused with
+// ErrExists. Callers hold o.mu (or own an unpublished o).
+func (o *Object) freeDataName(name string) error {
+	if isReservedName(name) {
+		return fmt.Errorf("%w: %q is reserved", ErrExists, name)
+	}
+	if _, dup := o.lookupData(name); dup {
+		return fmt.Errorf("%w: data item %q", ErrExists, name)
+	}
+	return nil
+}
+
+// freeMethodName is freeDataName's rule for methods.
+func (o *Object) freeMethodName(name string) error {
+	if isReservedName(name) {
+		return fmt.Errorf("%w: %q is reserved", ErrExists, name)
+	}
+	if _, dup := o.lookupMethod(name); dup {
+		return fmt.Errorf("%w: method %q", ErrExists, name)
+	}
+	return nil
+}
+
 // lookupMethod finds a method by name: fixed section, meta-methods (their
 // names are reserved), then extensible, which cannot shadow the guaranteed
 // interface. Callers hold o.mu.
@@ -450,15 +475,9 @@ func (b *Builder) addData(c *container[*DataItem], fixed bool, name string, v va
 		return
 	}
 	d.compute = compute
-	if isReservedName(name) {
-		b.fail(fmt.Errorf("%w: %q is reserved", ErrExists, name))
-		return
-	}
-	if _, dup := b.obj.lookupData(name); dup {
-		b.fail(fmt.Errorf("%w: data item %q", ErrExists, name))
-		return
-	}
-	if err := c.add(name, d); err != nil {
+	if err := b.obj.freeDataName(name); err != nil {
+		b.fail(err)
+	} else if err := c.add(name, d); err != nil {
 		b.fail(err)
 	}
 }
@@ -502,15 +521,9 @@ func (b *Builder) addMethod(c *container[*Method], fixed bool, name string, body
 	}
 	m := &Method{name: name, body: body, pre: cfg.pre, post: cfg.post,
 		acl: cfg.acl, visible: cfg.visible, fixed: fixed, gen: b.obj.stamp(nil)}
-	if isReservedName(name) {
-		b.fail(fmt.Errorf("%w: %q is reserved", ErrExists, name))
-		return
-	}
-	if _, dup := b.obj.lookupMethod(name); dup {
-		b.fail(fmt.Errorf("%w: method %q", ErrExists, name))
-		return
-	}
-	if err := c.add(name, m); err != nil {
+	if err := b.obj.freeMethodName(name); err != nil {
+		b.fail(err)
+	} else if err := c.add(name, m); err != nil {
 		b.fail(err)
 	}
 }

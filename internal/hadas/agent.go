@@ -2,6 +2,7 @@ package hadas
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -44,8 +45,9 @@ const onArrivalMethod = "onArrival"
 //   - ambiguous transport failure: the migration goes IN-DOUBT and is
 //     resolved against the destination's dedup table via
 //     hadas.migration.status — committed if the agent landed, reinstated
-//     if not, or left in doubt (ErrMigrationInDoubt) when the destination
-//     cannot be reached; BootstrapHome/ResolveMigrations retries later;
+//     if not, or left in doubt (ErrMigrationInDoubt), one resolution
+//     attempt spent, when the destination cannot be reached;
+//     BootstrapHome/ResolveMigrations retries later;
 //   - an onArrival error at the destination is reported as an error but
 //     the migration still commits: installation was acknowledged first,
 //     so the agent lives at the destination, not here.
@@ -128,26 +130,20 @@ func (s *Site) DispatchAgent(name, peerName string) (value.Value, error) {
 		if jerr := s.putMigration(rec); jerr != nil {
 			s.log("migration %s: journal in-doubt failed: %v", mid, jerr)
 		}
-		st, qerr := s.MigrationStatusAt(peerName, mid)
+		st, _, qerr := s.resolveInDoubt(rec, obj)
 		if qerr != nil {
 			return value.Null, fmt.Errorf("dispatch %q to %q: %w (migration %s): %v (status query: %v)",
 				name, peerName, ErrMigrationInDoubt, mid, err, qerr)
 		}
 		if !st.Landed {
-			s.reinstateAgent(name, obj, wasAPO)
-			s.abortMigration(rec)
 			return value.Null, fmt.Errorf("dispatch %q to %q: %w", name, peerName, err)
 		}
+		rep = dispatchReply{st.Result, st.ArrivalError}
+	} else {
 		s.commitMigration(rec, obj.ID())
-		s.log("dispatched agent %s to %s (migration %s, resolved from in-doubt)", name, peerName, mid)
-		if st.ArrivalError != "" {
-			return value.Null, fmt.Errorf("dispatch %q to %q: %s", name, peerName, st.ArrivalError)
+		if s.cfg.Output != nil { // a hop boxes log arguments only for a listener
+			s.log("dispatched agent %s to %s (migration %s)", name, peerName, mid)
 		}
-		return st.Result, nil
-	}
-	s.commitMigration(rec, obj.ID())
-	if s.cfg.Output != nil { // a hop boxes log arguments only for a listener
-		s.log("dispatched agent %s to %s (migration %s)", name, peerName, mid)
 	}
 	if msg := rep.ArrivalError; msg != "" {
 		// Installation was acknowledged before onArrival ran: the agent
@@ -198,17 +194,21 @@ func (s *Site) handleDispatch(ctx context.Context, req *dispatchReq) (func(*wire
 	if err := s.linkedPeer(fromSite); err != nil {
 		return nil, err // agents only arrive over cooperation agreements
 	}
-	if name == "" {
-		return nil, fmt.Errorf("%w: agent needs a name", core.ErrArity)
+	// Every arrival is journaled under its migration ID: without one, a
+	// crash would lose the agent, and a replay re-run onArrival.
+	if name == "" || req.MID == "" {
+		return nil, fmt.Errorf("%w: agent needs a name and a migration id", core.ErrArity)
 	}
-	var arr *arrival
-	var batch map[string][]byte
-	if req.MID != "" {
-		prev, owner, gone := s.claimArrival(req)
-		if !owner {
-			return s.arrivalOutcome(ctx, prev)
+	arr, owner, batch := s.claimArrival(req)
+	if !owner {
+		out, err := s.arrivalOutcome(ctx, arr)
+		if err == nil && out.State == arrivalFailed {
+			err = errors.New(out.ArrivalError)
 		}
-		arr, batch = prev, gone
+		if err != nil {
+			return nil, err
+		}
+		return out.dispatchReply.Fields, nil
 	}
 	img, err := wire.DecodeImage(raw)
 	if err != nil {
@@ -230,9 +230,7 @@ func (s *Site) handleDispatch(ctx context.Context, req *dispatchReq) (func(*wire
 	// ACK point: the installation is recorded durably before onArrival
 	// runs. From here the origin commits; an arrival handler's error (or
 	// a crash during it) can no longer resurrect the origin copy.
-	if arr != nil {
-		s.recordInstalled(arr, batch, agent.ID(), raw)
-	}
+	s.recordInstalled(arr, batch, agent.ID(), raw)
 
 	hop := value.NewMap(map[string]value.Value{
 		"hostSite": value.NewString(s.cfg.Name),
@@ -244,9 +242,7 @@ func (s *Site) handleDispatch(ctx context.Context, req *dispatchReq) (func(*wire
 	if agent.HasMethod(agent.Principal(), onArrivalMethod) {
 		result, arrivalErr = agent.Invoke(s.ioo.Principal(), onArrivalMethod, hop)
 	}
-	if arr != nil {
-		s.completeArrival(arr, result, arrivalErr)
-	}
+	s.completeArrival(arr, result, arrivalErr)
 	rep := dispatchReply{Result: result}
 	if arrivalErr != nil {
 		rep = dispatchReply{ArrivalError: fmt.Sprintf("agent %q onArrival: %v", name, arrivalErr)}

@@ -1,6 +1,7 @@
 package hadas
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -32,7 +33,7 @@ func TestMigrationOrphanedByAttemptCap(t *testing.T) {
 	net := transport.NewInProcNet()
 	a := newMigSiteCfg(t, net, Config{
 		Name: "a", Store: persist.NewMemStore(), Resilience: migPolicy(),
-		MaxMigrationAttempts: 2,
+		MaxMigrationAttempts: 3,
 	})
 	b := newMigSite(t, net, "b", nil)
 	link(t, a, "b")
@@ -41,13 +42,14 @@ func TestMigrationOrphanedByAttemptCap(t *testing.T) {
 
 	inDoubtMigration(t, a, "b", "ag")
 
-	// Each failed resolution round consumes attempt budget.
+	// Each failed resolution round consumes attempt budget, after the one
+	// the live dispatch's failed query spent.
 	for i := 1; i <= 2; i++ {
 		if _, err := a.ResolveMigrations(); err != nil {
 			t.Fatal(err)
 		}
 		rep := a.MigrationReport()
-		if len(rep) != 1 || rep[0].Attempts != i {
+		if len(rep) != 1 || rep[0].Attempts != i+1 {
 			t.Fatalf("after round %d: report %+v", i, rep)
 		}
 	}
@@ -72,7 +74,7 @@ func TestMigrationOrphanedByAttemptCap(t *testing.T) {
 	if len(reinstated) != 0 {
 		t.Fatalf("orphaned migration was auto-resolved: %v", reinstated)
 	}
-	if rep := a.MigrationReport(); len(rep) != 1 || rep[0].Attempts != 2 {
+	if rep := a.MigrationReport(); len(rep) != 1 || rep[0].Attempts != 3 {
 		t.Fatalf("orphaned record should be untouched, got %+v", rep)
 	}
 }
@@ -97,8 +99,8 @@ func TestMigrationOrphanedByAgeCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	orphans := a.OrphanedMigrations()
-	if len(orphans) != 1 || orphans[0].Attempts != 0 {
-		t.Fatalf("orphans = %+v, want one aged-out record with 0 attempts", orphans)
+	if len(orphans) != 1 || orphans[0].Attempts != 1 {
+		t.Fatalf("orphans = %+v, want one aged-out record with the live query's 1 attempt", orphans)
 	}
 }
 
@@ -110,11 +112,16 @@ func TestMigrationAttemptsSurviveRestart(t *testing.T) {
 	link(t, b, "a")
 	inertAgent(t, a, "ag")
 
+	// The live dispatch resolves through recovery's path: its failed status
+	// query spends the first attempt. The report reads the journal.
 	inDoubtMigration(t, a, "b", "ag")
+	if rep := a.MigrationReport(); len(rep) != 1 || rep[0].State != migrationInDoubt || rep[0].Attempts != 1 {
+		t.Fatalf("report after the live dispatch: %+v, want in doubt with 1 attempt", rep)
+	}
 	if _, err := a.ResolveMigrations(); err != nil {
 		t.Fatal(err)
 	}
-	if rep := a.MigrationReport(); len(rep) != 1 || rep[0].Attempts != 1 {
+	if rep := a.MigrationReport(); len(rep) != 1 || rep[0].Attempts != 2 {
 		t.Fatalf("report before restart: %+v", rep)
 	}
 
@@ -124,44 +131,15 @@ func TestMigrationAttemptsSurviveRestart(t *testing.T) {
 	a2 := restartSite(t, net, a)
 	bootstrap(t, a2)
 	rep := a2.MigrationReport()
-	if len(rep) != 1 || rep[0].Attempts < 2 {
-		t.Fatalf("report after restart: %+v, want attempts ≥ 2", rep)
-	}
-}
-
-func TestMigrationReportOverWire(t *testing.T) {
-	net := transport.NewInProcNet()
-	a := newMigSiteCfg(t, net, Config{
-		Name: "a", Store: persist.NewMemStore(), Resilience: migPolicy(),
-		MaxMigrationAttempts: 1,
-	})
-	b := newMigSite(t, net, "b", nil)
-	c := newMigSite(t, net, "c", nil)
-	link(t, a, "b")
-	link(t, b, "a")
-	link(t, a, "c")
-	link(t, c, "a")
-	inertAgent(t, a, "ag")
-
-	inDoubtMigration(t, a, "b", "ag")
-	if _, err := a.ResolveMigrations(); err != nil {
-		t.Fatal(err)
-	}
-
-	// An operator at c reads a's journal health over the wire.
-	rep, err := c.MigrationReportAt("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep) != 1 || !rep[0].Orphaned || rep[0].Name != "ag" || rep[0].Dest != "b" || rep[0].Attempts != 1 {
-		t.Fatalf("wire report = %+v", rep)
+	if len(rep) != 1 || rep[0].Attempts < 3 {
+		t.Fatalf("report after restart: %+v, want attempts ≥ 3", rep)
 	}
 }
 
 // TestAgentItineraryTrace follows an agent a→b→c through departed-record
 // next hops: every site on the path answers where the agent went, and the
-// final site answers resident — the full-itinerary trace of
-// hadas.migration.status.
+// final site answers resident — locally, and stitched by TraceAgent from
+// hadas.migration.status answers.
 func TestAgentItineraryTrace(t *testing.T) {
 	net := transport.NewInProcNet()
 	stores := map[string]persist.Backend{
@@ -199,32 +177,13 @@ func TestAgentItineraryTrace(t *testing.T) {
 		t.Fatalf("c's view = %+v, want resident", st)
 	}
 
-	// The same trace over the wire, hop by hop, from one observer.
-	observer := sites["a"]
-	cur := "a"
-	var hops []string
-	for range 5 {
-		var st AgentStatus
-		if cur == observer.Name() {
-			st = observer.AgentArrivalStatus("ag")
-		} else {
-			var err error
-			st, err = observer.AgentStatusAt(cur, "ag")
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if st.State == AgentStatusResident {
-			break
-		}
-		if st.State != arrivalDeparted || st.Next == "" {
-			t.Fatalf("trace broke at %s: %+v", cur, st)
-		}
-		cur = st.Next
-		hops = append(hops, cur)
+	// The same trace over the wire, stitched from every peer's view.
+	path, st, err := sites["a"].TraceAgent("", "ag")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cur != "c" || len(hops) != 2 {
-		t.Fatalf("trace ended at %s via %v, want c via [b c]", cur, hops)
+	if !slices.Equal(path, []string{"a", "b", "c"}) || st.State != AgentStatusResident {
+		t.Fatalf("trace = %v ending %+v, want [a b c] ending resident", path, st)
 	}
 }
 

@@ -389,7 +389,8 @@ func TestPartialFailureDuringUpdate(t *testing.T) {
 	}
 }
 
-// TestSitePersistence saves Home to a store and bootstraps it back.
+// TestSitePersistence saves Home to a store and installs an APO back from
+// its image slot.
 func TestSitePersistence(t *testing.T) {
 	store := newMemStoreForTest()
 	net := transport.NewInProcNet()
@@ -417,7 +418,11 @@ func TestSitePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if err := s2.BootstrapAPO("payroll", apo.ID()); err != nil {
+	raw, err := store.Get(apo.ID().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.installImage("payroll", raw); err != nil {
 		t.Fatal(err)
 	}
 	re, err := s2.APO("payroll")
@@ -438,9 +443,6 @@ func TestSitePersistence(t *testing.T) {
 	noStore := newTestSite(t, net, "nostore")
 	if err := noStore.PersistAll(); err == nil {
 		t.Error("PersistAll without store succeeded")
-	}
-	if err := noStore.BootstrapAPO("x", apo.ID()); err == nil {
-		t.Error("BootstrapAPO without store succeeded")
 	}
 }
 

@@ -160,7 +160,11 @@ func TestScrubLoadsManifestOnFirstUse(t *testing.T) {
 	}
 
 	a2 := restartSite(t, net, a, "b")
-	if err := a2.BootstrapAPO("walker", id); err != nil {
+	raw, err := store.Get(id.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a2.installImage("walker", raw); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a2.DispatchAgent("walker", "b"); err != nil {

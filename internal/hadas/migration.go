@@ -334,7 +334,7 @@ func (s *Site) maxMigrationAge() time.Duration {
 // automatic-resolution budget (attempt or age cap). Orphaned records are
 // not deleted — the journaled image may be the agent's only surviving
 // copy — but resolution stops retrying them and they are surfaced to
-// operators through MigrationReport and the migration.status report query.
+// operators through MigrationReport.
 func (s *Site) migrationOrphaned(rec *migrationRecord) bool {
 	if rec.Attempts >= int64(s.maxMigrationAttempts()) {
 		return true
@@ -346,7 +346,7 @@ func (s *Site) migrationOrphaned(rec *migrationRecord) bool {
 }
 
 // MigrationInfo is one unresolved origin-journal record, as reported to
-// operators (MigrationReport) and over the wire (migration.status report).
+// operators (MigrationReport).
 type MigrationInfo struct {
 	MID      string
 	Name     string // agent name
@@ -578,15 +578,12 @@ func (s *Site) completeArrival(a *arrival, result value.Value, arrivalErr error)
 	close(a.done)
 }
 
-// failArrival records an installation failure (nil a — a legacy dispatch
-// without a migration ID — is a no-op) and returns err for convenience.
-// Failures are kept in memory only: a crashed destination has nothing to
-// replay, and the origin's status query correctly reads absence as "the
-// agent never landed". batch, what the claim let go, is still written.
+// failArrival records an installation failure and returns err for
+// convenience. Failures are kept in memory only: a crashed destination has
+// nothing to replay, and the origin's status query correctly reads absence
+// as "the agent never landed". batch, what the claim let go, is still
+// written.
 func (s *Site) failArrival(a *arrival, batch map[string][]byte, err error) error {
-	if a == nil {
-		return err
-	}
 	s.arrMu.Lock()
 	a.state = arrivalFailed
 	a.errMsg = err.Error()
@@ -599,24 +596,23 @@ func (s *Site) failArrival(a *arrival, batch map[string][]byte, err error) error
 	return err
 }
 
-// arrivalOutcome reports a recorded (or in-flight) migration's outcome as
-// the dispatch response, waiting for a concurrent installation to settle.
-func (s *Site) arrivalOutcome(ctx context.Context, a *arrival) (func(*wire.Codec), error) {
+// arrivalOutcome reads a recorded (or in-flight) migration's outcome,
+// waiting under ctx for a concurrent installation to settle: its state,
+// onArrival's error, and onArrival's result when there is no error. A
+// retried dispatch and a status query are both answered from it.
+func (s *Site) arrivalOutcome(ctx context.Context, a *arrival) (statusReply, error) {
 	select {
 	case <-a.done:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return statusReply{}, ctx.Err()
 	}
 	s.arrMu.Lock()
 	defer s.arrMu.Unlock()
-	if a.state == arrivalFailed {
-		return nil, errors.New(a.errMsg)
-	}
-	rep := dispatchReply{ArrivalError: a.errMsg}
-	if a.errMsg == "" {
+	rep := statusReply{State: a.state}
+	if rep.ArrivalError = a.errMsg; a.errMsg == "" {
 		rep.Result = a.result
 	}
-	return rep.Fields, nil
+	return rep, nil
 }
 
 // markAgentDeparted marks arrival records of an agent that just migrated
@@ -754,7 +750,7 @@ const AgentStatusResident = "resident"
 
 // AgentArrivalStatus reports whether an agent lives at this site and,
 // if it passed through and left, where it went — the local half of the
-// itinerary trace served remotely by AgentStatusAt. Residency wins over
+// itinerary trace TraceAgent stitches from every peer's. Residency wins over
 // any record: a live copy here IS the answer, whatever older visits say.
 func (s *Site) AgentArrivalStatus(name string) AgentStatus {
 	if _, err := s.ResolveObject(name); err == nil {
@@ -770,45 +766,14 @@ func (s *Site) AgentArrivalStatus(name string) AgentStatus {
 	return AgentStatus{State: youngest.state, Next: youngest.next}
 }
 
-// AgentStatusAt asks a linked peer where an agent is: resident there, or
-// departed toward AgentStatus.Next. Following Next pointers site by site
-// traces the agent's whole itinerary to its current host.
-func (s *Site) AgentStatusAt(peerName, agentName string) (AgentStatus, error) {
-	req := statusReq{Site: s.cfg.Name, Agent: agentName}
-	var rep agentReply
-	if err := s.callPeer(peerName, verbMigrationStatus, "", req.Fields, rep.Fields); err != nil {
-		return AgentStatus{}, err
-	}
-	return AgentStatus(rep), nil
-}
-
-// MigrationReportAt fetches a linked peer's MigrationReport — unresolved
-// outgoing migrations with orphans flagged — over the wire.
-func (s *Site) MigrationReportAt(peerName string) ([]MigrationInfo, error) {
-	req := statusReq{Site: s.cfg.Name, Report: true}
-	var rep reportReply
-	if err := s.callPeer(peerName, verbMigrationStatus, "", req.Fields, rep.Fields); err != nil {
-		return nil, err
-	}
-	return rep.Migrations, nil
-}
-
-// handleMigrationStatus answers a status query from the dedup table. An
-// in-flight installation is waited for (bounded by the request context),
-// so the origin learns the settled outcome, not a racing snapshot.
-//
-// Besides the migration-ID lookup, the verb answers two further read-only
-// queries (all retry-safe): Report returns this site's MigrationReport
-// (unresolved outgoing migrations, orphans flagged), and Agent returns the
-// agent-trace view — whether the agent is resident here and, if it
-// departed, which site it went to next.
+// handleMigrationStatus answers a status query, read-only and retry-safe:
+// by migration ID from the dedup table, an in-flight installation waited
+// for (bounded by the request context) so the origin learns the settled
+// outcome, not a racing snapshot; or by agent, the itinerary-trace view of
+// AgentArrivalStatus.
 func (s *Site) handleMigrationStatus(ctx context.Context, req *statusReq) (func(*wire.Codec), error) {
 	if err := s.linkedPeer(req.Site); err != nil {
 		return nil, err // only linked sites may probe migration state
-	}
-	if req.Report {
-		rep := reportReply{s.MigrationReport()}
-		return rep.Fields, nil
 	}
 	if req.Agent != "" {
 		rep := agentReply(s.AgentArrivalStatus(req.Agent))
@@ -830,20 +795,13 @@ func (s *Site) handleMigrationStatus(ctx context.Context, req *statusReq) (func(
 			}
 		}
 	}
-	rep := statusReply{State: "unknown"}
 	if a == nil {
+		rep := statusReply{State: "unknown"}
 		return rep.Fields, nil
 	}
-	select {
-	case <-a.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	s.arrMu.Lock()
-	defer s.arrMu.Unlock()
-	rep.State, rep.ArrivalError = a.state, a.errMsg
-	if a.state == arrivalDone {
-		rep.Result = a.result
+	rep, err := s.arrivalOutcome(ctx, a)
+	if err != nil {
+		return nil, err
 	}
 	return rep.Fields, nil
 }
@@ -913,11 +871,9 @@ func (s *Site) install(name string, img core.Image) error {
 
 // ResolveMigrations drives every pending journal record to an outcome —
 // the origin half of crash recovery, also callable any time to retry
-// in-doubt migrations. Each is resolved against the destination: if the
-// agent landed the migration commits (retiring any local copy a replayed
-// arrival record reinstalled), otherwise the agent is reinstated from the
-// journaled image. Destinations that cannot be reached leave their records
-// in doubt. Returns the names reinstated locally.
+// in-doubt migrations — through resolveInDoubt. Destinations that cannot
+// be reached leave their records in doubt. Returns the names reinstated
+// locally.
 func (s *Site) ResolveMigrations() ([]string, error) {
 	recs, err := s.scanMigrations()
 	if err != nil {
@@ -948,51 +904,60 @@ func (s *Site) resolveMigrations(recs []*migrationRecord) []string {
 			s.log("migration %s to %s orphaned (%d attempts), skipping", rec.MID, rec.Dest, rec.Attempts)
 			continue
 		}
-		img, err := wire.DecodeImage(rec.Image)
-		if err != nil {
-			s.log("resolve migration %s: corrupt image: %v", rec.MID, err)
-			continue
-		}
-		st, qerr := s.MigrationStatusAt(rec.Dest, rec.MID)
-		if qerr != nil {
-			// A failed round consumes resolution budget, durably: restarts
-			// resume the count instead of resetting the orphan clock.
-			rec.Attempts++
-			if jerr := s.putMigration(rec); jerr != nil {
-				s.log("migration %s: attempt count write failed: %v", rec.MID, jerr)
-			}
-			s.log("migration %s to %s still in doubt (attempt %d): %v", rec.MID, rec.Dest, rec.Attempts, qerr)
-			continue
-		}
-		if st.Landed {
-			// The agent lives (or lived) at the destination. A replayed
-			// arrival record may have reinstalled a stale local copy of the
-			// same incarnation — retire it, unless the journey has since
-			// brought the agent back.
-			if back := s.commitMigration(rec, img.ID); !back {
-				if obj, err := s.ResolveObject(rec.Name); err == nil && obj.ID() == img.ID {
-					s.retireAgent(rec.Name, img.ID)
-				}
-			}
-			s.log("migration %s: resolved committed (agent at %s)", rec.MID, rec.Dest)
-			continue
-		}
-		// Never landed: reinstate from the journaled image, unless a live
-		// incarnation is already installed.
-		if _, err := s.ResolveObject(rec.Name); err != nil {
-			agent, err := s.materialize(img)
-			if err != nil {
-				s.log("resolve migration %s: reinstate: %v", rec.MID, err)
-				continue
-			}
-			s.reinstateAgent(rec.Name, agent, rec.WasAPO)
+		if _, ok, _ := s.resolveInDoubt(rec, nil); ok {
 			reinstated = append(reinstated, rec.Name)
 		}
-		s.abortMigration(rec)
-		s.log("migration %s: resolved aborted (reinstated %s)", rec.MID, rec.Name)
 	}
 	sort.Strings(reinstated)
 	return reinstated
+}
+
+// resolveInDoubt settles a migration whose outcome is unknown by asking its
+// destination, for a live dispatch and for recovery alike. Landed, the
+// migration commits, and a local copy of the same incarnation (one a
+// replayed arrival record reinstalled) retires unless the journey brought
+// the agent back. Not landed, the agent is reinstated, unless a live
+// incarnation is already installed, and the migration aborts: agent is the
+// retired object a live dispatch still holds, and nil materializes the
+// journaled image. No answer spends one attempt, durably — a restart
+// resumes the count instead of resetting the orphan clock — and the record
+// stays in doubt; err is then the query's.
+func (s *Site) resolveInDoubt(rec *migrationRecord, agent *core.Object) (st MigrationStatus, reinstated bool, err error) {
+	img, err := wire.DecodeImage(rec.Image)
+	if err != nil {
+		s.log("resolve migration %s: corrupt image: %v", rec.MID, err)
+		return st, false, err
+	}
+	if st, err = s.MigrationStatusAt(rec.Dest, rec.MID); err != nil {
+		rec.Attempts++
+		if jerr := s.putMigration(rec); jerr != nil {
+			s.log("migration %s: attempt count write failed: %v", rec.MID, jerr)
+		}
+		s.log("migration %s to %s still in doubt (attempt %d): %v", rec.MID, rec.Dest, rec.Attempts, err)
+		return st, false, err
+	}
+	if st.Landed {
+		if back := s.commitMigration(rec, img.ID); !back {
+			if obj, err := s.ResolveObject(rec.Name); err == nil && obj.ID() == img.ID {
+				s.retireAgent(rec.Name, img.ID)
+			}
+		}
+		s.log("migration %s: resolved committed (agent at %s)", rec.MID, rec.Dest)
+		return st, false, nil
+	}
+	if _, err := s.ResolveObject(rec.Name); err != nil {
+		if agent == nil {
+			if agent, err = s.materialize(img); err != nil {
+				s.log("resolve migration %s: reinstate: %v", rec.MID, err)
+				return st, false, err
+			}
+		}
+		s.reinstateAgent(rec.Name, agent, rec.WasAPO)
+		reinstated = true
+	}
+	s.abortMigration(rec)
+	s.log("migration %s: resolved aborted (reinstated %s)", rec.MID, rec.Name)
+	return st, reinstated, nil
 }
 
 // definiteDispatchFailure classifies a dispatch error: true means the

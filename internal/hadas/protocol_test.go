@@ -51,6 +51,10 @@ func TestProtocolRejectsGarbage(t *testing.T) {
 		return rawRecord(str("fortress2"), value.NewBytes(caller), target, str("salaryOf"), value.NewListOf(str("alice")))
 	}
 	enc := func(fields func(*wire.Codec)) []byte { return wire.EncodeRecord(fields) }
+	stray, err := inertAgent(t, peer, "stray").Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name, verb string
 		payload    []byte
@@ -71,6 +75,8 @@ func TestProtocolRejectsGarbage(t *testing.T) {
 		{"link with own name", verbLink, enc((&linkReq{linkReply: linkReply{Site: "fortress"}}).Fields), "bad peer name"},
 		{"link with empty name", verbLink, rawRecord(), "bad peer name"},
 		{"dispatch without link", verbDispatch, enc((&dispatchReq{Site: "unlinked", Name: "x"}).Fields), ErrNotLinked.Error()},
+		{"dispatch without a migration id", verbDispatch, enc((&dispatchReq{Site: "fortress2", Name: "stray",
+			Agent: wire.EncodeImage(stray)}).Fields), "migration id"},
 		{"link with garbage ambassador", verbLink, enc((&linkReq{linkReply: linkReply{Site: "mallory",
 			IOO: []byte("not an image")}}).Fields), "peer IOO ambassador"},
 	}
@@ -82,6 +88,15 @@ func TestProtocolRejectsGarbage(t *testing.T) {
 				t.Errorf("got %v, want a RemoteError naming %q", err, tc.want)
 			}
 		})
+	}
+
+	// The dispatch without a migration id installed nothing and journaled
+	// nothing: every arrival has a dedup record.
+	if _, err := s.ResolveObject("stray"); err == nil {
+		t.Error("a dispatch without a migration id installed its agent")
+	}
+	if recs := s.ArrivalRecords(); len(recs) != 0 {
+		t.Errorf("arrival records = %v, want none", recs)
 	}
 
 	// A record cut at every byte is refused as a codec error.

@@ -148,35 +148,17 @@ func (r *dispatchReply) Fields(c *wire.Codec) {
 }
 func (r *statusReply) Fields(c *wire.Codec) { r.dispatchReply.Fields(c); c.Str("state", &r.State) }
 
-// statusReq asks about a migration ID, an agent's whereabouts (agentReply)
-// or the answering site's migration report (reportReply).
-type statusReq struct {
-	Site, MID, Agent string
-	Report           bool
-}
+// statusReq asks about a migration ID, or about an agent's whereabouts
+// (agentReply).
+type statusReq struct{ Site, MID, Agent string }
 type agentReply AgentStatus
-type reportReply struct{ Migrations []MigrationInfo }
 
 func (r *statusReq) Fields(c *wire.Codec) {
 	c.Str("site", &r.Site)
 	c.Str("mid", &r.MID)
 	c.Str("agent", &r.Agent)
-	c.Bool("report", &r.Report)
 }
 func (r *agentReply) Fields(c *wire.Codec) { c.Str("state", &r.State); c.Str("next", &r.Next) }
-func (r *reportReply) Fields(c *wire.Codec) {
-	wire.List(c, "migrations", &r.Migrations, func(c *wire.Codec, m *MigrationInfo) {
-		tries := int64(m.Attempts)
-		c.Str("mid", &m.MID)
-		c.Str("name", &m.Name)
-		c.Str("dest", &m.Dest)
-		c.Str("state", &m.State)
-		c.Int("tries", &tries)
-		c.Int("age", (*int64)(&m.Age))
-		c.Bool("orphaned", &m.Orphaned)
-		m.Attempts = int(tries)
-	})
-}
 
 type probeReq core.Probe
 type verdictReply core.Verdict

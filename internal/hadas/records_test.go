@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/naming"
@@ -61,10 +60,10 @@ func protocolRecords() []recordCase {
 		recordOf("dispatchReq/acked-ahead", dispatchReq{"a", "scout", nil, "mid-2", 3, 9}),
 		recordOf("dispatchReq/zero", dispatchReq{Site: "a", Name: "scout", MID: "mid-3"}),
 		recordOf("dispatchReply", dispatchReply{Result: value.NewListOf(value.True, value.NewFloat(0.5))}),
-		recordOf("statusReq", statusReq{"a", "mid-1", "scout", true}),
+		recordOf("statusReq", statusReq{"a", "mid-1", "scout"}),
+		recordOf("statusReq/agent", statusReq{Site: "a", Agent: "scout"}), // TraceAgent's query
 		recordOf("statusReply", statusReply{dispatchReply{value.Null, `agent "scout" onArrival: boom`}, arrivalDone}),
 		recordOf("agentReply", agentReply{arrivalDeparted, "c"}),
-		recordOf("reportReply", reportReply{[]MigrationInfo{{"m1", "scout", "b", migrationInDoubt, 2, 1500 * time.Millisecond, true}}}),
 		recordOf("probeReq", probeReq{"a:1", "b:2", 8, []core.ProbeStep{{Chain: "a:1", Site: "a", Object: "Lock<x>", Holder: "b:2"}}}),
 		recordOf("verdictReply", verdictReply{"a:1 → b:2 → a:1", "a:1", "Lock<x>"}),
 		// The durable records: the origin journal, the dedup table and the

@@ -846,18 +846,3 @@ func (s *Site) readCheckpoint() (map[string]core.Image, error) {
 	}
 	return images, nil
 }
-
-// BootstrapAPO loads one persisted APO back into Home under a name.
-func (s *Site) BootstrapAPO(name string, id naming.ID) error {
-	if s.cfg.Store == nil {
-		return fmt.Errorf("%w: site has no store", core.ErrNotFound)
-	}
-	data, err := s.cfg.Store.Get(id.String())
-	if err == nil {
-		err = s.installImage(name, data)
-	}
-	if err != nil {
-		return fmt.Errorf("bootstrap %q: %w", name, err)
-	}
-	return nil
-}

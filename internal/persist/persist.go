@@ -50,27 +50,3 @@ func LoadObject(store Store, slot string, reg *core.BehaviorRegistry,
 	}
 	return obj, nil
 }
-
-// Bootstrap loads every object in the store — the host's start-up
-// procedure. Slots that fail to load are reported through onErr (nil
-// panics on nothing; errors are skipped silently when onErr is nil) and
-// skipped, so one corrupt slot cannot block a site from starting.
-func Bootstrap(store Store, reg *core.BehaviorRegistry,
-	onErr func(slot string, err error), opts ...core.MaterializeOption) ([]*core.Object, error) {
-	slots, err := store.List()
-	if err != nil {
-		return nil, fmt.Errorf("bootstrap: %w", err)
-	}
-	out := make([]*core.Object, 0, len(slots))
-	for _, slot := range slots {
-		obj, err := LoadObject(store, slot, reg, opts...)
-		if err != nil {
-			if onErr != nil {
-				onErr(slot, err)
-			}
-			continue
-		}
-		out = append(out, obj)
-	}
-	return out, nil
-}

@@ -133,49 +133,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBootstrapAll(t *testing.T) {
-	store := NewMemStore()
-	var ids []naming.ID
-	for i := 0; i < 3; i++ {
-		obj := persistentObject(t)
-		ids = append(ids, obj.ID())
-		if err := SaveObject(store, obj); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One corrupt slot must not block the rest.
-	if err := store.Put("junk", []byte("not an image")); err != nil {
-		t.Fatal(err)
-	}
-	var failed []string
-	objs, err := Bootstrap(store, nil, func(slot string, err error) {
-		failed = append(failed, slot)
-	}, core.HostPolicy(openPolicy()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(objs) != 3 {
-		t.Errorf("bootstrapped %d objects, want 3", len(objs))
-	}
-	if len(failed) != 1 || failed[0] != "junk" {
-		t.Errorf("failed slots = %v", failed)
-	}
-	got := map[naming.ID]bool{}
-	for _, o := range objs {
-		got[o.ID()] = true
-	}
-	for _, id := range ids {
-		if !got[id] {
-			t.Errorf("object %s not bootstrapped", id)
-		}
-	}
-	// nil onErr skips silently.
-	objs2, err := Bootstrap(store, nil, nil, core.HostPolicy(openPolicy()))
-	if err != nil || len(objs2) != 3 {
-		t.Errorf("silent bootstrap: %d, %v", len(objs2), err)
-	}
-}
-
 func TestConcurrentStoreAccess(t *testing.T) {
 	for name, store := range testStores(t) {
 		t.Run(name, func(t *testing.T) {

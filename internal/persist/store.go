@@ -7,7 +7,7 @@
 //
 // The host side is a Store — it only allocates named slots of bytes. The
 // object side writes its own image (via its Snapshot) into the slot, and
-// Bootstrap re-materializes objects from their slots. Integrity is checked
+// LoadObject re-materializes one from its slot. Integrity is checked
 // with a per-slot checksum so a torn write surfaces as an error, not as a
 // corrupted object.
 package persist

@@ -216,25 +216,23 @@ func beginFrame(id uint64, total int) wire.Frame {
 }
 
 // beginTotal decodes a FrameStreamBegin payload; false when it announces
-// nothing (a client's opening Begin) or is malformed — the stream then
-// assembles as an unannounced one.
+// nothing or is malformed — the stream then assembles as an unannounced
+// one.
 func beginTotal(payload []byte) (uint64, bool) {
 	n, k := binary.Uvarint(payload)
 	return n, k > 0
 }
 
-// sendChunks streams payload through q: when announce is set a
-// FrameStreamBegin with its length (so the receiver can size the assembly
-// at once), then credit-windowed FrameChunk frames and a FrameStreamEnd
-// carrying verb and chain. It blocks when the window is exhausted until the
-// receiver grants credit, the context ends, the peer cancels the stream, or
-// the connection's writer dies.
+// sendChunks streams payload through q: a FrameStreamBegin with its length
+// (so the receiver can size the assembly at once), then credit-windowed
+// FrameChunk frames and a FrameStreamEnd carrying verb and chain. It blocks
+// when the window is exhausted until the receiver grants credit, the
+// context ends, the peer cancels the stream, or the connection's writer
+// dies.
 func sendChunks(ctx context.Context, q *frameQueue, id uint64, win *streamWindow,
-	announce bool, verb, chain string, payload []byte) error {
-	if announce {
-		if err := q.send(beginFrame(id, len(payload))); err != nil {
-			return err
-		}
+	verb, chain string, payload []byte) error {
+	if err := q.send(beginFrame(id, len(payload))); err != nil {
+		return err
 	}
 	for off := 0; off < len(payload); {
 		n := len(payload) - off

@@ -688,7 +688,7 @@ func TestTeardownCutStreamFailsClosed(t *testing.T) {
 		win := newStreamWindow()
 		win.credit.Store(0)
 		win.cancel()
-		err := sendChunks(context.Background(), q, 1, win, false, "put", "", make([]byte, StreamChunk))
+		err := sendChunks(context.Background(), q, 1, win, "put", "", make([]byte, StreamChunk))
 		if !errors.Is(err, ErrClosed) {
 			t.Fatalf("try %d: a sender cut by teardown got %v, want ErrClosed", i, err)
 		}

@@ -78,7 +78,6 @@ func TestPooledCallRecordNeverCarriesStaleReply(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("client never connected")
 	}
-	p.expect(hello.Type, hello.RequestID)
 	reply := func(id uint64, body string) {
 		p.send(wire.Frame{Type: wire.FrameResponse, RequestID: id, Payload: []byte(body)})
 	}

@@ -82,9 +82,6 @@ func (p *rawPeer) sync() {
 	p.expect(wire.FramePong, 1<<40)
 }
 
-// hello is the empty Begin a client opens its connection with.
-var hello = wire.Frame{Type: wire.FrameStreamBegin}
-
 // streamFrames spells payload as a chunk run: an optional announcement of
 // announce bytes (nil: an old sender that sends none), the chunks, the end.
 func streamFrames(id uint64, announce *int, verb string, payload []byte) []wire.Frame {
@@ -260,11 +257,8 @@ func TestServerStreamState(t *testing.T) {
 	})
 	t.Run("an opening Begin announces no stream", func(t *testing.T) {
 		st := newServerConnState()
-		if st.announces() {
-			t.Fatal("a fresh connection already counts as Begin-capable")
-		}
-		if refused, over := st.beginStream(hello.RequestID, hello.Payload); refused || over || !st.announces() || len(st.asm) != 0 {
-			t.Errorf("after the opening Begin: announces=%v, %d assemblies", st.announces(), len(st.asm))
+		if refused, over := st.beginStream(0, nil); refused || over || len(st.asm) != 0 {
+			t.Errorf("a Begin without a total: refused=%v over=%v, %d assemblies", refused, over, len(st.asm))
 		}
 	})
 	// The near-limit assembly is planted rather than received — its pages
@@ -341,7 +335,6 @@ func dialRaw(t *testing.T, ctx context.Context) (*tcpConn, *rawPeer, uint64, <-c
 	case <-time.After(10 * time.Second):
 		t.Fatal("client never connected")
 	}
-	p.expect(hello.Type, hello.RequestID) // a client's opening frame
 	req := p.next()
 	if req.Type != wire.FrameRequest || req.Verb != "get" {
 		t.Fatalf("scripted server got %s %q", req.Type, req.Verb)
@@ -384,50 +377,6 @@ func TestResponseStreamAnnouncements(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestResponseAnnouncedOnlyToBeginCapableClient is the rolling upgrade: a
-// client from before FrameStreamBegin takes any unknown frame for its reply,
-// so a server opens a response stream with one only on a connection whose
-// client has sent a Begin of its own — the opening one, or a stream's.
-func TestResponseAnnouncedOnlyToBeginCapableClient(t *testing.T) {
-	want := streamPayload(6, StreamThreshold*2+333)
-	get := wire.Frame{Type: wire.FrameRequest, RequestID: 1, Verb: "get"}
-	collect := func(t *testing.T, p *rawPeer, announced bool, request ...wire.Frame) {
-		t.Helper()
-		id := request[0].RequestID
-		p.send(request...)
-		f := p.next()
-		if announced {
-			if total, ok := beginTotal(f.Payload); f.Type != wire.FrameStreamBegin || !ok || int(total) != len(want) {
-				t.Fatalf("stream opens with %s %x, want a Begin of %d", f.Type, f.Payload, len(want))
-			}
-			f = p.next()
-		}
-		var got []byte
-		for ; f.Type == wire.FrameChunk; f = p.next() {
-			got = append(got, f.Payload...)
-			p.send(creditFrame(id, len(f.Payload)))
-		}
-		if f.Type != wire.FrameStreamEnd || !bytes.Equal(got, want) {
-			t.Fatalf("stream of %d bytes ended with %s, want %d bytes and a stream-end", len(got), f.Type, len(want))
-		}
-	}
-	h := func(context.Context, string, []byte) ([]byte, error) { return want, nil }
-	t.Run("old client", func(t *testing.T) {
-		collect(t, serverAndRawClient(t, h), false, get)
-	})
-	t.Run("opening Begin", func(t *testing.T) {
-		p := serverAndRawClient(t, h)
-		p.send(hello)
-		collect(t, p, true, get)
-	})
-	t.Run("a request stream's Begin", func(t *testing.T) {
-		p := serverAndRawClient(t, h)
-		collect(t, p, false, get)
-		n := len(want)
-		collect(t, p, true, streamFrames(2, &n, "put", want)...)
-	})
 }
 
 // pendingAssembly reports the call's response assembly as the client holds

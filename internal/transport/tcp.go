@@ -202,7 +202,6 @@ func (c *reqCtx) cancel() {
 // window of every outbound response stream.
 type serverConnState struct {
 	mu      sync.Mutex
-	begins  bool // the peer has sent a FrameStreamBegin, so it understands one
 	asm     map[uint64]*assembly
 	reqs    map[uint64]*reqCtx
 	streams map[uint64]*streamWindow
@@ -229,13 +228,10 @@ func (st *serverConnState) assembly(id uint64) *assembly {
 
 // beginStream handles a FrameStreamBegin: refused means the announced
 // stream is refused and the sender should be cancelled, over that it would
-// open more than maxStreams. Whatever it announces — a client's opening
-// Begin announces nothing — it shows that the peer knows the frame type,
-// so response streams to it may be announced too.
+// open more than maxStreams. A Begin that announces no total opens nothing.
 func (st *serverConnState) beginStream(id uint64, announce []byte) (refused, over bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.begins = true
 	total, ok := beginTotal(announce)
 	if !ok {
 		return false, false
@@ -246,15 +242,6 @@ func (st *serverConnState) beginStream(id uint64, announce []byte) (refused, ove
 	}
 	a.begin(total)
 	return a.poisoned, false
-}
-
-// announces reports whether response streams on this connection may open
-// with a FrameStreamBegin: a client from before that frame type would take
-// it for the reply.
-func (st *serverConnState) announces() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.begins
 }
 
 // chunkRoom returns the tail of the request's assembly for an n-byte chunk
@@ -495,7 +482,7 @@ func (s *tcpServer) serveRequest(st *serverConnState, out *frameQueue, r request
 	}
 	win := newStreamWindow()
 	st.addStream(id, win)
-	_ = sendChunks(r.ctx, out, id, win, st.announces(), "", "", result)
+	_ = sendChunks(r.ctx, out, id, win, "", "", result)
 }
 
 // DialTCP connects to a framed-message server. The connection multiplexes
@@ -522,10 +509,6 @@ func newTCPConn(nc net.Conn) *tcpConn {
 		c.closeSocket()
 		c.failPending()
 	})
-	// An empty Begin for request id 0, which is never a call's, tells the
-	// server that this client understands the frame type (an older server
-	// ignores it): response streams on this connection may be announced.
-	_ = c.out.send(wire.Frame{Type: wire.FrameStreamBegin})
 	go c.readLoop()
 	return c
 }
@@ -752,8 +735,7 @@ func (c *tcpConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, erro
 
 	var err error
 	if streaming {
-		// Always announced: a server from before FrameStreamBegin ignores it.
-		err = sendChunks(ctx, c.out, id, pc.win, true, f.Verb, f.Chain, f.Payload)
+		err = sendChunks(ctx, c.out, id, pc.win, f.Verb, f.Chain, f.Payload)
 	} else {
 		err = c.out.send(f)
 	}

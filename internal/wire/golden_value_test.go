@@ -9,8 +9,10 @@ package wire
 // for a representation change).
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -144,7 +146,7 @@ func randValue(rng *rand.Rand, depth int) value.Value {
 	}
 }
 
-func goldenPath(t *testing.T, name string) string {
+func goldenPath(t testing.TB, name string) string {
 	t.Helper()
 	return filepath.Join("testdata", name)
 }
@@ -163,7 +165,7 @@ func writeGolden(t *testing.T, name string, v any) {
 	}
 }
 
-func readGolden(t *testing.T, name string, v any) {
+func readGolden(t testing.TB, name string, v any) {
 	t.Helper()
 	raw, err := os.ReadFile(goldenPath(t, name))
 	if err != nil {
@@ -248,4 +250,77 @@ func TestValueRoundTripProperty(t *testing.T) {
 			t.Fatalf("#%d: in-place decode = %v, %v; want %v", i, inPlace, err, v)
 		}
 	}
+}
+
+// FuzzValue feeds arbitrary bytes to both value decoders, seeded from the
+// golden vectors and from a list nested one level deeper than MaxDepth.
+// The decoders agree, or both refuse with ErrCodec; a decoded value
+// re-encodes to bytes that decode Equal; and a byte string shorter than
+// half the input never aliases it: scrambling the input after an in-place
+// decode leaves every such string as the copying decoder read it.
+func FuzzValue(f *testing.F) {
+	var golden []goldenEntry
+	readGolden(f, "value_golden.json", &golden)
+	for _, g := range golden {
+		raw, err := hex.DecodeString(g.Wire)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	deep := value.Null
+	for range MaxDepth + 1 {
+		deep = value.NewListOf(deep)
+	}
+	f.Add(EncodeValue(deep))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, err := DecodeValue(data)
+		buf := bytes.Clone(data)
+		got, inPlaceErr := DecodeValueInPlace(buf)
+		if err != nil || inPlaceErr != nil {
+			if !errors.Is(err, ErrCodec) || !errors.Is(inPlaceErr, ErrCodec) {
+				t.Fatalf("decoders disagree, or refuse untyped: %v / %v", err, inPlaceErr)
+			}
+			return
+		}
+		if !got.Equal(want) {
+			t.Fatalf("in place %v, copying %v", got, want)
+		}
+		if again, err := DecodeValue(EncodeValue(want)); err != nil || !again.Equal(want) {
+			t.Fatalf("re-encoding decodes to %v, %v; want %v", again, err, want)
+		}
+		for i := range buf {
+			buf[i] ^= 0xff
+		}
+		half := (len(data) + 1) / 2
+		if !shortBytes(got, half).Equal(shortBytes(want, half)) {
+			t.Fatalf("a byte string shorter than %d of the input's %d bytes aliases it", half, len(data))
+		}
+	})
+}
+
+// shortBytes is v with every byte string of n bytes or more, which an
+// in-place decode may alias, replaced by null.
+func shortBytes(v value.Value, n int) value.Value {
+	switch v.Kind() {
+	case value.KindBytes:
+		if b, _ := v.Bytes(); len(b) >= n {
+			return value.Null
+		}
+	case value.KindList:
+		l, _ := v.List()
+		out := make([]value.Value, len(l))
+		for i, e := range l {
+			out[i] = shortBytes(e, n)
+		}
+		return value.NewList(out)
+	case value.KindMap:
+		m, _ := v.Map()
+		out := make(map[string]value.Value, len(m))
+		for k, e := range m {
+			out[k] = shortBytes(e, n)
+		}
+		return value.NewMap(out)
+	}
+	return v
 }
