@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race verify-race race-core-cpu race-hadas-cpu fuzz-short bench-module bench-smoke bench-record bench-check bench-parallel bench-profile chaos-short chaos chaos-nightly
+.PHONY: verify fmt-check vet build test examples race verify-race race-core-cpu race-hadas-cpu fuzz-short bench-module bench-smoke bench-record bench-check bench-parallel bench-profile chaos-short chaos chaos-nightly
 
 # Benchmarks tracked for regressions across PRs (see cmd/benchguard).
 # Each is run BENCH_COUNT times and benchguard keeps the fastest
@@ -54,8 +54,8 @@ BENCH_STREAM_TIME = 2000x
 # bounded fuzzes of the frame reader, the image and value decoders,
 # MScript, WAL replay and the protocol records, the benchmark module's own
 # vet and tests, and the bounded chaos
-# sweep (chaos-short) behind the SLO gate.
-verify: fmt-check vet build test verify-race race-core-cpu race-hadas-cpu fuzz-short bench-module bench-smoke bench-check chaos-short
+# sweep (chaos-short) behind the SLO gate, and a run of every example.
+verify: fmt-check vet build test examples verify-race race-core-cpu race-hadas-cpu fuzz-short bench-module bench-smoke bench-check chaos-short
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -71,6 +71,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# examples runs each program under examples/ and fails on a non-zero exit.
+# Only the exit status is checked: agent and quickstart print ids that
+# change on every run.
+examples:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run "./$$d" >/dev/null || { echo "$$d exited non-zero"; exit 1; }; \
+	done
 
 # verify-race runs the whole suite under the race detector; part of the
 # tier-1 verify gate. `race` is kept as a shorthand alias.

@@ -31,8 +31,9 @@ var reservedNames = func() map[string]bool {
 	return m
 }()
 
-// isReservedName reports whether name collides with the meta interface.
-func isReservedName(name string) bool { return reservedNames[name] }
+// IsReservedName reports whether name belongs to the meta interface (the
+// meta-methods and invokeNext): no extensible method or relay may take it.
+func IsReservedName(name string) bool { return reservedNames[name] }
 
 // MetaACL configures the access control list applied to every installed
 // meta-method (e.g. an Ambassador granting only its origin).

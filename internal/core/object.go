@@ -139,7 +139,7 @@ func (o *Object) Registry() *BehaviorRegistry {
 // one a data item of either section already has, is refused with
 // ErrExists. Callers hold o.mu (or own an unpublished o).
 func (o *Object) freeDataName(name string) error {
-	if isReservedName(name) {
+	if IsReservedName(name) {
 		return fmt.Errorf("%w: %q is reserved", ErrExists, name)
 	}
 	if _, dup := o.lookupData(name); dup {
@@ -150,7 +150,7 @@ func (o *Object) freeDataName(name string) error {
 
 // freeMethodName is freeDataName's rule for methods.
 func (o *Object) freeMethodName(name string) error {
-	if isReservedName(name) {
+	if IsReservedName(name) {
 		return fmt.Errorf("%w: %q is reserved", ErrExists, name)
 	}
 	if _, dup := o.lookupMethod(name); dup {

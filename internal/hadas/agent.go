@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/naming"
+	"repro/internal/transport"
 	"repro/internal/value"
 	"repro/internal/wire"
 )
@@ -54,9 +55,9 @@ const onArrivalMethod = "onArrival"
 func (s *Site) DispatchAgent(name, peerName string) (value.Value, error) {
 	// A destination already known down fails fast before the journal or
 	// the registries are touched — no in-doubt record to resolve later.
-	if st, err := s.PeerStatus(peerName); err != nil {
+	if res, err := s.connTo(peerName); err != nil {
 		return value.Null, fmt.Errorf("dispatch %q to %q: %w", name, peerName, err)
-	} else if !st.Up() {
+	} else if res.State() == transport.BreakerOpen {
 		return value.Null, fmt.Errorf("dispatch %q to %q: %w: circuit open", name, peerName, ErrPeerDown)
 	}
 	// Claim the name: one migration of an agent at a time, so concurrent

@@ -58,23 +58,11 @@ func (s *Site) ambassadorSpec(apo *core.Object, apoName string) AmbassadorSpec {
 	// Default: relay the APO's whole visible interface.
 	var relay []string
 	for _, m := range apo.MethodNames(security.Principal{}) {
-		if !isMetaName(m) {
+		if !core.IsReservedName(m) {
 			relay = append(relay, m)
 		}
 	}
 	return AmbassadorSpec{Relay: relay}
-}
-
-// isMetaName mirrors the reserved meta interface (kept here to avoid
-// exporting core's internal predicate).
-func isMetaName(name string) bool {
-	switch name {
-	case "get", "set", "getDataItem", "setDataItem", "addDataItem", "deleteDataItem",
-		"getMethod", "setMethod", "addMethod", "deleteMethod",
-		"invoke", "atomic", "describe", "listDataItems", "listMethods", "invokeNext":
-		return true
-	}
-	return false
 }
 
 // instantiateAmbassador builds an Ambassador object for an APO and returns

@@ -348,7 +348,7 @@ func TestSiteContention(t *testing.T) {
 	})
 	// Health and topology readers.
 	run(func(i int) {
-		_ = a.PeerHealth()
+		_ = a.UpPeerNames()
 		_ = a.PeerNames()
 		_, _ = a.PeerStatus("b")
 	})

@@ -52,7 +52,7 @@ func buildIOO(s *Site) (*core.Object, error) {
 	}
 	b.FixedMethod("apos", lookup(behaviorAPOs))
 	b.FixedMethod("peers", lookup(behaviorPeers))
-	// upPeers filters peers through the health table (breaker not open),
+	// upPeers lists the peers whose breaker is not open,
 	// so interop programs fan out over reachable sites instead of paying a
 	// timeout per dead peer.
 	b.FixedMethod("upPeers", lookup(behaviorUpPeers))

@@ -1030,9 +1030,9 @@ func TestArrivalTableBoundedByAgents(t *testing.T) {
 	}
 }
 
-// TestUpdateAmbassadorsSkipsDownPeers: the fan-out consults the health
-// table — a host with an open breaker is skipped (no call attempted, error
-// reported) while healthy hosts still update.
+// TestUpdateAmbassadorsSkipsDownPeers: a host whose breaker is open and
+// cooling down is skipped (no call attempted, error reported) while
+// healthy hosts still update.
 func TestUpdateAmbassadorsSkipsDownPeers(t *testing.T) {
 	net := transport.NewInProcNet()
 	hq := newMigSiteCfg(t, net, Config{
@@ -1064,7 +1064,7 @@ func TestUpdateAmbassadorsSkipsDownPeers(t *testing.T) {
 	if _, err := hq.InvokeRemote("c", hq.IOO().Principal(), "x", "y"); err == nil {
 		t.Fatal("call over cut wire succeeded")
 	}
-	if st, err := hq.PeerStatus("c"); err != nil || st.Up() {
+	if st, err := hq.PeerStatus("c"); err != nil || st.State != transport.BreakerOpen {
 		t.Fatalf("peer c status = %+v, %v; want open breaker", st, err)
 	}
 	if up := hq.UpPeerNames(); len(up) != 1 || up[0] != "b" {
@@ -1084,7 +1084,7 @@ func TestUpdateAmbassadorsSkipsDownPeers(t *testing.T) {
 		t.Errorf("skipped peer was still called (%d → %d)", before, fc.Calls())
 	}
 
-	// The IOO's upPeers view reflects the same health filter.
+	// The IOO's upPeers view reads the same breakers.
 	v, err := hq.IOO().InvokeSelf("upPeers")
 	if err != nil {
 		t.Fatal(err)
@@ -1093,6 +1093,66 @@ func TestUpdateAmbassadorsSkipsDownPeers(t *testing.T) {
 		t.Errorf("ioo.upPeers = %v", v)
 	}
 	_ = hostC
+}
+
+// TestUpdateAmbassadorsProbesCooledDownPeer: a host whose breaker opened,
+// whose wire healed and whose cooldown has run out — with no background
+// prober to close the breaker — gets the half-open probe from the fan-out
+// itself, and then its update.
+func TestUpdateAmbassadorsProbesCooledDownPeer(t *testing.T) {
+	const cooldown = 20 * time.Millisecond
+	net := transport.NewInProcNet()
+	hq := newMigSiteCfg(t, net, Config{
+		Name:       "hq",
+		Resilience: transport.ResilientPolicy{BaseBackoff: time.Millisecond, FailureThreshold: 1, Cooldown: cooldown},
+	})
+	hostB := newMigSite(t, net, "b", nil)
+	hostC := newMigSite(t, net, "c", nil)
+	link(t, hq, "b")
+	link(t, hq, "c")
+
+	bld := hq.NewAPOBuilder("Payroll")
+	bld.FixedScriptMethod("hello", `fn() { return "hi"; }`)
+	if err := hq.AddAPO("payroll", bld.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hostB.Import("hq", "payroll"); err != nil {
+		t.Fatal(err)
+	}
+	local, err := hostC.Import("hq", "payroll")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fc := cutPeerWire(t, net, hq, "c")
+	fc.Cut()
+	if _, err := hq.InvokeRemote("c", hq.IOO().Principal(), "x", "y"); err == nil {
+		t.Fatal("call over cut wire succeeded")
+	}
+	if st, _ := hq.PeerStatus("c"); st.State != transport.BreakerOpen {
+		t.Fatalf("peer c status = %+v, want open breaker", st)
+	}
+	fc.Heal()
+	time.Sleep(2 * cooldown)
+
+	updated, err := hq.UpdateAmbassadors("payroll", "addDataItem",
+		value.NewString("note"), value.NewString("updated"))
+	if err != nil || updated != 2 {
+		t.Fatalf("UpdateAmbassadors = %d, %v; want 2 (b and the cooled-down c)", updated, err)
+	}
+	if fc.Pings() == 0 {
+		t.Error("no half-open probe reached c")
+	}
+	if st, _ := hq.PeerStatus("c"); st.State != transport.BreakerClosed {
+		t.Errorf("peer c status = %+v, want closed", st)
+	}
+	amb, err := hostC.ResolveObject(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if note, err := amb.Get(amb.Principal(), "note"); err != nil || note.String() != "updated" {
+		t.Errorf("c's note = %v, %v", note, err)
+	}
 }
 
 // TestDispatchFailsFastWhenPeerDown: a destination with an open breaker is

@@ -150,30 +150,23 @@ func (s *Site) installPeer(name, domain, addr string, conn transport.Conn, ambBy
 		}
 	}
 	if !existed {
-		p = &peer{name: name}
+		p = &peer{name: name, res: s.newPeerConn(name, conn)}
 		s.peers[name] = p
 	}
 	p.domain = domain
 	if addr != "" {
 		p.addr = addr
 	}
-	var relink *transport.ResilientConn
-	if conn != nil {
-		if p.res == nil {
-			p.res = s.newPeerConn(name, conn)
-		} else {
-			relink = p.res // swap the inner conn after unlocking (see newPeerConn)
-		}
-	}
 	old := p.ambassador
 	if amb != nil {
 		p.ambassador = amb
 	}
 	s.peerMu.Unlock()
-	if relink != nil {
+	if existed && conn != nil {
 		// Re-link: keep the wrapper (and its breaker history) but swap in
-		// the fresh handshake connection, retiring the previous one.
-		if prev := relink.SetInner(conn); prev != nil {
+		// the fresh handshake connection, retiring the previous one (after
+		// unlocking; see newPeerConn).
+		if prev := p.res.SetInner(conn); prev != nil {
 			prev.Close()
 		}
 	}
@@ -213,14 +206,16 @@ func retrySafeVerb(verb string) bool {
 }
 
 // newPeerConn wraps conn (possibly nil — then dialed on first use) in the
-// site's resilience policy. The redialer re-reads the peer's advertised
+// site's resilience policy. installPeer builds it with the peer's row, and
+// it lives as long as the row. The redialer re-reads the peer's advertised
 // address on every attempt, so a peer that re-links from a new address is
 // reached without rebuilding the wrapper.
 //
 // Lock order: the redialer acquires s.peerMu, so ResilientConn methods
-// (Call, Ping, SetInner, Close) must never be called while holding peerMu —
-// fetch the wrapper under the lock, release it, then talk to the wrapper.
-// Constructing the wrapper under peerMu is fine (the redialer runs lazily).
+// that reach the wire (Call, Ping, SetInner, Close) must never be called
+// while holding peerMu — fetch the wrapper under the lock, release it,
+// then talk to the wrapper. Status and State take only the breaker's own
+// lock and may be read under peerMu.
 func (s *Site) newPeerConn(name string, conn transport.Conn) *transport.ResilientConn {
 	redial := func() (transport.Conn, error) {
 		s.peerMu.RLock()
@@ -241,32 +236,13 @@ func (s *Site) newPeerConn(name string, conn transport.Conn) *transport.Resilien
 	return transport.NewResilientConn(conn, redial, s.cfg.Resilience)
 }
 
-// connTo returns the resilient connection to a peer, creating the wrapper
-// (with a lazily-dialed inner connection) on first use. The steady-state
-// path is one read lock; the write lock is taken only for the one-time
-// wrapper construction.
-func (s *Site) connTo(peerName string) (transport.Conn, error) {
+// connTo returns the resilient connection to a linked peer.
+func (s *Site) connTo(peerName string) (*transport.ResilientConn, error) {
 	s.peerMu.RLock()
 	p, ok := s.peers[peerName]
-	var res *transport.ResilientConn
-	if ok {
-		res = p.res
-	}
 	s.peerMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotLinked, peerName)
-	}
-	if res != nil {
-		return res, nil
-	}
-	s.peerMu.Lock()
-	defer s.peerMu.Unlock()
-	p, ok = s.peers[peerName]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotLinked, peerName)
-	}
-	if p.res == nil {
-		p.res = s.newPeerConn(peerName, nil)
 	}
 	return p.res, nil
 }
@@ -285,13 +261,10 @@ func (s *Site) Unlink(peerName string) error {
 		return fmt.Errorf("%w: %q", ErrNotLinked, peerName)
 	}
 	delete(s.peers, peerName)
-	res := p.res
 	amb := p.ambassador
 	s.peerMu.Unlock()
 
-	if res != nil {
-		res.Close()
-	}
+	p.res.Close()
 	if amb != nil {
 		s.objects.Deregister(amb.ID())
 		s.objects.Unbind("ioo@" + peerName)
@@ -305,19 +278,10 @@ func (s *Site) Unlink(peerName string) error {
 // here). The previous inner connection is left open: injected conns often
 // wrap it, and it is retired with the wrapper on Unlink/Close.
 func (s *Site) SetPeerConn(peerName string, conn transport.Conn) error {
-	s.peerMu.Lock()
-	p, ok := s.peers[peerName]
-	if !ok {
-		s.peerMu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotLinked, peerName)
+	res, err := s.connTo(peerName)
+	if err != nil {
+		return err
 	}
-	if p.res == nil {
-		p.res = s.newPeerConn(peerName, conn)
-		s.peerMu.Unlock()
-		return nil
-	}
-	res := p.res
-	s.peerMu.Unlock()
 	res.SetInner(conn)
 	return nil
 }
@@ -510,51 +474,31 @@ func (s *Site) handleInvoke(ctx context.Context, req *invokeReq) (value.Value, e
 // setMethod or addMethod) on every deployed ambassador of an APO, acting
 // as the APO itself — the §5 dynamic-update mechanism ("updates in APO's
 // functionality can be done dynamically … by adding methods and data items
-// to the APO and its Ambassador on the fly"). The fan-out consults the
-// peer-health table first: hosts whose circuit breaker is open are skipped
-// (logged, and reported through the returned error) instead of being
-// rediscovered down one call at a time; the surviving updates then go out
-// as one InvokeFanOut round — pipelined per peer, peers in parallel — so
+// to the APO and its Ambassador on the fly"). The updates go out as one
+// InvokeFanOut round — pipelined per peer, peers in parallel — so
 // refreshing N ambassadors costs one RTT, not N, and one dead peer never
-// delays the rest. It returns the number of ambassadors updated; the
-// error, if any, is the first failure.
+// delays the rest: a host whose breaker is open fails ErrPeerDown without
+// touching the wire, and one whose cooldown has run out gets the half-open
+// probe and then its update. It returns the number of ambassadors updated;
+// the error, if any, is the first failure.
 func (s *Site) UpdateAmbassadors(apoName, method string, args ...value.Value) (int, error) {
 	apo, err := s.APO(apoName)
 	if err != nil {
 		return 0, err
 	}
+	caller := apo.Principal()
+	var calls []FanOutCall
 	s.mu.Lock()
-	targets := make([]deployment, 0, len(s.deployments))
 	for _, d := range s.deployments {
 		if d.apoName == apoName {
-			targets = append(targets, d)
+			calls = append(calls, FanOutCall{Peer: d.hostSite, Caller: caller,
+				Target: d.ambassadorID.String(), Method: method, Args: args})
 		}
 	}
 	s.mu.Unlock()
 
-	up := make(map[string]bool, len(targets))
-	for _, ps := range s.PeerHealth() {
-		up[ps.Peer] = ps.Up()
-	}
-	live := make([]deployment, 0, len(targets))
-	var firstErr error
-	for _, d := range targets {
-		if healthy, known := up[d.hostSite]; known && !healthy {
-			s.log("skipping ambassador update at %s: peer down", d.hostSite)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("update ambassador at %s: %w: circuit open", d.hostSite, ErrPeerDown)
-			}
-			continue
-		}
-		live = append(live, d)
-	}
-
-	calls := make([]FanOutCall, len(live))
-	for i, d := range live {
-		calls[i] = FanOutCall{Peer: d.hostSite, Caller: apo.Principal(),
-			Target: d.ambassadorID.String(), Method: method, Args: args}
-	}
 	updated := 0
+	var firstErr error
 	for _, res := range s.InvokeFanOut(calls) {
 		if res.Err != nil {
 			if firstErr == nil {

@@ -109,8 +109,8 @@ func TestPartitionFailsFastAndHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.State != transport.BreakerOpen || ps.Up() {
-		t.Errorf("osaka status = %+v, want open/down", ps)
+	if ps.State != transport.BreakerOpen {
+		t.Errorf("osaka status = %+v, want open", ps)
 	}
 
 	// The partition is per-peer: kyoto answers while osaka is down.
@@ -119,12 +119,8 @@ func TestPartitionFailsFastAndHeals(t *testing.T) {
 	} else if i, _ := v.Int(); i != 9000 {
 		t.Errorf("kyoto salaryOf = %v", v)
 	}
-	health := tokyo.PeerHealth()
-	if len(health) != 2 || health[0].Peer != "kyoto" || health[1].Peer != "osaka" {
-		t.Fatalf("health table = %+v", health)
-	}
-	if !health[0].Up() || health[1].Up() {
-		t.Errorf("health = %+v, want kyoto up / osaka down", health)
+	if up := tokyo.UpPeerNames(); len(up) != 1 || up[0] != "kyoto" {
+		t.Errorf("UpPeerNames = %v, want kyoto up / osaka down", up)
 	}
 
 	// Heal. After the cooldown the next call runs the half-open probe and
@@ -333,7 +329,7 @@ func TestPeerStatusUnknownPeer(t *testing.T) {
 	if _, err := s.PeerStatus("nobody"); !errors.Is(err, ErrNotLinked) {
 		t.Errorf("PeerStatus(nobody) = %v, want ErrNotLinked", err)
 	}
-	if h := s.PeerHealth(); len(h) != 0 {
-		t.Errorf("PeerHealth = %+v, want empty", h)
+	if up := s.UpPeerNames(); len(up) != 0 {
+		t.Errorf("UpPeerNames = %v, want empty", up)
 	}
 }

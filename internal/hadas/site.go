@@ -85,10 +85,9 @@ type Config struct {
 	// DefaultCallTimeout.
 	CallTimeout time.Duration
 	// Resilience tunes per-peer retry and circuit-breaker behavior (see
-	// transport.ResilientPolicy). Zero fields use transport defaults; a
-	// nil Idempotent predicate uses the site's own notion of retry-safe
-	// verbs (the link handshake only — invoke/export/dispatch may
-	// duplicate side effects when re-sent).
+	// transport.ResilientPolicy). Zero fields use transport defaults. Its
+	// Idempotent predicate is always the site's own (retrySafeVerb): a
+	// replayed export or invoke could double a side effect.
 	Resilience transport.ResilientPolicy
 	// ProbeInterval enables background liveness probing: every interval
 	// the site pings each linked peer, driving open circuits through their
@@ -110,14 +109,15 @@ type Config struct {
 }
 
 // peer is one Vicinity entry: a linked remote site. Its connection is
-// always held behind a ResilientConn, which owns retry, redial and the
-// per-peer circuit breaker driving the site's health table.
+// held behind a ResilientConn, built with the entry and never replaced,
+// which owns retry, redial and the circuit breaker that is the peer's
+// health.
 type peer struct {
 	name       string
 	domain     string
 	addr       string
-	res        *transport.ResilientConn
-	ambassador *core.Object // the remote IOO's ambassador hosted here
+	res        *transport.ResilientConn // never nil
+	ambassador *core.Object             // the remote IOO's ambassador hosted here
 }
 
 // deployment records one exported ambassador (origin side).
@@ -207,9 +207,7 @@ func NewSite(cfg Config) (*Site, error) {
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = DefaultCallTimeout
 	}
-	if cfg.Resilience.Idempotent == nil {
-		cfg.Resilience.Idempotent = retrySafeVerb
-	}
+	cfg.Resilience.Idempotent = retrySafeVerb // retry safety is the protocol's (§9), not a setting
 
 	s := &Site{
 		cfg:         cfg,
@@ -344,9 +342,7 @@ func (s *Site) Close() error {
 	s.peerMu.RLock()
 	conns := make([]transport.Conn, 0, len(s.peers))
 	for _, p := range s.peers {
-		if p.res != nil {
-			conns = append(conns, p.res)
-		}
+		conns = append(conns, p.res)
 	}
 	s.peerMu.RUnlock()
 	if stop != nil {

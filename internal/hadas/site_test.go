@@ -2,6 +2,7 @@ package hadas
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -316,6 +317,32 @@ func TestAmbassadorSpecScriptsAndCopyData(t *testing.T) {
 	// The relayed method now fails (wire cut) — proving the split.
 	if _, err := amb.Invoke(client, "query", value.NewString("bob")); !errors.Is(err, transport.ErrInjected) {
 		t.Errorf("relayed query with cut wire: %v", err)
+	}
+}
+
+// TestDefaultAmbassadorRelaysNoMetaName: without a spec, an Ambassador
+// relays the APO's whole interface except every name core reserves for
+// the meta interface — the host's own meta-methods answer those.
+func TestDefaultAmbassadorRelaysNoMetaName(t *testing.T) {
+	s := newTestSite(t, transport.NewInProcNet(), "osaka")
+	apo := addEmployeeDB(t, s)
+	relay := s.ambassadorSpec(apo, "payroll").Relay
+	reserved := 0
+	for _, m := range apo.MethodNames(apo.Principal()) {
+		if core.IsReservedName(m) {
+			reserved++
+			if slices.Contains(relay, m) {
+				t.Errorf("default ambassador relays meta-method %q", m)
+			}
+		} else if !slices.Contains(relay, m) {
+			t.Errorf("default ambassador drops method %q", m)
+		}
+	}
+	if reserved < 15 || !core.IsReservedName("invokeNext") {
+		t.Errorf("saw %d reserved names in the APO's interface, want the 15 meta-methods", reserved)
+	}
+	if len(relay) != 2 {
+		t.Errorf("relay = %v, want query and salaryOf", relay)
 	}
 }
 

@@ -196,6 +196,11 @@ func TestBuiltins(t *testing.T) {
 	if f, _ := d.Float(); f != 2.5 {
 		t.Errorf("float = %v", d)
 	}
+	wantStr(t, run(t, `return str(bool(1)) + str(bool(0)) + str(bool("x")) + str(bool(null)) + str(bool(fn() { }));`),
+		"truefalsetruefalsetrue")
+	if _, err := runErr(`return bool();`); err == nil {
+		t.Error("bool() with no argument succeeded")
+	}
 	wantStr(t, run(t, `return type([1]);`), "list")
 	wantStr(t, run(t, `return type(fn() { });`), "function")
 	wantInt(t, run(t, `let l = push([1], 2); return len(l);`), 2)

@@ -169,81 +169,62 @@ func (f *FaultConn) chance(p float64) bool {
 	return f.rng.Float64() < p
 }
 
-// Call implements Conn with injection.
+// Call implements Conn with injection: the verb's rule, or else the
+// default rule the top-level fields form, numbered by the conn's calls.
 func (f *FaultConn) Call(ctx context.Context, verb string, payload []byte) ([]byte, error) {
 	n := f.calls.Add(1)
 	if f.severed() {
 		return nil, ErrInjected
 	}
-	if rule := f.VerbRules[verb]; rule != nil {
-		rn := rule.calls.Add(1)
-		if err := rule.delay(ctx); err != nil {
-			return nil, err
-		}
-		fail := rule.shouldFail(rn, f.chance)
-		if fail && !rule.FailAfter {
-			return nil, ErrInjected
-		}
-		if f.Inner == nil {
-			return nil, ErrInjected
-		}
-		out, err := f.Inner.Call(ctx, verb, payload)
-		if fail {
-			// The request executed remotely; only the response is lost.
-			return nil, ErrInjected
-		}
-		return out, err
+	rule := f.VerbRules[verb]
+	if rule != nil {
+		n = rule.calls.Add(1)
 	} else {
-		if f.Delay > 0 {
-			t := time.NewTimer(f.Delay)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		if f.FailEvery > 0 && n%int64(f.FailEvery) == 0 {
-			return nil, ErrInjected
-		}
-		if f.FailProb > 0 && f.chance(f.FailProb) {
-			return nil, ErrInjected
-		}
+		rule = &FaultRule{FailEvery: f.FailEvery, FailProb: f.FailProb, Delay: f.Delay}
 	}
-	if f.Inner == nil {
-		return nil, ErrInjected
+	var out []byte
+	err := f.inject(ctx, rule, n, func() (err error) {
+		out, err = f.Inner.Call(ctx, verb, payload)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return f.Inner.Call(ctx, verb, payload)
+	return out, nil
 }
 
 // Ping implements Conn with injection (PingRule).
 func (f *FaultConn) Ping(ctx context.Context) error {
-	f.pings.Add(1)
+	n := f.pings.Add(1)
 	if f.severed() {
 		return ErrInjected
 	}
-	if rule := f.PingRule; rule != nil {
-		rn := rule.calls.Add(1)
-		if err := rule.delay(ctx); err != nil {
-			return err
-		}
-		fail := rule.shouldFail(rn, f.chance)
-		if fail && !rule.FailAfter {
-			return ErrInjected
-		}
-		if f.Inner == nil {
-			return ErrInjected
-		}
-		err := f.Inner.Ping(ctx)
-		if fail {
-			return ErrInjected
-		}
+	rule := f.PingRule
+	if rule != nil {
+		n = rule.calls.Add(1)
+	} else {
+		rule = &FaultRule{}
+	}
+	return f.inject(ctx, rule, n, func() error { return f.Inner.Ping(ctx) })
+}
+
+// inject runs op, the inner connection's operation, as matching operation
+// n of rule: the rule's delay precedes it, and a selected failure strikes
+// before it — or, FailAfter, drops its response. A nil Inner fails it.
+func (f *FaultConn) inject(ctx context.Context, rule *FaultRule, n int64, op func() error) error {
+	if err := rule.delay(ctx); err != nil {
 		return err
 	}
-	if f.Inner == nil {
+	fail := rule.shouldFail(n, f.chance)
+	if (fail && !rule.FailAfter) || f.Inner == nil {
 		return ErrInjected
 	}
-	return f.Inner.Ping(ctx)
+	err := op()
+	if fail {
+		// The request executed remotely; only the response is lost.
+		return ErrInjected
+	}
+	return err
 }
 
 // Close implements Conn.

@@ -56,9 +56,6 @@ type ResilientPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth. Default 500ms.
 	MaxBackoff time.Duration
-	// JitterSeed seeds the backoff jitter source, making retry schedules
-	// reproducible in tests. The zero seed is itself deterministic.
-	JitterSeed int64
 	// Idempotent reports whether a verb is safe to re-send after a
 	// transport failure (the request may or may not have executed). Nil
 	// disables retries.
@@ -116,7 +113,6 @@ type ResilientConn struct {
 	mu          sync.Mutex
 	inner       Conn
 	redial      func() (Conn, error)
-	rng         *rand.Rand
 	state       BreakerState
 	consecFails int
 	openedAt    time.Time
@@ -130,13 +126,7 @@ var _ Conn = (*ResilientConn)(nil)
 // connection after ErrClosed (and performs the initial dial when inner is
 // nil — lazy connection). The zero policy means defaults with no retries.
 func NewResilientConn(inner Conn, redial func() (Conn, error), policy ResilientPolicy) *ResilientConn {
-	p := policy.withDefaults()
-	return &ResilientConn{
-		policy: p,
-		inner:  inner,
-		redial: redial,
-		rng:    rand.New(rand.NewSource(p.JitterSeed)),
-	}
+	return &ResilientConn{policy: policy.withDefaults(), inner: inner, redial: redial}
 }
 
 // Status returns a snapshot of the breaker.
@@ -290,15 +280,14 @@ func (r *ResilientConn) probe(ctx context.Context) error {
 }
 
 // backoff sleeps before retry attempt n (1-based), with equal jitter drawn
-// from the seeded source: half the exponential delay is fixed, half random.
+// from the process's random source, so connections retrying together do
+// not stay in step: half the exponential delay is fixed, half random.
 func (r *ResilientConn) backoff(ctx context.Context, attempt int) error {
 	d := r.policy.BaseBackoff << (attempt - 1)
 	if d > r.policy.MaxBackoff || d <= 0 {
 		d = r.policy.MaxBackoff
 	}
-	r.mu.Lock()
-	d = d/2 + time.Duration(r.rng.Int63n(int64(d/2)+1))
-	r.mu.Unlock()
+	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
