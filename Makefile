@@ -93,8 +93,9 @@ race: verify-race
 # was red at GOMAXPROCS >= 2 and green at 1 — so whichever the machine's
 # default is, the other side of that line runs too. The security suite
 # rides along: every audited call records into the Auditor's sharded rings.
+# So does the wire suite: every encode writes into a pooled Codec's scratch.
 race-core-cpu:
-	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/security
+	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/security ./internal/wire
 
 # race-hadas-cpu does the same where Home's compare-and-swap loops live:
 # the container, admission and arrival tests of internal/hadas, with the

@@ -44,7 +44,7 @@ func MetaACL(acl security.ACL) BuildOption {
 // MetaHidden makes the meta-methods invisible to other objects — the §5
 // encapsulation policy for Ambassadors ("its meta-methods should be
 // invisible to the host IOO"). `get`, `set`, `invoke`, `describe` and the
-// listings stay visible; only the eight mutating meta-methods are hidden.
+// listings stay visible; only the six mutating meta-methods are hidden.
 func MetaHidden() BuildOption {
 	return func(o *Object) { o.metaHidden = true }
 }

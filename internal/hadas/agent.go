@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/naming"
-	"repro/internal/transport"
 	"repro/internal/value"
 	"repro/internal/wire"
 )
@@ -53,12 +52,13 @@ const onArrivalMethod = "onArrival"
 //     the migration still commits: installation was acknowledged first,
 //     so the agent lives at the destination, not here.
 func (s *Site) DispatchAgent(name, peerName string) (value.Value, error) {
-	// A destination already known down fails fast before the journal or
-	// the registries are touched — no in-doubt record to resolve later.
+	// A destination the breaker refuses fails fast before the journal or
+	// the registries are touched — no in-doubt record to resolve later. Past
+	// the cooldown the breaker's answer is its half-open probe.
 	if res, err := s.connTo(peerName); err != nil {
 		return value.Null, fmt.Errorf("dispatch %q to %q: %w", name, peerName, err)
-	} else if res.State() == transport.BreakerOpen {
-		return value.Null, fmt.Errorf("dispatch %q to %q: %w: circuit open", name, peerName, ErrPeerDown)
+	} else if err := res.Admit(s.callCtx()); err != nil {
+		return value.Null, fmt.Errorf("dispatch %q to %q: %w: %v", name, peerName, ErrPeerDown, err)
 	}
 	// Claim the name: one migration of an agent at a time, so concurrent
 	// dispatches cannot both retire-and-ship the same object. The claim

@@ -20,14 +20,15 @@ func (s *Site) PeerStatus(peerName string) (transport.BreakerStatus, error) {
 	return res.Status(), nil
 }
 
-// UpPeerNames lists the linked peers whose breaker is not open, sorted.
+// UpPeerNames lists the linked peers whose breaker is not open, sorted: a
+// peer whose cooldown has run out is half-open, and its next call probes.
 // Interop programs and other fan-outs route with this instead of
 // rediscovering dead peers one timeout at a time.
 func (s *Site) UpPeerNames() []string {
 	s.peerMu.RLock()
 	var out []string
 	for name, p := range s.peers {
-		if p.res.State() != transport.BreakerOpen {
+		if p.res.Status().State != transport.BreakerOpen {
 			out = append(out, name)
 		}
 	}

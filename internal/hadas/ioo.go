@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/mscript"
 	"repro/internal/security"
 	"repro/internal/value"
 	"repro/internal/wire"
@@ -22,18 +21,7 @@ func buildIOO(s *Site) (*core.Object, error) {
 		security.DenyAll(),
 	)
 
-	opts := []core.BuildOption{
-		core.InDomain(s.cfg.Domain),
-		core.WithPolicy(s.policy),
-		core.WithAuditor(s.auditor),
-		core.WithRegistry(s.behaviors),
-		core.WithResolver(s),
-		core.WithBudget(mscript.DefaultBudget),
-	}
-	if s.cfg.Output != nil {
-		opts = append(opts, core.WithOutput(s.cfg.Output))
-	}
-	b := core.NewBuilder(s.gen, "IOO", opts...)
+	b := s.NewAPOBuilder("IOO")
 	b.FixedData("kind", value.NewString("ioo"))
 	b.FixedData("site", value.NewString(s.cfg.Name))
 	// The containers are the IOO's state: each item is computed from its

@@ -1196,6 +1196,49 @@ func TestDispatchFailsFastWhenPeerDown(t *testing.T) {
 	}
 }
 
+// TestDispatchProbesHealedPeer: with no background prober, a destination
+// whose wire healed and whose cooldown has run out is half-open, not down:
+// it is listed up, and the next dispatch runs the probe and lands.
+func TestDispatchProbesHealedPeer(t *testing.T) {
+	const cooldown = 20 * time.Millisecond
+	net := transport.NewInProcNet()
+	a := newMigSiteCfg(t, net, Config{
+		Name:       "a",
+		Store:      persist.NewMemStore(),
+		Resilience: transport.ResilientPolicy{BaseBackoff: time.Millisecond, FailureThreshold: 1, Cooldown: cooldown},
+	})
+	b := newMigSite(t, net, "b", nil)
+	link(t, a, "b")
+	inertAgent(t, a, "box")
+
+	fc := cutPeerWire(t, net, a, "b")
+	fc.Cut()
+	if _, err := a.InvokeRemote("b", a.IOO().Principal(), "x", "y"); err == nil {
+		t.Fatal("call over cut wire succeeded")
+	}
+	if _, err := a.DispatchAgent("box", "b"); !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("dispatch inside the cooldown: %v, want ErrPeerDown", err)
+	}
+	fc.Heal()
+	time.Sleep(3 * cooldown)
+
+	if st, _ := a.PeerStatus("b"); st.State != transport.BreakerHalfOpen {
+		t.Errorf("cooled-down peer status = %+v, want half-open", st)
+	}
+	if up := a.UpPeerNames(); len(up) != 1 || up[0] != "b" {
+		t.Errorf("UpPeerNames = %v, want [b]", up)
+	}
+	if _, err := a.DispatchAgent("box", "b"); err != nil {
+		t.Fatalf("dispatch past the cooldown: %v", err)
+	}
+	if fc.Pings() == 0 {
+		t.Error("no half-open probe reached b")
+	}
+	if _, err := b.ResolveObject("box"); err != nil {
+		t.Errorf("agent did not land at b: %v", err)
+	}
+}
+
 // TestMigrationStatusUnknown: a status query for a migration the
 // destination never saw answers "unknown", not an error.
 func TestMigrationStatusUnknown(t *testing.T) {

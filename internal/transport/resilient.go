@@ -129,15 +129,17 @@ func NewResilientConn(inner Conn, redial func() (Conn, error), policy ResilientP
 	return &ResilientConn{policy: policy.withDefaults(), inner: inner, redial: redial}
 }
 
-// Status returns a snapshot of the breaker.
+// Status returns a snapshot of the breaker. An open breaker whose cooldown
+// has run out reports half-open: the next Admit runs the probe.
 func (r *ResilientConn) Status() BreakerStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return BreakerStatus{State: r.state, ConsecutiveFailures: r.consecFails, LastError: r.lastErr}
+	st := r.state
+	if st == BreakerOpen && time.Since(r.openedAt) >= r.policy.Cooldown {
+		st = BreakerHalfOpen
+	}
+	return BreakerStatus{State: st, ConsecutiveFailures: r.consecFails, LastError: r.lastErr}
 }
-
-// State returns the breaker state.
-func (r *ResilientConn) State() BreakerState { return r.Status().State }
 
 // SetInner replaces the wrapped connection and returns the previous one
 // (which the caller owns — it is not closed, so test harnesses can wrap
@@ -223,23 +225,25 @@ func (r *ResilientConn) recordSuccess() {
 }
 
 // recordFailure counts a transport failure, opening the breaker at the
-// threshold (or re-opening it after a failed half-open probe).
-func (r *ResilientConn) recordFailure(err error) {
+// threshold (or re-opening it after a failed half-open probe). It reports
+// whether the breaker is still closed.
+func (r *ResilientConn) recordFailure(err error) bool {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.lastErr = err
 	r.consecFails++
 	if r.state == BreakerHalfOpen || (r.state == BreakerClosed && r.consecFails >= r.policy.FailureThreshold) {
 		r.openedAt = time.Now()
 		r.state = BreakerOpen
 	}
-	r.mu.Unlock()
+	return r.state == BreakerClosed
 }
 
-// admit gates an operation on the breaker. In the open state it either
-// fails fast (cooldown pending) or claims the half-open probe: it pings
-// the peer and, on success, closes the breaker and lets the operation
-// proceed.
-func (r *ResilientConn) admit(ctx context.Context) error {
+// Admit asks the breaker whether an operation may go to the peer now; Call,
+// CallMulti and Ping ask it first. In the open state it either fails fast
+// with ErrCircuitOpen (cooldown pending) or claims the half-open probe: it
+// pings the peer and, on success, closes the breaker and admits.
+func (r *ResilientConn) Admit(ctx context.Context) error {
 	r.mu.Lock()
 	switch r.state {
 	case BreakerClosed:
@@ -303,7 +307,7 @@ func (r *ResilientConn) backoff(ctx context.Context, attempt int) error {
 // MaxAttempts; ErrClosed additionally discards the dead connection so the
 // next attempt redials. Non-idempotent verbs get exactly one attempt.
 func (r *ResilientConn) Call(ctx context.Context, verb string, payload []byte) ([]byte, error) {
-	if err := r.admit(ctx); err != nil {
+	if err := r.Admit(ctx); err != nil {
 		return nil, err
 	}
 	retryable := r.policy.Idempotent != nil && r.policy.Idempotent(verb)
@@ -328,9 +332,9 @@ func (r *ResilientConn) Call(ctx context.Context, verb string, payload []byte) (
 				r.dropInner(c)
 			}
 		}
-		r.recordFailure(err)
+		closed := r.recordFailure(err)
 		lastErr = err
-		if !retryable || attempt >= r.policy.MaxAttempts || r.State() != BreakerClosed || ctx.Err() != nil {
+		if !retryable || attempt >= r.policy.MaxAttempts || !closed || ctx.Err() != nil {
 			return nil, lastErr
 		}
 		if err := r.backoff(ctx, attempt); err != nil {
@@ -359,7 +363,7 @@ func (r *ResilientConn) CallMulti(ctx context.Context, reqs []MultiRequest) []Mu
 	if len(reqs) == 0 {
 		return nil
 	}
-	if err := r.admit(ctx); err != nil {
+	if err := r.Admit(ctx); err != nil {
 		return failBatch(err)
 	}
 	c, err := r.conn()
@@ -404,10 +408,10 @@ func (r *ResilientConn) CallMulti(ctx context.Context, reqs []MultiRequest) []Mu
 // the half-open probe itself once the cooldown allows (background health
 // probers drive recovery by calling this), otherwise it fails fast.
 func (r *ResilientConn) Ping(ctx context.Context) error {
-	if err := r.admit(ctx); err != nil {
+	if err := r.Admit(ctx); err != nil {
 		return err
 	}
-	// admit's successful half-open probe already proved liveness; in the
+	// Admit's successful half-open probe already proved liveness; in the
 	// closed state, ping the wire and account the outcome.
 	c, err := r.conn()
 	if err == nil {

@@ -88,7 +88,7 @@ func TestResilientRetriesIdempotentVerbs(t *testing.T) {
 	if n := sc.callCount(); n != 3 {
 		t.Errorf("attempts = %d, want 3", n)
 	}
-	if st := rc.State(); st != BreakerClosed {
+	if st := rc.Status().State; st != BreakerClosed {
 		t.Errorf("state after recovery = %v", st)
 	}
 }
@@ -121,7 +121,7 @@ func TestResilientRemoteErrorIsNotATransportFailure(t *testing.T) {
 	if n := sc.callCount(); n != 5 {
 		t.Errorf("attempts = %d, want 5", n)
 	}
-	if st := rc.State(); st != BreakerClosed {
+	if st := rc.Status().State; st != BreakerClosed {
 		t.Errorf("state = %v, want closed", st)
 	}
 }
@@ -134,14 +134,14 @@ func TestResilientBreakerOpensAndFailsFast(t *testing.T) {
 	rc := NewResilientConn(sc, nil, p)
 
 	for i := 0; i < 3; i++ {
-		if st := rc.State(); st != BreakerClosed {
+		if st := rc.Status().State; st != BreakerClosed {
 			t.Fatalf("state after %d failures = %v, want closed", i, st)
 		}
 		if _, err := rc.Call(context.Background(), "v", nil); !errors.Is(err, errWire) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if st := rc.State(); st != BreakerOpen {
+	if st := rc.Status().State; st != BreakerOpen {
 		t.Fatalf("state after %d failures = %v, want open", 3, st)
 	}
 	attempts := sc.callCount()
@@ -154,7 +154,7 @@ func TestResilientBreakerOpensAndFailsFast(t *testing.T) {
 	if n := sc.callCount(); n != attempts {
 		t.Errorf("open circuit still reached the wire: %d → %d attempts", attempts, n)
 	}
-	if st := rc.State(); st != BreakerOpen {
+	if st := rc.Status().State; st != BreakerOpen {
 		t.Errorf("state after failing fast = %v, want open", st)
 	}
 	st := rc.Status()
@@ -177,7 +177,7 @@ func TestResilientHalfOpenProbeRecovery(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		rc.Call(context.Background(), "v", nil)
 	}
-	if st := rc.State(); st != BreakerOpen {
+	if st := rc.Status().State; st != BreakerOpen {
 		t.Fatalf("state = %v, want open", st)
 	}
 
@@ -187,7 +187,7 @@ func TestResilientHalfOpenProbeRecovery(t *testing.T) {
 	if _, err := rc.Call(context.Background(), "v", nil); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("failed-probe call: %v", err)
 	}
-	if st := rc.State(); st != BreakerOpen {
+	if st := rc.Status().State; st != BreakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", st)
 	}
 
@@ -200,7 +200,7 @@ func TestResilientHalfOpenProbeRecovery(t *testing.T) {
 	if string(out) != "back" {
 		t.Errorf("payload = %q", out)
 	}
-	if st := rc.State(); st != BreakerClosed {
+	if st := rc.Status().State; st != BreakerClosed {
 		t.Errorf("state after recovery = %v, want closed", st)
 	}
 }
@@ -215,7 +215,7 @@ func TestResilientPingDrivesRecovery(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		rc.Call(context.Background(), "v", nil)
 	}
-	if st := rc.State(); st != BreakerOpen {
+	if st := rc.Status().State; st != BreakerOpen {
 		t.Fatalf("state = %v", st)
 	}
 	if err := rc.Ping(context.Background()); !errors.Is(err, ErrCircuitOpen) {
@@ -225,7 +225,7 @@ func TestResilientPingDrivesRecovery(t *testing.T) {
 	if err := rc.Ping(context.Background()); err != nil {
 		t.Fatalf("probing ping after cooldown: %v", err)
 	}
-	if st := rc.State(); st != BreakerClosed {
+	if st := rc.Status().State; st != BreakerClosed {
 		t.Errorf("state after probing ping = %v, want closed", st)
 	}
 }
@@ -279,7 +279,7 @@ func TestResilientCanceledContextNotCountedAgainstPeer(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if st := rc.State(); st != BreakerClosed {
+	if st := rc.Status().State; st != BreakerClosed {
 		t.Errorf("state = %v: caller cancellation must not open the breaker", st)
 	}
 }

@@ -9,57 +9,78 @@ import (
 	"repro/internal/value"
 )
 
-// Codec runs a protocol record's field-order method three ways: to size
-// the record, to encode it into a buffer of exactly that size, and to
-// decode it in place. A record is a Go struct whose Fields method names its
-// fields in wire order — c.Str("site", &r.Site); c.ID("caller", &r.Caller)
-// — so encoder and decoder cannot drift apart. On the wire a record is a
-// list value, its fields in order, each an ordinary tagged value (an ID is
-// a 16-byte Bytes), so any value decoder reads it. One versioning rule: a
-// list shorter than the record reads its missing tail as zero, elements
-// past the known fields are decoded under the usual limits and dropped, a
-// null field reads as zero, and a field of another kind fails
-// core.ErrArity naming it.
+// Codec runs a protocol record's field-order method two ways: to encode
+// it in one walk, and to decode it in place. A record is a Go struct whose
+// Fields method names its fields in wire order — c.Str("site", &r.Site);
+// c.ID("caller", &r.Caller) — so encoder and decoder cannot drift apart. On
+// the wire a record is a list value, its fields in order, each an ordinary
+// tagged value (an ID is a 16-byte Bytes), so any value decoder reads it.
+// One versioning rule: a list shorter than the record reads its missing
+// tail as zero, elements past the known fields are decoded under the usual
+// limits and dropped, a null field reads as zero, and a field of another
+// kind fails core.ErrArity naming it.
 type Codec struct {
-	op                codecOp
-	size, left, depth int // left: fields written to the open record, or its elements still to read
-	w                 Writer
-	r                 Reader
-	err               error
+	op          codecOp
+	left, depth int // left: fields written to the open record, or its elements still to read
+	w           Writer
+	r           Reader
+	err         error
 }
 
 type codecOp uint8
 
 const (
-	opSize codecOp = iota
-	opEncode
+	opEncode codecOp = iota
 	opDecode
 )
 
 // Fields is passed as a func value, which keeps the record off the heap;
-// the Codec it is handed escapes, so it is pooled.
+// the Codec it is handed escapes, so it is pooled. A pooled Codec is zero,
+// set to encode, but for its writer's buffer: the scratch the next encode
+// writes into.
 var codecs = sync.Pool{New: func() any { return new(Codec) }}
 
-// EncodeRecord encodes the record fields describes in a buffer of its own,
-// allocated once and exactly sized.
-func EncodeRecord(fields func(*Codec)) []byte { return AppendRecord(nil, fields) }
+// maxScratch is the largest scratch buffer a Codec takes back to the pool,
+// the same bound transport.MaxPooledBuffer puts on a request buffer: one
+// huge record does not pin its memory.
+const maxScratch = 1 << 20
 
-// AppendRecord appends the record fields describes to dst. A first walk
-// over the same fields sizes it, so dst grows at most once, to exactly the
-// room the record needs.
+// putCodec clears c and pools it, keeping scratch unless it is past
+// maxScratch.
+func putCodec(c *Codec, scratch []byte) {
+	if cap(scratch) > maxScratch {
+		scratch = nil
+	}
+	*c = Codec{w: Writer{buf: scratch[:0]}}
+	codecs.Put(c)
+}
+
+// exact returns a copy of what c wrote into its scratch, exactly sized,
+// and pools c.
+func (c *Codec) exact() []byte {
+	out := append(make([]byte, 0, len(c.w.buf)), c.w.buf...)
+	putCodec(c, c.w.buf)
+	return out
+}
+
+// EncodeRecord encodes the record fields describes in one walk, into a
+// buffer of its own, allocated once and exactly sized.
+func EncodeRecord(fields func(*Codec)) []byte {
+	c := codecs.Get().(*Codec)
+	c.record(fields)
+	return c.exact()
+}
+
+// AppendRecord appends the record fields describes to dst, written
+// straight into dst in the same one walk.
 func AppendRecord(dst []byte, fields func(*Codec)) []byte {
 	c := codecs.Get().(*Codec)
-	defer codecs.Put(c)
-	*c = Codec{op: opSize}
+	scratch := c.w.buf
+	c.w.buf = dst
 	c.record(fields)
-	if cap(dst)-len(dst) < c.size {
-		dst = append(make([]byte, 0, len(dst)+c.size), dst...)
-	}
-	c.op, c.w.buf = opEncode, dst
-	c.record(fields)
-	out := c.w.buf
-	*c = Codec{}
-	return out
+	dst = c.w.buf
+	putCodec(c, scratch)
+	return dst
 }
 
 // ErrNotRecord refuses bytes that do not begin as a record (a list value):
@@ -91,14 +112,13 @@ func DecodeRecord(b []byte, fields func(*Codec)) error {
 		return err
 	}
 	c := codecs.Get().(*Codec)
-	defer codecs.Put(c)
-	*c = Codec{op: opDecode, r: Reader{buf: b, shareFrom: (len(b) + 1) / 2}}
+	c.op, c.r = opDecode, Reader{buf: b, shareFrom: (len(b) + 1) / 2}
 	c.record(fields)
 	if c.err == nil && !c.r.Done() {
 		c.err = fmt.Errorf("%w: %d trailing bytes after record", ErrCodec, c.r.Remaining())
 	}
 	err := c.err
-	*c = Codec{}
+	putCodec(c, c.w.buf)
 	return err
 }
 
@@ -108,15 +128,9 @@ func (c *Codec) record(fields func(*Codec)) {
 	outer, at := c.left, len(c.w.buf)
 	c.left = 0
 	c.depth++
-	switch c.op {
-	case opSize:
-		c.size += 2
-	case opEncode:
+	if c.op == opEncode {
 		c.w.buf = append(c.w.buf, tagList, 0)
-	case opDecode:
-		if c.err != nil {
-			break
-		}
+	} else if c.err == nil {
 		var tag byte
 		if tag, c.err = c.r.Byte(); c.err == nil && tag != tagList {
 			c.err = ErrNotRecord
@@ -135,19 +149,15 @@ func (c *Codec) record(fields func(*Codec)) {
 	c.depth--
 }
 
-// walkField is a field of a composite or open kind: the size and encode
-// walks count or write v; decoding returns the next element, which must be
-// of kind k, and false when the element is absent or null. (v never flows
-// to the result, or the record it came from would escape.) The scalar
-// fields below read and write their payload directly instead.
+// walkField is a field of a composite or open kind: the encode walk writes
+// v; decoding returns the next element, which must be of kind k, and false
+// when the element is absent or null. (v never flows to the result, or the
+// record it came from would escape.) The scalar fields below read and
+// write their payload directly instead.
 func (c *Codec) walkField(name string, v value.Value, k value.Kind) (value.Value, bool) {
-	if c.op != opDecode {
+	if c.op == opEncode {
 		c.left++
-		if c.op == opSize {
-			c.size += valueSize(v)
-		} else {
-			PutValue(&c.w, v)
-		}
+		PutValue(&c.w, v)
 		return value.Null, false
 	}
 	tag, ok := c.next()
@@ -175,17 +185,10 @@ func (c *Codec) next() (byte, bool) {
 	return tag, err == nil && tag != tagNull
 }
 
-// put is a scalar field in the size and encode walks: the size walk counts
-// its tag and n payload bytes, the encode walk writes the tag, and reports
-// true for its caller to write the payload.
-func (c *Codec) put(tag byte, n int) bool {
+// put writes the tag of a scalar field, whose caller writes its payload.
+func (c *Codec) put(tag byte) {
 	c.left++
-	if c.op == opSize {
-		c.size += 1 + n
-		return false
-	}
 	c.w.Byte(tag)
-	return true
 }
 
 // want reads the next element for a scalar field of kind k, tagged tag:
@@ -202,10 +205,9 @@ func (c *Codec) want(name string, tag byte, k value.Kind) bool {
 
 // Str is a string field.
 func (c *Codec) Str(name string, p *string) {
-	if c.op != opDecode {
-		if c.put(tagString, blobSize(len(*p))) {
-			c.w.String(*p)
-		}
+	if c.op == opEncode {
+		c.put(tagString)
+		c.w.String(*p)
 	} else if c.want(name, tagString, value.KindString) {
 		*p, c.err = c.r.String()
 	}
@@ -220,10 +222,9 @@ func (c *Codec) Bytes(name string, p *[]byte) {
 
 // Int is an integer field.
 func (c *Codec) Int(name string, p *int64) {
-	if c.op != opDecode {
-		if c.put(tagInt, varintSize(*p)) {
-			c.w.Varint(*p)
-		}
+	if c.op == opEncode {
+		c.put(tagInt)
+		c.w.Varint(*p)
 	} else if c.want(name, tagInt, value.KindInt) {
 		*p, c.err = c.r.Varint()
 	}
@@ -231,12 +232,12 @@ func (c *Codec) Int(name string, p *int64) {
 
 // Bool is a boolean field: its tag is its value.
 func (c *Codec) Bool(name string, p *bool) {
-	if c.op != opDecode {
+	if c.op == opEncode {
 		tag := byte(tagFalse)
 		if *p {
 			tag = tagTrue
 		}
-		c.put(tag, 0)
+		c.put(tag)
 	} else if tag, ok := c.next(); ok {
 		if tag != tagFalse && tag != tagTrue {
 			c.err = fmt.Errorf("%w: %s is not a %s", core.ErrArity, name, value.KindBool)
@@ -262,10 +263,9 @@ func (c *Codec) Value(name string, p *value.Value) {
 // ID is an object identity, sent as its 16 bytes and read without a copy
 // of its own.
 func (c *Codec) ID(name string, p *naming.ID) {
-	if c.op != opDecode {
-		if c.put(tagBytes, blobSize(len(p))) {
-			c.w.BytesField(p[:])
-		}
+	if c.op == opEncode {
+		c.put(tagBytes)
+		c.w.BytesField(p[:])
 	} else if tag, ok := c.next(); ok {
 		var b []byte
 		if tag == tagBytes {
@@ -281,13 +281,9 @@ func (c *Codec) ID(name string, p *naming.ID) {
 // List is a list of sub-records, each described by fields.
 func List[T any](c *Codec, name string, p *[]T, fields func(*Codec, *T)) {
 	n := len(*p)
-	if c.op != opDecode { // the list header: sized, and written by the encode walk
-		c.left++
-		c.size += 1 + uvarintSize(uint64(n))
-		if c.op == opEncode {
-			c.w.Byte(tagList)
-			c.w.Uvarint(uint64(n))
-		}
+	if c.op == opEncode {
+		c.put(tagList)
+		c.w.Uvarint(uint64(n))
 	} else {
 		n = 0
 		if tag, ok := c.next(); ok && tag != tagList {

@@ -2,8 +2,7 @@ package wire
 
 import (
 	"fmt"
-	"math/bits"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/value"
@@ -64,11 +63,12 @@ func PutValue(w *Writer, v value.Value) {
 		m, _ := v.Map()
 		w.Byte(tagMap)
 		w.Uvarint(uint64(len(m)))
-		keys := make([]string, 0, len(m))
+		var stack [16]string // the keys of most maps, sorted without a heap slice
+		keys := stack[:0]
 		for k := range m {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys) // deterministic encoding
+		slices.Sort(keys) // deterministic encoding
 		for _, k := range keys {
 			w.String(k)
 			PutValue(w, m[k])
@@ -186,60 +186,13 @@ func getTagged(r *Reader, tag byte, depth int) (value.Value, error) {
 	}
 }
 
-// EncodeValue returns a fresh encoding of v, in a buffer sized by one
-// pre-pass over the value so it is allocated once and never regrown.
+// EncodeValue returns a fresh encoding of v, in a buffer of its own,
+// allocated once and exactly sized.
 func EncodeValue(v value.Value) []byte {
-	w := Writer{buf: make([]byte, 0, valueSize(v))}
-	PutValue(&w, v)
-	return w.Bytes()
+	c := codecs.Get().(*Codec)
+	PutValue(&c.w, v)
+	return c.exact()
 }
-
-// valueSize is the exact number of bytes PutValue appends for v.
-func valueSize(v value.Value) int {
-	switch v.Kind() {
-	case value.KindInt:
-		i, _ := v.Int()
-		return 1 + varintSize(i)
-	case value.KindFloat:
-		return 1 + 8
-	case value.KindString:
-		s, _ := v.Str()
-		return 1 + blobSize(len(s))
-	case value.KindBytes:
-		b, _ := v.Bytes()
-		return 1 + blobSize(len(b))
-	case value.KindList:
-		l, _ := v.List()
-		n := 1 + uvarintSize(uint64(len(l)))
-		for _, e := range l {
-			n += valueSize(e)
-		}
-		return n
-	case value.KindMap:
-		m, _ := v.Map()
-		n := 1 + uvarintSize(uint64(len(m)))
-		for k, e := range m {
-			n += blobSize(len(k)) + valueSize(e)
-		}
-		return n
-	case value.KindRef:
-		r, _ := v.Ref()
-		return 1 + blobSize(len(r))
-	case value.KindTime:
-		t, _ := v.Time()
-		return 1 + varintSize(t.UnixNano())
-	default: // null, bool, and the null PutValue writes for an unknown kind
-		return 1
-	}
-}
-
-func uvarintSize(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// varintSize sizes the zig-zag encoding binary.AppendVarint writes.
-func varintSize(x int64) int { return uvarintSize(uint64(x)<<1 ^ uint64(x>>63)) }
-
-// blobSize is the encoded size of a length-prefixed field of n bytes.
-func blobSize(n int) int { return uvarintSize(uint64(n)) + n }
 
 // DecodeValue decodes a value and requires full consumption of the input.
 // The result shares no memory with b.
