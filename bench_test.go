@@ -173,6 +173,53 @@ func BenchmarkE3_MROMScriptMethod(b *testing.B) {
 	}
 }
 
+// The warm fixed method of a site-built APO, which carries its site's
+// Auditor, called by eight rotating callers of the site's domain: each
+// call is served from the site policy's verdict table. Disarmed, the allow
+// is recorded nowhere; armed, each call pays one Auditor.Record.
+func BenchmarkE3_MROMAuditedForeignCall(b *testing.B) {
+	site, err := hadas.NewSite(hadas.Config{Name: "audited"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer site.Close()
+	site.Behaviors().Register("bench.echo", func(_ *core.Invocation, args []value.Value) (value.Value, error) {
+		return args[0], nil
+	})
+	echo, err := site.Behaviors().Lookup("bench.echo")
+	if err != nil {
+		b.Fatal(err)
+	}
+	builder := site.NewAPOBuilder("Audited")
+	builder.FixedMethod("work", echo)
+	obj := builder.MustBuild()
+	var callers [8]security.Principal
+	for i := range callers {
+		callers[i] = security.Principal{Object: experiments.Gen.New(), Domain: site.Domain()}
+	}
+	arg := value.NewInt(1)
+	for _, link := range []*security.Auditor{nil, security.NewAuditor(256)} {
+		name := "disarmed"
+		if link != nil {
+			name = "armed"
+		}
+		b.Run(name, func(b *testing.B) {
+			obj.ArmAudit(link)
+			for i := 0; i < 2*len(callers); i++ { // the table's fill, every verdict
+				if _, err := obj.Invoke(callers[i%len(callers)], "work", arg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := obj.Invoke(callers[i%len(callers)], "work", arg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // The relay-script workload's body — an interpreted method with a loop —
 // invoked on a built object: 64 records, 16 keys per call.
 func BenchmarkE3_MROMScriptQuote(b *testing.B) {

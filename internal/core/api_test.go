@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/mscript"
@@ -47,6 +48,7 @@ func TestHostWiringSetters(t *testing.T) {
 
 	obj.SetPolicy(pol)
 	obj.SetAuditor(aud)
+	obj.ArmAudit(aud)
 	obj.SetResolver(res)
 	obj.SetOutput(func(s string) { lines = append(lines, s) })
 
@@ -159,11 +161,11 @@ func TestMaterializeOptionsApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aud := security.NewAuditor(8)
+	pol, aud := allowAllPolicy(), security.NewAuditor(8)
 	res := &staticResolver{site: "target", m: map[string]*Object{}}
 	var lines []string
 	re, err := FromImage(img, nil,
-		HostPolicy(allowAllPolicy()),
+		HostPolicy(pol),
 		HostAuditor(aud),
 		HostResolver(res),
 		HostOutput(func(s string) { lines = append(lines, s) }))
@@ -173,11 +175,19 @@ func TestMaterializeOptionsApply(t *testing.T) {
 	if re.Resolver() != res {
 		t.Error("resolver not wired")
 	}
+	re.ArmAudit(aud)
 	if _, err := re.Invoke(stranger(), "double", value.NewInt(1)); err != nil {
 		t.Fatal(err)
 	}
 	if len(aud.Events()) == 0 {
 		t.Error("auditor not wired")
+	}
+	// An allow reaches the auditor through the armed link; a denial
+	// reaches it because HostAuditor attached it.
+	re.ArmAudit(nil)
+	pol.SetDefault(security.Untrusted, security.Deny)
+	if _, err := re.Invoke(stranger(), "double", value.NewInt(1)); !errors.Is(err, security.ErrDenied) || len(aud.Denials()) != 1 {
+		t.Errorf("denial %v, %d recorded; want ErrDenied, 1 recorded", err, len(aud.Denials()))
 	}
 	if _, err := re.InvokeSelf("addMethod", value.NewString("say"),
 		value.NewString(`fn() { ctx.log("hi"); return null; }`)); err != nil {

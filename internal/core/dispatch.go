@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/naming"
 	"repro/internal/security"
 )
 
@@ -13,15 +14,15 @@ import (
 // remembers it once for every object asking the same question
 // (security.Policy.Recall). What an object keeps scales with its items,
 // never with its callers: per structural generation, one published table
-// holding the meta-invoke chain, the policy and auditor in force, and an
-// immutable Lookup snapshot per item. The paper concedes that "structural
-// mutability bears some price on performance" (§3); the table confines that
-// price to the first call after a mutation.
+// holding the meta-invoke chain, the policy, auditor and allow link in
+// force, and an immutable Lookup snapshot per item. The paper concedes that
+// "structural mutability bears some price on performance" (§3); the table
+// confines that price to the first call after a mutation.
 //
 // A snapshot is valid while its table is the one of the object's current
 // structGen (bumped only by dispatch-shape changes: level push, pop or
-// edit, rollback, policy/auditor attachment, flushes) and its item's own
-// generation is unchanged (bumped by every per-item edit, deletion and
+// edit, rollback, policy/auditor/link attachment, flushes) and its item's
+// own generation is unchanged (bumped by every per-item edit, deletion and
 // rollback). Bumps happen, and tables and snapshots are taken, under the
 // object lock, so a snapshot can never tag stale item state with a current
 // generation: once a revoke returns, the very next call re-evaluates Match.
@@ -80,17 +81,18 @@ type dispatchCache struct {
 }
 
 // cacheTables is one structural generation's worth of dispatch state: the
-// shape (meta-invoke chain, policy, auditor — changing any of them bumps
-// structGen) and the item snapshots taken against it. After the first fill
-// for a name, reads of items are lock-free and contention-free. A
+// shape (meta-invoke chain, policy, auditor, allow link — changing any of
+// them bumps structGen) and the item snapshots taken against it. After the
+// first fill for a name, reads of items are lock-free and contention-free. A
 // generation bump abandons the whole table: the next reader builds a fresh
 // one and the old becomes garbage, which is the wholesale invalidation.
 type cacheTables struct {
 	gen    uint64
 	levels []*methodSnap // the meta-invoke chain: index k-1 holds level k
 	pol    *security.Policy
-	aud    *security.Auditor
-	items  sync.Map // method name -> *methodSnap, dataKey(name) -> *itemSnap
+	aud    *security.Auditor // denials
+	link   *security.Auditor // allows; nil while the link is disarmed
+	items  sync.Map          // method name -> *methodSnap, dataKey(name) -> *itemSnap
 	nitems atomic.Int64
 	hot    atomic.Pointer[methodSnap] // the method last dispatched: the L1
 }
@@ -123,8 +125,8 @@ func (t *cacheTables) store(key, snap any) {
 
 // bumpStruct invalidates every snapshot of the object. Called (under o.mu)
 // by mutations that change the dispatch shape wholesale: level push/pop/
-// edit, atomic rollback, policy/auditor attachment. Per-item edits bump the
-// item's own counter instead (see item.go).
+// edit, atomic rollback, policy/auditor/link attachment. Per-item edits
+// bump the item's own counter instead (see item.go).
 func (o *Object) bumpStruct() { o.structGen.Add(1) }
 
 // FlushDispatchCache drops every memoized lookup, and every verdict of the
@@ -151,7 +153,7 @@ func (o *Object) tableLocked() *cacheTables {
 	if t := o.cache.tables.Load(); t != nil && t.gen == gen {
 		return t
 	}
-	t := &cacheTables{gen: gen, pol: o.policy, aud: o.auditor,
+	t := &cacheTables{gen: gen, pol: o.policy, aud: o.auditor, link: o.auditLink,
 		levels: make([]*methodSnap, len(o.invokeLevels))}
 	for i, m := range o.invokeLevels {
 		t.levels[i] = snapshotMethod(m)
@@ -196,11 +198,10 @@ func (t *cacheTables) dataSnapLocked(d *DataItem) *itemSnap {
 }
 
 // decide is the Match phase of caller taking action on the item s
-// snapshots, under t's policy and auditor: an open item allows outright;
-// else the item's L1 verdict, else the policy's remembered one, else a cold
-// Match the policy remembers. Audited objects record every decision,
-// however it is served — except the object's own access, which is no
-// decision (self-containment).
+// snapshots, under t's policy: an open item allows outright; else the
+// item's L1 verdict, else the policy's remembered one, else a cold Match
+// the policy remembers. Each denial is recorded however it is served, an
+// allow only while the link is armed, the object's own access never.
 func (o *Object) decide(t *cacheTables, s *itemSnap, caller security.Principal, action security.Action) error {
 	if caller.Object == o.id {
 		return nil
@@ -211,12 +212,12 @@ func (o *Object) decide(t *cacheTables, s *itemSnap, caller security.Principal, 
 		v := s.hot.Load()
 		if v == nil || !v.Answers(pol, caller, action) {
 			if pol == nil { // nothing to remember verdicts in: Match runs cold
-				err, _ = o.matchDecide(s, caller, nil, t.aud, action)
+				err, _ = o.matchDecide(t, s, caller, action)
 				return err
 			}
 			if v = pol.Recall(&s.Item, caller, action); v == nil {
 				gen := pol.Generation()
-				err, viaPolicy := o.matchDecide(s, caller, pol, t.aud, action)
+				err, viaPolicy := o.matchDecide(t, s, caller, action)
 				s.hot.Store(pol.Remember(&s.Item, caller, action, gen, err, viaPolicy))
 				return err
 			}
@@ -224,10 +225,20 @@ func (o *Object) decide(t *cacheTables, s *itemSnap, caller security.Principal, 
 		}
 		err = v.Err
 	}
-	if t.aud != nil {
-		t.aud.Record(o.id, caller, action, s.Name, err == nil)
-	}
+	t.audit(o.id, caller, action, s.Name, err == nil)
 	return err
+}
+
+// audit records a decision on item of target: a denial in the Auditor, an
+// allow in the link. Disarmed, an allow costs an inlined branch.
+func (t *cacheTables) audit(target naming.ID, caller security.Principal, action security.Action, item string, allowed bool) {
+	sink := t.aud
+	if allowed {
+		sink = t.link
+	}
+	if sink != nil {
+		sink.Record(target, caller, action, item, allowed)
+	}
 }
 
 // fastLookup returns the current table and its snapshot of method name,

@@ -309,6 +309,7 @@ func TestSelfInvocationAuditIsTemperatureIndependent(t *testing.T) {
 	b.ExtData("n", value.NewInt(0))
 	b.ExtScriptMethod("work", `fn() { self.n = self.n + 1; return self.n; }`)
 	obj := b.MustBuild()
+	obj.ArmAudit(aud)
 	for call := 1; call <= 4; call++ {
 		if _, err := obj.InvokeSelf("work"); err != nil {
 			t.Fatal(err)

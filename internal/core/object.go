@@ -44,12 +44,13 @@ type Object struct {
 
 	sealed bool
 
-	policy   *security.Policy
-	auditor  *security.Auditor
-	registry *BehaviorRegistry
-	resolver Resolver
-	output   func(string)
-	budget   mscript.Budget
+	policy    *security.Policy
+	auditor   *security.Auditor // denials
+	auditLink *security.Auditor // allows, while armed (see ArmAudit)
+	registry  *BehaviorRegistry
+	resolver  Resolver
+	output    func(string)
+	budget    mscript.Budget
 
 	metaACL    security.ACL
 	metaHidden bool
@@ -111,11 +112,20 @@ func (o *Object) SetPolicy(p *security.Policy) {
 	o.bumpStruct()
 }
 
-// SetAuditor attaches an audit sink for Match decisions.
+// SetAuditor attaches the sink every denied foreign decision is recorded in.
 func (o *Object) SetAuditor(a *security.Auditor) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.auditor = a
+	o.bumpStruct()
+}
+
+// ArmAudit arms the allow link: allowed foreign decisions are recorded in
+// a, never in the object's Auditor, until ArmAudit(nil) disarms it.
+func (o *Object) ArmAudit(a *security.Auditor) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.auditLink = a
 	o.bumpStruct()
 }
 
@@ -254,33 +264,27 @@ func (o *Object) setData(caller security.Principal, name string, v value.Value) 
 }
 
 // matchDecide is the cold Match phase shared by invocation and data
-// access, for a caller other than the object itself (decide answers that
-// one): hidden items appear nonexistent; otherwise the item ACL decides,
-// falling back to the host policy. polDep reports whether the decision
-// came from the policy default — its remembered verdict is validated
-// against the policy generation too.
-func (o *Object) matchDecide(s *itemSnap, caller security.Principal,
-	pol *security.Policy, aud *security.Auditor, action security.Action) (decision error, polDep bool) {
+// access under t's policy, for a caller other than the object itself
+// (decide answers that one): hidden items appear nonexistent; otherwise
+// the item ACL decides, falling back to the host policy. polDep reports
+// whether the decision came from the policy default — its remembered
+// verdict is validated against the policy generation too.
+func (o *Object) matchDecide(t *cacheTables, s *itemSnap, caller security.Principal,
+	action security.Action) (decision error, polDep bool) {
 	if !s.Visible {
 		// Encapsulation: a hidden item appears nonexistent — except to a
 		// principal its ACL explicitly grants (an Ambassador's origin keeps
 		// access to the hidden meta-methods; the host does not). The policy
 		// default never opens a hidden item.
 		if effect, matched := s.ACL.Decide(caller, action); matched && effect == security.Allow {
-			if aud != nil {
-				aud.Record(o.id, caller, action, s.Name, true)
-			}
+			t.audit(o.id, caller, action, s.Name, true)
 			return nil, false
 		}
-		if aud != nil {
-			aud.Record(o.id, caller, action, s.Name, false)
-		}
+		t.audit(o.id, caller, action, s.Name, false)
 		return fmt.Errorf("%w: %s %q", ErrNotFound, actionNoun(action), s.Name), false
 	}
-	err, viaPolicy := security.Decide(s.ACL, pol, caller, action, s.Name)
-	if aud != nil {
-		aud.Record(o.id, caller, action, s.Name, err == nil)
-	}
+	err, viaPolicy := security.Decide(s.ACL, t.pol, caller, action, s.Name)
+	t.audit(o.id, caller, action, s.Name, err == nil)
 	return err, viaPolicy
 }
 
@@ -415,7 +419,7 @@ func WithPolicy(p *security.Policy) BuildOption {
 	return func(o *Object) { o.policy = p }
 }
 
-// WithAuditor attaches an audit sink.
+// WithAuditor attaches the sink denied foreign decisions are recorded in.
 func WithAuditor(a *security.Auditor) BuildOption {
 	return func(o *Object) { o.auditor = a }
 }

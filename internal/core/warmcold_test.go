@@ -24,14 +24,16 @@ import (
 	"repro/internal/value"
 )
 
-// twin is one of the two objects under comparison, with the policy and
-// auditor that are its own, and a sibling on the same policy whose items
-// carry the same ACLs (so the two share verdicts until one is edited).
+// twin is one of the two objects under comparison, with the policy,
+// auditor and allow link that are its own, and a sibling on the same
+// policy whose items carry the same ACLs (so the two share verdicts until
+// one is edited).
 type twin struct {
-	obj *Object
-	sib *Object
-	pol *security.Policy
-	aud *security.Auditor
+	obj  *Object
+	sib  *Object
+	pol  *security.Policy
+	aud  *security.Auditor
+	link *security.Auditor
 }
 
 // twinStep is one step of the random program, applicable to either twin.
@@ -54,7 +56,7 @@ const twinTxnSrc = `fn(fail) {
 // newTwin builds one twin. rules are the 17 entries of the ACL of
 // "guarded", built once per twin and carried by both of its objects.
 func newTwin(rules []security.Entry) *twin {
-	tw := &twin{pol: security.NewPolicy(), aud: security.NewAuditor(256)}
+	tw := &twin{pol: security.NewPolicy(), aud: security.NewAuditor(256), link: security.NewAuditor(256)}
 	tw.pol.GradeDomain("elsewhere", security.Trusted)
 	guard := security.NewACL(rules...)
 	echo := NewNativeBody("twin.echo", func(_ *Invocation, args []value.Value) (value.Value, error) {
@@ -77,6 +79,7 @@ func newTwin(rules []security.Entry) *twin {
 	b.FixedScriptMethod("bump", `fn(d) { self.n = self.n + d; return self.n; }`)
 	b.FixedScriptMethod("txn", twinTxnSrc)
 	tw.obj = b.MustBuild()
+	tw.obj.ArmAudit(tw.link)
 	return tw
 }
 
@@ -193,8 +196,8 @@ func (p *twinProgram) edit(getter, setter, name string, props value.Value) twinS
 	return p.call(c, setter, value.NewString(name), props)
 }
 
-// mutation draws one change to the object, its policy or its auditor, and
-// the call most likely to notice it.
+// mutation draws one change to the object, its policy, its auditor or its
+// allow link, and the call most likely to notice it.
 func (p *twinProgram) mutation() (change, probe twinStep) {
 	rng := p.rng
 	c := rng.Intn(len(p.callers))
@@ -205,7 +208,7 @@ func (p *twinProgram) mutation() (change, probe twinStep) {
 	if rng.Intn(2) == 0 {
 		probe = getData
 	}
-	switch op := rng.Intn(42); {
+	switch op := rng.Intn(43); {
 	case op < 3:
 		return p.edit("", "addDataItem", p.data, arg), getData
 	case op < 11:
@@ -252,13 +255,23 @@ func (p *twinProgram) mutation() (change, probe twinStep) {
 			tw.pol.GradeDomain(dom, level)
 			return value.Null, nil
 		}}, probe
-	default:
+	case op < 42:
 		attach := rng.Intn(3) != 0
 		return twinStep{fmt.Sprintf("auditor attached: %v", attach), func(tw *twin) (value.Value, error) {
 			if attach {
 				tw.obj.SetAuditor(tw.aud)
 			} else {
 				tw.obj.SetAuditor(nil)
+			}
+			return value.Null, nil
+		}}, probe
+	default:
+		arm := rng.Intn(3) != 0
+		return twinStep{fmt.Sprintf("allow link armed: %v", arm), func(tw *twin) (value.Value, error) {
+			if arm {
+				tw.obj.ArmAudit(tw.link)
+			} else {
+				tw.obj.ArmAudit(nil)
 			}
 			return value.Null, nil
 		}}, probe
@@ -381,9 +394,11 @@ func TestWarmEqualsCold(t *testing.T) {
 			cv, cerr := step.run(cold)
 			w, c := warm.observe(wv, werr, callers[2]), cold.observe(cv, cerr, callers[2])
 			wt, ct := warm.aud.Events(), cold.aud.Events()
-			if w != c || !sameTrail(wt, ct, warm.obj.ID(), cold.obj.ID()) {
-				t.Fatalf("seed %d diverges at step %d; shortest failing prefix:\n  %s\nwarm: %s\naudit%s\ncold: %s\naudit%s",
-					seed, i, strings.Join(trace, "\n  "), w, trailString(wt, warm.obj.ID()), c, trailString(ct, cold.obj.ID()))
+			wl, cl := warm.link.Events(), cold.link.Events()
+			if w != c || !sameTrail(wt, ct, warm.obj.ID(), cold.obj.ID()) || !sameTrail(wl, cl, warm.obj.ID(), cold.obj.ID()) {
+				t.Fatalf("seed %d diverges at step %d; shortest failing prefix:\n  %s\nwarm: %s\naudit%s\nlink%s\ncold: %s\naudit%s\nlink%s",
+					seed, i, strings.Join(trace, "\n  "), w, trailString(wt, warm.obj.ID()), trailString(wl, warm.obj.ID()),
+					c, trailString(ct, cold.obj.ID()), trailString(cl, cold.obj.ID()))
 			}
 		}
 	}

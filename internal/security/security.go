@@ -15,8 +15,8 @@
 //   - A Policy assigns trust levels to domains and a default decision per
 //     trust level, so hosts can say "local objects may, untrusted domains
 //     may not" without enumerating objects.
-//   - An Auditor records decisions for inspection (mutual security: both
-//     host and mobile object can review what was attempted).
+//   - An Auditor records every denial for inspection (mutual security),
+//     and an allow only where the object's audit link is armed.
 package security
 
 import (
@@ -444,10 +444,10 @@ type Event struct {
 // objects seldom share a lock or a cache line.
 const auditShards = 16
 
-// Auditor records recent decisions in bounded rings. The zero value is
-// unusable; construct with NewAuditor. What an object does to itself is not
-// a decision (self-containment: there is nothing to match) and is never
-// recorded, whether the call is dispatched cold or served from a cache.
+// Auditor records recent decisions in bounded rings; construct with
+// NewAuditor. An object records each foreign denial in its Auditor and an
+// allow only in an Auditor armed as its link. Its own access is no decision
+// (self-containment) and is never recorded, cold or served from a cache.
 type Auditor struct {
 	epoch    time.Time
 	capacity int
